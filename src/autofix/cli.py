@@ -193,10 +193,11 @@ _WORKER_CTX = {}
 
 def _init_worker(ref_source, model_source, cfg):
     ref = parse_imp(ref_source)
-    _WORKER_CTX["cfg"] = cfg
-    _WORKER_CTX["ref"] = ref
-    _WORKER_CTX["model"] = parse_eml(model_source)
-    _WORKER_CTX["oracle"] = ReferenceOracle(ref, _bounds(cfg))
+    _set_context(cfg, ref, parse_eml(model_source), ReferenceOracle(ref, _bounds(cfg)))
+
+
+def _set_context(cfg, ref, model, oracle):
+    _WORKER_CTX.update(cfg=cfg, ref=ref, model=model, oracle=oracle)
 
 
 def _corpus_entry(path: str) -> dict:
@@ -230,9 +231,9 @@ def run_corpus(cfg: RunConfig) -> int:
     try:
         ref_source = _load(cfg.ref)
         model_source = _load(cfg.model)
-        parse_imp(ref_source)
-        parse_eml(model_source)
-        ReferenceOracle(parse_imp(ref_source), _bounds(cfg))
+        ref = parse_imp(ref_source)
+        model = parse_eml(model_source)
+        oracle = ReferenceOracle(ref, _bounds(cfg))
         paths = sorted(
             os.path.join(cfg.corpus, n)
             for n in os.listdir(cfg.corpus)
@@ -251,7 +252,7 @@ def run_corpus(cfg: RunConfig) -> int:
         ) as pool:
             entries = list(pool.map(_corpus_entry, paths))
     else:
-        _init_worker(ref_source, model_source, cfg)
+        _set_context(cfg, ref, model, oracle)  # the table validated above
         entries = [_corpus_entry(p) for p in paths]
 
     entries.sort(key=lambda e: e["name"])
@@ -302,6 +303,15 @@ def main(argv=None) -> int:
         cfg = config_from_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
+    try:
+        _bounds(cfg)
+    except ValueError as err:
+        print(
+            f"autofix: {err}: --int-bits {cfg.int_bits} --max-list {cfg.max_list}"
+            f" --fuel {cfg.fuel} (need --int-bits >= 1, --max-list >= 0, --fuel >= 1)",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     if cfg.corpus:
         return run_corpus(cfg)
     return run_single(cfg)

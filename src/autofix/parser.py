@@ -12,7 +12,7 @@ from .lang import Span
 from .lexer import SourceError, Token, tokenize
 
 BUILTIN_FUNCS = {"len": (1, 1), "range": (1, 3)}
-LIST_METHODS = {"append"}
+LIST_METHODS = {"append": (1, 1)}
 
 
 class Parser:
@@ -137,6 +137,11 @@ class Parser:
                 raise self.error(f"unsupported method {method!r}")
             self.expect("OP", "(")
             args = self.parse_args()
+            lo, hi = LIST_METHODS[method]
+            if not lo <= len(args) <= hi:
+                raise SourceError(
+                    f"{method}() takes {lo}..{hi} arguments", start.line, start.col
+                )
             self.expect("OP", ")")
             self.expect("NEWLINE")
             return lang.MethodCall(obj, method, args, self.span_from(start))

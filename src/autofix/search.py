@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import lang
+from .compiler import Compiler, Fault, same
 from .inputs import Signature, enumerate_inputs, parse_signature
 from .interp import Bounds, evaluate, values_equal
 from .tilde import TildeProgram, enumerate_candidates, instantiate
@@ -57,21 +58,25 @@ class RepairResult:
 
 class ReferenceOracle:
     """The reference program evaluated over the whole bounded input space.
-    Construction verifies the reference is fault-free on every input."""
+    Construction verifies the reference is fault-free on every input.
+
+    The table and full verification run programs compiled (``compiler``);
+    screening a candidate on a few counterexamples costs less than
+    compiling it, so `agrees_at` runs the tree-walker."""
 
     def __init__(self, reference: lang.Program, bounds: Bounds, signature: Signature | None = None):
         self.reference = reference
         self.bounds = bounds
         self.signature = signature or parse_signature(reference.entry_func())
         self.inputs = list(enumerate_inputs(self.signature, bounds))
+        self._compiler = Compiler(bounds)
+        run = self._compiler.compile(reference)
         self.values = []
         for inp in self.inputs:
-            result = evaluate(reference, inp, bounds)
-            if not result.is_ok:
-                raise ReferenceFault(
-                    f"reference faults ({result.fault}) on input {inp!r}"
-                )
-            self.values.append(result.value)
+            try:
+                self.values.append(run(inp))
+            except Fault as f:
+                raise ReferenceFault(f"reference faults ({f.kind}) on input {inp!r}") from None
         self._index = None
 
     def index_of(self, input_state) -> int:
@@ -82,14 +87,18 @@ class ReferenceOracle:
     def first_mismatch(self, program: lang.Program, budget=None, callees=None):
         """Index of the first input where `program` disagrees (any fault
         counts as disagreement), or None when boundedly equivalent."""
-        bounds = self.bounds
+        run = self._compiler.compile(program, callees)
+        values = self.values
         for i, inp in enumerate(self.inputs):
             if budget is not None:
                 over = budget.spend()
                 if over:
                     raise _BudgetStop(over)
-            result = evaluate(program, inp, bounds, callees)
-            if not result.is_ok or not values_equal(result.value, self.values[i]):
+            try:
+                value = run(inp)
+            except Fault:
+                return i
+            if not same(value, values[i]):
                 return i
         return None
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from autofix import cli
 from conftest import asset
 
 CLI = [sys.executable, "-m", "autofix.cli"]
@@ -213,3 +214,62 @@ def test_renamed_parameters_are_accepted(tmp_path):
     )
     proc = run_cli(*deriv_args(str(renamed)))
     assert proc.returncode == 0  # equivalent despite different parameter names
+
+
+BAD_APPEND = {
+    "no_args.imp": "y.append()",
+    "two_args.imp": "y.append(1, 2)",
+}
+
+
+def write_bad_appends(directory):
+    for name, call in BAD_APPEND.items():
+        (directory / name).write_text(
+            "def computeDeriv_list_int(poly_list_int):\n"
+            f"    y = []\n    {call}\n    return y\n"
+        )
+
+
+def test_bad_append_arity_exits_3(tmp_path):
+    write_bad_appends(tmp_path)
+    for name in BAD_APPEND:
+        proc = run_cli(*deriv_args(str(tmp_path / name)))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "autofix: line 3, col 5: append() takes 1..1 arguments\n"
+
+
+def test_bad_append_arity_is_a_corpus_parse_error(tmp_path):
+    write_bad_appends(tmp_path)
+    with open(asset("computederiv", "reference.imp"), encoding="utf-8") as fh:
+        (tmp_path / "good.imp").write_text(fh.read())
+    args = corpus_args("--format", "json")
+    args[args.index("--corpus") + 1] = str(tmp_path)
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    verdicts = {e["name"]: e["verdict"] for e in json.loads(proc.stdout)["files"]}
+    assert verdicts == {"good.imp": "correct", "no_args.imp": "parse-error",
+                        "two_args.imp": "parse-error"}
+
+
+@pytest.mark.parametrize("flag,value", [("--int-bits", "0"), ("--max-list", "-1"), ("--fuel", "0")])
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_bad_bounds_exit_3_with_one_line(flag, value, mode):
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    proc = run_cli(*args, flag, value)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("autofix: bounds out of range:")
+    assert proc.stderr.count("\n") == 1 and f"{flag} {value} " in proc.stderr
+
+
+def test_serial_corpus_builds_the_table_once(monkeypatch, capsys):
+    built = []
+
+    class CountingOracle(cli.ReferenceOracle):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ReferenceOracle", CountingOracle)
+    assert cli.main(corpus_args("--jobs", "1")) == 0
+    assert "summary: total=15" in capsys.readouterr().out
+    assert len(built) == 1

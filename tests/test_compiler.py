@@ -1,0 +1,373 @@
+"""Differential tests: the compiler against the tree-walking interpreter.
+
+`interp.evaluate` is the executable spec.  On every program and input both
+must give the same value, or both a fault; the fault kinds must match except
+where one side reports FuelExhausted (the compiled code checks its fuel at
+function entry, loop iterations and the end of the run, not at every tick).
+Fuel 25 puts many runs right at the exhaustion boundary.
+"""
+
+import functools
+import glob
+import os
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from autofix import lang
+from autofix.compiler import Compiler, Fault, same
+from autofix.eml import parse_eml
+from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal, evaluate, values_equal
+from autofix.lexer import SourceError
+from autofix.parser import parse_imp
+from autofix.rewrite import rewrite
+from autofix.search import ReferenceFault, ReferenceOracle
+from autofix.tilde import enumerate_candidates, instantiate
+
+from conftest import ASSETS, read
+
+FUELS = (300, 25)
+COMPILERS = {fuel: Compiler(Bounds(4, 3, fuel=fuel)) for fuel in FUELS}
+
+
+def outcome(run, args):
+    try:
+        return run(args), None
+    except Fault as f:
+        return None, f.kind
+
+
+def assert_agree(program, args, compiler, callees=None, run=None):
+    """The compiled `run` of `program` and the tree-walker agree on `args`."""
+    run = run or compiler.compile(program, callees)
+    want = evaluate(program, args, compiler.bounds, callees)
+    value, kind = outcome(run, args)
+    where = f"{args!r} at fuel {compiler.bounds.fuel}"
+    if want.is_ok:
+        assert kind is None, f"compiled faults {kind}, spec gives {want!r} on {where}"
+        assert values_equal(value, want.value), f"{value!r} != {want!r} on {where}"
+    else:
+        assert kind is not None, f"compiled gives {value!r}, spec {want!r} on {where}"
+        if kind != want.fault:
+            assert "FuelExhausted" in (kind, want.fault), f"{kind} vs {want!r} on {where}"
+    return want.fault is not None and kind != want.fault
+
+
+# -- hand-written programs ---------------------------------------------------
+
+CASES = [
+    ("def f_int(x_int, y_int):\n    return x_int + y_int\n", [(7, 1), (-8, -1)]),
+    ("def f_int(x_int, y_int):\n    return x_int * y_int - 3\n", [(5, 5), (-8, 7)]),
+    ("def f_int(x_int, y_int):\n    return x_int / y_int\n", [(7, 2), (-7, 2), (7, -2), (-8, -1), (1, 0)]),
+    ("def f_int(x_int, y_int):\n    return x_int ** y_int\n", [(2, 3), (3, 0), (2, -1), (-8, 7)]),
+    ("def f_int(x_list_int):\n    return x_list_int[0 - 1]\n", [((1, 2),), ((),)]),
+    ("def f_list_int(x_list_int):\n    return x_list_int[1:7] + x_list_int[:0 - 2]\n", [((1, 2, 3),)]),
+    ("def f_list_int(x_list_int):\n    return x_list_int[3:1]\n", [((1, 2, 3),)]),
+    ("def f_bool(x_list_int):\n    return x_list_int == 0\n", [((1,),)]),
+    ("def f_bool(x_int):\n    return x_int == True\n", [(1,)]),
+    ("def f_bool(x_list_int):\n    return [x_list_int[0] < 2] == [True]\n", [((1,),), ((5,),)]),
+    ("def f_int(x_int):\n    if x_int:\n        return 1\n    return 0\n", [(1,)]),
+    ("def f_int(x_int):\n    return y\n", [(1,)]),
+    ("def f_int(x_int):\n    if x_int > 0:\n        y = 1\n    return y\n", [(1,), (0,)]),
+    ("def f_int(x_int):\n    x_int += 1\n", [(1,)]),
+    ("def f_list_int(x_int):\n    return range(x_int) + range(2, x_int) + range(0, x_int, 2)\n", [(5,), (0,)]),
+    ("def f_list_int(x_int):\n    return range(5, 0, 0 - 1)\n", [(0,)]),
+    ("def f_list_int(x_list_int):\n    y = x_list_int\n    y[0] = 9\n    return x_list_int + y\n", [((1, 2),)]),
+    ("def f_list_int(x_list_int):\n    x_list_int[0] += 1\n    x_list_int.append(3)\n    return x_list_int\n", [((1, 2),), ((),)]),
+    ("def f_int(x_tuple_int):\n    s = 0\n    for v in x_tuple_int:\n        s += v\n    return s\n", [(TupleVal((1, 2, 3)),)]),
+    ("def f_tuple_int(x_tuple_int):\n    return x_tuple_int[1:] + x_tuple_int\n", [(TupleVal((1, 2)),)]),
+    ("def f_list_int(x_tuple_int):\n    x_tuple_int.append(1)\n    return x_tuple_int\n", [(TupleVal((1,)),)]),
+    ("def f_int(x_int):\n    return f_int(x_int)\n", [(0,)]),
+    ("def f_bool(x_int):\n    return x_int != 0 and 1 / x_int == 1 or not True\n", [(0,), (1,)]),
+    ("def f_int(x_int):\n    return 1 if x_int < 0 else 2 if x_int == 0 else x_int\n", [(-1,), (0,), (3,)]),
+    ("def f_int(x_int):\n    while x_int > 0:\n        x_int -= 1\n    return x_int\n", [(7,), (-3,)]),
+    ("def f_int(x_int):\n    while True:\n        pass\n    return 0\n", [(0,)]),
+    ("def f_int(x_list_int):\n    return len(x_list_int + x_list_int + x_list_int)\n", [((1, 2, 3),)]),
+    ("def f_int(x_int):\n    return len(x_int)\n", [(1,)]),
+    ("def f_int(x_int):\n    return g(x_int, 1)\n\ndef g(a, b):\n    return a - b\n", [(3,)]),
+    ("def f_int(x_int):\n    return g(x_int)\n\ndef g(a, b):\n    return a\n", [(3,)]),
+    ("def f_int(x_int):\n    return len(x_int)\n\ndef len(a):\n    return a * 2\n", [(3,)]),
+    ("def f_int(x_int):\n    lambda = x_int\n    None = lambda + 1\n    return None\n", [(3,)]),
+    # the order of checks decides the fault kind
+    ("def f_int(x_int):\n    return x_int[1 / 0]\n", [(1,)]),
+    ("def f_int(x_list_int):\n    return x_list_int[True]\n", [((1,),)]),
+    ("def f_list_int(x_int):\n    return x_int[1 / 0:]\n", [(1,)]),
+    ("def f_int(x_int):\n    x_int[0] = 1 / 0\n    return x_int\n", [(1,)]),
+    ("def f_int(x_int):\n    x_int[1 / 0] = 1\n    return x_int\n", [(1,)]),
+    ("def f_int(x_list_int):\n    x_list_int[5] += 1 / 0\n    return 0\n", [((1,),)]),
+    ("def f_int(x_int):\n    x_int.append(1 / 0)\n    return x_int\n", [(1,)]),
+    ("def f_list_int(x_list_int):\n    return [1] + 1 / 0\n", [((1,),)]),
+    ("def f_bool(x_int):\n    return x_int and 1 / 0 == 1\n", [(1,)]),
+    ("def f_int(x_int):\n    return g(1 / 0)\n\ndef g(a, b):\n    return a\n", [(3,)]),
+]
+
+
+@pytest.mark.parametrize("source,inputs", CASES)
+def test_hand_written_programs_agree(source, inputs):
+    program = parse_imp(source)
+    for compiler in (*COMPILERS.values(), Compiler(Bounds(4, 3, fuel=3))):
+        run = compiler.compile(program)
+        for args in inputs:
+            assert_agree(program, args, compiler, run=run)
+
+
+def test_loops_stop_when_the_fuel_runs_out():
+    # 56 ** 4 iterations unless every loop iteration checks the fuel
+    program = parse_imp(
+        "def f_int(x_int):\n    r = range(7)\n    xs = r + r + r + r + r + r + r + r\n"
+        "    for a in xs:\n        for b in xs:\n            for c in xs:\n"
+        "                for d in xs:\n                    x_int += 1\n    return x_int\n"
+    )
+    compiler = COMPILERS[300]
+    run = compiler.compile(program)
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename == "<autofix>" and event == "line":
+            lines += 1
+            if lines > 10_000:
+                raise RuntimeError("the compiled run outlived its fuel")
+        return count_lines
+
+    sys.settrace(count_lines)
+    try:
+        value, kind = outcome(run, (0,))
+    finally:
+        sys.settrace(None)
+    assert kind == "FuelExhausted" and lines < 2_000
+    assert_agree(program, (0,), compiler, run=run)
+
+
+def test_recursion_depth_limit_agrees():
+    # countdown(k) runs k calls deep below the entry; 64 calls is the limit
+    program = parse_imp(
+        "def f_int(x_int):\n    return countdown(x_int)\n\n"
+        "def countdown(k):\n    if k == 1:\n        return 0\n    return countdown(k - 1) + 1\n"
+    )
+    compiler = Compiler(Bounds(8, 0))
+    run = compiler.compile(program)
+    for x in range(60, 68):
+        assert_agree(program, (x,), compiler, run=run)
+    assert MAX_CALL_DEPTH == 64
+    assert run((63,)) == 62  # 64 calls deep
+    with pytest.raises(Fault) as too_deep:
+        run((64,))
+    assert too_deep.value.kind == "FuelExhausted"
+
+
+def test_callees_reference_redirects_helpers():
+    reference = parse_imp(
+        "def apply_int(x_int):\n    return helper(x_int) + 1\n\n"
+        "def helper(x_int):\n    return x_int * 2\n"
+    )
+    student = parse_imp(
+        "def apply_int(x_int):\n    return helper(x_int) + 1\n\n"
+        "def helper(x_int):\n    return x_int + 2\n"
+    )
+    callees = {f.name: f for f in reference.functions}
+    compiler = COMPILERS[300]
+    redirected = compiler.compile(student, callees)
+    own = compiler.compile(student)
+    for x in range(-8, 8):
+        assert_agree(student, (x,), compiler, callees, run=redirected)
+        assert_agree(student, (x,), compiler, run=own)
+    assert redirected((3,)) == 7 and own((3,)) == 6
+    assert redirected((4,)) == -7  # 9 wraps at 4 bits
+
+
+def test_deeply_nested_program_falls_back_to_the_tree_walker():
+    # parses, but its compiled form nests too many parentheses for Python
+    depth = 70
+    source = "def f_bool(x_int):\n    return " + "(x_int < 1 and " * depth + "True" + ")" * depth + "\n"
+    program = parse_imp(source)
+    compiler = Compiler(Bounds(4, 0))
+    run = compiler.compile(program)
+    for x in (-8, 0, 7):
+        assert_agree(program, (x,), compiler, run=run)
+
+
+# -- generated programs ------------------------------------------------------
+
+INT_VARS = ("n", "a", "b")
+LIST_VARS = ("xs", "ys")
+ANY_VAR = "lambda"  # holds a value of any type; also a Python keyword
+INPUTS = [((), 0), ((3,), 2), ((-2, 5), -3), ((0, 7, -8), 1), ((6, -1), 7)]
+
+
+def prelude(source: str) -> list:
+    """Statements that bind the variables before the generated ones run."""
+    return parse_imp(f"def p(xs, n, a):\n{source}    return 0\n").functions[0].body[:-1]
+
+
+# `b` stays unbound in f when n >= 0, so reading it may fault
+F_PRELUDE = prelude("    a = n\n    ys = xs\n    lambda = 0\n    if n < 0:\n        b = 1\n")
+G_PRELUDE = prelude("    b = a\n    xs = [n]\n    ys = []\n    lambda = n\n")
+
+
+@functools.lru_cache(maxsize=None)
+def exprs(kind: str, depth: int):
+    """Expressions of a type ("int", "bool", "list" or "any") of bounded
+    depth.  Some runs fault: `b` may be unbound, and exponents, range steps,
+    indices and divisors are drawn without regard to their range."""
+    if kind == "any":
+        return st.one_of(exprs("int", depth), exprs("bool", depth), exprs("list", depth),
+                         st.just(lang.Var(ANY_VAR)))
+    if kind == "int":
+        leaves = st.one_of(st.integers(-9, 9).map(lang.IntLit),
+                           st.sampled_from(INT_VARS).map(lang.Var))
+    elif kind == "bool":
+        leaves = st.booleans().map(lang.BoolLit)
+    else:
+        leaves = st.one_of(
+            st.sampled_from(LIST_VARS).map(lang.Var),
+            st.lists(exprs("int", 0), max_size=2).map(lang.ListLit),
+        )
+    if depth == 0:
+        return leaves
+    i, b, l = (exprs(k, depth - 1) for k in ("int", "bool", "list"))
+    if kind == "int":
+        compound = [
+            st.builds(lang.BinOp, i, st.sampled_from(lang.ARITH_OPS), i),
+            st.builds(lang.Index, l, i),
+            l.map(lambda x: lang.Call("len", [x])),
+            st.builds(lambda x, y: lang.Call("g", [x, y]), i, i),
+        ]
+    elif kind == "bool":
+        compound = [
+            st.builds(lang.Compare, i, st.sampled_from(lang.COMPARE_OPS), i),
+            st.builds(lang.Compare, l, st.sampled_from(["==", "!="]), l),
+            st.builds(lang.BoolOp, b, st.sampled_from(lang.BOOL_OPS), b),
+            b.map(lang.Not),
+        ]
+    else:
+        bound = st.none() | i
+        compound = [
+            st.builds(lang.Slice, l, bound, bound),
+            st.builds(lang.BinOp, l, st.just("+"), l),
+            st.lists(i, min_size=1, max_size=3).map(lambda args: lang.Call("range", args)),
+        ]
+    same_kind = exprs(kind, depth - 1)
+    compound.append(st.builds(lang.CondExpr, same_kind, b, same_kind))
+    return st.one_of(leaves, *compound)
+
+
+@functools.lru_cache(maxsize=None)
+def blocks(depth: int):
+    i, l, a = exprs("int", 2), exprs("list", 2), exprs("any", 2)
+    int_var = st.sampled_from(INT_VARS).map(lang.Var)
+    list_var = st.sampled_from(LIST_VARS).map(lang.Var)
+    simple = [
+        st.builds(lang.Assign, int_var, i),
+        st.builds(lang.Assign, list_var, l),
+        st.builds(lang.Assign, st.just(lang.Var(ANY_VAR)), a),
+        st.builds(lang.Assign, st.builds(lang.Index, list_var, i), i),
+        st.builds(lang.AugAssign, int_var, st.sampled_from("+-*/"), i),
+        st.builds(lang.AugAssign, st.builds(lang.Index, list_var, i), st.sampled_from("+-*/"), i),
+        st.builds(lang.MethodCall, st.sampled_from(LIST_VARS), st.just("append"),
+                  i.map(lambda x: [x])),
+        st.builds(lang.Return, a),
+        st.just(lang.Pass()),
+    ]
+    if depth > 0:
+        inner, cond = blocks(depth - 1), exprs("bool", 2)
+        simple += [
+            st.builds(lang.If, cond, inner, st.just([]) | inner),
+            st.builds(lang.While, cond, inner),
+            st.builds(lang.ForIn, st.sampled_from(INT_VARS + (ANY_VAR,)), l, inner),
+        ]
+    return st.lists(st.one_of(*simple), min_size=1, max_size=3)
+
+
+programs = st.builds(
+    lambda body, ret, helper, helper_ret: lang.Program(
+        [lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)]),
+         lang.FuncDef("g", ["n", "a"], G_PRELUDE + helper + [lang.Return(helper_ret)])],
+        entry="f",
+    ),
+    blocks(2), exprs("any", 2), blocks(1), exprs("int", 2),
+)
+
+
+@given(programs)
+@settings(max_examples=200, deadline=None)
+def test_generated_programs_agree(program):
+    for compiler in COMPILERS.values():
+        run = compiler.compile(program)
+        for args in INPUTS:
+            assert_agree(program, args, compiler, run=run)
+
+
+# -- every small candidate of the bundled models -----------------------------
+
+CANDIDATE_INPUTS = [((),), ((5,),), ((-3, 2),), ((1, 0, -7),), ((7, 7, 7),)]
+
+
+def bundled_programs():
+    for asset in ("computederiv", "arrayreverse"):
+        files = [os.path.join(ASSETS, asset, n) for n in ("student.imp", "reference.imp")]
+        files += sorted(glob.glob(os.path.join(ASSETS, asset, "corpus", "*.imp")))
+        for model_path in sorted(glob.glob(os.path.join(ASSETS, asset, "*.eml"))):
+            model = parse_eml(read(model_path))
+            for path in files:
+                try:
+                    program = parse_imp(read(path))
+                except SourceError:
+                    continue  # the corpus holds one unparseable submission
+                yield os.path.relpath(path, ASSETS), model, program
+
+
+def test_bundled_candidates_up_to_cost_2_agree():
+    cases = fuel_disagreements = 0
+    for name, model, program in bundled_programs():
+        tilde = rewrite(program, model)
+        seen = set()
+        for assignment, _ in enumerate_candidates(tilde, 2):
+            candidate = instantiate(tilde, assignment).program
+            if candidate.key() in seen:
+                continue
+            seen.add(candidate.key())
+            for compiler in COMPILERS.values():
+                run = compiler.compile(candidate)
+                for args in CANDIDATE_INPUTS:
+                    cases += 1
+                    fuel_disagreements += assert_agree(candidate, args, compiler, run=run)
+    assert len(seen) > 0 and cases > 30_000
+    assert fuel_disagreements < cases // 10  # most faults are not at the boundary
+
+
+# -- the oracle on compiled code ---------------------------------------------
+
+
+def test_oracle_table_matches_the_tree_walker(deriv_ref, deriv_oracle_w3):
+    oracle = deriv_oracle_w3
+    for inp, value in zip(oracle.inputs, oracle.values):
+        want = evaluate(deriv_ref, inp, oracle.bounds)
+        assert want.is_ok and values_equal(value, want.value)
+
+
+def test_reference_fault_names_the_kind():
+    ref = parse_imp("def f_int(x_int):\n    return 1 / x_int\n")
+    with pytest.raises(ReferenceFault, match=r"reference faults \(DivByZero\) on input \(0,\)"):
+        ReferenceOracle(ref, Bounds(2, 0))
+    looping = parse_imp("def f_int(x_int):\n    while True:\n        pass\n    return 0\n")
+    with pytest.raises(ReferenceFault, match="FuelExhausted"):
+        ReferenceOracle(looping, Bounds(2, 0, fuel=50))
+
+
+values = st.recursive(
+    st.integers(-2, 2) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=3).flatmap(
+        lambda xs: st.sampled_from([tuple(xs), TupleVal(xs)])
+    ),
+    max_leaves=6,
+)
+
+
+@given(values, values)
+@settings(max_examples=200, deadline=None)
+def test_same_is_values_equal(a, b):
+    assert same(a, b) == values_equal(a, b)
+    assert same(a, a)

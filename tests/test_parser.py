@@ -38,6 +38,13 @@ def test_builtin_arity_checked():
         parse_imp("def f_int(x_int):\n    return len(x_int, x_int)\n")
 
 
+@pytest.mark.parametrize("call", ["y.append()", "y.append(1, 2)"])
+def test_append_arity_checked(call):
+    with pytest.raises(SourceError) as err:
+        parse_imp(f"def f_list_int(x_int):\n    y = []\n    {call}\n    return y\n")
+    assert str(err.value) == "line 3, col 5: append() takes 1..1 arguments"
+
+
 @pytest.mark.parametrize(
     "name",
     [
