@@ -20,11 +20,9 @@ from .search import (
     cegis_min,
     find_counterexample,
     next_alternate,
-    synth,
 )
 from .tilde import (
     TildeProgram,
-    default_assignment,
     dump,
     enumerate_candidates,
     instantiate,
@@ -46,7 +44,6 @@ __all__ = [
     "cegis_min",
     "check_well_formed",
     "count_inputs",
-    "default_assignment",
     "diff_corrections",
     "dump",
     "enumerate_candidates",
@@ -62,5 +59,4 @@ __all__ = [
     "pretty_program",
     "render_feedback",
     "rewrite",
-    "synth",
 ]

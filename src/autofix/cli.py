@@ -23,7 +23,6 @@ from .lexer import SourceError
 from .parser import parse_imp
 from .rewrite import rewrite
 from .search import (
-    BudgetExceeded,
     ReferenceFault,
     ReferenceOracle,
     SearchBudget,
@@ -179,7 +178,7 @@ def run_single(cfg: RunConfig) -> int:
             return EXIT_CORRECT
         report, _ = repair_one(student_source, ref, model, oracle, cfg)
     except (OSError, SourceError, DuplicateRuleId, IllFormedModel,
-            UnknownTypeSuffix, ReferenceFault, BudgetExceeded) as err:
+            UnknownTypeSuffix, ReferenceFault) as err:
         print(f"autofix: {err}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(render_feedback(report, cfg.level, cfg.format))
@@ -298,7 +297,6 @@ def run_corpus(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    os.environ.get("AUTOFIX_SEED")  # reserved; the search is deterministic
     try:
         cfg = config_from_args(argv)
     except SystemExit as e:

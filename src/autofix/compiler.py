@@ -436,21 +436,15 @@ def _assigned(body: list) -> set:
     """Variables a statement list assigns anywhere, loops and branches
     included (Python makes exactly these local to the ``def``)."""
     names = set()
-    for stmt in body:
-        cls = type(stmt)
-        if cls is lang.Assign or cls is lang.AugAssign:
-            target = stmt.target
+    for node in lang.walk(body):
+        if isinstance(node, (lang.Assign, lang.AugAssign)):
+            target = node.target
             if type(target) is lang.Index:
                 target = target.base
             if type(target) is lang.Var:
                 names.add(target.name)
-        elif cls is lang.MethodCall:
-            names.add(stmt.obj)
-        elif cls is lang.ForIn:
-            names.add(stmt.var)
-            names |= _assigned(stmt.body)
-        elif cls is lang.While:
-            names |= _assigned(stmt.body)
-        elif cls is lang.If:
-            names |= _assigned(stmt.then_body) | _assigned(stmt.else_body)
+        elif isinstance(node, lang.MethodCall):
+            names.add(node.obj)
+        elif isinstance(node, lang.ForIn):
+            names.add(node.var)
     return names

@@ -40,9 +40,7 @@ class MetaVar(lang.Expr):
     name: str
     kind: str = "a"
     span: lang.Span = lang.NO_SPAN
-
-    def key(self):
-        return ("meta", self.name)
+    fields = ("name", "kind")
 
 
 @dataclass
@@ -51,18 +49,14 @@ class Primed(lang.Expr):
 
     inner: object
     span: lang.Span = lang.NO_SPAN
-
-    def key(self):
-        return ("primed", self.inner.key())
+    fields = ("inner",)
 
 
 @dataclass
 class ChoiceSet(lang.Expr):
     options: list
     span: lang.Span = lang.NO_SPAN
-
-    def key(self):
-        return ("choice",) + tuple(o.key() for o in self.options)
+    fields = ("options",)
 
 
 @dataclass
@@ -71,9 +65,7 @@ class ScopeSet(lang.Expr):
 
     of: str  # metavariable name the set is anchored to
     span: lang.Span = lang.NO_SPAN
-
-    def key(self):
-        return ("scopeset", self.of)
+    fields = ("of",)
 
 
 @dataclass
@@ -82,32 +74,29 @@ class OpSet(lang.Expr):
 
     of: str
     span: lang.Span = lang.NO_SPAN
-
-    def key(self):
-        return ("opset", self.of)
+    fields = ("of",)
 
 
 @dataclass
 class StmtChoice(lang.Stmt):
     options: list
     span: lang.Span = lang.NO_SPAN
-
-    def key(self):
-        return ("stmtchoice",) + tuple(o.key() for o in self.options)
+    fields = ("options",)
 
 
 @dataclass
-class FuncPattern:
+class FuncPattern(lang.Node):
     """Pattern/template over a whole function definition."""
 
     name: str
     params: list  # MetaVars
     body: list  # statement templates; a bare s-metavar stands for the block
     span: lang.Span = lang.NO_SPAN
+    fields = ("name", "params", "body")
 
-    def key(self):
-        return ("funcpat", self.name, tuple(p.key() for p in self.params),
-                tuple(s.key() for s in self.body))
+
+# the forms only a rule's right side may use
+TEMPLATE_FORMS = (ChoiceSet, ScopeSet, OpSet, Primed, StmtChoice)
 
 
 def meta_kind(name: str):
@@ -140,63 +129,15 @@ class ErrorModel:
         return iter(self.rules)
 
 
-def collect_metavars(node, into=None) -> dict:
+def collect_metavars(node) -> dict:
     """Map metavar name -> occurrence count within a fragment."""
-    if into is None:
-        into = {}
-    if isinstance(node, MetaVar):
-        into[node.name] = into.get(node.name, 0) + 1
-        return into
-    if isinstance(node, (ScopeSet, OpSet)):
-        into.setdefault(node.of, into.get(node.of, 0))
-        return into
-    if isinstance(node, Primed):
-        return collect_metavars(node.inner, into)
-    for child in _children(node):
-        collect_metavars(child, into)
-    return into
-
-
-def _children(node):
-    if isinstance(node, (ChoiceSet, StmtChoice)):
-        return node.options
-    if isinstance(node, FuncPattern):
-        return list(node.params) + list(node.body)
-    if isinstance(node, lang.ListLit):
-        return node.elements
-    if isinstance(node, lang.Index):
-        return [node.base, node.index]
-    if isinstance(node, lang.Slice):
-        return [k for k in (node.base, node.lo, node.hi) if k is not None]
-    if isinstance(node, (lang.BinOp, lang.Compare, lang.BoolOp)):
-        kids = [node.left, node.right]
-        if isinstance(node.op, (MetaVar, OpSet)):
-            kids.append(node.op)
-        return kids
-    if isinstance(node, lang.Not):
-        return [node.operand]
-    if isinstance(node, lang.Call):
-        return node.args
-    if isinstance(node, lang.CondExpr):
-        return [node.body, node.cond, node.orelse]
-    if isinstance(node, lang.Assign):
-        return [node.target, node.value]
-    if isinstance(node, lang.AugAssign):
-        kids = [node.target, node.value]
-        if isinstance(node.op, (MetaVar, OpSet)):
-            kids.append(node.op)
-        return kids
-    if isinstance(node, lang.MethodCall):
-        return node.args
-    if isinstance(node, lang.Return):
-        return [node.value]
-    if isinstance(node, lang.If):
-        return [node.cond] + node.then_body + node.else_body
-    if isinstance(node, lang.While):
-        return [node.cond] + node.body
-    if isinstance(node, lang.ForIn):
-        return [node.iterable] + node.body
-    return []
+    counts = {}
+    for sub in lang.walk(node):
+        if isinstance(sub, MetaVar):
+            counts[sub.name] = counts.get(sub.name, 0) + 1
+        elif isinstance(sub, (ScopeSet, OpSet)):
+            counts.setdefault(sub.of, 0)
+    return counts
 
 
 def template_size(node) -> int:
@@ -205,9 +146,7 @@ def template_size(node) -> int:
         return 1
     if isinstance(node, Primed):
         return template_size(node.inner)
-    if isinstance(node, str) or node is None:
-        return 0
-    kids = _children(node)
+    kids = lang.children(node)
     if isinstance(node, (ChoiceSet, StmtChoice)):
         return max((template_size(k) for k in kids), default=1)
     extra = 1 if isinstance(node, lang.ForIn) else 0
@@ -218,7 +157,7 @@ def primed_subterms(node):
     if isinstance(node, Primed):
         yield node.inner
         return  # primes do not nest
-    for child in _children(node):
+    for child in lang.children(node):
         yield from primed_subterms(child)
 
 
@@ -619,6 +558,13 @@ def parse_eml(source: str) -> ErrorModel:
     """Parse rule text into an ErrorModel.  Raises SourceError on malformed
     input and DuplicateRuleId on repeated rule names."""
     parser = RuleParser(tokenize(source, rule_mode=True), source)
+    try:
+        return _parse_rules(parser)
+    except RecursionError:
+        raise parser.error("nested too deeply") from None
+
+
+def _parse_rules(parser: RuleParser) -> ErrorModel:
     rules = []
     seen = set()
     while not parser.at("EOF"):
@@ -661,7 +607,7 @@ def _validate_rule(rule: CorrectionRule, rhs_kind: str) -> None:
             raise SourceError(
                 f"unbound metavariable {name!r} in rule {rule.rule_id}", 0, 0
             )
-    for sub in _template_only(rule.lhs):
+    if any(isinstance(sub, TEMPLATE_FORMS) for sub in lang.walk(rule.lhs)):
         raise SourceError(
             f"rule {rule.rule_id}: template syntax on the left side", 0, 0
         )
@@ -669,11 +615,3 @@ def _validate_rule(rule: CorrectionRule, rhs_kind: str) -> None:
         raise SourceError(
             f"rule {rule.rule_id}: function pattern needs a function template", 0, 0
         )
-
-
-def _template_only(node):
-    if isinstance(node, (ChoiceSet, ScopeSet, OpSet, Primed, StmtChoice)):
-        yield node
-        return
-    for child in _children(node):
-        yield from _template_only(child)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import lang
 from .printer import pretty_expr, pretty_stmt
 from .search import RepairResult
-from .tilde import ChoiceSite, TildeProgram, _Instantiator
+from .tilde import TildeProgram, instantiate
 
 GENERIC_MESSAGE = "In line {line}, change {sub} to {new}."
 
@@ -43,26 +43,21 @@ class FeedbackReport:
     stats: dict = field(default_factory=dict)
 
 
-def _render_payload(payload, assignment, sites) -> str:
+def _render_payload(tilde: TildeProgram, payload, assignment) -> str:
     """Pretty-print one site alternative under the given assignment (nested
     picks inside the fragment resolve to their selected alternatives)."""
-    if isinstance(payload, str):
-        return payload
-    inst = _Instantiator(assignment, sites)
-    if isinstance(payload, list):
-        stmts = inst.block(payload)
-        return "; ".join(line.strip() for s in stmts for line in pretty_stmt(s))
-    if isinstance(payload, lang.Stmt):
-        stmt = inst.stmt(payload)
-        return "; ".join(line.strip() for line in pretty_stmt(stmt))
-    return pretty_expr(inst.expr(payload))
+    node = tilde.resolve(payload, assignment)
+    if isinstance(node, str):
+        return node
+    if isinstance(node, lang.Expr):
+        return pretty_expr(node)
+    stmts = node if isinstance(node, list) else [node]
+    return "; ".join(line.strip() for s in stmts for line in pretty_stmt(s))
 
 
 def diff_corrections(tilde: TildeProgram, assignment: dict) -> list:
     """One correction per active non-default selection, ordered by source
     position."""
-    from .tilde import instantiate
-
     source = tilde.origin.source if tilde.origin else ""
     rules = {r.rule_id: r for r in tilde.model} if tilde.model else {}
     active = instantiate(tilde, assignment).active
@@ -70,8 +65,8 @@ def diff_corrections(tilde: TildeProgram, assignment: dict) -> list:
     for site_id, alt_idx in sorted(active):
         site = tilde.site(site_id)
         alt = site.alternatives[alt_idx]
-        sub = _render_payload(site.alternatives[0].payload, {}, tilde.sites)
-        new = _render_payload(alt.payload, assignment, tilde.sites)
+        sub = _render_payload(tilde, site.alternatives[0].payload, {})
+        new = _render_payload(tilde, alt.payload, assignment)
         if site.kind == "op":
             # augmented-assignment operators display in their += form
             token = site.span.text(source)

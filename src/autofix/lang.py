@@ -7,7 +7,10 @@ span so downstream tooling can anchor diagnostics to the original text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import functools
+import operator
+from dataclasses import dataclass
 
 ARITH_OPS = ("+", "-", "*", "/", "**")
 COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
@@ -30,17 +33,118 @@ NO_SPAN = Span()
 
 
 class Node:
-    """Base class for expressions and statements."""
+    """Base class of every syntax-tree node.
+
+    ``fields`` names a class's structural fields in declaration order.  The
+    fields it leaves out (``span``, ``op_span`` and a program's ``source``)
+    only locate the node in its text.  Every generic traversal below reads
+    ``fields``, so a field added to a class without it is missed by all of
+    them (the tests compare ``fields`` with the dataclass fields)."""
 
     span: Span
+    fields: tuple = ()
 
     def key(self):
-        """Span-insensitive structural identity (used for equality tests,
-        nonlinear pattern matching and candidate fingerprinting)."""
-        raise NotImplementedError
+        """Span-insensitive structural identity (used for equality tests and
+        nonlinear pattern matching)."""
+        return (type(self).__name__,) + tuple(_key(getattr(self, f)) for f in self.fields)
 
-    def same(self, other: "Node") -> bool:
-        return self.key() == other.key()
+
+def _key(value):
+    if isinstance(value, Node):
+        return value.key()
+    if isinstance(value, list):
+        return tuple(map(_key, value))
+    return value
+
+
+# names, operators, literal values and absent slice ends: never children
+_LEAF_TYPES = frozenset((str, int, bool, type(None)))
+
+
+def children(node) -> list:
+    """The nodes directly below `node` in field order, list fields giving
+    their elements; for a list, its elements.  A node in an operator
+    position is a child (a choice site, or a metavariable in a template)."""
+    if type(node) is list:
+        values = node
+    else:
+        values = []
+        for name in getattr(node, "fields", ()):
+            value = getattr(node, name)
+            if type(value) is list:
+                values.extend(value)
+            else:
+                values.append(value)
+    return [v for v in values if type(v) not in _LEAF_TYPES]
+
+
+def map_children(node, fn):
+    """`node` with `fn` applied to each of its `children`.  Where a child
+    sits in a list, a list that `fn` returns is spliced in its place.  When
+    `fn` changes no child, `node` itself comes back; otherwise a copy made by
+    the class's constructor, spans kept (a new list for a list).  Trees share
+    unchanged subtrees this way, so no pass may mutate a node once built."""
+    cls = type(node)
+    if cls is list:
+        return _map_list(node, fn)
+    fields = getattr(cls, "fields", ())
+    if not fields:
+        return node
+    values = list(_read_all(cls)(node))
+    changed = False
+    for i in range(len(fields)):
+        value = values[i]
+        if type(value) is list:
+            new = _map_list(value, fn)
+        elif type(value) in _LEAF_TYPES:
+            continue
+        else:
+            new = fn(value)
+        if new is not value:
+            values[i] = new
+            changed = True
+    return cls(*values) if changed else node
+
+
+@functools.cache
+def _read_all(cls):
+    """Reads all of a node's dataclass fields as a tuple: `fields` first,
+    then the spans (every node class with `fields` has at least one span,
+    or a program's source, so the getter always returns a tuple)."""
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
+
+
+def _map_list(items: list, fn) -> list:
+    out = []
+    changed = False
+    for item in items:
+        if type(item) not in _LEAF_TYPES:
+            new = fn(item)
+            if new is not item:
+                changed = True
+                if type(new) is list:
+                    out.extend(new)
+                    continue
+                item = new
+        out.append(item)
+    return out if changed else items
+
+
+def walk(node):
+    """Yield every node of a fragment (a node or a list of nodes) in
+    pre-order."""
+    if isinstance(node, Node):
+        yield node
+    for child in children(node):
+        yield from walk(child)
+
+
+def size(node) -> int:
+    """Number of syntax-tree nodes in a fragment (statements included).  A
+    loop variable counts as a node; a program or a list is not one."""
+    own = 0 if isinstance(node, (list, Program)) else 2 if isinstance(node, ForIn) else 1
+    return own + sum(size(child) for child in children(node))
 
 
 # --------------------------------------------------------------------------
@@ -55,36 +159,28 @@ class Expr(Node):
 class IntLit(Expr):
     value: int
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("int", self.value)
+    fields = ("value",)
 
 
 @dataclass
 class BoolLit(Expr):
     value: bool
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("bool", self.value)
+    fields = ("value",)
 
 
 @dataclass
 class ListLit(Expr):
     elements: list
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("list",) + tuple(e.key() for e in self.elements)
+    fields = ("elements",)
 
 
 @dataclass
 class Var(Expr):
     name: str
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("var", self.name)
+    fields = ("name",)
 
 
 @dataclass
@@ -92,9 +188,7 @@ class Index(Expr):
     base: Expr
     index: Expr
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("index", self.base.key(), self.index.key())
+    fields = ("base", "index")
 
 
 @dataclass
@@ -103,14 +197,7 @@ class Slice(Expr):
     lo: Expr | None
     hi: Expr | None
     span: Span = NO_SPAN
-
-    def key(self):
-        return (
-            "slice",
-            self.base.key(),
-            self.lo.key() if self.lo else None,
-            self.hi.key() if self.hi else None,
-        )
+    fields = ("base", "lo", "hi")
 
 
 @dataclass
@@ -120,9 +207,7 @@ class BinOp(Expr):
     right: Expr
     span: Span = NO_SPAN
     op_span: Span = NO_SPAN
-
-    def key(self):
-        return ("binop", self.op, self.left.key(), self.right.key())
+    fields = ("left", "op", "right")
 
 
 @dataclass
@@ -132,9 +217,7 @@ class Compare(Expr):
     right: Expr
     span: Span = NO_SPAN
     op_span: Span = NO_SPAN
-
-    def key(self):
-        return ("compare", self.op, self.left.key(), self.right.key())
+    fields = ("left", "op", "right")
 
 
 @dataclass
@@ -143,18 +226,14 @@ class BoolOp(Expr):
     op: str  # "and" | "or"
     right: Expr
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("boolop", self.op, self.left.key(), self.right.key())
+    fields = ("left", "op", "right")
 
 
 @dataclass
 class Not(Expr):
     operand: Expr
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("not", self.operand.key())
+    fields = ("operand",)
 
 
 @dataclass
@@ -162,9 +241,7 @@ class Call(Expr):
     func: str
     args: list
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("call", self.func) + tuple(a.key() for a in self.args)
+    fields = ("func", "args")
 
 
 @dataclass
@@ -174,9 +251,7 @@ class CondExpr(Expr):
     cond: Expr
     orelse: Expr
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("condexpr", self.body.key(), self.cond.key(), self.orelse.key())
+    fields = ("body", "cond", "orelse")
 
 
 # --------------------------------------------------------------------------
@@ -192,9 +267,7 @@ class Assign(Stmt):
     target: Expr  # Var or Index
     value: Expr
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("assign", self.target.key(), self.value.key())
+    fields = ("target", "value")
 
 
 @dataclass
@@ -204,9 +277,7 @@ class AugAssign(Stmt):
     value: Expr
     span: Span = NO_SPAN
     op_span: Span = NO_SPAN
-
-    def key(self):
-        return ("augassign", self.op, self.target.key(), self.value.key())
+    fields = ("target", "op", "value")
 
 
 @dataclass
@@ -217,11 +288,7 @@ class MethodCall(Stmt):
     method: str
     args: list
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("methodcall", self.obj, self.method) + tuple(
-            a.key() for a in self.args
-        )
+    fields = ("obj", "method", "args")
 
 
 @dataclass
@@ -230,14 +297,7 @@ class If(Stmt):
     then_body: list
     else_body: list  # may be empty
     span: Span = NO_SPAN
-
-    def key(self):
-        return (
-            "if",
-            self.cond.key(),
-            tuple(s.key() for s in self.then_body),
-            tuple(s.key() for s in self.else_body),
-        )
+    fields = ("cond", "then_body", "else_body")
 
 
 @dataclass
@@ -245,9 +305,7 @@ class While(Stmt):
     cond: Expr
     body: list
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("while", self.cond.key(), tuple(s.key() for s in self.body))
+    fields = ("cond", "body")
 
 
 @dataclass
@@ -256,31 +314,19 @@ class ForIn(Stmt):
     iterable: Expr
     body: list
     span: Span = NO_SPAN
-
-    def key(self):
-        return (
-            "for",
-            self.var,
-            self.iterable.key(),
-            tuple(s.key() for s in self.body),
-        )
+    fields = ("var", "iterable", "body")
 
 
 @dataclass
 class Return(Stmt):
     value: Expr
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("return", self.value.key())
+    fields = ("value",)
 
 
 @dataclass
 class Pass(Stmt):
     span: Span = NO_SPAN
-
-    def key(self):
-        return ("pass",)
 
 
 # --------------------------------------------------------------------------
@@ -288,29 +334,20 @@ class Pass(Stmt):
 
 
 @dataclass
-class FuncDef:
+class FuncDef(Node):
     name: str
     params: list  # parameter names as written (type suffixes included)
     body: list
     span: Span = NO_SPAN
-
-    def key(self):
-        return (
-            "def",
-            self.name,
-            tuple(self.params),
-            tuple(s.key() for s in self.body),
-        )
+    fields = ("name", "params", "body")
 
 
 @dataclass
-class Program:
+class Program(Node):
     functions: list
     entry: str  # name of the entry function
     source: str = ""
-
-    def key(self):
-        return ("program", self.entry) + tuple(f.key() for f in self.functions)
+    fields = ("functions", "entry")
 
     def entry_func(self) -> FuncDef:
         for f in self.functions:
@@ -323,96 +360,3 @@ class Program:
             if f.name == name:
                 return f
         return None
-
-
-def walk_exprs(node):
-    """Yield every expression node reachable from an AST fragment."""
-    if isinstance(node, Program):
-        for f in node.functions:
-            yield from walk_exprs(f)
-    elif isinstance(node, FuncDef):
-        for s in node.body:
-            yield from walk_exprs(s)
-    elif isinstance(node, Stmt):
-        if isinstance(node, Assign):
-            yield from walk_exprs(node.target)
-            yield from walk_exprs(node.value)
-        elif isinstance(node, AugAssign):
-            yield from walk_exprs(node.target)
-            yield from walk_exprs(node.value)
-        elif isinstance(node, MethodCall):
-            for a in node.args:
-                yield from walk_exprs(a)
-        elif isinstance(node, If):
-            yield from walk_exprs(node.cond)
-            for s in node.then_body + node.else_body:
-                yield from walk_exprs(s)
-        elif isinstance(node, While):
-            yield from walk_exprs(node.cond)
-            for s in node.body:
-                yield from walk_exprs(s)
-        elif isinstance(node, ForIn):
-            yield from walk_exprs(node.iterable)
-            for s in node.body:
-                yield from walk_exprs(s)
-        elif isinstance(node, Return):
-            yield from walk_exprs(node.value)
-    elif isinstance(node, Expr):
-        yield node
-        if isinstance(node, ListLit):
-            kids = node.elements
-        elif isinstance(node, Index):
-            kids = [node.base, node.index]
-        elif isinstance(node, Slice):
-            kids = [k for k in (node.base, node.lo, node.hi) if k]
-        elif isinstance(node, (BinOp, Compare, BoolOp)):
-            kids = [node.left, node.right]
-        elif isinstance(node, Not):
-            kids = [node.operand]
-        elif isinstance(node, Call):
-            kids = node.args
-        elif isinstance(node, CondExpr):
-            kids = [node.body, node.cond, node.orelse]
-        else:
-            kids = []
-        for k in kids:
-            yield from walk_exprs(k)
-
-
-def size(node) -> int:
-    """Number of syntax-tree nodes in a fragment (statements included)."""
-    if isinstance(node, Program):
-        return sum(size(f) for f in node.functions)
-    if isinstance(node, FuncDef):
-        return 1 + sum(size(s) for s in node.body)
-    if isinstance(node, list):
-        return sum(size(s) for s in node)
-    if isinstance(node, (Assign, AugAssign)):
-        return 1 + size(node.target) + size(node.value)
-    if isinstance(node, MethodCall):
-        return 1 + sum(size(a) for a in node.args)
-    if isinstance(node, If):
-        return 1 + size(node.cond) + size(node.then_body) + size(node.else_body)
-    if isinstance(node, While):
-        return 1 + size(node.cond) + size(node.body)
-    if isinstance(node, ForIn):
-        return 2 + size(node.iterable) + size(node.body)
-    if isinstance(node, Return):
-        return 1 + size(node.value)
-    if isinstance(node, Pass):
-        return 1
-    if isinstance(node, ListLit):
-        return 1 + sum(size(e) for e in node.elements)
-    if isinstance(node, Index):
-        return 1 + size(node.base) + size(node.index)
-    if isinstance(node, Slice):
-        return 1 + size(node.base) + sum(size(e) for e in (node.lo, node.hi) if e)
-    if isinstance(node, (BinOp, Compare, BoolOp)):
-        return 1 + size(node.left) + size(node.right)
-    if isinstance(node, Not):
-        return 1 + size(node.operand)
-    if isinstance(node, Call):
-        return 1 + sum(size(a) for a in node.args)
-    if isinstance(node, CondExpr):
-        return 1 + size(node.body) + size(node.cond) + size(node.orelse)
-    return 1

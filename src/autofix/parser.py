@@ -340,21 +340,25 @@ class Parser:
 
 def _check_calls(program: lang.Program) -> None:
     defined = {f.name for f in program.functions}
-    for expr in lang.walk_exprs(program):
-        if isinstance(expr, lang.Call) and expr.func not in defined:
-            if expr.func not in BUILTIN_FUNCS:
+    for node in lang.walk(program):
+        if isinstance(node, lang.Call) and node.func not in defined:
+            if node.func not in BUILTIN_FUNCS:
                 raise SourceError(
-                    f"unknown function {expr.func!r}", expr.span.line, expr.span.col
+                    f"unknown function {node.func!r}", node.span.line, node.span.col
                 )
-            lo, hi = BUILTIN_FUNCS[expr.func]
-            if not lo <= len(expr.args) <= hi:
+            lo, hi = BUILTIN_FUNCS[node.func]
+            if not lo <= len(node.args) <= hi:
                 raise SourceError(
-                    f"{expr.func}() takes {lo}..{hi} arguments",
-                    expr.span.line,
-                    expr.span.col,
+                    f"{node.func}() takes {lo}..{hi} arguments",
+                    node.span.line,
+                    node.span.col,
                 )
 
 
 def parse_imp(source: str) -> lang.Program:
     """Parse program text into a span-annotated Program."""
-    return Parser(tokenize(source), source).parse_program()
+    parser = Parser(tokenize(source), source)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser.error("nested too deeply") from None

@@ -18,10 +18,12 @@ the variables assigned before the enclosing statement, parameters included.
 
 from __future__ import annotations
 
+import dataclasses
+
 from . import lang
 from .eml import (
+    TEMPLATE_FORMS,
     ChoiceSet,
-    CorrectionRule,
     ErrorModel,
     FuncPattern,
     IllFormedModel,
@@ -91,7 +93,7 @@ class _Engine:
     def rewrite_func(self, func: lang.FuncDef):
         self.stmt_header = func.span
         self.anchor = func.span.start
-        body = self.rewrite_block(func.body)
+        body = self.rewrite_node(func.body)
         alternatives = []
         tilde_func = lang.FuncDef(func.name, func.params, body, func.span)
         for rule in self.func_rules:
@@ -100,7 +102,7 @@ class _Engine:
                 continue
             rhs = rule.rhs
             if isinstance(rhs, FuncPattern) and self._func_aligned(rhs, rule.lhs):
-                payload = self._instantiate_block(rhs.body, binding, rule, func.span)
+                payload = self._instantiate(rhs.body, binding, rule, func.span)
                 alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
         if alternatives:
             site = ChoiceSite(
@@ -119,13 +121,22 @@ class _Engine:
 
     # -- statements ------------------------------------------------------------
 
-    def rewrite_block(self, body: list) -> list:
-        return [self.rewrite_stmt(s) for s in body]
+    def rewrite_node(self, node):
+        """Rewrite a statement, an expression or a statement list."""
+        if isinstance(node, list):
+            return [self.rewrite_stmt(s) for s in node]
+        if isinstance(node, lang.Stmt):
+            return self.rewrite_stmt(node)
+        return self.rewrite_expr(node)
+
+    def _default(self, node):
+        """Alternative 0 of `node`'s site: the node with rewritten children."""
+        return lang.map_children(node, self.rewrite_node)
 
     def rewrite_stmt(self, stmt: lang.Stmt):
         self.stmt_header = _header_span(stmt)
         self.anchor = stmt.span.start
-        default = self._default_stmt(stmt)
+        default = self._default(stmt)
         alternatives = []
         for rule in self.stmt_rules:
             binding = match_pattern(rule.lhs, stmt)
@@ -135,7 +146,7 @@ class _Engine:
             if not isinstance(rhs, (ChoiceSet, StmtChoice)) and self._aligned(
                 rhs, rule.lhs
             ):
-                self._graft(default, rhs, rule.lhs, binding, rule)
+                default = self._graft(default, rhs, rule.lhs, binding, rule)
                 continue
             elements = rhs.options if isinstance(rhs, (ChoiceSet, StmtChoice)) else [rhs]
             for elem in elements:
@@ -153,45 +164,10 @@ class _Engine:
             )
         return default
 
-    def _default_stmt(self, stmt: lang.Stmt):
-        cls = type(stmt)
-        if cls is lang.Assign:
-            return lang.Assign(
-                self.rewrite_expr(stmt.target), self.rewrite_expr(stmt.value), stmt.span
-            )
-        if cls is lang.AugAssign:
-            return lang.AugAssign(
-                self.rewrite_expr(stmt.target),
-                stmt.op,
-                self.rewrite_expr(stmt.value),
-                stmt.span,
-                stmt.op_span,
-            )
-        if cls is lang.MethodCall:
-            return lang.MethodCall(
-                stmt.obj, stmt.method, [self.rewrite_expr(a) for a in stmt.args], stmt.span
-            )
-        if cls is lang.If:
-            cond = self.rewrite_expr(stmt.cond)
-            then_body = self.rewrite_block(stmt.then_body)
-            else_body = self.rewrite_block(stmt.else_body)
-            return lang.If(cond, then_body, else_body, stmt.span)
-        if cls is lang.While:
-            cond = self.rewrite_expr(stmt.cond)
-            return lang.While(cond, self.rewrite_block(stmt.body), stmt.span)
-        if cls is lang.ForIn:
-            iterable = self.rewrite_expr(stmt.iterable)
-            return lang.ForIn(stmt.var, iterable, self.rewrite_block(stmt.body), stmt.span)
-        if cls is lang.Return:
-            return lang.Return(self.rewrite_expr(stmt.value), stmt.span)
-        if cls is lang.Pass:
-            return stmt
-        raise TypeError(f"cannot rewrite {stmt!r}")
-
     # -- expressions ------------------------------------------------------------
 
     def rewrite_expr(self, node: lang.Expr):
-        default = self._default_expr(node)
+        default = self._default(node)
         alternatives = []
         for rule in self.expr_rules:
             binding = match_pattern(rule.lhs, node)
@@ -199,7 +175,7 @@ class _Engine:
                 continue
             rhs = rule.rhs
             if not isinstance(rhs, ChoiceSet) and self._aligned(rhs, rule.lhs):
-                self._graft(default, rhs, rule.lhs, binding, rule)
+                default = self._graft(default, rhs, rule.lhs, binding, rule)
                 continue
             elements = rhs.options if isinstance(rhs, ChoiceSet) else [rhs]
             for elem in elements:
@@ -213,50 +189,6 @@ class _Engine:
                 [Alternative(default)] + alternatives,
             )
         return default
-
-    def _default_expr(self, node: lang.Expr):
-        cls = type(node)
-        if cls in (lang.IntLit, lang.BoolLit, lang.Var):
-            return node
-        if cls is lang.ListLit:
-            return lang.ListLit([self.rewrite_expr(e) for e in node.elements], node.span)
-        if cls is lang.Index:
-            return lang.Index(
-                self.rewrite_expr(node.base), self.rewrite_expr(node.index), node.span
-            )
-        if cls is lang.Slice:
-            return lang.Slice(
-                self.rewrite_expr(node.base),
-                self.rewrite_expr(node.lo) if node.lo is not None else None,
-                self.rewrite_expr(node.hi) if node.hi is not None else None,
-                node.span,
-            )
-        if cls is lang.BinOp:
-            return lang.BinOp(
-                self.rewrite_expr(node.left), node.op, self.rewrite_expr(node.right),
-                node.span, node.op_span,
-            )
-        if cls is lang.Compare:
-            return lang.Compare(
-                self.rewrite_expr(node.left), node.op, self.rewrite_expr(node.right),
-                node.span, node.op_span,
-            )
-        if cls is lang.BoolOp:
-            return lang.BoolOp(
-                self.rewrite_expr(node.left), node.op, self.rewrite_expr(node.right), node.span
-            )
-        if cls is lang.Not:
-            return lang.Not(self.rewrite_expr(node.operand), node.span)
-        if cls is lang.Call:
-            return lang.Call(node.func, [self.rewrite_expr(a) for a in node.args], node.span)
-        if cls is lang.CondExpr:
-            return lang.CondExpr(
-                self.rewrite_expr(node.body),
-                self.rewrite_expr(node.cond),
-                self.rewrite_expr(node.orelse),
-                node.span,
-            )
-        raise TypeError(f"cannot rewrite {node!r}")
 
     # -- alignment and grafting --------------------------------------------------
 
@@ -293,29 +225,32 @@ class _Engine:
             ),
         )
 
-    def _graft(self, default, rhs, lhs, binding, rule) -> None:
+    def _graft(self, default, rhs, lhs, binding, rule):
+        """`default` with a choice site at each child position where the
+        aligned template differs from the pattern."""
         rhs = _strip_prime(rhs)
-        for field, lhs_child, rhs_child in _child_slots(lhs, rhs):
-            if _template_key(_strip_prime(rhs_child)) == _template_key(lhs_child):
+        for slot, lhs_child, rhs_child in _child_slots(lhs, rhs):
+            if _template_key(rhs_child) == _template_key(lhs_child):
                 continue
-            if field == "op":
+            if slot == "op":
                 options = self._op_options(rhs_child, binding, rule)
-                self._graft_site(default, field, options, rule, kind="op")
+                default = self._graft_site(default, slot, options, rule, kind="op")
             else:
-                current = _get_slot(default, field)
+                current = _get_slot(default, slot)
                 anchor = getattr(current, "span", None) or default.span
                 options = self._position_options(rhs_child, binding, rule, anchor)
-                self._graft_site(default, field, options, rule, kind="expr")
+                default = self._graft_site(default, slot, options, rule, kind="expr")
+        return default
 
-    def _graft_site(self, default, field, options, rule, kind) -> None:
+    def _graft_site(self, default, slot, options, rule, kind):
         if not options:
-            return  # e.g. a scope set with nothing in scope
-        current = _get_slot(default, field)
+            return default  # e.g. a scope set with nothing in scope
+        current = _get_slot(default, slot)
         if isinstance(current, ChoiceSite):
             current.alternatives.extend(
                 Alternative(p, rule.rule_id, rule.weight) for p in options
             )
-            return
+            return default
         if kind == "op":
             span = getattr(default, "op_span", lang.NO_SPAN)
             if span is lang.NO_SPAN or span.end == 0:
@@ -329,13 +264,11 @@ class _Engine:
             [Alternative(current)]
             + [Alternative(p, rule.rule_id, rule.weight) for p in options],
         )
-        _set_slot(default, field, site)
+        return _with_slot(default, slot, site)
 
     def _op_options(self, tpl, binding, rule) -> list:
         if isinstance(tpl, OpSet):
-            original = binding[tpl.of]
-            family = _COMPARE_FAMILY if original in _COMPARE_FAMILY else _ARITH_FAMILY
-            return [op for op in family if op != original]
+            return _other_ops(binding[tpl.of])
         if isinstance(tpl, MetaVar):
             return [binding[tpl.name]]
         return [tpl]  # literal operator
@@ -395,115 +328,19 @@ class _Engine:
                 [Alternative(default)]
                 + [Alternative(v, rule.rule_id, rule.weight) for v in options],
             )
-        cls = type(tpl)
-        if cls in (lang.IntLit, lang.BoolLit, lang.Var):
-            return tpl
-        if cls is lang.ListLit:
-            return lang.ListLit(
-                [self._instantiate(e, binding, rule, anchor) for e in tpl.elements], tpl.span
+        if isinstance(tpl, OpSet):
+            original = binding[tpl.of]
+            return ChoiceSite(
+                "op",
+                anchor,
+                self.stmt_header,
+                [Alternative(original)]
+                + [Alternative(o, rule.rule_id, rule.weight) for o in _other_ops(original)],
             )
-        if cls is lang.Index:
-            return lang.Index(
-                self._instantiate(tpl.base, binding, rule, anchor),
-                self._instantiate(tpl.index, binding, rule, anchor),
-                tpl.span,
-            )
-        if cls is lang.Slice:
-            return lang.Slice(
-                self._instantiate(tpl.base, binding, rule, anchor),
-                self._instantiate(tpl.lo, binding, rule, anchor) if tpl.lo is not None else None,
-                self._instantiate(tpl.hi, binding, rule, anchor) if tpl.hi is not None else None,
-                tpl.span,
-            )
-        if cls in (lang.BinOp, lang.Compare):
-            op = tpl.op
-            if isinstance(op, MetaVar):
-                op = binding[op.name]
-            elif isinstance(op, OpSet):
-                original = binding[op.of]
-                family = (
-                    _COMPARE_FAMILY if original in _COMPARE_FAMILY else _ARITH_FAMILY
-                )
-                op = ChoiceSite(
-                    "op",
-                    anchor,
-                    self.stmt_header,
-                    [Alternative(original)]
-                    + [
-                        Alternative(o, rule.rule_id, rule.weight)
-                        for o in family
-                        if o != original
-                    ],
-                )
-            return cls(
-                self._instantiate(tpl.left, binding, rule, anchor),
-                op,
-                self._instantiate(tpl.right, binding, rule, anchor),
-                tpl.span,
-            )
-        if cls is lang.BoolOp:
-            return lang.BoolOp(
-                self._instantiate(tpl.left, binding, rule, anchor),
-                tpl.op,
-                self._instantiate(tpl.right, binding, rule, anchor),
-                tpl.span,
-            )
-        if cls is lang.Not:
-            return lang.Not(self._instantiate(tpl.operand, binding, rule, anchor), tpl.span)
-        if cls is lang.Call:
-            return lang.Call(
-                tpl.func, [self._instantiate(a, binding, rule, anchor) for a in tpl.args], tpl.span
-            )
-        if cls is lang.CondExpr:
-            return lang.CondExpr(
-                self._instantiate(tpl.body, binding, rule, anchor),
-                self._instantiate(tpl.cond, binding, rule, anchor),
-                self._instantiate(tpl.orelse, binding, rule, anchor),
-                tpl.span,
-            )
-        if cls is lang.Assign:
-            return lang.Assign(
-                self._instantiate(tpl.target, binding, rule, anchor),
-                self._instantiate(tpl.value, binding, rule, anchor),
-                tpl.span,
-            )
-        if cls is lang.AugAssign:
-            op = tpl.op
-            if isinstance(op, MetaVar):
-                op = binding[op.name]
-            return lang.AugAssign(
-                self._instantiate(tpl.target, binding, rule, anchor),
-                op,
-                self._instantiate(tpl.value, binding, rule, anchor),
-                tpl.span,
-            )
-        if cls is lang.Return:
-            return lang.Return(self._instantiate(tpl.value, binding, rule, anchor), tpl.span)
-        if cls is lang.Pass:
-            return tpl
-        if cls is lang.If:
-            return lang.If(
-                self._instantiate(tpl.cond, binding, rule, anchor),
-                self._instantiate_block(tpl.then_body, binding, rule, anchor),
-                self._instantiate_block(tpl.else_body, binding, rule, anchor),
-                tpl.span,
-            )
-        if cls is lang.While:
-            return lang.While(
-                self._instantiate(tpl.cond, binding, rule, anchor),
-                self._instantiate_block(tpl.body, binding, rule, anchor),
-                tpl.span,
-            )
-        raise TypeError(f"cannot instantiate template {tpl!r}")
-
-    def _instantiate_block(self, body, binding, rule, anchor=lang.NO_SPAN) -> list:
-        out = []
-        for item in body:
-            if isinstance(item, MetaVar) and item.kind == "s":
-                out.extend(binding[item.name])  # frozen statement block
-            else:
-                out.append(self._instantiate(item, binding, rule, anchor))
-        return out
+        # a bare s-metavariable binds a statement list, spliced into its block
+        return lang.map_children(
+            tpl, lambda child: self._instantiate(child, binding, rule, anchor)
+        )
 
     def _rewrite_primed(self, inner, binding):
         if isinstance(inner, MetaVar):
@@ -515,11 +352,7 @@ class _Engine:
         if self.rule_depth > self.depth_limit:
             raise IllFormedModel("rewrite recursion exceeded the termination bound")
         try:
-            if isinstance(target, list):
-                return self.rewrite_block(target)
-            if isinstance(target, lang.Stmt):
-                return self.rewrite_stmt(target)
-            return self.rewrite_expr(target)
+            return self.rewrite_node(target)
         finally:
             self.rule_depth -= 1
 
@@ -530,23 +363,13 @@ class _Engine:
 
 def _first_definitions(func: lang.FuncDef) -> list:
     defs = []
-
-    def walk(body):
-        for s in body:
-            if isinstance(s, (lang.Assign, lang.AugAssign)) and isinstance(
-                s.target, lang.Var
-            ):
-                defs.append((s.span.start, s.target.name))
-            elif isinstance(s, lang.ForIn):
-                defs.append((s.span.start, s.var))
-                walk(s.body)
-            elif isinstance(s, lang.If):
-                walk(s.then_body)
-                walk(s.else_body)
-            elif isinstance(s, lang.While):
-                walk(s.body)
-
-    walk(func.body)
+    for node in lang.walk(func.body):
+        if isinstance(node, (lang.Assign, lang.AugAssign)) and isinstance(
+            node.target, lang.Var
+        ):
+            defs.append((node.span.start, node.target.name))
+        elif isinstance(node, lang.ForIn):
+            defs.append((node.span.start, node.var))
     first = []
     seen = set(func.params)
     for offset, name in sorted(defs):
@@ -572,149 +395,56 @@ def _strip_prime(node):
     return node.inner if isinstance(node, Primed) else node
 
 
+def _other_ops(op: str) -> list:
+    family = _COMPARE_FAMILY if op in _COMPARE_FAMILY else _ARITH_FAMILY
+    return [o for o in family if o != op]
+
+
 def _child_slots(lhs, rhs):
-    """Paired child positions of an aligned pattern/template."""
-    cls = type(lhs)
-    if cls is lang.Index:
-        return [("base", lhs.base, rhs.base), ("index", lhs.index, rhs.index)]
-    if cls is lang.Slice:
-        slots = [("base", lhs.base, rhs.base)]
-        if lhs.lo is not None:
-            slots.append(("lo", lhs.lo, rhs.lo))
-        if lhs.hi is not None:
-            slots.append(("hi", lhs.hi, rhs.hi))
-        return slots
-    if cls in (lang.BinOp, lang.Compare):
-        return [
-            ("left", lhs.left, rhs.left),
-            ("op", lhs.op, rhs.op),
-            ("right", lhs.right, rhs.right),
-        ]
-    if cls is lang.BoolOp:
-        return [("left", lhs.left, rhs.left), ("right", lhs.right, rhs.right)]
-    if cls is lang.Not:
-        return [("operand", lhs.operand, rhs.operand)]
-    if cls is lang.Call:
-        return [(("args", i), a, b) for i, (a, b) in enumerate(zip(lhs.args, rhs.args))]
-    if cls is lang.MethodCall:
-        return [(("args", i), a, b) for i, (a, b) in enumerate(zip(lhs.args, rhs.args))]
-    if cls is lang.ListLit:
-        return [
-            (("elements", i), a, b)
-            for i, (a, b) in enumerate(zip(lhs.elements, rhs.elements))
-        ]
-    if cls is lang.CondExpr:
-        return [
-            ("body", lhs.body, rhs.body),
-            ("cond", lhs.cond, rhs.cond),
-            ("orelse", lhs.orelse, rhs.orelse),
-        ]
-    if cls is lang.Assign:
-        return [("target", lhs.target, rhs.target), ("value", lhs.value, rhs.value)]
-    if cls is lang.AugAssign:
-        return [
-            ("target", lhs.target, rhs.target),
-            ("op", lhs.op, rhs.op),
-            ("value", lhs.value, rhs.value),
-        ]
-    if cls is lang.Return:
-        return [("value", lhs.value, rhs.value)]
-    raise TypeError(f"cannot align {lhs!r}")
+    """Paired child positions of an aligned pattern/template: a field name,
+    or (field name, index) inside a list field."""
+    for name in lhs.fields:
+        left, right = getattr(lhs, name), getattr(rhs, name)
+        if isinstance(left, list):
+            for i, pair in enumerate(zip(left, right)):
+                yield ((name, i),) + pair
+        else:
+            yield name, left, right
 
 
-def _get_slot(node, field):
-    if isinstance(field, tuple):
-        attr, i = field
-        return getattr(node, attr)[i]
-    return getattr(node, field)
+def _get_slot(node, slot):
+    if isinstance(slot, tuple):
+        name, i = slot
+        return getattr(node, name)[i]
+    return getattr(node, slot)
 
 
-def _set_slot(node, field, value):
-    if isinstance(field, tuple):
-        attr, i = field
-        getattr(node, attr)[i] = value
-    else:
-        setattr(node, field, value)
+def _with_slot(node, slot, value):
+    """A copy of `node` with `value` at `slot`."""
+    if isinstance(slot, tuple):
+        name, i = slot
+        items = list(getattr(node, name))
+        items[i] = value
+        slot, value = name, items
+    return dataclasses.replace(node, **{slot: value})
 
 
 def _template_key(node):
-    if isinstance(node, MetaVar):
-        return ("meta", node.name)
+    """Structural key with prime marks dropped at every depth."""
+    node = _unprime(node)
+    return node.key() if isinstance(node, lang.Node) else node
+
+
+def _unprime(node):
     if isinstance(node, Primed):
-        return _template_key(node.inner)
-    if isinstance(node, ScopeSet):
-        return ("scopeset", node.of)
-    if isinstance(node, OpSet):
-        return ("opset", node.of)
-    if isinstance(node, ChoiceSet):
-        return ("choice",) + tuple(_template_key(o) for o in node.options)
-    if isinstance(node, str) or node is None:
-        return node
-    cls = type(node)
-    if cls is lang.IntLit:
-        return ("int", node.value)
-    if cls is lang.BoolLit:
-        return ("bool", node.value)
-    if cls is lang.Var:
-        return ("var", node.name)
-    if cls is lang.ListLit:
-        return ("list",) + tuple(_template_key(e) for e in node.elements)
-    if cls is lang.Index:
-        return ("index", _template_key(node.base), _template_key(node.index))
-    if cls is lang.Slice:
-        return (
-            "slice",
-            _template_key(node.base),
-            _template_key(node.lo),
-            _template_key(node.hi),
-        )
-    if cls in (lang.BinOp, lang.Compare):
-        return (
-            cls.__name__,
-            _template_key(node.op),
-            _template_key(node.left),
-            _template_key(node.right),
-        )
-    if cls is lang.BoolOp:
-        return ("boolop", node.op, _template_key(node.left), _template_key(node.right))
-    if cls is lang.Not:
-        return ("not", _template_key(node.operand))
-    if cls is lang.Call:
-        return ("call", node.func) + tuple(_template_key(a) for a in node.args)
-    if cls is lang.CondExpr:
-        return (
-            "condexpr",
-            _template_key(node.body),
-            _template_key(node.cond),
-            _template_key(node.orelse),
-        )
-    raise TypeError(f"no template key for {node!r}")
+        return _unprime(node.inner)
+    return lang.map_children(node, _unprime)
 
 
 def _concretize(tpl, binding):
     """Instantiate a primed group as a plain fragment (no template forms)."""
     if isinstance(tpl, MetaVar):
         return binding[tpl.name]
-    if isinstance(tpl, (ChoiceSet, ScopeSet, OpSet, Primed)):
+    if isinstance(tpl, TEMPLATE_FORMS):
         raise IllFormedModel("nested template forms inside a primed group")
-    cls = type(tpl)
-    if cls in (lang.IntLit, lang.BoolLit, lang.Var, lang.Pass):
-        return tpl
-    if cls is lang.ListLit:
-        return lang.ListLit([_concretize(e, binding) for e in tpl.elements], tpl.span)
-    if cls is lang.Index:
-        return lang.Index(
-            _concretize(tpl.base, binding), _concretize(tpl.index, binding), tpl.span
-        )
-    if cls in (lang.BinOp, lang.Compare):
-        op = tpl.op
-        if isinstance(op, MetaVar):
-            op = binding[op.name]
-        return cls(
-            _concretize(tpl.left, binding), op, _concretize(tpl.right, binding), tpl.span
-        )
-    if cls is lang.Call:
-        return lang.Call(tpl.func, [_concretize(a, binding) for a in tpl.args], tpl.span)
-    if cls is lang.Return:
-        return lang.Return(_concretize(tpl.value, binding), tpl.span)
-    raise TypeError(f"cannot concretize {tpl!r}")
+    return lang.map_children(tpl, lambda child: _concretize(child, binding))

@@ -10,12 +10,13 @@ minimal repair, and the total order makes the result deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lang
 from .compiler import Compiler, Fault, same
 from .inputs import Signature, enumerate_inputs, parse_signature
 from .interp import Bounds, evaluate, values_equal
+from .printer import pretty_program
 from .tilde import TildeProgram, enumerate_candidates, instantiate
 
 
@@ -77,12 +78,6 @@ class ReferenceOracle:
                 self.values.append(run(inp))
             except Fault as f:
                 raise ReferenceFault(f"reference faults ({f.kind}) on input {inp!r}") from None
-        self._index = None
-
-    def index_of(self, input_state) -> int:
-        if self._index is None:
-            self._index = {inp: i for i, inp in enumerate(self.inputs)}
-        return self._index[input_state]
 
     def first_mismatch(self, program: lang.Program, budget=None, callees=None):
         """Index of the first input where `program` disagrees (any fault
@@ -123,40 +118,6 @@ def find_counterexample(candidate: lang.Program, oracle: ReferenceOracle, callee
     return None if i is None else oracle.inputs[i]
 
 
-def synth(
-    tilde: TildeProgram,
-    cexs: list,
-    oracle: ReferenceOracle,
-    cost_bound: int,
-    blocked=(),
-    budget: SearchBudget | None = None,
-    callees=None,
-):
-    """Least (cost, lex) assignment of cost <= bound that matches the
-    reference on every given counterexample and is not blocked."""
-    budget = budget or SearchBudget()
-    cex_indices = [oracle.index_of(c) for c in cexs]
-    blocked = set(blocked)
-    try:
-        for assignment, cost in enumerate_candidates(tilde, cost_bound):
-            cand = instantiate(tilde, assignment)
-            if cand.active in blocked:
-                continue
-            if all(
-                oracle.agrees_at(cand.program, i, budget, callees) for i in cex_indices
-            ):
-                return assignment
-    except _BudgetStop as stop:
-        raise BudgetExceeded(stop.kind) from None
-    return None
-
-
-class BudgetExceeded(Exception):
-    def __init__(self, kind: str):
-        super().__init__(kind)
-        self.kind = kind
-
-
 def cegis_min(
     tilde: TildeProgram,
     oracle: ReferenceOracle,
@@ -178,7 +139,7 @@ def cegis_min(
             cand = instantiate(tilde, assignment)
             if cand.active in blocked:
                 continue
-            tree = cand.program.key()
+            tree = pretty_program(cand.program)  # the printer is normative: one text per tree
             if tree in seen_trees:
                 continue
             seen_trees.add(tree)
@@ -231,7 +192,7 @@ def next_alternate(
     if not priors:
         raise ValueError("next_alternate needs at least one prior fix")
     blocked = {p.active for p in priors}
-    blocked_trees = {p.program.key() for p in priors if p.program is not None}
+    blocked_trees = {pretty_program(p.program) for p in priors if p.program is not None}
     return cegis_min(
         tilde,
         oracle,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import lang
 from .lang import Span
-from .printer import pretty_expr, pretty_program, pretty_stmt
+from .printer import pretty_expr, pretty_stmt
 
 
 class BadIndex(Exception):
@@ -47,9 +47,55 @@ class TildeProgram:
     origin: lang.Program | None = None
     model: object = None  # the ErrorModel the sites came from
     max_rewrite_depth: int = 0
+    # id of each node or list with sites below it -> (first, last) site id;
+    # pre-order numbering makes the sites below a node consecutive
+    site_ranges: dict = field(default_factory=dict, init=False, repr=False)
+    # id of such a node -> the node with all its sites at their defaults
+    defaults: dict = field(default_factory=dict, init=False, repr=False)
 
     def site(self, site_id: int) -> ChoiceSite:
         return self.sites[site_id]
+
+    def resolve(self, node, assignment: dict, picked=None):
+        """`node` (a fragment of this tree, a list of them or an operator)
+        with every choice site replaced by its alternative under
+        `assignment`.  A site picked as a list of statements is spliced into
+        its block.  Subtrees without sites are shared, and so are subtrees
+        whose sites all stay at their defaults (built once).  Each
+        non-default pick on the way is appended to `picked` as (site, index);
+        sites inside unpicked alternatives are never visited."""
+        return _Resolver(self, assignment, picked).visit(node)
+
+
+class _Resolver:
+    # a class, not a closure: a recursive closure is a reference cycle, left
+    # for the garbage collector once per candidate
+    def __init__(self, tilde: TildeProgram, assignment: dict, picked):
+        self.tilde = tilde
+        self.assignment = assignment
+        self.picked = picked
+
+    def visit(self, node):
+        if type(node) is ChoiceSite:
+            idx = self.assignment.get(node.site_id, 0)
+            if not 0 <= idx < len(node.alternatives):
+                raise BadIndex(f"site {node.site_id}: alternative {idx}")
+            if idx and self.picked is not None:
+                self.picked.append((node, idx))
+            return self.visit(node.alternatives[idx].payload)
+        tilde = self.tilde
+        below = tilde.site_ranges.get(id(node))
+        if below is None:
+            return node
+        first, last = below
+        for site_id in self.assignment:
+            if first <= site_id <= last:
+                return lang.map_children(node, self.visit)
+        default = tilde.defaults.get(id(node))
+        if default is None:
+            default = lang.map_children(node, _Resolver(tilde, {}, None).visit)
+            tilde.defaults[id(node)] = default
+        return default
 
 
 @dataclass(frozen=True)
@@ -59,14 +105,11 @@ class WeightedCandidate:
     active: frozenset  # canonical (site_id, alt_index) non-default picks
 
 
-def default_assignment(tilde: TildeProgram) -> dict:
-    """All sites at their zero-cost default."""
-    return {}
-
-
 def number_sites(tilde: TildeProgram) -> None:
-    """Assign dense pre-order site ids and parent links."""
+    """Assign dense pre-order site ids and parent links, and record the
+    range of site ids below each node."""
     sites = []
+    ranges = {}
 
     def walk(node, parent):
         if isinstance(node, ChoiceSite):
@@ -76,191 +119,30 @@ def number_sites(tilde: TildeProgram) -> None:
             for idx, alt in enumerate(node.alternatives):
                 walk(alt.payload, (node.site_id, idx))
             return
-        if isinstance(node, list):
-            for item in node:
-                walk(item, parent)
-            return
-        if isinstance(node, lang.Program):
-            for f in node.functions:
-                walk(f, parent)
-            return
-        if isinstance(node, lang.FuncDef):
-            walk(node.body, parent)
-            return
-        for child in _tilde_children(node):
+        first = len(sites)
+        for child in lang.children(node):
             walk(child, parent)
+        if len(sites) > first:
+            ranges[id(node)] = (first, len(sites) - 1)
 
     walk(tilde.root, None)
     tilde.sites = sites
-
-
-def _tilde_children(node):
-    if isinstance(node, lang.ListLit):
-        return node.elements
-    if isinstance(node, lang.Index):
-        return [node.base, node.index]
-    if isinstance(node, lang.Slice):
-        return [k for k in (node.base, node.lo, node.hi) if k is not None]
-    if isinstance(node, (lang.BinOp, lang.Compare, lang.BoolOp)):
-        kids = [node.left]
-        if isinstance(node.op, ChoiceSite):
-            kids.append(node.op)
-        kids.append(node.right)
-        return kids
-    if isinstance(node, lang.Not):
-        return [node.operand]
-    if isinstance(node, lang.Call):
-        return node.args
-    if isinstance(node, lang.CondExpr):
-        return [node.body, node.cond, node.orelse]
-    if isinstance(node, lang.Assign):
-        return [node.target, node.value]
-    if isinstance(node, lang.AugAssign):
-        kids = [node.target]
-        if isinstance(node.op, ChoiceSite):
-            kids.append(node.op)
-        kids.append(node.value)
-        return kids
-    if isinstance(node, lang.MethodCall):
-        return node.args
-    if isinstance(node, lang.Return):
-        return [node.value]
-    if isinstance(node, lang.If):
-        return [node.cond, node.then_body, node.else_body]
-    if isinstance(node, lang.While):
-        return [node.cond, node.body]
-    if isinstance(node, lang.ForIn):
-        return [node.iterable, node.body]
-    return []
+    tilde.site_ranges = ranges
+    tilde.defaults = {}
 
 
 # --------------------------------------------------------------------------
 # instantiation
 
 
-class _Instantiator:
-    def __init__(self, assignment: dict, sites: list):
-        self.assignment = assignment
-        self.sites = sites
-        self.cost = 0
-        self.active = []
-
-    def pick(self, site: ChoiceSite) -> Alternative:
-        idx = self.assignment.get(site.site_id, 0)
-        if not 0 <= idx < len(site.alternatives):
-            raise BadIndex(f"site {site.site_id}: alternative {idx}")
-        alt = site.alternatives[idx]
-        if idx != 0:
-            self.cost += alt.weight
-            self.active.append((site.site_id, idx))
-        return alt
-
-    def expr(self, node):
-        if isinstance(node, ChoiceSite):
-            return self.expr(self.pick(node).payload)
-        cls = type(node)
-        if cls in (lang.IntLit, lang.BoolLit, lang.Var):
-            return node
-        if cls is lang.ListLit:
-            return lang.ListLit([self.expr(e) for e in node.elements], node.span)
-        if cls is lang.Index:
-            return lang.Index(self.expr(node.base), self.expr(node.index), node.span)
-        if cls is lang.Slice:
-            return lang.Slice(
-                self.expr(node.base),
-                self.expr(node.lo) if node.lo is not None else None,
-                self.expr(node.hi) if node.hi is not None else None,
-                node.span,
-            )
-        if cls is lang.BinOp:
-            return lang.BinOp(
-                self.expr(node.left), self.op(node.op), self.expr(node.right), node.span
-            )
-        if cls is lang.Compare:
-            return lang.Compare(
-                self.expr(node.left), self.op(node.op), self.expr(node.right), node.span
-            )
-        if cls is lang.BoolOp:
-            return lang.BoolOp(
-                self.expr(node.left), node.op, self.expr(node.right), node.span
-            )
-        if cls is lang.Not:
-            return lang.Not(self.expr(node.operand), node.span)
-        if cls is lang.Call:
-            return lang.Call(node.func, [self.expr(a) for a in node.args], node.span)
-        if cls is lang.CondExpr:
-            return lang.CondExpr(
-                self.expr(node.body), self.expr(node.cond), self.expr(node.orelse), node.span
-            )
-        raise TypeError(f"unexpected tilde node {node!r}")
-
-    def op(self, op):
-        if isinstance(op, ChoiceSite):
-            return self.pick(op).payload
-        return op
-
-    def block(self, stmts) -> list:
-        if isinstance(stmts, ChoiceSite):
-            return self.block(self.pick(stmts).payload)
-        out = []
-        for s in stmts:
-            if isinstance(s, ChoiceSite):
-                payload = self.pick(s).payload
-                if isinstance(payload, list):
-                    out.extend(self.block(payload))
-                else:
-                    out.append(self.stmt(payload))
-            else:
-                out.append(self.stmt(s))
-        return out
-
-    def stmt(self, node):
-        if isinstance(node, ChoiceSite):
-            payload = self.pick(node).payload
-            return self.stmt(payload)
-        cls = type(node)
-        if cls is lang.Assign:
-            return lang.Assign(self.expr(node.target), self.expr(node.value), node.span)
-        if cls is lang.AugAssign:
-            return lang.AugAssign(
-                self.expr(node.target), self.op(node.op), self.expr(node.value), node.span
-            )
-        if cls is lang.MethodCall:
-            return lang.MethodCall(
-                node.obj, node.method, [self.expr(a) for a in node.args], node.span
-            )
-        if cls is lang.If:
-            return lang.If(
-                self.expr(node.cond),
-                self.block(node.then_body),
-                self.block(node.else_body),
-                node.span,
-            )
-        if cls is lang.While:
-            return lang.While(self.expr(node.cond), self.block(node.body), node.span)
-        if cls is lang.ForIn:
-            return lang.ForIn(node.var, self.expr(node.iterable), self.block(node.body), node.span)
-        if cls is lang.Return:
-            return lang.Return(self.expr(node.value), node.span)
-        if cls is lang.Pass:
-            return node
-        raise TypeError(f"unexpected tilde statement {node!r}")
-
-
 def instantiate(tilde: TildeProgram, assignment: dict) -> WeightedCandidate:
     """Resolve every site to one alternative; selections at inactive sites
-    are never visited, so they contribute neither code nor cost."""
-    inst = _Instantiator(assignment, tilde.sites)
-    root = tilde.root
-    functions = []
-    for f in root.functions:
-        functions.append(lang.FuncDef(f.name, f.params, inst.block(f.body), f.span))
-    program = lang.Program(functions, root.entry, root.source)
-    return WeightedCandidate(program, inst.cost, frozenset(inst.active))
-
-
-def active_pattern(tilde: TildeProgram, assignment: dict) -> frozenset:
-    return instantiate(tilde, assignment).active
+    contribute neither code nor cost."""
+    picked = []
+    program = tilde.resolve(tilde.root, assignment, picked)
+    cost = sum(site.alternatives[idx].weight for site, idx in picked)
+    active = frozenset((site.site_id, idx) for site, idx in picked)
+    return WeightedCandidate(program, cost, active)
 
 
 # --------------------------------------------------------------------------
@@ -405,11 +287,9 @@ def _dump_expr(node) -> str:
         lo = _dump_expr(node.lo) if node.lo is not None else ""
         hi = _dump_expr(node.hi) if node.hi is not None else ""
         return f"{_dump_expr(node.base)}[{lo}:{hi}]"
-    if cls is lang.BinOp or cls is lang.Compare:
+    if cls is lang.BinOp or cls is lang.Compare or cls is lang.BoolOp:
         op = node.op if isinstance(node.op, str) else _dump_payload(node.op)
         return f"({_dump_expr(node.left)} {op} {_dump_expr(node.right)})"
-    if cls is lang.BoolOp:
-        return f"({_dump_expr(node.left)} {node.op} {_dump_expr(node.right)})"
     if cls is lang.Not:
         return f"(not {_dump_expr(node.operand)})"
     if cls is lang.Call:

@@ -273,3 +273,37 @@ def test_serial_corpus_builds_the_table_once(monkeypatch, capsys):
     assert cli.main(corpus_args("--jobs", "1")) == 0
     assert "summary: total=15" in capsys.readouterr().out
     assert len(built) == 1
+
+
+def nested_source(depth: int) -> str:
+    return (
+        "def computeDeriv_list_int(poly_list_int):\n    return "
+        + "(1 - " * depth + "poly_list_int" + ")" * depth + "\n"
+    )
+
+
+@pytest.mark.parametrize("depth", [100, 1000])
+def test_too_deep_submission_exits_3_with_one_line(tmp_path, depth):
+    student = tmp_path / "deep.imp"
+    student.write_text(nested_source(depth))
+    proc = run_cli(*deriv_args(str(student)))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("autofix: line 2, col ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(": nested too deeply\n")
+
+
+def test_too_deep_submission_is_a_corpus_parse_error(tmp_path):
+    for depth in (100, 1000):
+        (tmp_path / f"deep{depth}.imp").write_text(nested_source(depth))
+    with open(asset("computederiv", "corpus", "s02_range_start.imp"), encoding="utf-8") as fh:
+        (tmp_path / "s02_range_start.imp").write_text(fh.read())
+    args = corpus_args("--format", "json")
+    args[args.index("--corpus") + 1] = str(tmp_path)
+    proc = run_cli(*args)
+    assert proc.returncode == 0 and proc.stderr == ""
+    files = {e["name"]: e for e in json.loads(proc.stdout)["files"]}
+    assert {name: e["verdict"] for name, e in files.items()} == {
+        "deep100.imp": "parse-error", "deep1000.imp": "parse-error",
+        "s02_range_start.imp": "fixed",
+    }
+    assert files["deep100.imp"]["error"].endswith("nested too deeply")

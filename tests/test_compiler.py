@@ -22,6 +22,7 @@ from autofix.eml import parse_eml
 from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal, evaluate, values_equal
 from autofix.lexer import SourceError
 from autofix.parser import parse_imp
+from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.search import ReferenceFault, ReferenceOracle
 from autofix.tilde import enumerate_candidates, instantiate
@@ -324,16 +325,22 @@ def test_bundled_candidates_up_to_cost_2_agree():
     for name, model, program in bundled_programs():
         tilde = rewrite(program, model)
         seen = set()
+        texts = {}  # printed text -> structural key
         for assignment, _ in enumerate_candidates(tilde, 2):
             candidate = instantiate(tilde, assignment).program
-            if candidate.key() in seen:
+            key = candidate.key()
+            assert texts.setdefault(pretty_program(candidate), key) == key
+            if key in seen:
                 continue
-            seen.add(candidate.key())
+            seen.add(key)
             for compiler in COMPILERS.values():
                 run = compiler.compile(candidate)
                 for args in CANDIDATE_INPUTS:
                     cases += 1
                     fuel_disagreements += assert_agree(candidate, args, compiler, run=run)
+        # each text has one key and there are as many texts as keys: the
+        # search's text fingerprint partitions candidates as `key()` does
+        assert len(texts) == len(seen)
     assert len(seen) > 0 and cases > 30_000
     assert fuel_disagreements < cases // 10  # most faults are not at the boundary
 

@@ -1,6 +1,7 @@
 import pytest
 
 from autofix import lang
+from autofix.eml import parse_eml
 from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.printer import pretty_program
@@ -103,3 +104,25 @@ def test_tabs_rejected():
 def test_comments_and_blank_lines_skipped():
     prog = parse_imp("# leading note\ndef f_int(x_int):\n\n    return x_int  # trailing\n")
     assert isinstance(prog.functions[0].body[0], lang.Return)
+
+
+def nested_source(depth: int) -> str:
+    return "def f_int(x_int):\n    return " + "(1 - " * depth + "x_int" + ")" * depth + "\n"
+
+
+@pytest.mark.parametrize("depth", [100, 1000])
+def test_too_deep_nesting_is_a_source_error(depth):
+    with pytest.raises(SourceError, match="nested too deeply"):
+        parse_imp(nested_source(depth))
+
+
+def test_nesting_the_parser_handles_still_parses():
+    program = parse_imp(nested_source(70))
+    assert pretty_program(parse_imp(pretty_program(program))) == pretty_program(program)
+
+
+@pytest.mark.parametrize("depth", [100, 1000])
+def test_too_deep_nesting_in_a_model_is_a_source_error(depth):
+    rule = "rule R: a -> " + "(a - " * depth + "1" + ")" * depth + "\n"
+    with pytest.raises(SourceError, match="nested too deeply"):
+        parse_eml(rule)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from autofix.eml import parse_eml
-from autofix.interp import Bounds, evaluate, values_equal
+from autofix.interp import Bounds
 from autofix.parser import parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
@@ -14,7 +14,6 @@ from autofix.search import (
     cegis_min,
     find_counterexample,
     next_alternate,
-    synth,
 )
 from autofix.tilde import enumerate_candidates, instantiate
 
@@ -43,37 +42,6 @@ def test_divergent_candidate_fails_on_first_input(deriv_oracle_w3):
         "    return poly_list_int\n"
     )
     assert find_counterexample(looping, deriv_oracle_w3) == ((),)
-
-
-def test_synth_defaults(deriv_student, deriv_model, deriv_oracle_w3):
-    tilde = rewrite(deriv_student, deriv_model)
-    assert synth(tilde, [], deriv_oracle_w3, 0) == {}
-
-
-def test_synth_none_when_default_fails(deriv_student, deriv_model, deriv_oracle_w3):
-    tilde = rewrite(deriv_student, deriv_model)
-    cex = find_counterexample(deriv_student, deriv_oracle_w3)
-    assert synth(tilde, [cex], deriv_oracle_w3, 0) is None
-
-
-def test_synth_finds_cheapest_cex_consistent_candidate(
-    deriv_student, deriv_model, deriv_oracle_w3
-):
-    tilde = rewrite(deriv_student, deriv_model)
-    cex = ((2,),)  # a singleton list: the reference returns [0], the student []
-    assignment = synth(tilde, [cex], deriv_oracle_w3, 3)
-    assert assignment is not None
-    cand = instantiate(tilde, assignment)
-    result = evaluate(cand.program, cex, deriv_oracle_w3.bounds)
-    assert result.is_ok and values_equal(result.value, (0,))
-    assert cand.cost <= 3
-    # it is the least such assignment in stream order
-    for earlier, _ in enumerate_candidates(tilde, 3):
-        if earlier == assignment:
-            break
-        other = instantiate(tilde, earlier)
-        got = evaluate(other.program, cex, deriv_oracle_w3.bounds)
-        assert not (got.is_ok and values_equal(got.value, (0,)))
 
 
 def test_compute_deriv_repair(deriv_student, deriv_model, deriv_oracle_w3):

@@ -8,7 +8,6 @@ from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.tilde import (
     BadIndex,
-    default_assignment,
     dump,
     enumerate_candidates,
     instantiate,
@@ -24,15 +23,12 @@ def find_site(tilde, line, kind="expr"):
 
 def test_default_assignment_is_empty_and_free(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
-    assignment = default_assignment(tilde)
-    assert assignment == {}
-    cand = instantiate(tilde, assignment)
+    cand = instantiate(tilde, {})
     assert cand.cost == 0 and cand.active == frozenset()
 
 
 def test_zero_site_tilde(deriv_student):
     tilde = rewrite(deriv_student, parse_eml(""))
-    assert default_assignment(tilde) == {}
     candidates = list(enumerate_candidates(tilde))
     assert len(candidates) == 1 and candidates[0] == ({}, 0)
 
