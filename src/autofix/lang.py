@@ -67,16 +67,15 @@ def children(node) -> list:
     their elements; for a list, its elements.  A node in an operator
     position is a child (a choice site, or a metavariable in a template)."""
     if type(node) is list:
-        values = node
-    else:
-        values = []
-        for name in getattr(node, "fields", ()):
-            value = getattr(node, name)
-            if type(value) is list:
-                values.extend(value)
-            else:
-                values.append(value)
-    return [v for v in values if type(v) not in _LEAF_TYPES]
+        return [item for item in node if type(item) not in _LEAF_TYPES]
+    out = []
+    for name in getattr(node, "fields", ()):
+        value = getattr(node, name)
+        if type(value) is list:
+            out += [item for item in value if type(item) not in _LEAF_TYPES]
+        elif type(value) not in _LEAF_TYPES:
+            out.append(value)
+    return out
 
 
 def map_children(node, fn):
