@@ -310,6 +310,14 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
+    largest = (1 << (cfg.int_bits - 1)) - 1
+    if cfg.max_list > largest:  # len() of a longer list would wrap negative
+        print(
+            f"autofix: --max-list {cfg.max_list} exceeds {largest}, the largest"
+            f" integer at --int-bits {cfg.int_bits}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     if cfg.corpus:
         return run_corpus(cfg)
     return run_single(cfg)

@@ -1,28 +1,46 @@
-"""Compiler from ``lang.Program`` to Python functions.
+"""Compiler from ``lang.Program`` and ``TildeProgram`` to Python functions.
 
-The reference table and full verification run a program over the whole
-bounded input space, so they run it compiled: every function reachable from
-the entry becomes one Python ``def``, and the program goes through
-``compile``/``exec`` once.  The compiled code makes every check the
-tree-walker in ``interp`` makes, in the same order, and gives the same
-values and the same ok/fault split.  ``interp`` stays the executable spec;
-the differential tests compare the two.
+The reference table, screening and full verification run programs over many
+inputs, so they run them compiled: every function reachable from the entry
+becomes one Python ``def``, and the program goes through ``compile``/``exec``
+once.  The compiled code makes every check the tree-walker in ``interp``
+makes, in the same order, and gives the same values and the same ok/fault
+split.  ``interp`` stays the executable spec; the differential tests compare
+the two.
+
+Choice sites.  A choice-site program (``TildeProgram``) is compiled once for
+the whole search; a candidate is its pick tuple, one alternative index per
+site, passed with each input.  The picks are unpacked into one variable per
+site, ``_s<id>``, and each site becomes a branch on it: an expression site a
+chain of conditional expressions, an operator site an index into the tuple
+of its operators' helpers, a statement or block site an ``if``/``elif``
+chain whose branches hold the alternative's statements (a list payload is
+spliced there, an empty one leaves the branch empty), and an assignment
+target site a chain of stores of the value computed once.  Code for every
+alternative is emitted, also inside alternatives the pick leaves unused, so
+a variable assigned in any alternative is a local of its ``def``; reading it
+before any assignment raises ``NameError``, a ``TypeMismatch`` as in the
+tree-walker.
 
 Fuel.  A statement is charged its static tick count when it starts: its own
 tick plus one per expression node that always runs.  The right operand of
 ``and``/``or`` and the chosen branch of a conditional expression are charged
-when they run.  The counter is checked at function entry, at every loop
-iteration and at the end of the run.  A run that ends ok is charged exactly
-the ticks the tree-walker spends on it and never more at any check, so it
-passes every check; a run that spends more than its fuel is stopped by a
-check unless it faults first.  So a fault's kind may differ from the
-tree-walker's only where one of the two reports ``FuelExhausted``.
+when they run.  An expression site's static share is the least tick count
+of its alternatives; the alternative that runs is charged the rest when it
+runs, and a statement site's alternatives charge their own statements.  The
+counter is checked at function entry, at every loop iteration and at the
+end of the run.  A run that ends ok is charged exactly the ticks the
+tree-walker spends on it and never more at any check, so it passes every
+check; a run that spends more than its fuel is stopped by a check unless it
+faults first.  So a fault's kind may differ from the tree-walker's only
+where one of the two reports ``FuelExhausted``.
 """
 
 from __future__ import annotations
 
 from . import lang
 from .interp import MAX_CALL_DEPTH, Bounds, TupleVal, evaluate
+from .tilde import ChoiceSite, TildeProgram, instantiate
 
 
 class Fault(Exception):
@@ -189,26 +207,39 @@ class Compiler:
         self.bounds = bounds
         self.namespace = _runtime(bounds)
 
-    def compile(self, program: lang.Program, callees=None):
-        """A function from one input (a tuple of argument values) to the
-        entry function's value; it raises ``Fault`` where ``interp.evaluate``
-        reports a fault.  ``callees`` redirects calls as in ``interp``.
-        A program nested too deeply for Python's compiler runs on the
-        tree-walker behind the same interface."""
-        source = _Emitter(program, callees or {}, self.bounds).source()
+    def compile(self, program, callees=None):
+        """A function ``run(args, picks=())`` from one input (a tuple of
+        argument values) to the entry function's value; it raises ``Fault``
+        where ``interp.evaluate`` reports a fault.  `program` is a
+        ``lang.Program`` or a ``TildeProgram``; for the latter, `picks` is
+        the candidate's tuple of alternative indices, one per site.
+        ``callees`` redirects calls as in ``interp``.  A program nested too
+        deeply for Python's compiler runs on the tree-walker behind the same
+        interface."""
+        tilde = program if isinstance(program, TildeProgram) else None
+        root = program.root if tilde else program
+        sites = len(tilde.sites) if tilde else 0
+        source = _Emitter(root, callees or {}, self.bounds, sites).source()
         try:
             code = compile(source, "<autofix>", "exec")
         except (SyntaxError, RecursionError, MemoryError):
-            return self._interpreted(program, callees)
+            return self._interpreted(program, tilde, callees)
         scope = {}
         exec(code, self.namespace, scope)
         return scope["_make"]()
 
-    def _interpreted(self, program, callees):
+    def _interpreted(self, program, tilde, callees):
         bounds = self.bounds
+        last = {}  # the pick tuple run last -> its instantiated program
 
-        def run(args):
-            result = evaluate(program, args, bounds, callees)
+        def run(args, picks=()):
+            concrete = program
+            if tilde is not None:
+                concrete = last.get(picks)
+                if concrete is None:
+                    last.clear()
+                    concrete = last[picks] = instantiate(tilde, dict(enumerate(picks))).program
+            result = evaluate(concrete, args, bounds, callees)
             if result.fault is not None:
                 raise Fault(result.fault)
             return result.value
@@ -217,40 +248,50 @@ class Compiler:
 
 
 class _Emitter:
-    """Python source for one program.  Every ``expr``/``stmt`` method
-    returns code together with the static ticks the code is charged."""
+    """Python source for one program, which may hold choice sites.  Every
+    ``expr``/``stmt`` method returns code together with the static ticks
+    the code is charged."""
 
-    def __init__(self, program: lang.Program, callees: dict, bounds: Bounds):
+    def __init__(self, program: lang.Program, callees: dict, bounds: Bounds, sites: int):
         self.program = program
         self.callees = callees
         self.bounds = bounds
+        self.sites = sites
         self.lines = []
+        self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
         self.pending = []  # reachable functions not yet emitted
-        self.bound = set()  # variables the current function assigns
 
     def source(self) -> str:
         entry = self.program.entry_func()
         run = self.func_name(entry)
-        emit = self.lines.append
-        emit("def _make():")
-        emit("    _fuel = 0")
         while self.pending:
             self.function(self.pending.pop(0))
-        emit("    def _run(_args):")
-        emit("        nonlocal _fuel")
-        emit(f"        if len(_args) != {len(entry.params)}:")
-        emit("            raise Fault('TypeMismatch')")
-        emit(f"        _fuel = {self.bounds.fuel}")
-        emit("        try:")
-        emit(f"            value = {run}(*_args, 1)")
-        emit("        except UnboundLocalError:")  # a variable read before assignment
-        emit("            raise Fault('TypeMismatch') from None")
-        emit("        if _fuel < 0:")
-        emit("            raise Fault('FuelExhausted')")
-        emit("        return value")
-        emit("    return _run")
-        return "\n".join(self.lines) + "\n"
+        picks = [f"_s{i}" for i in range(self.sites)]
+        lines = ["def _make():", "    _fuel = 0"]
+        if picks:
+            lines.append(f"    {' = '.join(picks)} = 0")
+        lines += list(self.preamble.values()) + self.lines
+        lines += [
+            "    def _run(_args, _picks=()):",
+            f"        nonlocal {', '.join(['_fuel'] + picks)}",
+            f"        if len(_args) != {len(entry.params)}:",
+            "            raise Fault('TypeMismatch')",
+        ]
+        if picks:
+            lines.append(f"        {', '.join(picks)}, = _picks")
+        lines += [
+            f"        _fuel = {self.bounds.fuel}",
+            "        try:",
+            f"            value = {run}(*_args, 1)",
+            "        except NameError:",  # a variable read before any assignment
+            "            raise Fault('TypeMismatch') from None",
+            "        if _fuel < 0:",
+            "            raise Fault('FuelExhausted')",
+            "        return value",
+            "    return _run",
+        ]
+        return "\n".join(lines) + "\n"
 
     def func_name(self, func: lang.FuncDef) -> str:
         name = self.names.get(id(func))
@@ -275,7 +316,6 @@ class _Emitter:
             f"v_{p}" if p not in func.params[i + 1 :] else f"_unused{i}"
             for i, p in enumerate(func.params)
         ]
-        self.bound = set(func.params) | _assigned(func.body)
         emit = self.lines.append
         emit(f"    def {self.func_name(func)}({', '.join(params + ['_d'])}):")
         emit("        nonlocal _fuel")
@@ -284,9 +324,49 @@ class _Emitter:
         self.block(func.body, 2)
         emit("        raise Fault('NoReturn')")
 
+    # -- choice sites --------------------------------------------------------
+
+    def branches(self, site: ChoiceSite):
+        """(header, alternative) per alternative of `site`: the ``if``,
+        ``elif`` and ``else`` lines that select it by its pick."""
+        last = len(site.alternatives) - 1
+        for i, alt in enumerate(site.alternatives):
+            test = f"_s{site.site_id} == {i}:"
+            yield ("else:" if i == last else f"if {test}" if i == 0 else f"elif {test}"), alt
+
+    def choose(self, site: ChoiceSite, compiled: list):
+        """An expression site as a conditional expression over its
+        alternatives' (code, ticks); the least ticks are static, each
+        alternative charges the rest when it runs."""
+        low = min(ticks for _, ticks in compiled)
+        pick = f"_s{site.site_id}"
+        chain = self.charged(*compiled[-1], low)
+        for i in reversed(range(len(compiled) - 1)):
+            chain = f"{self.charged(*compiled[i], low)} if {pick} == {i} else {chain}"
+        return f"({chain})", low
+
+    def charged(self, code: str, ticks: int, static: int = 0) -> str:
+        """`code`, charged its ticks beyond `static` when it runs."""
+        if ticks == static:
+            return code
+        return f"(_fuel := _fuel - {ticks - static}, {code})[1]"
+
+    def operator(self, op, table: dict) -> str:
+        """The helper for operator `op`; for an operator site, the one its
+        pick selects from a tuple built once."""
+        if type(op) is not ChoiceSite:
+            return table[op]
+        helpers = ", ".join(table[alt.payload] for alt in op.alternatives)
+        self.preamble[op.site_id] = f"    _o{op.site_id} = ({helpers},)"
+        return f"_o{op.site_id}[_s{op.site_id}]"
+
     # -- statements ----------------------------------------------------------
 
-    def block(self, body: list, depth: int):
+    def block(self, body, depth: int):
+        """A statement list; a block site (or one statement) stands for a
+        list of one."""
+        if type(body) is not list:
+            body = [body]
         if not body:
             self.emit(depth, "pass")
         for stmt in body:
@@ -302,9 +382,13 @@ class _Emitter:
         self.emit(depth, "if _fuel < 0:")
         self.emit(depth + 1, "raise Fault('FuelExhausted')")
 
-    def stmt(self, stmt: lang.Stmt, depth: int):
+    def stmt(self, stmt, depth: int):
         cls = type(stmt)
-        if cls is lang.Assign:
+        if cls is ChoiceSite:
+            for header, alt in self.branches(stmt):
+                self.emit(depth, header)
+                self.block(alt.payload, depth + 1)
+        elif cls is lang.Assign:
             value, ticks = self.expr(stmt.value)
             lines, store_ticks = self.store(stmt.target, value)
             self.charge(depth, 1 + ticks + store_ticks)
@@ -313,7 +397,8 @@ class _Emitter:
         elif cls is lang.AugAssign:
             current, ticks = self.expr(stmt.target)
             rhs, rhs_ticks = self.expr(stmt.value)
-            lines, store_ticks = self.store(stmt.target, f"{_ARITH[stmt.op]}({current}, {rhs})")
+            helper = self.operator(stmt.op, _ARITH)
+            lines, store_ticks = self.store(stmt.target, f"{helper}({current}, {rhs})")
             self.charge(depth, 1 + ticks + rhs_ticks + store_ticks)
             for line in lines:
                 self.emit(depth, line)
@@ -356,9 +441,27 @@ class _Emitter:
         else:
             raise TypeError(f"cannot compile {stmt!r}")
 
-    def store(self, target: lang.Expr, value: str):
+    def store(self, target, value: str):
         """Lines that store `value` into `target`, and the ticks they add.
-        An indexed store rebinds the variable to an updated copy."""
+        An indexed store rebinds the variable to an updated copy.  Where a
+        site picks the variable stored to, `value` is computed once and
+        each alternative stores it."""
+        site = None
+        if type(target) is ChoiceSite:
+            site, targets = target, [alt.payload for alt in target.alternatives]
+        elif type(target) is lang.Index and type(target.base) is ChoiceSite:
+            site = target.base
+            targets = [lang.Index(alt.payload, target.index) for alt in site.alternatives]
+        if site is not None:
+            stores = [self.store(t, "_v") for t in targets]
+            low = min(ticks for _, ticks in stores)
+            lines = [f"_v = {value}"]
+            for (header, _), (alt_lines, ticks) in zip(self.branches(site), stores):
+                lines.append(header)
+                if ticks > low:
+                    lines.append(f"    _fuel -= {ticks - low}")
+                lines += ["    " + line for line in alt_lines]
+            return lines, low
         if type(target) is lang.Var:
             return [f"v_{target.name} = {value}"], 0
         if type(target) is lang.Index and type(target.base) is lang.Var:
@@ -369,8 +472,10 @@ class _Emitter:
 
     # -- expressions ---------------------------------------------------------
 
-    def expr(self, node: lang.Expr):
+    def expr(self, node):
         cls = type(node)
+        if cls is ChoiceSite:
+            return self.choose(node, [self.expr(alt.payload) for alt in node.alternatives])
         if cls is lang.IntLit:
             half = 1 << (self.bounds.int_bits - 1)
             mask = (1 << self.bounds.int_bits) - 1
@@ -378,7 +483,7 @@ class _Emitter:
         if cls is lang.BoolLit:
             return ("True" if node.value else "False"), 1
         if cls is lang.Var:
-            return (f"v_{node.name}" if node.name in self.bound else "_mismatch()"), 1
+            return f"v_{node.name}", 1
         if cls is lang.ListLit:
             code, ticks = self.exprs(node.elements)
             return f"({code}{',' if len(node.elements) == 1 else ''})", 1 + ticks
@@ -395,12 +500,20 @@ class _Emitter:
                 ticks += end_ticks
             return f"_slice(_seq({base}), {ends[0]}, {ends[1]})", 1 + ticks
         if cls is lang.BinOp or cls is lang.Compare:
-            helper = (_ARITH if cls is lang.BinOp else _COMPARE)[node.op]
+            helper = self.operator(node.op, _ARITH if cls is lang.BinOp else _COMPARE)
             code, ticks = self.exprs([node.left, node.right])
             return f"{helper}({code})", 1 + ticks
         if cls is lang.BoolOp:
             left, ticks = self.expr(node.left)
-            return f"(_bool({left}) {node.op} _bool({self.lazy(node.right)}))", 1 + ticks
+            right = self.lazy(node.right)
+            if type(node.op) is not ChoiceSite:
+                return f"(_bool({left}) {node.op} _bool({right}))", 1 + ticks
+            # one conditional expression per operator; `left` runs once
+            code, _ = self.choose(
+                node.op, [(f"(_bool({left}) {alt.payload} _bool({right}))", 0)
+                          for alt in node.op.alternatives]
+            )
+            return code, 1 + ticks
         if cls is lang.Not:
             operand, ticks = self.expr(node.operand)
             return f"(not _bool({operand}))", 1 + ticks
@@ -416,10 +529,9 @@ class _Emitter:
         compiled = [self.expr(n) for n in nodes]
         return ", ".join(c for c, _ in compiled), sum(t for _, t in compiled)
 
-    def lazy(self, node: lang.Expr) -> str:
+    def lazy(self, node) -> str:
         """`node`, charged its ticks only when it runs."""
-        code, ticks = self.expr(node)
-        return f"(_fuel := _fuel - {ticks}, {code})[1]"
+        return self.charged(*self.expr(node))
 
     def call(self, node: lang.Call):
         args, ticks = self.exprs(node.args)
@@ -430,21 +542,3 @@ class _Emitter:
             return f"_mismatch({args})", 1 + ticks
         sep = ", " if args else ""
         return f"{self.func_name(callee)}({args}{sep}_d + 1)", 1 + ticks
-
-
-def _assigned(body: list) -> set:
-    """Variables a statement list assigns anywhere, loops and branches
-    included (Python makes exactly these local to the ``def``)."""
-    names = set()
-    for node in lang.walk(body):
-        if isinstance(node, (lang.Assign, lang.AugAssign)):
-            target = node.target
-            if type(target) is lang.Index:
-                target = target.base
-            if type(target) is lang.Var:
-                names.add(target.name)
-        elif isinstance(node, lang.MethodCall):
-            names.add(node.obj)
-        elif isinstance(node, lang.ForIn):
-            names.add(node.var)
-    return names

@@ -1,10 +1,11 @@
 """Minimal-cost repair search.
 
-Candidates stream in (cost, lexicographic) order.  A growing counterexample
-set screens them cheaply; survivors face full bounded verification against
-the reference, and every verification failure contributes a fresh
-counterexample.  The first candidate that survives full verification is the
-minimal repair, and the total order makes the result deterministic.
+Candidates stream in (cost, lexicographic) order as pick tuples of one
+compiled choice-site program.  A growing counterexample set screens them
+cheaply; survivors face full bounded verification against the reference,
+and every verification failure contributes a fresh counterexample.  The
+first candidate that survives full verification is the minimal repair, and
+the total order makes the result deterministic.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from . import lang
 from .compiler import Compiler, Fault, same
 from .inputs import Signature, enumerate_inputs, parse_signature
-from .interp import Bounds, evaluate, values_equal
+from .interp import Bounds
 from .printer import pretty_program
-from .tilde import TildeProgram, enumerate_candidates, instantiate
+from .tilde import TildeProgram, enumerate_candidates, instantiate, pick_tuple
 
 
 class ReferenceFault(Exception):
@@ -61,9 +62,10 @@ class ReferenceOracle:
     """The reference program evaluated over the whole bounded input space.
     Construction verifies the reference is fault-free on every input.
 
-    The table and full verification run programs compiled (``compiler``);
-    screening a candidate on a few counterexamples costs less than
-    compiling it, so `agrees_at` runs the tree-walker."""
+    Programs run compiled (``compiler``): `compile` turns a program or a
+    choice-site program into a runner once, and `agrees_at` (screening on
+    one input) and `first_mismatch` (full verification) run a candidate as
+    that runner and its pick tuple."""
 
     def __init__(self, reference: lang.Program, bounds: Bounds, signature: Signature | None = None):
         self.reference = reference
@@ -79,10 +81,14 @@ class ReferenceOracle:
             except Fault as f:
                 raise ReferenceFault(f"reference faults ({f.kind}) on input {inp!r}") from None
 
-    def first_mismatch(self, program: lang.Program, budget=None, callees=None):
-        """Index of the first input where `program` disagrees (any fault
-        counts as disagreement), or None when boundedly equivalent."""
-        run = self._compiler.compile(program, callees)
+    def compile(self, program, callees=None):
+        """``Compiler.compile`` under this oracle's bounds."""
+        return self._compiler.compile(program, callees)
+
+    def first_mismatch(self, run, picks=(), budget=None):
+        """Index of the first input where the candidate `picks` of the
+        compiled `run` disagrees (any fault counts as disagreement), or
+        None when boundedly equivalent."""
         values = self.values
         for i, inp in enumerate(self.inputs):
             if budget is not None:
@@ -90,20 +96,23 @@ class ReferenceOracle:
                 if over:
                     raise _BudgetStop(over)
             try:
-                value = run(inp)
+                value = run(inp, picks)
             except Fault:
                 return i
             if not same(value, values[i]):
                 return i
         return None
 
-    def agrees_at(self, program: lang.Program, i: int, budget=None, callees=None) -> bool:
+    def agrees_at(self, run, picks, i: int, budget=None) -> bool:
         if budget is not None:
             over = budget.spend()
             if over:
                 raise _BudgetStop(over)
-        result = evaluate(program, self.inputs[i], self.bounds, callees)
-        return result.is_ok and values_equal(result.value, self.values[i])
+        try:
+            value = run(self.inputs[i], picks)
+        except Fault:
+            return False
+        return same(value, self.values[i])
 
 
 class _BudgetStop(Exception):
@@ -114,7 +123,7 @@ class _BudgetStop(Exception):
 def find_counterexample(candidate: lang.Program, oracle: ReferenceOracle, callees=None):
     """First bounded input (stream order) where candidate and reference
     disagree; None means bounded equivalence."""
-    i = oracle.first_mismatch(candidate, callees=callees)
+    i = oracle.first_mismatch(oracle.compile(candidate, callees))
     return None if i is None else oracle.inputs[i]
 
 
@@ -127,37 +136,42 @@ def cegis_min(
     blocked_trees=(),
     callees=None,
 ) -> RepairResult:
-    """Counterexample-guided minimal repair within the cost cap."""
+    """Counterexample-guided minimal repair within the cost cap.  The
+    choice-site program is compiled once and a candidate runs as its pick
+    tuple; only the repair is built as a tree.  Candidates that print alike
+    are not told apart: a text duplicate of a candidate that failed
+    verification is screened out by that candidate's counterexample.  A
+    text duplicate of a prior fix is not, so screening survivors are
+    printed and skipped when their text is in `blocked_trees`."""
     budget = budget or SearchBudget()
     blocked = set(blocked)
-    seen_trees = set(blocked_trees)
+    run = oracle.compile(tilde, callees)
     cex_indices: list = []
     tested = 0
 
     try:
         for assignment, cost in enumerate_candidates(tilde, max_cost):
-            cand = instantiate(tilde, assignment)
-            if cand.active in blocked:
+            active = frozenset(assignment.items())
+            if active in blocked:
                 continue
-            tree = pretty_program(cand.program)  # the printer is normative: one text per tree
-            if tree in seen_trees:
-                continue
-            seen_trees.add(tree)
             tested += 1
-            if not all(
-                oracle.agrees_at(cand.program, i, budget, callees)
-                for i in cex_indices
-            ):
+            picks = pick_tuple(tilde, assignment)
+            if not all(oracle.agrees_at(run, picks, i, budget) for i in cex_indices):
                 continue
-            mismatch = oracle.first_mismatch(cand.program, budget, callees)
+            program = None
+            if blocked_trees:
+                program = instantiate(tilde, assignment).program
+                if pretty_program(program) in blocked_trees:
+                    continue  # a text twin of a prior fix
+            mismatch = oracle.first_mismatch(run, picks, budget)
             if mismatch is None:
                 status = "correct" if cost == 0 else "fixed"
                 return RepairResult(
                     status=status,
                     assignment=assignment,
                     cost=cost,
-                    active=cand.active,
-                    program=cand.program,
+                    active=active,
+                    program=program or instantiate(tilde, assignment).program,
                     cexs_used=len(cex_indices),
                     candidates_tested=tested,
                     max_cost=max_cost,

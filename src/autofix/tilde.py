@@ -47,11 +47,6 @@ class TildeProgram:
     origin: lang.Program | None = None
     model: object = None  # the ErrorModel the sites came from
     max_rewrite_depth: int = 0
-    # id of each node or list with sites below it -> (first, last) site id;
-    # pre-order numbering makes the sites below a node consecutive
-    site_ranges: dict = field(default_factory=dict, init=False, repr=False)
-    # id of such a node -> the node with all its sites at their defaults
-    defaults: dict = field(default_factory=dict, init=False, repr=False)
 
     def site(self, site_id: int) -> ChoiceSite:
         return self.sites[site_id]
@@ -60,42 +55,21 @@ class TildeProgram:
         """`node` (a fragment of this tree, a list of them or an operator)
         with every choice site replaced by its alternative under
         `assignment`.  A site picked as a list of statements is spliced into
-        its block.  Subtrees without sites are shared, and so are subtrees
-        whose sites all stay at their defaults (built once).  Each
-        non-default pick on the way is appended to `picked` as (site, index);
-        sites inside unpicked alternatives are never visited."""
-        return _Resolver(self, assignment, picked).visit(node)
+        its block, and subtrees without sites are shared.  Each non-default
+        pick on the way is appended to `picked` as (site, index); sites
+        inside unpicked alternatives are never visited."""
 
-
-class _Resolver:
-    # a class, not a closure: a recursive closure is a reference cycle, left
-    # for the garbage collector once per candidate
-    def __init__(self, tilde: TildeProgram, assignment: dict, picked):
-        self.tilde = tilde
-        self.assignment = assignment
-        self.picked = picked
-
-    def visit(self, node):
-        if type(node) is ChoiceSite:
-            idx = self.assignment.get(node.site_id, 0)
+        def visit(node):
+            if type(node) is not ChoiceSite:
+                return lang.map_children(node, visit)
+            idx = assignment.get(node.site_id, 0)
             if not 0 <= idx < len(node.alternatives):
                 raise BadIndex(f"site {node.site_id}: alternative {idx}")
-            if idx and self.picked is not None:
-                self.picked.append((node, idx))
-            return self.visit(node.alternatives[idx].payload)
-        tilde = self.tilde
-        below = tilde.site_ranges.get(id(node))
-        if below is None:
-            return node
-        first, last = below
-        for site_id in self.assignment:
-            if first <= site_id <= last:
-                return lang.map_children(node, self.visit)
-        default = tilde.defaults.get(id(node))
-        if default is None:
-            default = lang.map_children(node, _Resolver(tilde, {}, None).visit)
-            tilde.defaults[id(node)] = default
-        return default
+            if idx and picked is not None:
+                picked.append((node, idx))
+            return visit(node.alternatives[idx].payload)
+
+        return visit(node)
 
 
 @dataclass(frozen=True)
@@ -106,10 +80,8 @@ class WeightedCandidate:
 
 
 def number_sites(tilde: TildeProgram) -> None:
-    """Assign dense pre-order site ids and parent links, and record the
-    range of site ids below each node."""
+    """Assign dense pre-order site ids and parent links."""
     sites = []
-    ranges = {}
 
     def walk(node, parent):
         if isinstance(node, ChoiceSite):
@@ -119,16 +91,11 @@ def number_sites(tilde: TildeProgram) -> None:
             for idx, alt in enumerate(node.alternatives):
                 walk(alt.payload, (node.site_id, idx))
             return
-        first = len(sites)
         for child in lang.children(node):
             walk(child, parent)
-        if len(sites) > first:
-            ranges[id(node)] = (first, len(sites) - 1)
 
     walk(tilde.root, None)
     tilde.sites = sites
-    tilde.site_ranges = ranges
-    tilde.defaults = {}
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +110,15 @@ def instantiate(tilde: TildeProgram, assignment: dict) -> WeightedCandidate:
     cost = sum(site.alternatives[idx].weight for site, idx in picked)
     active = frozenset((site.site_id, idx) for site, idx in picked)
     return WeightedCandidate(program, cost, active)
+
+
+def pick_tuple(tilde: TildeProgram, assignment: dict) -> tuple:
+    """`assignment` as one alternative index per site, the form a compiled
+    choice-site program takes (``compiler``)."""
+    picks = [0] * len(tilde.sites)
+    for site_id, idx in assignment.items():
+        picks[site_id] = idx
+    return tuple(picks)
 
 
 # --------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def test_criterion_3_minimality_oracle():
             if best is not None and cost > best:
                 break
             cand = instantiate(tilde, assignment)
-            if oracle.first_mismatch(cand.program) is None:
+            if find_counterexample(cand.program, oracle) is None:
                 best = cost
         if best is None:
             agreements += result.status == "no_fix"

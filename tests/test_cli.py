@@ -261,6 +261,15 @@ def test_bad_bounds_exit_3_with_one_line(flag, value, mode):
     assert proc.stderr.count("\n") == 1 and f"{flag} {value} " in proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_lists_longer_than_the_largest_int_exit_3_with_one_line(mode):
+    # at 3 bits len() of a 4-element list would read -4
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    proc = run_cli(*args, "--max-list", "4")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "autofix: --max-list 4 exceeds 3, the largest integer at --int-bits 3\n"
+
+
 def test_serial_corpus_builds_the_table_once(monkeypatch, capsys):
     built = []
 

@@ -4,7 +4,9 @@
 must give the same value, or both a fault; the fault kinds must match except
 where one side reports FuelExhausted (the compiled code checks its fuel at
 function entry, loop iterations and the end of the run, not at every tick).
-Fuel 25 puts many runs right at the exhaustion boundary.
+Fuel 25 puts many runs right at the exhaustion boundary.  A choice-site
+program is compiled once and each candidate runs as its pick tuple; the spec
+for a candidate is `instantiate` followed by the tree-walker.
 """
 
 import functools
@@ -25,7 +27,15 @@ from autofix.parser import parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.search import ReferenceFault, ReferenceOracle
-from autofix.tilde import enumerate_candidates, instantiate
+from autofix.tilde import (
+    Alternative,
+    ChoiceSite,
+    TildeProgram,
+    enumerate_candidates,
+    instantiate,
+    number_sites,
+    pick_tuple,
+)
 
 from conftest import ASSETS, read
 
@@ -33,19 +43,21 @@ FUELS = (300, 25)
 COMPILERS = {fuel: Compiler(Bounds(4, 3, fuel=fuel)) for fuel in FUELS}
 
 
-def outcome(run, args):
+def outcome(run, args, picks=()):
     try:
-        return run(args), None
+        return run(args, picks), None
     except Fault as f:
         return None, f.kind
 
 
-def assert_agree(program, args, compiler, callees=None, run=None):
-    """The compiled `run` of `program` and the tree-walker agree on `args`."""
+def assert_agree(program, args, compiler, callees=None, run=None, picks=(), want=None):
+    """The compiled `run` of `program` (or of the choice-site program that
+    `picks` instantiates to `program`) and the tree-walker, whose result
+    may be passed as `want`, agree on `args`."""
     run = run or compiler.compile(program, callees)
-    want = evaluate(program, args, compiler.bounds, callees)
-    value, kind = outcome(run, args)
-    where = f"{args!r} at fuel {compiler.bounds.fuel}"
+    want = want or evaluate(program, args, compiler.bounds, callees)
+    value, kind = outcome(run, args, picks)
+    where = f"{args!r} at fuel {compiler.bounds.fuel}, picks {picks}"
     if want.is_ok:
         assert kind is None, f"compiled faults {kind}, spec gives {want!r} on {where}"
         assert values_equal(value, want.value), f"{value!r} != {want!r} on {where}"
@@ -320,29 +332,177 @@ def bundled_programs():
                 yield os.path.relpath(path, ASSETS), model, program
 
 
+def is_compiled(run) -> bool:
+    """`run` is compiled code, not the tree-walker fallback."""
+    return run.__code__.co_filename == "<autofix>"
+
+
+# every fuel up to past what the small programs below spend, so that each
+# run that ends ok also runs with exactly its ticks and with one tick less
+FUEL_SWEEP = {fuel: Compiler(Bounds(4, 3, fuel=fuel)) for fuel in range(1, 90)}
+
+
+def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compilers=COMPILERS):
+    """Every candidate of `tilde` up to `max_cost`, run as its pick tuple
+    of the choice-site program compiled once per fuel, agrees with its
+    instantiated program on the tree-walker.  The search's `active` and
+    `cost` (the assignment's items and the enumerated cost) equal
+    `instantiate`'s.  Returns (cases, fuel-only disagreements, candidates)."""
+    runs = {fuel: compiler.compile(tilde, callees) for fuel, compiler in compilers.items()}
+    assert all(map(is_compiled, runs.values()))
+    spec = {}  # (tree key, fuel, input) -> tree-walker result
+    cases = fuel_disagreements = candidates = 0
+    for assignment, cost in enumerate_candidates(tilde, max_cost):
+        candidate = instantiate(tilde, assignment)
+        assert frozenset(assignment.items()) == candidate.active and cost == candidate.cost
+        picks, key = pick_tuple(tilde, assignment), candidate.program.key()
+        candidates += 1
+        for fuel, compiler in compilers.items():
+            for args in inputs:
+                want = spec.get((key, fuel, args))
+                if want is None:
+                    want = spec[key, fuel, args] = evaluate(
+                        candidate.program, args, compiler.bounds, callees)
+                cases += 1
+                fuel_disagreements += assert_agree(
+                    candidate.program, args, compiler, run=runs[fuel], picks=picks, want=want)
+    return cases, fuel_disagreements, candidates
+
+
 def test_bundled_candidates_up_to_cost_2_agree():
     cases = fuel_disagreements = 0
     for name, model, program in bundled_programs():
         tilde = rewrite(program, model)
-        seen = set()
+        more, fuel_only, _ = assert_candidates_agree(tilde, CANDIDATE_INPUTS, 2)
+        cases += more
+        fuel_disagreements += fuel_only
         texts = {}  # printed text -> structural key
         for assignment, _ in enumerate_candidates(tilde, 2):
             candidate = instantiate(tilde, assignment).program
             key = candidate.key()
             assert texts.setdefault(pretty_program(candidate), key) == key
-            if key in seen:
-                continue
-            seen.add(key)
-            for compiler in COMPILERS.values():
-                run = compiler.compile(candidate)
-                for args in CANDIDATE_INPUTS:
-                    cases += 1
-                    fuel_disagreements += assert_agree(candidate, args, compiler, run=run)
-        # each text has one key and there are as many texts as keys: the
-        # search's text fingerprint partitions candidates as `key()` does
-        assert len(texts) == len(seen)
-    assert len(seen) > 0 and cases > 30_000
+        # each text has one key: the text fingerprint that blocks prior
+        # fixes in `next_alternate` partitions candidates as `key()` does
+        assert len(texts) == len(set(texts.values()))
+    assert cases > 35_000
     assert fuel_disagreements < cases // 10  # most faults are not at the boundary
+
+
+def test_choice_sites_with_reference_callees():
+    reference = parse_imp(
+        "def apply_int(x_int, y_int):\n    return helper(x_int) + helper(y_int)\n\n"
+        "def helper(x_int):\n    return x_int * 2\n"
+    )
+    student = parse_imp(
+        "def apply_int(x_int, y_int):\n    z = helper(x_int)\n    return z - helper(y_int)\n\n"
+        "def helper(x_int):\n    return x_int + 2\n"
+    )
+    model = parse_eml(
+        "rule OpF: a0 aop a1 -> a0 ~aop a1\n"
+        "rule CallF: helper(a) -> helper({a + 1, ?a})\n"
+        "rule RetF: return a -> return {a + 1, 0}\n"
+    )
+    callees = {f.name: f for f in reference.functions}
+    tilde = rewrite(student, model)
+    inputs = [(x, y) for x in (-8, -1, 0, 3, 7) for y in (-3, 2)]
+    _, _, candidates = assert_candidates_agree(tilde, inputs, 2, callees)
+    assert candidates > 30
+    # the helpers that run are the reference's: 2x + 2y, not (x + 2) + (y + 2)
+    run = COMPILERS[300].compile(tilde, callees)
+    opf = next(s for s in tilde.sites if s.kind == "op")
+    plus = [alt.payload for alt in opf.alternatives].index("+")
+    assert run((1, 2), pick_tuple(tilde, {opf.site_id: plus})) == 6
+
+
+# Statement, block and assignment-target sites: the bundled models make only
+# expression and operator sites.
+SITE_KINDS_STUDENT = (
+    "def f_int(xs_list_int, n_int):\n"
+    "    s = 0\n"
+    "    i = 0\n"
+    "    while i < len(xs_list_int):\n"
+    "        s += xs_list_int[i]\n"
+    "        xs_list_int[i] = s\n"
+    "        i += 1\n"
+    "    if n_int > s:\n"
+    "        t = n_int\n"
+    "    return s\n"
+)
+SITE_KINDS_MODELS = {
+    "stmt": "rule IncF: v += a -> {v -= a, v += 2, pass}\nrule RetF: return a -> {return ?a, pass}\n",
+    "block": (
+        "rule BaseF weight 2: def f(a0, a1): s -> def f(a0, a1): {if a1 <= 0: {return 1}; s}\n"
+        "rule InitF: v = n -> v = {n + 1}\n"
+    ),
+    "target": "rule VarF: v -> ?v\n",
+    "index target": "rule IndF: v[a] -> ?v[{a, a - 1}]\n",
+}
+SITE_KINDS_INPUTS = [((), 0), ((3,), 2), ((-2, 5), -3), ((1, 7, -8), 1), ((6, -1, 2), 7)]
+
+
+@pytest.mark.parametrize("kind", sorted(SITE_KINDS_MODELS))
+def test_statement_block_and_target_sites_agree(kind):
+    tilde = rewrite(parse_imp(SITE_KINDS_STUDENT), parse_eml(SITE_KINDS_MODELS[kind]))
+    sites = {s.kind for s in tilde.sites}
+    assert (kind if kind in ("stmt", "block") else "expr") in sites
+    if "target" in kind:  # a site picks the variable an assignment stores to
+        stored = [st.target for st in lang.walk(tilde.root.functions[0].body)
+                  if isinstance(st, (lang.Assign, lang.AugAssign))]
+        assert any(type(t) is ChoiceSite or type(getattr(t, "base", None)) is ChoiceSite
+                   for t in stored)
+    max_cost = 1 if kind == "target" else 2  # `v -> ?v` makes a site of every variable
+    _, _, candidates = assert_candidates_agree(tilde, SITE_KINDS_INPUTS, max_cost, compilers=FUEL_SWEEP)
+    assert candidates > 3
+
+
+def test_spliced_statement_lists_agree():
+    # a statement site whose alternatives are a statement, an empty list and
+    # a list of two; `y` is assigned only in some alternatives, and the later
+    # site reads it or not
+    program = parse_imp(
+        "def f_int(x_int):\n"
+        "    y = x_int + 1\n"
+        "    if x_int > 0:\n"
+        "        return y\n"
+        "    x_int -= 1\n"
+        "    return x_int\n"
+    )
+    assign, guard, dec, ret = program.functions[0].body
+    spliced = parse_imp("def g(x_int):\n    y = 2\n    x_int += y\n    return 0\n").functions[0].body[:2]
+    body = [
+        ChoiceSite("stmt", assign.span, assign.span,
+                   [Alternative(assign), Alternative([], "Del", 1), Alternative(spliced, "Two", 1)]),
+        lang.If(guard.cond, [ChoiceSite("stmt", guard.span, guard.span,
+                                        [Alternative(guard.then_body[0]), Alternative([], "Del", 1)])],
+                []),
+        ChoiceSite("stmt", dec.span, dec.span, [Alternative(dec), Alternative([], "Del", 1)]),
+        ret,
+    ]
+    root = lang.Program([lang.FuncDef("f_int", ["x_int"], body)], "f_int")
+    tilde = TildeProgram(root)
+    number_sites(tilde)
+    inputs = [(x,) for x in range(-8, 8)]
+    _, _, candidates = assert_candidates_agree(tilde, inputs, compilers=FUEL_SWEEP)
+    assert candidates == 3 * 2 * 2
+    run = COMPILERS[300].compile(tilde)
+    with pytest.raises(Fault) as unbound:
+        run((3,), (1, 0, 0))  # `y` deleted, then read
+    assert unbound.value.kind == "TypeMismatch"
+    assert run((3,), (2, 0, 0)) == 2 and run((-3,), (2, 0, 1)) == -1
+
+
+def test_too_deep_choice_site_program_falls_back_to_instantiate():
+    depth = 70
+    source = "def f_bool(x_int):\n    return " + "(x_int < 1 and " * depth + "True" + ")" * depth + "\n"
+    tilde = rewrite(parse_imp(source), parse_eml("rule LitF: 1 -> {2, 0}\n"))
+    assert len(tilde.sites) == depth
+    run = COMPILERS[300].compile(tilde)
+    assert not is_compiled(run)
+    inputs = [(x,) for x in (-8, 0, 1, 7)]
+    for assignment, _ in enumerate_candidates(tilde, 1):
+        program = instantiate(tilde, assignment).program
+        for args in inputs:
+            assert_agree(program, args, COMPILERS[300], run=run, picks=pick_tuple(tilde, assignment))
 
 
 # -- the oracle on compiled code ---------------------------------------------

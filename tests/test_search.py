@@ -96,6 +96,33 @@ def test_single_fix_then_alternates_exhaust():
     assert second.status == "no_fix"
 
 
+def test_next_alternate_skips_text_twins_of_prior_fixes():
+    # SwapF's whole-node alternative and OpF's operator site print the same
+    # program, so the first fix has a twin that is a fix too; the alternate
+    # must be RetF's, distinct in text
+    ref = parse_imp("def f_int(x_int):\n    return x_int + 1\n")
+    student = parse_imp("def f_int(x_int):\n    return x_int - 1\n")
+    model = parse_eml(
+        "rule OpF: a0 - a1 -> a0 + a1\n"
+        "rule SwapF: a0 - a1 -> {a0 + a1}\n"
+        "rule RetF weight 2: return a -> return {a + 2}\n"
+    )
+    oracle = ReferenceOracle(ref, Bounds(3, 0))
+    tilde = rewrite(student, model)
+    first = cegis_min(tilde, oracle)
+    assert first.status == "fixed" and first.cost == 1
+    text = pretty_program(first.program)
+    twins = [
+        candidate for candidate in (instantiate(tilde, a) for a, _ in enumerate_candidates(tilde))
+        if candidate.active != first.active and pretty_program(candidate.program) == text
+    ]
+    assert len(twins) == 1 and find_counterexample(twins[0].program, oracle) is None
+    second = next_alternate([first], tilde, oracle)
+    assert second.status == "fixed" and second.cost == 2
+    assert pretty_program(second.program) != text
+    assert next_alternate([first, second], tilde, oracle).status == "no_fix"
+
+
 def test_alternates_are_distinct(reverse_student, reverse_model, reverse_ref):
     oracle = ReferenceOracle(reverse_ref, Bounds(3, 3))
     tilde = rewrite(reverse_student, reverse_model)
@@ -156,7 +183,7 @@ def brute_force_minimum(tilde, oracle, max_cost):
         if best is not None and cost > best:
             break
         cand = instantiate(tilde, assignment)
-        if oracle.first_mismatch(cand.program) is None:
+        if find_counterexample(cand.program, oracle) is None:
             best = cost if best is None else min(best, cost)
     return best
 
