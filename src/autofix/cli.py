@@ -9,11 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .eml import DuplicateRuleId, IllFormedModel, parse_eml
 from .feedback import build_report, render_feedback
@@ -39,25 +36,32 @@ EXIT_ERROR = 3
 _EXIT_BY_VERDICT = {"correct": EXIT_CORRECT, "fixed": EXIT_FIXED, "no-fix": EXIT_NO_FIX, "budget": EXIT_NO_FIX}
 
 
-@dataclass
 class RunConfig:
-    ref: str
-    model: str
-    student: str | None = None
-    corpus: str | None = None
-    int_bits: int = 4
-    max_list: int = 4
-    fuel: int = 100_000
-    max_cost: int = 5
-    alternates: int = 0
-    level: int = 4
-    format: str = "text"
-    jobs: int = 1
-    budget_candidates: int = 10_000_000
-    budget_seconds: float | None = None
-    callees: str = "student"
-    dump_tilde: bool = False
-    timing: bool = False
+    """One run's settings, as the command line gives them."""
+
+    def __init__(self, ref: str, model: str, student: str | None = None,
+                 corpus: str | None = None, int_bits: int = 4, max_list: int = 4,
+                 fuel: int = 100_000, max_cost: int = 5, alternates: int = 0,
+                 level: int = 4, format: str = "text", jobs: int = 1,
+                 budget_candidates: int = 10_000_000, budget_seconds: float | None = None,
+                 callees: str = "student", dump_tilde: bool = False, timing: bool = False):
+        self.ref = ref
+        self.model = model
+        self.student = student
+        self.corpus = corpus
+        self.int_bits = int_bits
+        self.max_list = max_list
+        self.fuel = fuel
+        self.max_cost = max_cost
+        self.alternates = alternates
+        self.level = level
+        self.format = format
+        self.jobs = jobs
+        self.budget_candidates = budget_candidates
+        self.budget_seconds = budget_seconds
+        self.callees = callees
+        self.dump_tilde = dump_tilde
+        self.timing = timing
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -92,26 +96,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv) -> RunConfig:
-    args = make_parser().parse_args(argv)
-    return RunConfig(
-        ref=args.ref,
-        model=args.model,
-        student=args.student,
-        corpus=args.corpus,
-        int_bits=args.int_bits,
-        max_list=args.max_list,
-        fuel=args.fuel,
-        max_cost=args.max_cost,
-        alternates=args.alternates,
-        level=args.level,
-        format=args.format,
-        jobs=args.jobs,
-        budget_candidates=args.budget_candidates,
-        budget_seconds=args.budget_seconds,
-        callees=args.callees,
-        dump_tilde=args.dump_tilde,
-        timing=args.timing,
-    )
+    return RunConfig(**vars(make_parser().parse_args(argv)))  # each option's dest is a keyword
 
 
 def _load(path: str) -> str:
@@ -244,6 +229,8 @@ def run_corpus(cfg: RunConfig) -> int:
         return EXIT_ERROR
 
     if cfg.jobs > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
+
         with ProcessPoolExecutor(
             max_workers=cfg.jobs,
             initializer=_init_worker,
@@ -270,6 +257,8 @@ def run_corpus(cfg: RunConfig) -> int:
         "fixed_pct": round(100.0 * fixed / incorrect, 1) if incorrect else 0.0,
     }
     if cfg.timing and timings:
+        import statistics
+
         summary["avg_s"] = round(statistics.mean(timings), 3)
         summary["median_s"] = round(statistics.median(timings), 3)
     if not cfg.timing:

@@ -14,8 +14,6 @@ prime mark on subterms that are rewritten recursively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import lang
 from .lexer import SourceError, tokenize
 from .parser import Parser
@@ -35,63 +33,40 @@ class IllFormedModel(Exception):
 # template-only nodes (live inside lang trees in patterns/templates)
 
 
-@dataclass
 class MetaVar(lang.Expr):
-    name: str
-    kind: str = "a"
-    span: lang.Span = lang.NO_SPAN
     fields = ("name", "kind")
 
 
-@dataclass
 class Primed(lang.Expr):
     """Subterm rewritten recursively after rule application."""
 
-    inner: object
-    span: lang.Span = lang.NO_SPAN
     fields = ("inner",)
 
 
-@dataclass
 class ChoiceSet(lang.Expr):
-    options: list
-    span: lang.Span = lang.NO_SPAN
     fields = ("options",)
 
 
-@dataclass
 class ScopeSet(lang.Expr):
     """``?a``: the set of all variables in scope at the rewrite location."""
 
-    of: str  # metavariable name the set is anchored to
-    span: lang.Span = lang.NO_SPAN
-    fields = ("of",)
+    fields = ("of",)  # metavariable name the set is anchored to
 
 
-@dataclass
 class OpSet(lang.Expr):
     """``~cop``: every operator of the matched operator's family."""
 
-    of: str
-    span: lang.Span = lang.NO_SPAN
     fields = ("of",)
 
 
-@dataclass
 class StmtChoice(lang.Stmt):
-    options: list
-    span: lang.Span = lang.NO_SPAN
     fields = ("options",)
 
 
-@dataclass
 class FuncPattern(lang.Node):
-    """Pattern/template over a whole function definition."""
+    """Pattern/template over a whole function definition.  ``params`` are
+    MetaVars; in ``body`` a bare s-metavar stands for the whole block."""
 
-    name: str
-    params: list  # MetaVars
-    body: list  # statement templates; a bare s-metavar stands for the block
-    span: lang.Span = lang.NO_SPAN
     fields = ("name", "params", "body")
 
 
@@ -108,22 +83,28 @@ def meta_kind(name: str):
 # rules
 
 
-@dataclass
 class CorrectionRule:
-    rule_id: str
-    lhs: object
-    rhs: object
-    weight: int = 1
-    message: str | None = None
-    lhs_kind: str = "expr"  # expr | stmt | func
+    def __init__(self, rule_id: str, lhs, rhs, weight: int = 1,
+                 message: str | None = None, lhs_kind: str = "expr"):
+        self.rule_id = rule_id
+        self.lhs = lhs
+        self.rhs = rhs
+        self.weight = weight
+        self.message = message
+        self.lhs_kind = lhs_kind  # expr | stmt | func
 
     def lhs_metavars(self) -> dict:
         return collect_metavars(self.lhs)
 
 
-@dataclass
 class ErrorModel:
-    rules: list = field(default_factory=list)
+    def __init__(self, rules: list | None = None):
+        self.rules = [] if rules is None else rules
+
+    def __eq__(self, other):
+        if type(other) is not ErrorModel:
+            return NotImplemented
+        return self.rules == other.rules
 
     def __iter__(self):
         return iter(self.rules)
@@ -556,7 +537,8 @@ class RuleParser(Parser):
 
 def parse_eml(source: str) -> ErrorModel:
     """Parse rule text into an ErrorModel.  Raises SourceError on malformed
-    input and DuplicateRuleId on repeated rule names."""
+    input, DuplicateRuleId on repeated rule names and IllFormedModel on a
+    `msg` that is not a template over the correction's fields."""
     parser = RuleParser(tokenize(source, rule_mode=True), source)
     try:
         return _parse_rules(parser)
@@ -592,12 +574,26 @@ def _parse_rules(parser: RuleParser) -> ErrorModel:
         if parser.at("NAME", "msg"):
             parser.advance()
             message = parser.expect("STRING").value
+            _check_message(rule_id, message)
         if not parser.at("EOF"):
             parser.expect("NEWLINE")
         rule = CorrectionRule(rule_id, lhs, rhs, weight, message, lhs_kind)
         _validate_rule(rule, rhs_kind)
         rules.append(rule)
     return ErrorModel(rules)
+
+
+def _check_message(rule_id: str, message: str) -> None:
+    """Format `message` once as `feedback` will, with a value of the right
+    type for each field it may name: ``line`` (an int), ``orig``, ``sub`` and
+    ``new`` (strings)."""
+    try:
+        message.format(line=1, orig="", sub="", new="")
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as err:
+        raise IllFormedModel(
+            f"rule {rule_id}: msg {message!r} is not a template over"
+            f" {{line}}, {{orig}}, {{sub}} and {{new}} ({type(err).__name__}: {err})"
+        ) from None
 
 
 def _validate_rule(rule: CorrectionRule, rhs_kind: str) -> None:

@@ -10,7 +10,6 @@ are rendered.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import lang
 from .printer import pretty_expr, pretty_stmt
@@ -22,25 +21,27 @@ GENERIC_MESSAGE = "In line {line}, change {sub} to {new}."
 VERDICTS = {"correct": "correct", "fixed": "fixed", "no_fix": "no-fix", "budget": "budget"}
 
 
-@dataclass
 class Correction:
-    line: int
-    col: int
-    orig_stmt: str
-    sub_expr: str
-    new_expr: str
-    rule_id: str
-    message: str
-    span: lang.Span = lang.NO_SPAN  # source span of the replaced fragment
+    def __init__(self, line: int, col: int, orig_stmt: str, sub_expr: str, new_expr: str,
+                 rule_id: str, message: str, span: lang.Span = lang.NO_SPAN):
+        self.line = line
+        self.col = col
+        self.orig_stmt = orig_stmt
+        self.sub_expr = sub_expr
+        self.new_expr = new_expr
+        self.rule_id = rule_id
+        self.message = message
+        self.span = span  # source span of the replaced fragment
 
 
-@dataclass
 class FeedbackReport:
-    verdict: str  # correct | fixed | no-fix | budget
-    cost: int
-    corrections: list
-    alternates: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, cost: int, corrections: list,
+                 alternates: list | None = None, stats: dict | None = None):
+        self.verdict = verdict  # correct | fixed | no-fix | budget
+        self.cost = cost
+        self.corrections = corrections
+        self.alternates = [] if alternates is None else alternates
+        self.stats = {} if stats is None else stats
 
 
 def _render_payload(tilde: TildeProgram, payload, assignment) -> str:

@@ -10,7 +10,6 @@ in a fixed total order (smaller inputs first).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .interp import Bounds, TupleVal
 from .lang import FuncDef
@@ -32,11 +31,19 @@ class UnknownTypeSuffix(Exception):
         self.name = name
 
 
-@dataclass(frozen=True)
 class Signature:
-    base: str
-    params: tuple  # ((declared name, sem type), ...)
-    ret: str
+    """An entry function's base name, ``((declared name, sem type), ...)``
+    and result type."""
+
+    def __init__(self, base: str, params: tuple, ret: str):
+        self.base = base
+        self.params = params
+        self.ret = ret
+
+    def __eq__(self, other):
+        if type(other) is not Signature:
+            return NotImplemented
+        return (self.base, self.params, self.ret) == (other.base, other.params, other.ret)
 
     def arity(self) -> int:
         return len(self.params)

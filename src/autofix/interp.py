@@ -9,8 +9,6 @@ free of shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lang
 from .lang import Span
 
@@ -25,15 +23,15 @@ FAULT_KINDS = (
 MAX_CALL_DEPTH = 64
 
 
-@dataclass(frozen=True)
 class Bounds:
-    int_bits: int = 4
-    max_list_len: int = 4
-    fuel: int = 100_000
+    """Integer width, longest input list and evaluation steps per run."""
 
-    def __post_init__(self):
-        if self.int_bits < 1 or self.max_list_len < 0 or self.fuel < 1:
+    def __init__(self, int_bits: int = 4, max_list_len: int = 4, fuel: int = 100_000):
+        if int_bits < 1 or max_list_len < 0 or fuel < 1:
             raise ValueError("bounds out of range")
+        self.int_bits = int_bits
+        self.max_list_len = max_list_len
+        self.fuel = fuel
 
     @property
     def int_lo(self) -> int:
@@ -85,11 +83,13 @@ def show_value(v) -> str:
     return "[" + inner + "]"
 
 
-@dataclass(frozen=True)
 class EvalResult:
-    value: object = None
-    fault: str | None = None
-    span: Span = lang.NO_SPAN
+    """A run's value, or the kind of fault it ended in and where."""
+
+    def __init__(self, value=None, fault: str | None = None, span: Span = lang.NO_SPAN):
+        self.value = value
+        self.fault = fault
+        self.span = span
 
     @property
     def is_ok(self) -> bool:
@@ -232,9 +232,9 @@ class Evaluator:
             env[target.name] = value
             return
         # indexed store rebinds the variable to an updated copy
-        base = target.base
-        if type(base) is not lang.Var:
+        if type(target) is not lang.Index or type(target.base) is not lang.Var:
             self.type_fault(target.span)
+        base = target.base
         seq = env.get(base.name)
         if seq is None or value_tag(seq) != "list":
             self.type_fault(target.span)

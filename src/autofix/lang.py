@@ -7,10 +7,8 @@ span so downstream tooling can anchor diagnostics to the original text.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
-from dataclasses import dataclass
 
 ARITH_OPS = ("+", "-", "*", "/", "**")
 COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
@@ -18,12 +16,38 @@ BOOL_OPS = ("and", "or")
 AUG_OPS = ("+=", "-=", "*=", "/=")
 
 
-@dataclass(frozen=True)
 class Span:
-    line: int = 0  # 1-based
-    col: int = 0  # 1-based
-    start: int = 0  # offset into the source text
-    end: int = 0
+    """Where a fragment sits in its source text.  Immutable and hashable."""
+
+    __slots__ = ("line", "col", "start", "end")
+
+    def __init__(self, line: int = 0, col: int = 0, start: int = 0, end: int = 0):
+        # line and col are 1-based; start and end are offsets into the text
+        _set = object.__setattr__
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "start", start)
+        _set(self, "end", end)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Span.{name}")
+
+    def _tuple(self) -> tuple:
+        return (self.line, self.col, self.start, self.end)
+
+    def __eq__(self, other):
+        if type(other) is not Span:
+            return NotImplemented
+        return self._tuple() == other._tuple()
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return Span, self._tuple()
+
+    def __repr__(self):
+        return "Span(line=%r, col=%r, start=%r, end=%r)" % self._tuple()
 
     def text(self, source: str) -> str:
         return source[self.start : self.end]
@@ -31,18 +55,64 @@ class Span:
 
 NO_SPAN = Span()
 
+# what a locator attribute holds when the constructor is not given it
+_LOCATOR_DEFAULTS = {"span": NO_SPAN, "op_span": NO_SPAN, "source": ""}
+
 
 class Node:
     """Base class of every syntax-tree node.
 
-    ``fields`` names a class's structural fields in declaration order.  The
-    fields it leaves out (``span``, ``op_span`` and a program's ``source``)
-    only locate the node in its text.  Every generic traversal below reads
-    ``fields``, so a field added to a class without it is missed by all of
-    them (the tests compare ``fields`` with the dataclass fields)."""
+    ``fields`` names a class's structural fields in order, and ``locators``
+    the attributes that only locate the node in its text (``span``, an
+    operator's ``op_span``, a program's ``source``).  The two lists are the
+    whole declaration: the constructor takes ``fields + locators``,
+    positionally or by keyword, every field required and every locator
+    defaulting to `NO_SPAN` (``""`` for ``source``); equality compares the
+    class and all of them, spans included; nodes are mutable and so
+    unhashable.  Every generic traversal below reads ``fields``."""
 
-    span: Span
     fields: tuple = ()
+    locators: tuple = ("span",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._attrs = cls.fields + cls.locators
+
+    def __init__(self, *args, **kwargs):
+        attrs = self._attrs
+        if kwargs or len(args) != len(attrs):
+            args = self._complete(args, kwargs)
+        for name, value in zip(attrs, args):
+            setattr(self, name, value)
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
+        """All of a constructor's arguments in attribute order, keywords and
+        defaults filled in."""
+        attrs = cls._attrs
+        if len(args) > len(attrs):
+            raise TypeError(f"{cls.__name__}() takes {len(attrs)} arguments, got {len(args)}")
+        values = list(args)
+        for name in attrs[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls.locators:
+                values.append(_LOCATOR_DEFAULTS[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated {sorted(kwargs)}")
+        return tuple(values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        read = _read_all(type(self))
+        return read(self) == read(other)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._attrs)
+        return f"{type(self).__qualname__}({args})"
 
     def key(self):
         """Span-insensitive structural identity (used for equality tests and
@@ -108,10 +178,17 @@ def map_children(node, fn):
 
 @functools.cache
 def _read_all(cls):
-    """Reads all of a node's dataclass fields as a tuple: `fields` first,
-    then the spans (every node class with `fields` has at least one span,
-    or a program's source, so the getter always returns a tuple)."""
-    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
+    """Reads all of a node's attributes, `fields` then `locators`: a tuple
+    for every class with fields (each has at least one locator)."""
+    return operator.attrgetter(*cls._attrs)
+
+
+def with_field(node, name: str, value):
+    """A copy of `node` with field `name` set to `value`, spans kept."""
+    cls = type(node)
+    values = list(_read_all(cls)(node))
+    values[cls.fields.index(name)] = value
+    return cls(*values)
 
 
 def _map_list(items: list, fn) -> list:
@@ -154,102 +231,54 @@ class Expr(Node):
     pass
 
 
-@dataclass
 class IntLit(Expr):
-    value: int
-    span: Span = NO_SPAN
     fields = ("value",)
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool
-    span: Span = NO_SPAN
     fields = ("value",)
 
 
-@dataclass
 class ListLit(Expr):
-    elements: list
-    span: Span = NO_SPAN
     fields = ("elements",)
 
 
-@dataclass
 class Var(Expr):
-    name: str
-    span: Span = NO_SPAN
     fields = ("name",)
 
 
-@dataclass
 class Index(Expr):
-    base: Expr
-    index: Expr
-    span: Span = NO_SPAN
     fields = ("base", "index")
 
 
-@dataclass
 class Slice(Expr):
-    base: Expr
-    lo: Expr | None
-    hi: Expr | None
-    span: Span = NO_SPAN
-    fields = ("base", "lo", "hi")
+    fields = ("base", "lo", "hi")  # lo and hi may be None
 
 
-@dataclass
 class BinOp(Expr):
-    left: Expr
-    op: str
-    right: Expr
-    span: Span = NO_SPAN
-    op_span: Span = NO_SPAN
     fields = ("left", "op", "right")
+    locators = ("span", "op_span")
 
 
-@dataclass
 class Compare(Expr):
-    left: Expr
-    op: str
-    right: Expr
-    span: Span = NO_SPAN
-    op_span: Span = NO_SPAN
     fields = ("left", "op", "right")
+    locators = ("span", "op_span")
 
 
-@dataclass
 class BoolOp(Expr):
-    left: Expr
-    op: str  # "and" | "or"
-    right: Expr
-    span: Span = NO_SPAN
-    fields = ("left", "op", "right")
+    fields = ("left", "op", "right")  # op is "and" | "or"
 
 
-@dataclass
 class Not(Expr):
-    operand: Expr
-    span: Span = NO_SPAN
     fields = ("operand",)
 
 
-@dataclass
 class Call(Expr):
-    func: str
-    args: list
-    span: Span = NO_SPAN
     fields = ("func", "args")
 
 
-@dataclass
 class CondExpr(Expr):
     # "body if cond else orelse", evaluated lazily like Python's ternary
-    body: Expr
-    cond: Expr
-    orelse: Expr
-    span: Span = NO_SPAN
     fields = ("body", "cond", "orelse")
 
 
@@ -261,92 +290,52 @@ class Stmt(Node):
     pass
 
 
-@dataclass
 class Assign(Stmt):
-    target: Expr  # Var or Index
-    value: Expr
-    span: Span = NO_SPAN
-    fields = ("target", "value")
+    fields = ("target", "value")  # target is a Var or an Index
 
 
-@dataclass
 class AugAssign(Stmt):
-    target: Expr  # Var or Index
-    op: str  # one of AUG_OPS
-    value: Expr
-    span: Span = NO_SPAN
-    op_span: Span = NO_SPAN
-    fields = ("target", "op", "value")
+    fields = ("target", "op", "value")  # op is one of AUG_OPS without its "="
+    locators = ("span", "op_span")
 
 
-@dataclass
 class MethodCall(Stmt):
     """Statement-level method call; only list mutators (``x.append(e)``)."""
 
-    obj: str
-    method: str
-    args: list
-    span: Span = NO_SPAN
     fields = ("obj", "method", "args")
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr
-    then_body: list
-    else_body: list  # may be empty
-    span: Span = NO_SPAN
-    fields = ("cond", "then_body", "else_body")
+    fields = ("cond", "then_body", "else_body")  # else_body may be empty
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr
-    body: list
-    span: Span = NO_SPAN
     fields = ("cond", "body")
 
 
-@dataclass
 class ForIn(Stmt):
-    var: str
-    iterable: Expr
-    body: list
-    span: Span = NO_SPAN
     fields = ("var", "iterable", "body")
 
 
-@dataclass
 class Return(Stmt):
-    value: Expr
-    span: Span = NO_SPAN
     fields = ("value",)
 
 
-@dataclass
 class Pass(Stmt):
-    span: Span = NO_SPAN
+    pass
 
 
 # --------------------------------------------------------------------------
 # top level
 
 
-@dataclass
 class FuncDef(Node):
-    name: str
-    params: list  # parameter names as written (type suffixes included)
-    body: list
-    span: Span = NO_SPAN
-    fields = ("name", "params", "body")
+    fields = ("name", "params", "body")  # params as written, type suffixes included
 
 
-@dataclass
 class Program(Node):
-    functions: list
-    entry: str  # name of the entry function
-    source: str = ""
-    fields = ("functions", "entry")
+    fields = ("functions", "entry")  # entry names the entry function
+    locators = ("source",)
 
     def entry_func(self) -> FuncDef:
         for f in self.functions:

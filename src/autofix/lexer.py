@@ -7,8 +7,6 @@ template-only operators (braces, ``?``, ``~``, ``->`` and the prime mark).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lang import Span
 
 KEYWORDS = {
@@ -72,11 +70,13 @@ class SourceError(Exception):
         self.col = col
 
 
-@dataclass
 class Token:
-    kind: str  # NAME, INT, STRING, OP, KEYWORD, NEWLINE, INDENT, DEDENT, EOF
-    value: str
-    span: Span
+    __slots__ = ("kind", "value", "span")
+
+    def __init__(self, kind: str, value: str, span: Span):
+        self.kind = kind  # NAME, INT, STRING, OP, KEYWORD, NEWLINE, INDENT, DEDENT, EOF
+        self.value = value
+        self.span = span
 
 
 def tokenize(source: str, rule_mode: bool = False) -> list:

@@ -18,8 +18,6 @@ the variables assigned before the enclosing statement, parameters included.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import lang
 from .eml import (
     TEMPLATE_FORMS,
@@ -426,7 +424,7 @@ def _with_slot(node, slot, value):
         items = list(getattr(node, name))
         items[i] = value
         slot, value = name, items
-    return dataclasses.replace(node, **{slot: value})
+    return lang.with_field(node, slot, value)
 
 
 def _template_key(node):

@@ -11,7 +11,6 @@ the total order makes the result deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import lang
 from .compiler import Compiler, Fault, same
@@ -25,12 +24,10 @@ class ReferenceFault(Exception):
     """The reference program faulted or diverged on a bounded input."""
 
 
-@dataclass
 class SearchBudget:
-    max_evals: int = 10_000_000  # candidate evaluations across the whole run
-    max_seconds: float | None = None
-
-    def __post_init__(self):
+    def __init__(self, max_evals: int = 10_000_000, max_seconds: float | None = None):
+        self.max_evals = max_evals  # candidate evaluations across the whole run
+        self.max_seconds = max_seconds
         self.evals = 0
         self.started = time.monotonic()
 
@@ -45,17 +42,20 @@ class SearchBudget:
         return None
 
 
-@dataclass
 class RepairResult:
-    status: str  # correct | fixed | no_fix | budget
-    assignment: dict | None = None
-    cost: int = 0
-    active: frozenset = frozenset()
-    program: lang.Program | None = None
-    cexs_used: int = 0
-    candidates_tested: int = 0
-    max_cost: int = 0
-    budget_kind: str | None = None
+    def __init__(self, status: str, assignment: dict | None = None, cost: int = 0,
+                 active: frozenset = frozenset(), program: lang.Program | None = None,
+                 cexs_used: int = 0, candidates_tested: int = 0, max_cost: int = 0,
+                 budget_kind: str | None = None):
+        self.status = status  # correct | fixed | no_fix | budget
+        self.assignment = assignment
+        self.cost = cost
+        self.active = active
+        self.program = program
+        self.cexs_used = cexs_used
+        self.candidates_tested = candidates_tested
+        self.max_cost = max_cost
+        self.budget_kind = budget_kind
 
 
 class ReferenceOracle:

@@ -9,8 +9,6 @@ only when every enclosing alternative is itself selected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import lang
 from .lang import Span
 from .printer import pretty_expr, pretty_stmt
@@ -20,33 +18,35 @@ class BadIndex(Exception):
     pass
 
 
-@dataclass
 class Alternative:
-    payload: object  # tilde expr / op string / tilde stmt / list of tilde stmts
-    rule_id: str | None = None  # None marks the default
-    weight: int = 0
+    def __init__(self, payload, rule_id: str | None = None, weight: int = 0):
+        self.payload = payload  # tilde expr / op string / tilde stmt / list of tilde stmts
+        self.rule_id = rule_id  # None marks the default
+        self.weight = weight
 
 
-@dataclass
 class ChoiceSite:
-    kind: str  # expr | op | stmt | block
-    span: Span
-    stmt_span: Span
-    alternatives: list
-    site_id: int = -1
-    parent: tuple | None = None  # (site_id, alt_index) enclosing alternative
+    def __init__(self, kind: str, span: Span, stmt_span: Span, alternatives: list,
+                 site_id: int = -1, parent: tuple | None = None):
+        self.kind = kind  # expr | op | stmt | block
+        self.span = span
+        self.stmt_span = stmt_span
+        self.alternatives = alternatives
+        self.site_id = site_id
+        self.parent = parent  # (site_id, alt_index) enclosing alternative
 
     def arity(self) -> int:
         return len(self.alternatives)
 
 
-@dataclass
 class TildeProgram:
-    root: object  # Program-shaped tree containing ChoiceSite nodes
-    sites: list = field(default_factory=list)
-    origin: lang.Program | None = None
-    model: object = None  # the ErrorModel the sites came from
-    max_rewrite_depth: int = 0
+    def __init__(self, root, sites: list | None = None, origin: lang.Program | None = None,
+                 model=None, max_rewrite_depth: int = 0):
+        self.root = root  # Program-shaped tree containing ChoiceSite nodes
+        self.sites = [] if sites is None else sites
+        self.origin = origin
+        self.model = model  # the ErrorModel the sites came from
+        self.max_rewrite_depth = max_rewrite_depth
 
     def site(self, site_id: int) -> ChoiceSite:
         return self.sites[site_id]
@@ -72,11 +72,11 @@ class TildeProgram:
         return visit(node)
 
 
-@dataclass(frozen=True)
 class WeightedCandidate:
-    program: lang.Program
-    cost: int
-    active: frozenset  # canonical (site_id, alt_index) non-default picks
+    def __init__(self, program: lang.Program, cost: int, active: frozenset):
+        self.program = program
+        self.cost = cost
+        self.active = active  # canonical (site_id, alt_index) non-default picks
 
 
 def number_sites(tilde: TildeProgram) -> None:

@@ -270,6 +270,28 @@ def test_lists_longer_than_the_largest_int_exit_3_with_one_line(mode):
     assert proc.stderr == "autofix: --max-list 4 exceeds 3, the largest integer at --int-bits 3\n"
 
 
+@pytest.mark.parametrize("bad", ["{neww}", "{", "}", "{0}"])
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_malformed_msg_template_exits_3_with_one_line(tmp_path, bad, mode):
+    with open(asset("computederiv", "model.eml"), encoding="utf-8") as fh:
+        model = fh.read().replace('msg "', f'msg "{bad}')
+    (tmp_path / "model.eml").write_text(model)
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    args[args.index("--model") + 1] = str(tmp_path / "model.eml")
+    proc = run_cli(*args)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith(f"autofix: rule IndF: msg '{bad}In the expression")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_import_leaves_out_the_costly_modules():
+    # a process pool only for --jobs > 1, statistics only for --timing
+    costly = ["dataclasses", "concurrent.futures", "multiprocessing", "statistics"]
+    code = f"import sys, autofix.cli; print([m for m in {costly!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_serial_corpus_builds_the_table_once(monkeypatch, capsys):
     built = []
 

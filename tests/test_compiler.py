@@ -126,6 +126,21 @@ def test_hand_written_programs_agree(source, inputs):
             assert_agree(program, args, compiler, run=run)
 
 
+def test_store_to_a_non_variable_target_faults_type_mismatch():
+    # only a rewrite builds these: the parser accepts a Var or an Index target
+    one = lang.IntLit(1)
+    x = lang.Var("x_int")
+    for target in (lang.IntLit(0), lang.Index(lang.IntLit(0), one), lang.Slice(x, None, None)):
+        for stmt in (lang.Assign(target, one), lang.AugAssign(target, "+", one)):
+            program = lang.Program(
+                [lang.FuncDef("f_int", ["x_int"], [stmt, lang.Return(x)])], "f_int"
+            )
+            for compiler in COMPILERS.values():
+                want = evaluate(program, (1,), compiler.bounds)
+                assert want.fault == "TypeMismatch"
+                assert_agree(program, (1,), compiler, want=want)
+
+
 def test_loops_stop_when_the_fuel_runs_out():
     # 56 ** 4 iterations unless every loop iteration checks the fuel
     program = parse_imp(

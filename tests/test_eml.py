@@ -5,6 +5,7 @@ from autofix.eml import (
     ChoiceSet,
     DuplicateRuleId,
     ErrorModel,
+    IllFormedModel,
     MetaVar,
     Primed,
     ScopeSet,
@@ -46,6 +47,15 @@ def test_unbound_metavariable_rejected():
     with pytest.raises(SourceError) as err:
         parse_eml("rule X: v[a] -> v[a0]\n")
     assert "unbound metavariable" in str(err.value)
+
+
+def test_msg_templates_are_checked_against_the_correction_fields():
+    rule = "rule X: return a -> return [0] msg "
+    model = parse_eml(rule + '"{line}: {orig} has {sub}, not {new} {{sic}}"\n')
+    assert model.rules[0].message == "{line}: {orig} has {sub}, not {new} {{sic}}"
+    for bad in ("{neww}", "{", "}", "{0}", "{}", "{sub.x}", "{sub[0]}", "{line:q}"):
+        with pytest.raises(IllFormedModel, match=r"^rule X: msg "):
+            parse_eml(rule + f'"{bad}"\n')
 
 
 def test_duplicate_rule_id_rejected():

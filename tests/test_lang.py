@@ -1,19 +1,20 @@
-import dataclasses
 import inspect
+import pickle
 
 import pytest
 
 from autofix import eml, lang
 from autofix.parser import parse_imp
 
-# fields that only locate a node in its text; every other field is structural
-LOCATION_FIELDS = {"span", "op_span", "source"}
+# attributes that only locate a node in its text, with their defaults;
+# every other attribute is structural
+LOCATION_FIELDS = {"span": lang.NO_SPAN, "op_span": lang.NO_SPAN, "source": ""}
 
 NODE_CLASSES = [
     cls
     for module in (lang, eml)
     for _, cls in inspect.getmembers(module, inspect.isclass)
-    if issubclass(cls, lang.Node) and dataclasses.is_dataclass(cls)
+    if issubclass(cls, lang.Node) and cls not in (lang.Node, lang.Expr, lang.Stmt)
 ]
 
 
@@ -23,14 +24,77 @@ def test_every_node_class_is_checked():
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_declared_fields_are_the_dataclass_fields(cls):
-    # a field missing from `fields` would be skipped by every traversal;
-    # `map_children` also relies on the location fields coming last
-    names = [f.name for f in dataclasses.fields(cls)]
-    assert names[: len(cls.fields)] == list(cls.fields)
-    assert set(names[len(cls.fields):]) <= LOCATION_FIELDS
-    assert len(names) > len(cls.fields)  # every node has a span or a source
-    assert not LOCATION_FIELDS & set(cls.fields)
+    # `fields` then `locators` is a node class's one declaration: its
+    # constructor, positional or keyword, and what equality compares
+    assert cls.locators and set(cls.locators) <= LOCATION_FIELDS.keys()
+    assert not LOCATION_FIELDS.keys() & set(cls.fields)
     assert "key" not in vars(cls)  # the one structural key is the base class's
+    spans = {name: lang.Span(3, i + 1, 10 * i, 10 * i + 5) for i, name in enumerate(cls.locators)}
+    if "source" in spans:
+        spans["source"] = "def f_int():\n    return 0\n"
+    values = {name: [f"v{i}"] for i, name in enumerate(cls.fields)}
+    values.update(spans)
+    by_position = cls(*values.values())
+    by_keyword = cls(**values)
+    for name, value in values.items():
+        assert getattr(by_position, name) is value and getattr(by_keyword, name) is value
+    assert by_position == by_keyword and not by_position != by_keyword
+    assert repr(by_position) == repr(by_keyword)
+    assert repr(by_position).startswith(f"{cls.__name__}(")
+    for name in cls.locators:  # locators default; spans are part of equality
+        bare = cls(*values.values())
+        assert bare == by_position
+        setattr(bare, name, LOCATION_FIELDS[name])
+        assert bare != by_position
+        assert cls(**{k: v for k, v in values.items() if k != name}) == bare
+    with pytest.raises(TypeError):
+        hash(by_position)
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    with pytest.raises(TypeError):
+        cls(**values, unknown=1)
+    if cls.fields:
+        with pytest.raises(TypeError):
+            cls(*list(values.values())[: len(cls.fields) - 1])
+        with pytest.raises(TypeError):
+            cls(*values.values(), **{cls.fields[0]: 1})
+        copy = lang.with_field(by_position, cls.fields[-1], ["new"])
+        assert getattr(copy, cls.fields[-1]) == ["new"] and copy != by_position
+        assert [getattr(copy, n) for n in cls.locators] == [values[n] for n in cls.locators]
+
+
+def test_map_children_keeps_spans_and_equality_sees_them():
+    program = parse_imp("def f_int(x_int):\n    return x_int + 1\n")
+    again = parse_imp("def f_int(x_int):\n    return x_int + 1\n")
+    moved = parse_imp("def f_int(x_int):\n    return x_int  +  1\n")
+    assert program == again and program is not again
+    assert program.key() == moved.key() and program != moved  # spans differ
+
+    def bump(node):
+        if isinstance(node, lang.IntLit):
+            return lang.IntLit(node.value + 1)  # span dropped
+        return lang.map_children(node, bump)
+
+    plus = program.functions[0].body[0].value
+    bumped = bump(plus)
+    assert (bumped.span, bumped.op_span) == (plus.span, plus.op_span)
+    assert bumped.right.span == lang.NO_SPAN and bumped != plus
+    assert bumped == lang.BinOp(plus.left, "+", lang.IntLit(2), plus.span, plus.op_span)
+    assert bumped != lang.BinOp(plus.left, "+", lang.IntLit(2), plus.span)  # op_span
+    assert lang.Compare(plus.left, "+", plus.right, plus.span, plus.op_span) != plus
+
+
+def test_spans_are_immutable_values():
+    span = lang.Span(1, 2, 3, 4)
+    assert span == lang.Span(1, 2, 3, 4) and hash(span) == hash(lang.Span(1, 2, 3, 4))
+    assert span != lang.Span(1, 2, 3, 5) and span != (1, 2, 3, 4)
+    assert repr(span) == "Span(line=1, col=2, start=3, end=4)"
+    assert lang.Span() == lang.NO_SPAN == lang.Span(line=0, col=0, start=0, end=0)
+    with pytest.raises(AttributeError):
+        span.line = 9
+    assert pickle.loads(pickle.dumps(span)) == span  # and so a parsed tree
+    program = parse_imp("def f_int(x_int):\n    return x_int\n")
+    assert pickle.loads(pickle.dumps(program)) == program
 
 
 def test_children_in_field_order():
