@@ -77,11 +77,15 @@ class Node:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._attrs = cls.fields + cls.locators
+        cls._defaults = tuple(_LOCATOR_DEFAULTS[name] for name in cls.locators)
 
     def __init__(self, *args, **kwargs):
         attrs = self._attrs
-        if kwargs or len(args) != len(attrs):
+        missing = len(attrs) - len(args)
+        if kwargs or not 0 <= missing <= len(self._defaults):
             args = self._complete(args, kwargs)
+        elif missing:  # trailing locators left out
+            args += self._defaults[-missing:]
         for name, value in zip(attrs, args):
             setattr(self, name, value)
 
