@@ -7,14 +7,13 @@ Exit codes: 0 the submission is already correct, 1 a fix was produced,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from .eml import DuplicateRuleId, IllFormedModel, parse_eml
 from .feedback import build_report, render_feedback
-from .inputs import UnknownTypeSuffix, parse_signature
+from .inputs import UnknownTypeSuffix, count_inputs, parse_signature
 from .interp import Bounds
 from .lexer import SourceError
 from .parser import parse_imp
@@ -36,12 +35,17 @@ EXIT_ERROR = 3
 _EXIT_BY_VERDICT = {"correct": EXIT_CORRECT, "fixed": EXIT_FIXED, "no-fix": EXIT_NO_FIX, "budget": EXIT_NO_FIX}
 
 
+class InputSpaceTooLarge(Exception):
+    """The bounds give more inputs than ``--max-inputs`` allows."""
+
+
 class RunConfig:
     """One run's settings, as the command line gives them."""
 
     def __init__(self, ref: str, model: str, student: str | None = None,
                  corpus: str | None = None, int_bits: int = 4, max_list: int = 4,
-                 fuel: int = 100_000, max_cost: int = 5, alternates: int = 0,
+                 fuel: int = 100_000, max_inputs: int = 2_000_000, max_cost: int = 5,
+                 alternates: int = 0,
                  level: int = 4, format: str = "text", jobs: int = 1,
                  budget_candidates: int = 10_000_000, budget_seconds: float | None = None,
                  callees: str = "student", dump_tilde: bool = False, timing: bool = False):
@@ -52,6 +56,7 @@ class RunConfig:
         self.int_bits = int_bits
         self.max_list = max_list
         self.fuel = fuel
+        self.max_inputs = max_inputs
         self.max_cost = max_cost
         self.alternates = alternates
         self.level = level
@@ -77,6 +82,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--int-bits", type=int, default=4, help="integer width in bits")
     p.add_argument("--max-list", type=int, default=4, help="maximum input list length")
     p.add_argument("--fuel", type=int, default=100_000, help="evaluation step budget per run")
+    p.add_argument("--max-inputs", type=int, default=2_000_000,
+                   help="largest input space to enumerate")
     p.add_argument("--max-cost", type=int, default=5, help="cost cap for fixes")
     p.add_argument("--alternates", type=int, default=0, help="extra distinct fixes to report")
     p.add_argument("--level", type=int, default=4, choices=(1, 2, 3, 4), help="feedback detail level")
@@ -106,6 +113,20 @@ def _load(path: str) -> str:
 
 def _bounds(cfg: RunConfig) -> Bounds:
     return Bounds(int_bits=cfg.int_bits, max_list_len=cfg.max_list, fuel=cfg.fuel)
+
+
+def _oracle(cfg: RunConfig, reference) -> ReferenceOracle:
+    """The reference table, built only once its input space is known to fit
+    ``--max-inputs``."""
+    bounds = _bounds(cfg)
+    signature = parse_signature(reference.entry_func())
+    count = count_inputs(signature, bounds)
+    if count > cfg.max_inputs:
+        raise InputSpaceTooLarge(
+            f"{count:,} inputs at --int-bits {cfg.int_bits} --max-list {cfg.max_list}"
+            f" exceed --max-inputs {cfg.max_inputs:,}"
+        )
+    return ReferenceOracle(reference, bounds, signature)
 
 
 def _callee_map(cfg: RunConfig, reference):
@@ -156,14 +177,14 @@ def run_single(cfg: RunConfig) -> int:
         ref = parse_imp(_load(cfg.ref))
         model = parse_eml(_load(cfg.model))
         student_source = _load(cfg.student)
-        oracle = ReferenceOracle(ref, _bounds(cfg))
+        oracle = _oracle(cfg, ref)
         if cfg.dump_tilde:
             student = parse_imp(student_source)
             sys.stdout.write(dump(rewrite(student, model)))
             return EXIT_CORRECT
         report, _ = repair_one(student_source, ref, model, oracle, cfg)
     except (OSError, SourceError, DuplicateRuleId, IllFormedModel,
-            UnknownTypeSuffix, ReferenceFault) as err:
+            UnknownTypeSuffix, ReferenceFault, InputSpaceTooLarge) as err:
         print(f"autofix: {err}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(render_feedback(report, cfg.level, cfg.format))
@@ -217,14 +238,14 @@ def run_corpus(cfg: RunConfig) -> int:
         model_source = _load(cfg.model)
         ref = parse_imp(ref_source)
         model = parse_eml(model_source)
-        oracle = ReferenceOracle(ref, _bounds(cfg))
+        oracle = _oracle(cfg, ref)
         paths = sorted(
             os.path.join(cfg.corpus, n)
             for n in os.listdir(cfg.corpus)
             if n.endswith(".imp")
         )
     except (OSError, SourceError, DuplicateRuleId, IllFormedModel,
-            UnknownTypeSuffix, ReferenceFault) as err:
+            UnknownTypeSuffix, ReferenceFault, InputSpaceTooLarge) as err:
         print(f"autofix: {err}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -266,6 +287,8 @@ def run_corpus(cfg: RunConfig) -> int:
             e.get("stats", {}).pop("millis", None)
 
     if cfg.format == "json":
+        import json  # only here: text is the default output
+
         sys.stdout.write(json.dumps({"files": entries, "summary": summary},
                                     indent=2, sort_keys=True) + "\n")
     else:

@@ -4,9 +4,28 @@ The reference table, screening and full verification run programs over many
 inputs, so they run them compiled: every function reachable from the entry
 becomes one Python ``def``, and the program goes through ``compile``/``exec``
 once.  The compiled code makes every check the tree-walker in ``interp``
-makes, in the same order, and gives the same values and the same ok/fault
-split.  ``interp`` stays the executable spec; the differential tests compare
-the two.
+makes that can fail, in the same order, and gives the same values and the
+same ok/fault split.  ``interp`` stays the executable spec; the differential
+tests compare the two.
+
+Static types.  A check is left out only where its operands' types are
+proven, so it could not fail.  Each function's variables are typed
+flow-insensitively: a variable's type is the union of the types of every
+value stored to it anywhere in the function, in every alternative of every
+choice site, so one type holds for every pick tuple, and a read before any
+store still raises ``NameError``.  Types are ``int``, ``bool`` (never merged
+with ``int``: ``True + 1`` and ``True == 1`` are Python's, not the
+language's), lists of one element type, tuples, and unknown.  The entry's
+parameters take the signature's types when the caller promises inputs of
+that signature (``ReferenceOracle.compile``) and nothing calls the entry;
+every other parameter and every call result is unknown.  On proven operands
+``+ - *`` are inlined with their wrap, comparisons of ints and ``==`` on two
+values of one exact type are Python's own, a proven bool is not tested, a
+proven list or tuple not checked, a list is sliced by Python with its int
+ends clamped at 0, ``for`` iterates a ``range`` of one or two ints directly,
+and constants fold.  What can fail on proven types stays checked: index
+bounds, division by zero, negative exponents, ``range``'s step, fuel.
+Operands are still evaluated once, left to right.
 
 Choice sites.  A choice-site program (``TildeProgram``) is compiled once for
 the whole search; a candidate is its pick tuple, one alternative index per
@@ -38,188 +57,42 @@ where one of the two reports ``FuelExhausted``.
 
 from __future__ import annotations
 
+import functools
+
 from . import lang
-from .interp import MAX_CALL_DEPTH, Bounds, TupleVal, evaluate
+from .interp import MAX_CALL_DEPTH, Bounds, evaluate
+from .runtime import Fault, helpers
 from .tilde import ChoiceSite, TildeProgram, instantiate
 
-
-class Fault(Exception):
-    """A compiled run faulted; ``kind`` is one of ``interp.FAULT_KINDS``."""
-
-    def __init__(self, kind: str):
-        super().__init__(kind)
-        self.kind = kind
-
-
-def same(a, b) -> bool:
-    """``interp.values_equal``: equal values of identical runtime types, so
-    ``True`` differs from ``1`` and a list from a tuple."""
-    if type(a) is not type(b) or a != b:
-        return False
-    if type(a) is int or type(a) is bool:
-        return True
-    return all(map(same, a, b))
-
-
+# the helper that checks each operation where its operands are not proven
 _ARITH = {"+": "_add", "-": "_sub", "*": "_mul", "/": "_div", "**": "_pow"}
 _COMPARE = {"==": "_eq", "!=": "_ne", "<": "_lt", ">": "_gt", "<=": "_le", ">=": "_ge"}
 
 
-def _runtime(bounds: Bounds) -> dict:
-    """The helpers compiled code calls, for one integer width.  Each checks
-    its operands' runtime types as the tree-walker does."""
-    half = 1 << (bounds.int_bits - 1)
-    mask = (1 << bounds.int_bits) - 1
-
-    def mismatch(*_evaluated):
-        raise Fault("TypeMismatch")
-
-    def seq(v):
-        if type(v) is tuple or type(v) is TupleVal:
-            return v
-        raise Fault("TypeMismatch")
-
-    def lst(v):
-        if type(v) is tuple:
-            return v
-        raise Fault("TypeMismatch")
-
-    def boolean(v):
-        if v is True or v is False:
-            return v
-        raise Fault("TypeMismatch")
-
-    def ints(a, b):
-        if type(a) is not int or type(b) is not int:
-            raise Fault("TypeMismatch")
-
-    def index(s, i):
-        if type(i) is not int:
-            raise Fault("TypeMismatch")
-        if 0 <= i < len(s):
-            return s[i]
-        raise Fault("IndexOutOfRange")
-
-    def store(s, i, v):
-        if type(i) is not int:
-            raise Fault("TypeMismatch")
-        if 0 <= i < len(s):
-            return s[:i] + (v,) + s[i + 1 :]
-        raise Fault("IndexOutOfRange")
-
-    def slice_(s, lo, hi):
-        n = len(s)
-        lo = 0 if lo is None else lo
-        hi = n if hi is None else hi
-        ints(lo, hi)
-        lo = max(0, min(n, lo))
-        hi = max(0, min(n, hi))
-        out = s[lo:hi] if lo < hi else ()
-        return TupleVal(out) if type(s) is TupleVal else tuple(out)
-
-    def add(a, b):
-        if type(a) is int and type(b) is int:
-            return ((a + b + half) & mask) - half
-        if type(a) is tuple and type(b) is tuple:
-            return a + b
-        if type(a) is TupleVal and type(b) is TupleVal:
-            return TupleVal(a + b)
-        raise Fault("TypeMismatch")
-
-    def sub(a, b):
-        ints(a, b)
-        return ((a - b + half) & mask) - half
-
-    def mul(a, b):
-        ints(a, b)
-        return ((a * b + half) & mask) - half
-
-    def div(a, b):
-        ints(a, b)
-        if b == 0:
-            raise Fault("DivByZero")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return ((q + half) & mask) - half
-
-    def pow_(a, b):
-        ints(a, b)
-        if b < 0:
-            raise Fault("TypeMismatch")
-        return ((pow(a, b, mask + 1) + half) & mask) - half
-
-    def eq(a, b):
-        if type(a) is not type(b):
-            raise Fault("TypeMismatch")
-        return same(a, b)
-
-    def ne(a, b):
-        return not eq(a, b)
-
-    def lt(a, b):
-        ints(a, b)
-        return a < b
-
-    def gt(a, b):
-        ints(a, b)
-        return a > b
-
-    def le(a, b):
-        ints(a, b)
-        return a <= b
-
-    def ge(a, b):
-        ints(a, b)
-        return a >= b
-
-    def length(v):
-        return ((len(seq(v)) + half) & mask) - half
-
-    def range_(*args):
-        for a in args:
-            if type(a) is not int:
-                raise Fault("TypeMismatch")
-        if len(args) == 1:
-            lo, hi, step = 0, args[0], 1
-        elif len(args) == 2:
-            lo, hi, step = args[0], args[1], 1
-        else:
-            lo, hi, step = args
-        if step < 1:
-            raise Fault("TypeMismatch")
-        return tuple(range(lo, hi, step))
-
-    return {
-        "Fault": Fault, "_mismatch": mismatch, "_seq": seq, "_list": lst,
-        "_bool": boolean, "_index": index, "_store": store, "_slice": slice_,
-        "_add": add, "_sub": sub, "_mul": mul, "_div": div, "_pow": pow_,
-        "_eq": eq, "_ne": ne, "_lt": lt, "_gt": gt, "_le": le, "_ge": ge,
-        "_len": length, "_range": range_,
-    }
-
-
 class Compiler:
     """Compiles programs to run under one ``Bounds``.  The runtime helpers
-    are built once here and shared by every program compiled."""
+    (``runtime.helpers``) are built once here and shared by every program
+    compiled."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
-        self.namespace = _runtime(bounds)
+        self.namespace = helpers(bounds)
 
-    def compile(self, program, callees=None):
+    def compile(self, program, callees=None, signature=None):
         """A function ``run(args, picks=())`` from one input (a tuple of
         argument values) to the entry function's value; it raises ``Fault``
         where ``interp.evaluate`` reports a fault.  `program` is a
         ``lang.Program`` or a ``TildeProgram``; for the latter, `picks` is
         the candidate's tuple of alternative indices, one per site.
-        ``callees`` redirects calls as in ``interp``.  A program nested too
-        deeply for Python's compiler runs on the tree-walker behind the same
+        ``callees`` redirects calls as in ``interp``.  With a `signature`
+        (``inputs.Signature``), `run` may only be given inputs of its types,
+        and the entry's parameters take them.  A program nested too deeply
+        for Python's compiler runs on the tree-walker behind the same
         interface."""
         tilde = program if isinstance(program, TildeProgram) else None
         root = program.root if tilde else program
         sites = len(tilde.sites) if tilde else 0
-        source = _Emitter(root, callees or {}, self.bounds, sites).source()
+        source = _Emitter(root, callees or {}, self.bounds, sites, signature).source()
         try:
             code = compile(source, "<autofix>", "exec")
         except (SyntaxError, RecursionError, MemoryError):
@@ -247,20 +120,114 @@ class Compiler:
         return run
 
 
-class _Emitter:
-    """Python source for one program, which may hold choice sites.  Every
-    ``expr``/``stmt`` method returns code together with the static ticks
-    the code is charged."""
+# -- static types --------------------------------------------------------------
+#
+# A type is a string: "int", "bool", "tuple", "[t]" for a list whose elements
+# all have type t, "?" for any value and "" for no value ("[]" holds only the
+# empty list).  "int" and "bool" never merge, so where Python's operators on
+# them differ from the language's (`True == 1`) no operand is proven.
 
-    def __init__(self, program: lang.Program, callees: dict, bounds: Bounds, sites: int):
+_SEM_TYPES = {"int": "int", "bool": "bool", "list_int": "[int]", "tuple_int": "tuple"}
+
+
+def _join(a: str, b: str) -> str:
+    """The least type holding every value of `a` and every value of `b`."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    if a[0] == b[0] == "[":
+        return f"[{_join(a[1:-1], b[1:-1])}]"
+    return "?"
+
+
+def _join_all(types) -> str:
+    return functools.reduce(_join, types, "")
+
+
+def _list_of(t: str) -> str:
+    # lists nest at most three deep, so that the types of a function settle
+    return "[?]" if t.startswith("[[[") else f"[{t}]"
+
+
+def _element(t: str) -> str:
+    return t[1:-1] if t[:1] == "[" else "?"
+
+
+def _is_seq(t: str) -> bool:
+    return t[:1] == "[" or t == "tuple"
+
+
+def _exact(t: str) -> bool:
+    """Python's ``==`` on two values of type `t` is ``same``: no bool meets
+    an int and no tuple a list."""
+    return bool(t) and "?" not in t and "tuple" not in t
+
+
+def _arith_type(op: str, left: str, right: str) -> str:
+    """The type of ``left op right`` when it does not fault."""
+    if op == "+" and left[:1] == right[:1] == "[":
+        return _join(left, right)
+    if op != "+" or "int" in (left, right):
+        return "int"
+    return "tuple" if "tuple" in (left, right) else "?"
+
+
+def _constant(code: str):
+    """The value of emitted code that is an integer literal, or None."""
+    if code[:1] == "(" and code[1:-1].lstrip("-").isdigit():
+        return int(code[1:-1])
+    return None
+
+
+def _slice_end(code: str) -> str:
+    """A slice end for Python: absent, or clamped to 0 unless a constant."""
+    if code == "None":
+        return ""
+    value = _constant(code)
+    return code if value is not None and value >= 0 else f"max(0, {code})"
+
+
+def _calls(name: str, node) -> bool:
+    """Whether `node` calls `name`, in any alternative of its choice sites."""
+    if type(node) is ChoiceSite:
+        return any(_calls(name, alt.payload) for alt in node.alternatives)
+    if type(node) is lang.Call and node.func == name:
+        return True
+    return any(_calls(name, child) for child in lang.children(node))
+
+
+class _Emitter:
+    """Python source for one program, which may hold choice sites.  An
+    expression compiles to its code, the static ticks the code is charged
+    and the code's static type."""
+
+    def __init__(self, program: lang.Program, callees: dict, bounds: Bounds, sites: int,
+                 signature=None):
         self.program = program
         self.callees = callees
         self.bounds = bounds
         self.sites = sites
+        self.half = 1 << (bounds.int_bits - 1)
+        self.mask = (1 << bounds.int_bits) - 1
         self.lines = []
         self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
         self.pending = []  # reachable functions not yet emitted
+        self.entry_types = self.parameter_types(signature)
+        self.vars = {}  # variable of the function being emitted -> type
+        self.changed = False  # whether a store widened a variable's type
+
+    def parameter_types(self, signature):
+        """The entry's parameter types, which the inputs are drawn from; None
+        without a signature or when any call may reach the entry."""
+        entry = self.program.entry_func()
+        if signature is None or signature.arity() != len(entry.params):
+            return None
+        for func in self.program.functions + list(self.callees.values()):
+            if _calls(entry.name, func.body):
+                return None
+        return [_SEM_TYPES[sem] for _, sem in signature.params]
 
     def source(self) -> str:
         entry = self.program.entry_func()
@@ -311,18 +278,55 @@ class _Emitter:
         return program.func(name)
 
     def function(self, func: lang.FuncDef):
+        """One ``def``, emitted until no store widens a variable's type: the
+        code kept was emitted with every variable's final type."""
         # like dict(zip(params, args)): a repeated parameter takes the last argument
         params = [
             f"v_{p}" if p not in func.params[i + 1 :] else f"_unused{i}"
             for i, p in enumerate(func.params)
         ]
-        emit = self.lines.append
-        emit(f"    def {self.func_name(func)}({', '.join(params + ['_d'])}):")
-        emit("        nonlocal _fuel")
-        emit(f"        if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
-        emit("            raise Fault('FuelExhausted')")
-        self.block(func.body, 2)
-        emit("        raise Fault('NoReturn')")
+        types = self.entry_types if func is self.program.entry_func() else None
+        self.vars = dict(zip(func.params, types or ["?"] * len(params)))
+        start = len(self.lines)
+        self.changed = True
+        while self.changed:
+            del self.lines[start:]
+            self.changed = False
+            self.emit(1, f"def {self.func_name(func)}({', '.join(params + ['_d'])}):")
+            self.emit(2, "nonlocal _fuel")
+            self.emit(2, f"if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
+            self.emit(3, "raise Fault('FuelExhausted')")
+            self.block(func.body, 2)
+            self.emit(2, "raise Fault('NoReturn')")
+
+    def bind(self, name: str, t: str):
+        """Widen variable `name`'s type to hold a stored value of type `t`."""
+        old = self.vars.get(name, "")
+        new = _join(old, t)
+        if new != old:
+            self.vars[name] = new
+            self.changed = True
+
+    # -- checks the static types leave out -------------------------------------
+
+    def wrap(self, code: str) -> str:
+        """`code`, an int expression, wrapped to the integer width."""
+        return f"(({code} + {self.half} & {self.mask}) - {self.half})"
+
+    def constant(self, value: int) -> str:
+        return f"({((value + self.half) & self.mask) - self.half})"
+
+    @staticmethod
+    def test(code: str, t: str) -> str:
+        return code if t == "bool" else f"_bool({code})"
+
+    @staticmethod
+    def seq(code: str, t: str) -> str:
+        return code if _is_seq(t) else f"_seq({code})"
+
+    def lst(self, name: str) -> str:
+        code = f"v_{name}"
+        return code if self.vars.get(name, "")[:1] == "[" else f"_list({code})"
 
     # -- choice sites --------------------------------------------------------
 
@@ -336,14 +340,14 @@ class _Emitter:
 
     def choose(self, site: ChoiceSite, compiled: list):
         """An expression site as a conditional expression over its
-        alternatives' (code, ticks); the least ticks are static, each
+        alternatives' (code, ticks, type); the least ticks are static, each
         alternative charges the rest when it runs."""
-        low = min(ticks for _, ticks in compiled)
+        low = min(ticks for _, ticks, _ in compiled)
         pick = f"_s{site.site_id}"
-        chain = self.charged(*compiled[-1], low)
+        chain = self.charged(*compiled[-1][:2], low)
         for i in reversed(range(len(compiled) - 1)):
-            chain = f"{self.charged(*compiled[i], low)} if {pick} == {i} else {chain}"
-        return f"({chain})", low
+            chain = f"{self.charged(*compiled[i][:2], low)} if {pick} == {i} else {chain}"
+        return f"({chain})", low, _join_all(t for _, _, t in compiled)
 
     def charged(self, code: str, ticks: int, static: int = 0) -> str:
         """`code`, charged its ticks beyond `static` when it runs."""
@@ -388,52 +392,53 @@ class _Emitter:
             for header, alt in self.branches(stmt):
                 self.emit(depth, header)
                 self.block(alt.payload, depth + 1)
-        elif cls is lang.Assign:
-            value, ticks = self.expr(stmt.value)
-            lines, store_ticks = self.store(stmt.target, value)
+        elif cls is lang.Assign or cls is lang.AugAssign:
+            if cls is lang.AugAssign:
+                current, rhs = self.expr(stmt.target), self.expr(stmt.value)
+                value, t = self.arith(stmt.op, current, rhs)
+                ticks = current[1] + rhs[1]
+            else:
+                value, ticks, t = self.expr(stmt.value)
+            lines, store_ticks = self.store(stmt.target, value, t)
             self.charge(depth, 1 + ticks + store_ticks)
-            for line in lines:
-                self.emit(depth, line)
-        elif cls is lang.AugAssign:
-            current, ticks = self.expr(stmt.target)
-            rhs, rhs_ticks = self.expr(stmt.value)
-            helper = self.operator(stmt.op, _ARITH)
-            lines, store_ticks = self.store(stmt.target, f"{helper}({current}, {rhs})")
-            self.charge(depth, 1 + ticks + rhs_ticks + store_ticks)
             for line in lines:
                 self.emit(depth, line)
         elif cls is lang.MethodCall:
             if stmt.method != "append" or len(stmt.args) != 1:
                 raise ValueError(f"cannot compile method call {stmt!r}")
-            arg, ticks = self.expr(stmt.args[0])
+            arg, ticks, t = self.expr(stmt.args[0])
             self.charge(depth, 1 + ticks)
-            self.emit(depth, f"v_{stmt.obj} = _list(v_{stmt.obj}) + ({arg},)")
+            self.emit(depth, f"v_{stmt.obj} = {self.lst(stmt.obj)} + ({arg},)")
+            self.bind(stmt.obj, _list_of(t))
         elif cls is lang.If:
-            cond, ticks = self.expr(stmt.cond)
+            cond, ticks, t = self.expr(stmt.cond)
             self.charge(depth, 1 + ticks)
-            self.emit(depth, f"if _bool({cond}):")
+            self.emit(depth, f"if {self.test(cond, t)}:")
             self.block(stmt.then_body, depth + 1)
             if stmt.else_body:
                 self.emit(depth, "else:")
                 self.block(stmt.else_body, depth + 1)
         elif cls is lang.While:
-            cond, ticks = self.expr(stmt.cond)
+            cond, ticks, t = self.expr(stmt.cond)
             self.charge(depth, 1)
             self.emit(depth, "while True:")
             self.charge(depth + 1, 1 + ticks)
             self.check_fuel(depth + 1)
-            self.emit(depth + 1, f"if not _bool({cond}):")
+            self.emit(depth + 1, f"if not {self.test(cond, t)}:")
             self.emit(depth + 2, "break")
             self.block(stmt.body, depth + 1)
         elif cls is lang.ForIn:
-            iterable, ticks = self.expr(stmt.iterable)
+            iterable, ticks, t = self.expr(stmt.iterable)
             self.charge(depth, 1 + ticks)
-            self.emit(depth, f"for v_{stmt.var} in _seq({iterable}):")
+            if iterable.startswith("tuple(range("):  # iterate the range itself
+                iterable = iterable[len("tuple(") : -1]
+            self.emit(depth, f"for v_{stmt.var} in {self.seq(iterable, t)}:")
+            self.bind(stmt.var, _element(t))
             self.charge(depth + 1, 1)
             self.check_fuel(depth + 1)
             self.block(stmt.body, depth + 1)
         elif cls is lang.Return:
-            value, ticks = self.expr(stmt.value)
+            value, ticks, _ = self.expr(stmt.value)
             self.charge(depth, 1 + ticks)
             self.emit(depth, f"return {value}")
         elif cls is lang.Pass:
@@ -441,11 +446,11 @@ class _Emitter:
         else:
             raise TypeError(f"cannot compile {stmt!r}")
 
-    def store(self, target, value: str):
-        """Lines that store `value` into `target`, and the ticks they add.
-        An indexed store rebinds the variable to an updated copy.  Where a
-        site picks the variable stored to, `value` is computed once and
-        each alternative stores it."""
+    def store(self, target, value: str, t: str):
+        """Lines that store `value`, of type `t`, into `target`, and the
+        ticks they add.  An indexed store rebinds the variable to an updated
+        copy.  Where a site picks the variable stored to, `value` is
+        computed once and each alternative stores it."""
         site = None
         if type(target) is ChoiceSite:
             site, targets = target, [alt.payload for alt in target.alternatives]
@@ -453,7 +458,7 @@ class _Emitter:
             site = target.base
             targets = [lang.Index(alt.payload, target.index) for alt in site.alternatives]
         if site is not None:
-            stores = [self.store(t, "_v") for t in targets]
+            stores = [self.store(each, "_v", t) for each in targets]
             low = min(ticks for _, ticks in stores)
             lines = [f"_v = {value}"]
             for (header, _), (alt_lines, ticks) in zip(self.branches(site), stores):
@@ -463,11 +468,14 @@ class _Emitter:
                 lines += ["    " + line for line in alt_lines]
             return lines, low
         if type(target) is lang.Var:
+            self.bind(target.name, t)
             return [f"v_{target.name} = {value}"], 0
         if type(target) is lang.Index and type(target.base) is lang.Var:
-            index, ticks = self.expr(target.index)
-            name = f"v_{target.base.name}"
-            return [f"_t = {value}", f"{name} = _store(_list({name}), {index}, _t)"], ticks
+            index, ticks, _ = self.expr(target.index)
+            name = target.base.name
+            lines = [f"_t = {value}", f"v_{name} = _store({self.lst(name)}, {index}, _t)"]
+            self.bind(name, _list_of(t))
+            return lines, ticks
         return [f"_mismatch({value})"], 0
 
     # -- expressions ---------------------------------------------------------
@@ -477,68 +485,122 @@ class _Emitter:
         if cls is ChoiceSite:
             return self.choose(node, [self.expr(alt.payload) for alt in node.alternatives])
         if cls is lang.IntLit:
-            half = 1 << (self.bounds.int_bits - 1)
-            mask = (1 << self.bounds.int_bits) - 1
-            return f"({((node.value + half) & mask) - half})", 1
+            return self.constant(node.value), 1, "int"
         if cls is lang.BoolLit:
-            return ("True" if node.value else "False"), 1
+            return ("True" if node.value else "False"), 1, "bool"
         if cls is lang.Var:
-            return f"v_{node.name}", 1
+            return f"v_{node.name}", 1, self.vars.get(node.name, "")
         if cls is lang.ListLit:
-            code, ticks = self.exprs(node.elements)
-            return f"({code}{',' if len(node.elements) == 1 else ''})", 1 + ticks
+            code, ticks, types = self.exprs(node.elements)
+            comma = "," if len(node.elements) == 1 else ""
+            return f"({code}{comma})", 1 + ticks, _list_of(_join_all(types))
         if cls is lang.Index:
-            base, base_ticks = self.expr(node.base)
-            index, ticks = self.expr(node.index)
-            return f"_index(_seq({base}), {index})", 1 + base_ticks + ticks
+            base, base_ticks, t = self.expr(node.base)
+            index, ticks, index_type = self.expr(node.index)
+            ticks += 1 + base_ticks
+            if not _is_seq(t):
+                return f"_index(_seq({base}), {index})", ticks, "?"
+            if index_type == "int" and all(c.isidentifier() or _constant(c) is not None
+                                           for c in (base, index)):
+                code = f"({base}[{index}] if 0 <= {index} < len({base}) else _out_of_range())"
+            else:
+                code = f"_index({base}, {index})"
+            return code, ticks, _element(t)
         if cls is lang.Slice:
-            base, ticks = self.expr(node.base)
-            ends = []
+            base, ticks, t = self.expr(node.base)
+            ends, end_types = [], []
             for end in (node.lo, node.hi):
-                code, end_ticks = ("None", 0) if end is None else self.expr(end)
+                code, end_ticks, end_type = ("None", 0, "int") if end is None else self.expr(end)
                 ends.append(code)
+                end_types.append(end_type)
                 ticks += end_ticks
-            return f"_slice(_seq({base}), {ends[0]}, {ends[1]})", 1 + ticks
+            if t[:1] == "[" and end_types == ["int", "int"]:
+                # Python's slice of a list, once negative ends are clamped to 0
+                lo, hi = map(_slice_end, ends)
+                return f"{base}[{lo}:{hi}]", 1 + ticks, t
+            code = f"_slice({self.seq(base, t)}, {ends[0]}, {ends[1]})"
+            return code, 1 + ticks, t if _is_seq(t) else "?"
         if cls is lang.BinOp or cls is lang.Compare:
-            helper = self.operator(node.op, _ARITH if cls is lang.BinOp else _COMPARE)
-            code, ticks = self.exprs([node.left, node.right])
-            return f"{helper}({code})", 1 + ticks
+            left, right = self.expr(node.left), self.expr(node.right)
+            code, t = (self.arith if cls is lang.BinOp else self.compare)(node.op, left, right)
+            return code, 1 + left[1] + right[1], t
         if cls is lang.BoolOp:
-            left, ticks = self.expr(node.left)
-            right = self.lazy(node.right)
+            left, ticks, t = self.expr(node.left)
+            left = self.test(left, t)
+            right = self.test(*self.lazy(node.right))
             if type(node.op) is not ChoiceSite:
-                return f"(_bool({left}) {node.op} _bool({right}))", 1 + ticks
+                return f"({left} {node.op} {right})", 1 + ticks, "bool"
             # one conditional expression per operator; `left` runs once
-            code, _ = self.choose(
-                node.op, [(f"(_bool({left}) {alt.payload} _bool({right}))", 0)
+            code, _, _ = self.choose(
+                node.op, [(f"({left} {alt.payload} {right})", 0, "bool")
                           for alt in node.op.alternatives]
             )
-            return code, 1 + ticks
+            return code, 1 + ticks, "bool"
         if cls is lang.Not:
-            operand, ticks = self.expr(node.operand)
-            return f"(not _bool({operand}))", 1 + ticks
+            operand, ticks, t = self.expr(node.operand)
+            return f"(not {self.test(operand, t)})", 1 + ticks, "bool"
         if cls is lang.CondExpr:
-            cond, ticks = self.expr(node.cond)
-            body, orelse = self.lazy(node.body), self.lazy(node.orelse)
-            return f"({body} if _bool({cond}) else {orelse})", 1 + ticks
+            cond, ticks, t = self.expr(node.cond)
+            (body, body_type), (orelse, orelse_type) = self.lazy(node.body), self.lazy(node.orelse)
+            code = f"({body} if {self.test(cond, t)} else {orelse})"
+            return code, 1 + ticks, _join(body_type, orelse_type)
         if cls is lang.Call:
             return self.call(node)
         raise TypeError(f"cannot compile {node!r}")
 
     def exprs(self, nodes: list):
+        """Comma-separated code, summed ticks and the types of `nodes`."""
         compiled = [self.expr(n) for n in nodes]
-        return ", ".join(c for c, _ in compiled), sum(t for _, t in compiled)
+        return (", ".join(c for c, _, _ in compiled), sum(t for _, t, _ in compiled),
+                [t for _, _, t in compiled])
 
-    def lazy(self, node) -> str:
-        """`node`, charged its ticks only when it runs."""
-        return self.charged(*self.expr(node))
+    def lazy(self, node):
+        """`node`, charged its ticks only when it runs, and its type."""
+        code, ticks, t = self.expr(node)
+        return self.charged(code, ticks), t
+
+    def arith(self, op, left, right):
+        """Code and type of ``left op right``; inline where the operands'
+        types make the helper's checks pass, constants folded."""
+        (a, _, left_type), (b, _, right_type) = left, right
+        if type(op) is ChoiceSite:
+            t = _join_all(_arith_type(alt.payload, left_type, right_type)
+                          for alt in op.alternatives)
+            return f"{self.operator(op, _ARITH)}({a}, {b})", t
+        if op in ("+", "-", "*"):
+            x, y = _constant(a), _constant(b)
+            if x is not None and y is not None:
+                value = x + y if op == "+" else x - y if op == "-" else x * y
+                return self.constant(value), "int"
+            if left_type == right_type == "int":
+                return self.wrap(f"{a} {op} {b}"), "int"
+        if op == "+" and left_type[:1] == right_type[:1] == "[":
+            return f"({a} + {b})", _join(left_type, right_type)
+        return f"{_ARITH[op]}({a}, {b})", _arith_type(op, left_type, right_type)
+
+    def compare(self, op, left, right):
+        """Code and type of ``left op right``: plain Python on two ints, and
+        ``==``/``!=`` on two values of one exact type."""
+        (a, _, left_type), (b, _, right_type) = left, right
+        if type(op) is not ChoiceSite and left_type == right_type and (
+            left_type == "int" or op in ("==", "!=") and _exact(left_type)
+        ):
+            return f"({a} {op} {b})", "bool"
+        return f"{self.operator(op, _COMPARE)}({a}, {b})", "bool"
 
     def call(self, node: lang.Call):
-        args, ticks = self.exprs(node.args)
+        args, ticks, types = self.exprs(node.args)
+        ticks += 1
         callee = self.resolve(node.func)
-        if isinstance(callee, str):  # a builtin
-            return f"_{callee}({args})", 1 + ticks
+        if callee == "len":
+            if len(types) == 1 and _is_seq(types[0]):
+                return self.wrap(f"len({args})"), ticks, "int"
+            return f"_len({args})", ticks, "int"
+        if callee == "range":  # the 3-argument form checks its step
+            if len(types) in (1, 2) and all(t == "int" for t in types):
+                return f"tuple(range({args}))", ticks, "[int]"
+            return f"_range({args})", ticks, "[int]"
         if callee is None or len(node.args) != len(callee.params):
-            return f"_mismatch({args})", 1 + ticks
+            return f"_mismatch({args})", ticks, "?"
         sep = ", " if args else ""
-        return f"{self.func_name(callee)}({args}{sep}_d + 1)", 1 + ticks
+        return f"{self.func_name(callee)}({args}{sep}_d + 1)", ticks, "?"

@@ -9,8 +9,6 @@ are rendered.
 
 from __future__ import annotations
 
-import json
-
 from . import lang
 from .printer import pretty_expr, pretty_stmt
 from .search import RepairResult
@@ -144,6 +142,8 @@ def render_feedback(report: FeedbackReport, level: int = 4, format: str = "text"
     if not 1 <= level <= 4:
         raise ValueError("level must be in 1..4")
     if format == "json":
+        import json  # only here: text is the default output
+
         doc = {
             "verdict": report.verdict,
             "cost": report.cost,

@@ -13,6 +13,9 @@ from .lexer import SourceError, Token, tokenize
 
 BUILTIN_FUNCS = {"len": (1, 1), "range": (1, 3)}
 LIST_METHODS = {"append": (1, 1)}
+# statement blocks nested inside a function body; Python's compiler, which
+# runs programs (``compiler``), nests at most 20 loops
+MAX_BLOCK_DEPTH = 16
 
 
 class Parser:
@@ -20,6 +23,7 @@ class Parser:
         self.tokens = tokens
         self.source = source
         self.pos = 0
+        self.block_depth = -1  # a function body is depth 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -81,6 +85,9 @@ class Parser:
         return lang.FuncDef(name, params, body, self.span_from(start))
 
     def parse_block(self) -> list:
+        self.block_depth += 1
+        if self.block_depth > MAX_BLOCK_DEPTH:
+            raise self.error("nested too deeply")  # at the block's colon
         self.expect("OP", ":")
         self.expect("NEWLINE")
         self.expect("INDENT")
@@ -88,6 +95,7 @@ class Parser:
         while not self.at("DEDENT"):
             body.append(self.parse_stmt())
         self.expect("DEDENT")
+        self.block_depth -= 1
         return body
 
     # -- statements ----------------------------------------------------------

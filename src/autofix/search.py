@@ -13,10 +13,11 @@ from __future__ import annotations
 import time
 
 from . import lang
-from .compiler import Compiler, Fault, same
+from .compiler import Compiler
 from .inputs import Signature, enumerate_inputs, parse_signature
 from .interp import Bounds
 from .printer import pretty_program
+from .runtime import Fault, same
 from .tilde import TildeProgram, enumerate_candidates, instantiate, pick_tuple
 
 
@@ -73,7 +74,7 @@ class ReferenceOracle:
         self.signature = signature or parse_signature(reference.entry_func())
         self.inputs = list(enumerate_inputs(self.signature, bounds))
         self._compiler = Compiler(bounds)
-        run = self._compiler.compile(reference)
+        run = self.compile(reference)
         self.values = []
         for inp in self.inputs:
             try:
@@ -82,8 +83,9 @@ class ReferenceOracle:
                 raise ReferenceFault(f"reference faults ({f.kind}) on input {inp!r}") from None
 
     def compile(self, program, callees=None):
-        """``Compiler.compile`` under this oracle's bounds."""
-        return self._compiler.compile(program, callees)
+        """``Compiler.compile`` under this oracle's bounds and signature: the
+        runner is only ever given this oracle's inputs."""
+        return self._compiler.compile(program, callees, self.signature)
 
     def first_mismatch(self, run, picks=(), budget=None):
         """Index of the first input where the candidate `picks` of the

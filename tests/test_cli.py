@@ -270,6 +270,38 @@ def test_lists_longer_than_the_largest_int_exit_3_with_one_line(mode):
     assert proc.stderr == "autofix: --max-list 4 exceeds 3, the largest integer at --int-bits 3\n"
 
 
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_input_space_past_max_inputs_exits_3_with_one_line(monkeypatch, capsys, mode):
+    # 4.3e9 inputs: the guard must stop the run before any is enumerated
+    def never(*args, **kwargs):
+        raise AssertionError("the input space was enumerated")
+
+    monkeypatch.setattr(cli, "ReferenceOracle", never)
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    assert cli.main(args + ["--int-bits", "8", "--max-list", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "autofix: 4,311,810,305 inputs at --int-bits 8 --max-list 4"
+        " exceed --max-inputs 2,000,000\n"
+    )
+    assert cli.main(args + ["--max-inputs", "100"]) == 3
+    assert capsys.readouterr().err == (
+        "autofix: 585 inputs at --int-bits 3 --max-list 3 exceed --max-inputs 100\n"
+    )
+
+
+def test_too_deeply_nested_blocks_exit_3_with_one_line(tmp_path):
+    lines = ["def computeDeriv_list_int(poly_list_int):"]
+    lines += ["    " * (d + 1) + "while len(poly_list_int) > 0:" for d in range(17)]
+    lines += ["    " * 18 + "poly_list_int = []", "    return poly_list_int", ""]
+    student = tmp_path / "deep.imp"
+    student.write_text("\n".join(lines))
+    proc = run_cli(*deriv_args(str(student)))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("autofix: line 18, col ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(": nested too deeply\n")
+
+
 @pytest.mark.parametrize("bad", ["{neww}", "{", "}", "{0}"])
 @pytest.mark.parametrize("mode", ["single", "corpus"])
 def test_malformed_msg_template_exits_3_with_one_line(tmp_path, bad, mode):
@@ -285,8 +317,9 @@ def test_malformed_msg_template_exits_3_with_one_line(tmp_path, bad, mode):
 
 
 def test_cli_import_leaves_out_the_costly_modules():
-    # a process pool only for --jobs > 1, statistics only for --timing
-    costly = ["dataclasses", "concurrent.futures", "multiprocessing", "statistics"]
+    # a process pool only for --jobs > 1, statistics only for --timing,
+    # json only for --format json
+    costly = ["dataclasses", "concurrent.futures", "multiprocessing", "statistics", "json"]
     code = f"import sys, autofix.cli; print([m for m in {costly!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr

@@ -6,7 +6,10 @@ where one side reports FuelExhausted (the compiled code checks its fuel at
 function entry, loop iterations and the end of the run, not at every tick).
 Fuel 25 puts many runs right at the exhaustion boundary.  A choice-site
 program is compiled once and each candidate runs as its pick tuple; the spec
-for a candidate is `instantiate` followed by the tree-walker.
+for a candidate is `instantiate` followed by the tree-walker.  Programs are
+compiled both without and with the signature their inputs are drawn from:
+with it, the entry's parameters have known types and the compiler leaves out
+the checks those types make redundant.
 """
 
 import functools
@@ -19,13 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autofix import lang
-from autofix.compiler import Compiler, Fault, same
+from autofix.compiler import Compiler
 from autofix.eml import parse_eml
+from autofix.inputs import Signature, parse_signature
 from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal, evaluate, values_equal
 from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
+from autofix.runtime import Fault, same
 from autofix.search import ReferenceFault, ReferenceOracle
 from autofix.tilde import (
     Alternative,
@@ -114,16 +119,19 @@ CASES = [
     ("def f_list_int(x_list_int):\n    return [1] + 1 / 0\n", [((1,),)]),
     ("def f_bool(x_int):\n    return x_int and 1 / 0 == 1\n", [(1,)]),
     ("def f_int(x_int):\n    return g(1 / 0)\n\ndef g(a, b):\n    return a\n", [(3,)]),
+    # a helper's parameter holds whatever it is called with
+    ("def f_int(x_int):\n    return g(x_int > 0)\n\ndef g(k):\n    k = k + 1\n    return k\n", [(1,)]),
 ]
 
 
 @pytest.mark.parametrize("source,inputs", CASES)
 def test_hand_written_programs_agree(source, inputs):
     program = parse_imp(source)
+    signature = parse_signature(program.entry_func())
     for compiler in (*COMPILERS.values(), Compiler(Bounds(4, 3, fuel=3))):
-        run = compiler.compile(program)
-        for args in inputs:
-            assert_agree(program, args, compiler, run=run)
+        for run in (compiler.compile(program), compiler.compile(program, signature=signature)):
+            for args in inputs:
+                assert_agree(program, args, compiler, run=run)
 
 
 def test_store_to_a_non_variable_target_faults_type_mismatch():
@@ -206,15 +214,54 @@ def test_callees_reference_redirects_helpers():
     assert redirected((4,)) == -7  # 9 wraps at 4 bits
 
 
+def nested_loops(depth: int) -> lang.Program:
+    """`return x_int + 1` inside `for` loops nested `depth` deep, built by
+    hand: the parser rejects blocks nested deeper than 16."""
+    x = lang.Var("x_int")
+    body = [lang.Return(lang.BinOp(x, "+", lang.IntLit(1)))]
+    for _ in range(depth):
+        body = [lang.ForIn("k", lang.Call("range", [x]), body)]
+    return lang.Program([lang.FuncDef("f_int", ["x_int"], body + [lang.Return(lang.IntLit(0))])],
+                        "f_int")
+
+
 def test_deeply_nested_program_falls_back_to_the_tree_walker():
-    # parses, but its compiled form nests too many parentheses for Python
-    depth = 70
-    source = "def f_bool(x_int):\n    return " + "(x_int < 1 and " * depth + "True" + ")" * depth + "\n"
-    program = parse_imp(source)
+    # past the 20 blocks Python's compiler nests statically
+    program = nested_loops(22)
     compiler = Compiler(Bounds(4, 0))
-    run = compiler.compile(program)
-    for x in (-8, 0, 7):
-        assert_agree(program, (x,), compiler, run=run)
+    for run in (compiler.compile(program),
+                compiler.compile(program, signature=parse_signature(program.entry_func()))):
+        assert not is_compiled(run)
+        for x in (-8, 0, 7):
+            assert_agree(program, (x,), compiler, run=run)
+
+
+def test_deep_expressions_compile():
+    # the deepest `-` and `and` nestings measured to compile before static
+    # types removed checks: inlined operations must not nest deeper
+    minus = parse_imp("def f_int(x_int):\n    return " + "(x_int - " * 85 + "1" + ")" * 85 + "\n")
+    both = parse_imp(
+        "def f_bool(x_int):\n    return " + "(x_int < 1 and " * 60 + "True" + ")" * 60 + "\n"
+    )
+    compiler = COMPILERS[300]
+    for program in (minus, both):
+        signature = parse_signature(program.entry_func())
+        for run in (compiler.compile(program), compiler.compile(program, signature=signature)):
+            assert is_compiled(run)
+            for x in (-8, 0, 1, 7):
+                assert_agree(program, (x,), compiler, run=run)
+
+
+def test_sixteen_nested_loops_compile():
+    source = "def f_int(x_int):\n"
+    for depth in range(16):
+        source += "    " * (depth + 1) + "while x_int > 0:\n"
+    source += "    " * 17 + "x_int -= 1\n    return x_int\n"
+    program = parse_imp(source)
+    run = COMPILERS[300].compile(program)
+    assert is_compiled(run)
+    for x in (-3, 0, 3):
+        assert_agree(program, (x,), COMPILERS[300], run=run)
 
 
 # -- generated programs ------------------------------------------------------
@@ -319,13 +366,19 @@ programs = st.builds(
 )
 
 
+# the types INPUTS are drawn from
+SIGNATURE = Signature("f", (("xs", "list_int"), ("n", "int")), "int")
+
+
 @given(programs)
 @settings(max_examples=200, deadline=None)
 def test_generated_programs_agree(program):
     for compiler in COMPILERS.values():
-        run = compiler.compile(program)
+        runs = [compiler.compile(program), compiler.compile(program, signature=SIGNATURE)]
         for args in INPUTS:
-            assert_agree(program, args, compiler, run=run)
+            want = evaluate(program, args, compiler.bounds)
+            for run in runs:
+                assert_agree(program, args, compiler, run=run, want=want)
 
 
 # -- every small candidate of the bundled models -----------------------------
@@ -357,14 +410,18 @@ def is_compiled(run) -> bool:
 FUEL_SWEEP = {fuel: Compiler(Bounds(4, 3, fuel=fuel)) for fuel in range(1, 90)}
 
 
-def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compilers=COMPILERS):
+def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compilers=COMPILERS,
+                            signatures=(None,)):
     """Every candidate of `tilde` up to `max_cost`, run as its pick tuple
-    of the choice-site program compiled once per fuel, agrees with its
-    instantiated program on the tree-walker.  The search's `active` and
-    `cost` (the assignment's items and the enumerated cost) equal
-    `instantiate`'s.  Returns (cases, fuel-only disagreements, candidates)."""
-    runs = {fuel: compiler.compile(tilde, callees) for fuel, compiler in compilers.items()}
-    assert all(map(is_compiled, runs.values()))
+    of the choice-site program compiled once per fuel and per signature in
+    `signatures`, agrees with its instantiated program on the tree-walker.
+    The search's `active` and `cost` (the assignment's items and the
+    enumerated cost) equal `instantiate`'s.  Returns (cases, fuel-only
+    disagreements, candidates); a case is a candidate, fuel and input, run
+    once per signature."""
+    runs = {fuel: [compiler.compile(tilde, callees, sig) for sig in signatures]
+            for fuel, compiler in compilers.items()}
+    assert all(is_compiled(run) for each in runs.values() for run in each)
     spec = {}  # (tree key, fuel, input) -> tree-walker result
     cases = fuel_disagreements = candidates = 0
     for assignment, cost in enumerate_candidates(tilde, max_cost):
@@ -379,8 +436,10 @@ def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compiler
                     want = spec[key, fuel, args] = evaluate(
                         candidate.program, args, compiler.bounds, callees)
                 cases += 1
-                fuel_disagreements += assert_agree(
-                    candidate.program, args, compiler, run=runs[fuel], picks=picks, want=want)
+                fuel_disagreements += max([
+                    assert_agree(candidate.program, args, compiler, run=run, picks=picks, want=want)
+                    for run in runs[fuel]
+                ])
     return cases, fuel_disagreements, candidates
 
 
@@ -388,7 +447,9 @@ def test_bundled_candidates_up_to_cost_2_agree():
     cases = fuel_disagreements = 0
     for name, model, program in bundled_programs():
         tilde = rewrite(program, model)
-        more, fuel_only, _ = assert_candidates_agree(tilde, CANDIDATE_INPUTS, 2)
+        signatures = (None, parse_signature(program.entry_func()))
+        more, fuel_only, _ = assert_candidates_agree(tilde, CANDIDATE_INPUTS, 2,
+                                                     signatures=signatures)
         cases += more
         fuel_disagreements += fuel_only
         texts = {}  # printed text -> structural key
@@ -507,10 +568,8 @@ def test_spliced_statement_lists_agree():
 
 
 def test_too_deep_choice_site_program_falls_back_to_instantiate():
-    depth = 70
-    source = "def f_bool(x_int):\n    return " + "(x_int < 1 and " * depth + "True" + ")" * depth + "\n"
-    tilde = rewrite(parse_imp(source), parse_eml("rule LitF: 1 -> {2, 0}\n"))
-    assert len(tilde.sites) == depth
+    tilde = rewrite(nested_loops(22), parse_eml("rule LitF: 1 -> {2, 0}\n"))
+    assert len(tilde.sites) == 1
     run = COMPILERS[300].compile(tilde)
     assert not is_compiled(run)
     inputs = [(x,) for x in (-8, 0, 1, 7)]
@@ -518,6 +577,180 @@ def test_too_deep_choice_site_program_falls_back_to_instantiate():
         program = instantiate(tilde, assignment).program
         for args in inputs:
             assert_agree(program, args, COMPILERS[300], run=run, picks=pick_tuple(tilde, assignment))
+
+
+# -- ill-typed programs ------------------------------------------------------
+#
+# The compiler leaves out a check only where it has proven the operand's
+# type.  These programs give it every chance to prove one wrongly: an int
+# variable is sometimes given a bool or a list, lists mix ints and bools,
+# bools meet arithmetic and ordering, the alternatives of a choice site
+# differ in type, and the entry is called with arguments outside its
+# signature, by itself or by a reference helper.  A wrong proof shows as a
+# value where the spec faults, or as a Python error.
+
+
+def mixed_site(kind: str, default, others: list) -> ChoiceSite:
+    """A site of `kind` that keeps `default` or picks one of `others`."""
+    alternatives = [Alternative(default)] + [Alternative(o, "Mix", 1) for o in others]
+    return ChoiceSite(kind, lang.NO_SPAN, lang.NO_SPAN, alternatives)
+
+
+@functools.lru_cache(maxsize=None)
+def ill_typed(depth: int):
+    """Expressions that combine values of any type: bools in arithmetic and
+    ordering, lists that mix ints and bools, and sites whose alternatives
+    differ in type."""
+    leaves = st.one_of(
+        st.integers(-9, 9).map(lang.IntLit),
+        st.booleans().map(lang.BoolLit),
+        st.sampled_from(INT_VARS + LIST_VARS + (ANY_VAR,)).map(lang.Var),
+    )
+    if depth == 0:
+        return leaves
+    inner = leaves | ill_typed(depth - 1)  # leaves often, so that fewer runs fault early
+    return st.one_of(
+        leaves,
+        st.lists(inner, min_size=1, max_size=3).map(lang.ListLit),
+        st.builds(lang.BinOp, inner, st.sampled_from(lang.ARITH_OPS), inner),
+        st.builds(lang.Compare, inner, st.sampled_from(lang.COMPARE_OPS), inner),
+        st.builds(lang.Index, inner, inner),
+        inner.map(lambda x: lang.Call("len", [x])),
+        st.builds(mixed_site, st.just("expr"), inner, st.lists(inner, min_size=1, max_size=2)),
+    )
+
+
+def ill_typed_steps(name: str):
+    """Statements that break the type variable `name`'s own name suggests
+    (an int for INT_VARS, a list of ints for LIST_VARS), each followed by a
+    read of `name` whose checks a proven type would leave out."""
+    var = lang.Var(name)
+    i, l = exprs("int", 0), exprs("list", 0)
+    b = st.booleans().map(lang.BoolLit) | exprs("bool", 1)
+    # the alternatives of a site: ints and one bool or list, in any order
+    mixed = st.builds(lambda bad, ints, at: ints[:at] + [bad] + ints[at:],
+                      b | l, st.lists(i, min_size=1, max_size=2), st.integers(0, 2))
+    if name in INT_VARS:
+        ill = st.one_of(
+            st.builds(lang.Assign, st.just(var), b | l),
+            st.builds(lang.AugAssign, st.just(var), st.sampled_from("+-*/"), b),
+            mixed.map(lambda alts: lang.Assign(var, mixed_site("expr", alts[0], alts[1:]))),
+            mixed.map(lambda alts: mixed_site("stmt", lang.Assign(var, alts[0]),
+                                              [lang.Assign(var, a) for a in alts[1:]])),
+        )
+        read = st.one_of(
+            st.builds(lang.BinOp, st.just(var), st.sampled_from(("+", "-", "*")), i),
+            st.builds(lang.BinOp, mixed.map(lambda alts: mixed_site("expr", alts[0], alts[1:])),
+                      st.sampled_from(("+", "-", "*")), st.just(var)),
+            st.builds(lang.Compare, st.just(var), st.sampled_from(lang.COMPARE_OPS), i),
+            st.builds(lang.Index, st.just(lang.Var("xs")), st.just(var)),
+            st.builds(lambda y: lang.Call("range", [var, y]), i),
+        )
+    else:
+        ill = st.one_of(
+            st.builds(lang.Assign, st.just(var),
+                      st.lists(i | b, min_size=1, max_size=3).map(lang.ListLit)),
+            st.builds(lang.Assign, st.builds(lang.Index, st.just(var), i), b),
+            st.builds(lang.MethodCall, st.just(name), st.just("append"), b.map(lambda x: [x])),
+        )
+        read = st.one_of(
+            st.builds(lang.BinOp, st.builds(lang.Index, st.just(var), i), st.just("+"), i),
+            st.builds(lang.Compare, st.just(var), st.sampled_from(["==", "!="]), l),
+            st.just(lang.Call("len", [var])),
+        )
+    # the entry called with arguments outside its signature, or a helper
+    # that a reference may redirect to the entry
+    leaf = i | b | l
+    call = st.builds(lambda f, x, y: lang.Assign(lang.Var(ANY_VAR), lang.Call(f, [x, y])),
+                     st.sampled_from("fg"), leaf, leaf)
+    return st.builds(lambda stmts, r: stmts + [lang.Assign(lang.Var(ANY_VAR), r)],
+                     st.lists(ill | call, min_size=1, max_size=2), read)
+
+
+# a well-typed body into which ill-typed statements are spliced, so that
+# the variables they leave alone keep a type the compiler can prove
+ill_typed_programs = st.builds(
+    lambda body, ret, helper, helper_ret: lang.Program(
+        [lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)]),
+         lang.FuncDef("g", ["n", "a"], G_PRELUDE + helper + [lang.Return(helper_ret)])],
+        entry="f",
+    ),
+    st.builds(lambda body, ill, at: body[:at] + ill + body[at:], blocks(2),
+              st.one_of(*map(ill_typed_steps, INT_VARS + LIST_VARS)), st.integers(0, 3)),
+    exprs("any", 2) | ill_typed(2), blocks(1), exprs("int", 2),
+)
+
+# with `callees`, `g` is a reference helper that calls the entry back with
+# an int for its list
+REFERENCE_G = lang.FuncDef(
+    "g", ["n", "a"], [lang.Return(lang.Call("f", [lang.Var("a"), lang.Var("n")]))]
+)
+
+
+@given(ill_typed_programs, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ill_typed_programs_agree(program, reference_callees):
+    tilde = TildeProgram(program)
+    number_sites(tilde)
+    callees = {"g": REFERENCE_G} if reference_callees else None
+    assert_candidates_agree(tilde, INPUTS, 1, callees, signatures=(None, SIGNATURE))
+
+
+UNPROVEN = [
+    # an int variable that is sometimes a bool
+    ("def f_int(x_int):\n    y = 1\n    if x_int > 0:\n        y = x_int > 1\n    return y + 1\n",
+     None, [(0,), (1,), (2,)]),
+    # a list of an int and a bool: Python's `(1, 1) == (1, True)` holds
+    ("def f_bool(x_list_int):\n    return x_list_int == [1, 1 > 0]\n", None, [((1, 1),), ((1,),)]),
+    # the entry called with a bool
+    ("def f_int(x_int):\n    if x_int == 0:\n        return f_int(True)\n    return x_int + 1\n",
+     None, [(0,), (1,)]),
+    # choice sites whose alternatives are an int or a bool
+    ("def f_int(x_int):\n    y = 1\n    return y + x_int\n", "rule BoolF: n -> {n + 1, True}\n",
+     [(0,), (3,)]),
+    ("def f_int(x_int):\n    y = 1\n    return y + x_int\n", "rule BoolF: n -> {True, n + 1}\n",
+     [(0,), (3,)]),
+]
+
+
+@pytest.mark.parametrize("source,model,inputs", UNPROVEN)
+def test_unproven_types_keep_their_checks(source, model, inputs):
+    program = parse_imp(source)
+    tilde = rewrite(program, parse_eml(model or ""))
+    signatures = (None, parse_signature(program.entry_func()))
+    assert_candidates_agree(tilde, inputs, callees=None, signatures=signatures)
+
+
+def test_entry_called_back_by_a_reference_helper_keeps_its_checks():
+    # with the reference's `g`, the entry is called with a bool
+    student = parse_imp(
+        "def f_int(x_int):\n    if x_int == 0:\n        return g(x_int)\n    return x_int + 1\n\n"
+        "def g(n):\n    return n\n"
+    )
+    reference = parse_imp("def g(n):\n    return f_int(True)\n\ndef f_int(x_int):\n    return 0\n")
+    callees = {"g": reference.func("g")}
+    tilde = rewrite(student, parse_eml(""))
+    signatures = (None, parse_signature(student.entry_func()))
+    assert_candidates_agree(tilde, [(0,), (1,)], callees=callees, signatures=signatures)
+
+
+def compiled_names(run) -> set:
+    """The global names that the compiled functions behind `run` read,
+    among them the runtime helpers they call."""
+    names = set(run.__code__.co_names)
+    for cell in run.__closure__ or ():
+        code = getattr(cell.cell_contents, "__code__", None)
+        if code is not None:
+            names |= set(code.co_names)
+    return names
+
+
+def test_reference_runs_without_type_checks(deriv_ref, deriv_oracle_w3):
+    checks = {"_seq", "_bool", "_mul", "_len"}
+    typed = deriv_oracle_w3.compile(deriv_ref)
+    assert is_compiled(typed) and not compiled_names(typed) & checks
+    # without the signature only `_bool` goes: a comparison gives a bool
+    assert compiled_names(COMPILERS[300].compile(deriv_ref)) & checks == checks - {"_bool"}
 
 
 # -- the oracle on compiled code ---------------------------------------------

@@ -116,6 +116,18 @@ def test_too_deep_nesting_is_a_source_error(depth):
         parse_imp(nested_source(depth))
 
 
+def nested_loops_source(depth: int) -> str:
+    lines = ["def f_int(x_int):"]
+    lines += ["    " * (d + 1) + "while x_int > 0:" for d in range(depth)]
+    return "\n".join(lines + ["    " * (depth + 1) + "x_int -= 1", "    return x_int", ""])
+
+
+def test_blocks_nest_at_most_16_deep():
+    assert len(parse_imp(nested_loops_source(16)).functions[0].body) == 2
+    with pytest.raises(SourceError, match="line 18, col 84: nested too deeply"):
+        parse_imp(nested_loops_source(17))
+
+
 def test_nesting_the_parser_handles_still_parses():
     program = parse_imp(nested_source(70))
     assert pretty_program(parse_imp(pretty_program(program))) == pretty_program(program)
