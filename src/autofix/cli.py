@@ -107,8 +107,15 @@ def config_from_args(argv) -> RunConfig:
 
 
 def _load(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        col = err.start - data.rfind(b"\n", 0, err.start)
+        message = f"{path} is not UTF-8 (byte 0x{data[err.start]:02x})"
+        raise SourceError(message, line, col) from None
 
 
 def _bounds(cfg: RunConfig) -> Bounds:

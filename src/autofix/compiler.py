@@ -3,10 +3,11 @@
 The reference table, screening and full verification run programs over many
 inputs, so they run them compiled: every function reachable from the entry
 becomes one Python ``def``, and the program goes through ``compile``/``exec``
-once.  The compiled code makes every check the tree-walker in ``interp``
-makes that can fail, in the same order, and gives the same values and the
-same ok/fault split.  ``interp`` stays the executable spec; the differential
-tests compare the two.
+once.  The compiled code is the package's only evaluator.  It makes every
+check of the language that can fail, in the order the executable spec (the
+tree-walker in ``tests/spec_interp.py``) makes it, and gives the spec's
+values and ok/fault split; the differential tests compare the two.  A
+program nested too deeply for Python's compiler is a ``SourceError``.
 
 Static types.  A check is left out only where its operands' types are
 proven, so it could not fail.  Each function's variables are typed
@@ -39,7 +40,7 @@ target site a chain of stores of the value computed once.  Code for every
 alternative is emitted, also inside alternatives the pick leaves unused, so
 a variable assigned in any alternative is a local of its ``def``; reading it
 before any assignment raises ``NameError``, a ``TypeMismatch`` as in the
-tree-walker.
+spec.
 
 Fuel.  A statement is charged its static tick count when it starts: its own
 tick plus one per expression node that always runs.  The right operand of
@@ -48,11 +49,11 @@ when they run.  An expression site's static share is the least tick count
 of its alternatives; the alternative that runs is charged the rest when it
 runs, and a statement site's alternatives charge their own statements.  The
 counter is checked at function entry, at every loop iteration and at the
-end of the run.  A run that ends ok is charged exactly the ticks the
-tree-walker spends on it and never more at any check, so it passes every
-check; a run that spends more than its fuel is stopped by a check unless it
-faults first.  So a fault's kind may differ from the tree-walker's only
-where one of the two reports ``FuelExhausted``.
+end of the run.  A run that ends ok is charged exactly the ticks the spec
+spends on it and never more at any check, so it passes every check; a run
+that spends more than its fuel is stopped by a check unless it faults
+first.  So a fault's kind may differ from the spec's only where one of the
+two reports ``FuelExhausted``.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ from __future__ import annotations
 import functools
 
 from . import lang
-from .interp import MAX_CALL_DEPTH, Bounds, evaluate
-from .runtime import Fault, helpers
-from .tilde import ChoiceSite, TildeProgram, instantiate
+from .interp import MAX_CALL_DEPTH, Bounds
+from .lexer import SourceError
+from .runtime import helpers
+from .tilde import ChoiceSite, TildeProgram
 
 # the helper that checks each operation where its operands are not proven
 _ARITH = {"+": "_add", "-": "_sub", "*": "_mul", "/": "_div", "**": "_pow"}
@@ -81,14 +83,14 @@ class Compiler:
     def compile(self, program, callees=None, signature=None):
         """A function ``run(args, picks=())`` from one input (a tuple of
         argument values) to the entry function's value; it raises ``Fault``
-        where ``interp.evaluate`` reports a fault.  `program` is a
-        ``lang.Program`` or a ``TildeProgram``; for the latter, `picks` is
-        the candidate's tuple of alternative indices, one per site.
-        ``callees`` redirects calls as in ``interp``.  With a `signature`
-        (``inputs.Signature``), `run` may only be given inputs of its types,
-        and the entry's parameters take them.  A program nested too deeply
-        for Python's compiler runs on the tree-walker behind the same
-        interface."""
+        where the program faults.  `program` is a ``lang.Program`` or a
+        ``TildeProgram``; for the latter, `picks` is the candidate's tuple of
+        alternative indices, one per site.  ``callees`` maps helper names to
+        the ``FuncDef`` that calls of them run (not the entry's own calls).
+        With a `signature` (``inputs.Signature``), `run` may only be given
+        inputs of its types, and the entry's parameters take them.  A
+        program nested too deeply for Python's compiler raises
+        ``SourceError`` at its entry's line."""
         tilde = program if isinstance(program, TildeProgram) else None
         root = program.root if tilde else program
         sites = len(tilde.sites) if tilde else 0
@@ -96,28 +98,11 @@ class Compiler:
         try:
             code = compile(source, "<autofix>", "exec")
         except (SyntaxError, RecursionError, MemoryError):
-            return self._interpreted(program, tilde, callees)
+            line = root.entry_func().span.line
+            raise SourceError("nested too deeply to compile", line, 1) from None
         scope = {}
         exec(code, self.namespace, scope)
         return scope["_make"]()
-
-    def _interpreted(self, program, tilde, callees):
-        bounds = self.bounds
-        last = {}  # the pick tuple run last -> its instantiated program
-
-        def run(args, picks=()):
-            concrete = program
-            if tilde is not None:
-                concrete = last.get(picks)
-                if concrete is None:
-                    last.clear()
-                    concrete = last[picks] = instantiate(tilde, dict(enumerate(picks))).program
-            result = evaluate(concrete, args, bounds, callees)
-            if result.fault is not None:
-                raise Fault(result.fault)
-            return result.value
-
-        return run
 
 
 # -- static types --------------------------------------------------------------
@@ -268,8 +253,9 @@ class _Emitter:
         return name
 
     def resolve(self, name: str):
-        """What ``name(...)`` calls, by ``Evaluator.call``'s rules: the
-        builtin's name, a function definition, or None."""
+        """What ``name(...)`` calls: the builtin's name unless the program
+        defines it, a callee unless `name` is the entry, else the program's
+        function definition, or None."""
         program = self.program
         if name in ("len", "range") and program.func(name) is None:
             return name
@@ -430,7 +416,8 @@ class _Emitter:
         elif cls is lang.ForIn:
             iterable, ticks, t = self.expr(stmt.iterable)
             self.charge(depth, 1 + ticks)
-            if iterable.startswith("tuple(range("):  # iterate the range itself
+            if type(stmt.iterable) is lang.Call and iterable.startswith("tuple(range("):
+                # iterate the range itself
                 iterable = iterable[len("tuple(") : -1]
             self.emit(depth, f"for v_{stmt.var} in {self.seq(iterable, t)}:")
             self.bind(stmt.var, _element(t))

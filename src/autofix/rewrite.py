@@ -33,10 +33,15 @@ from .eml import (
     check_well_formed,
     match_pattern,
 )
+from .lexer import SourceError
 from .tilde import Alternative, ChoiceSite, TildeProgram, number_sites
 
 _COMPARE_FAMILY = ("<", ">", "<=", ">=", "==", "!=")
 _ARITH_FAMILY = ("+", "-", "*", "/")
+
+# the most choice sites one rewrite may make (the bundled submissions make at
+# most 16); recursive rules can make exponentially many in the nesting depth
+MAX_SITES = 10_000
 
 
 def rewrite(program: lang.Program, model: ErrorModel) -> TildeProgram:
@@ -64,6 +69,7 @@ class _Engine:
         self.rule_depth = 0
         self.max_rule_depth = 0
         self.depth_limit = max(lang.size(program), 1)
+        self.sites = 0
         entry = program.entry_func()
         self.params = list(entry.params)
         self.first_def = _first_definitions(entry)
@@ -76,6 +82,14 @@ class _Engine:
             if offset < self.anchor and name not in names:
                 names.append(name)
         return names
+
+    def _site(self, kind, span, header, alternatives) -> ChoiceSite:
+        """A new choice site, counted against ``MAX_SITES``."""
+        self.sites += 1
+        if self.sites > MAX_SITES:
+            raise SourceError(f"too many choice sites (more than {MAX_SITES:,})",
+                              span.line, span.col)
+        return ChoiceSite(kind, span, header, alternatives)
 
     # -- top level -----------------------------------------------------------
 
@@ -103,7 +117,7 @@ class _Engine:
                 payload = self._instantiate(rhs.body, binding, rule, func.span)
                 alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
         if alternatives:
-            site = ChoiceSite(
+            site = self._site(
                 "block",
                 func.span,
                 func.span,
@@ -154,7 +168,7 @@ class _Engine:
             self.stmt_header = _header_span(stmt)
             self.anchor = stmt.span.start
         if alternatives:
-            return ChoiceSite(
+            return self._site(
                 "stmt",
                 stmt.span,
                 self.stmt_header,
@@ -180,7 +194,7 @@ class _Engine:
                 for payload in self._element_variants(elem, binding, rule, node.span):
                     alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
         if alternatives:
-            return ChoiceSite(
+            return self._site(
                 "expr",
                 node.span,
                 self.stmt_header,
@@ -255,7 +269,7 @@ class _Engine:
                 span = default.span
         else:
             span = getattr(current, "span", None) or default.span
-        site = ChoiceSite(
+        site = self._site(
             kind,
             span,
             self.stmt_header,
@@ -306,7 +320,7 @@ class _Engine:
                 variants.extend(self._element_variants(o, binding, rule, anchor))
             default = variants[0]
             rest = variants[1:]
-            return ChoiceSite(
+            return self._site(
                 "expr",
                 anchor,
                 self.stmt_header,
@@ -319,7 +333,7 @@ class _Engine:
             default = bound if bound is not None else lang.Var(tpl.of)
             if not options:
                 return default
-            return ChoiceSite(
+            return self._site(
                 "expr",
                 anchor,
                 self.stmt_header,
@@ -328,7 +342,7 @@ class _Engine:
             )
         if isinstance(tpl, OpSet):
             original = binding[tpl.of]
-            return ChoiceSite(
+            return self._site(
                 "op",
                 anchor,
                 self.stmt_header,

@@ -2,8 +2,9 @@
 
 ``helpers`` builds, for one integer width, the operations whose operand
 types the compiler has not proven: each checks its operands' runtime types
-as the tree-walker in ``interp`` does and raises ``Fault`` where the
-tree-walker faults.  ``same`` is the tree-walker's type-exact equality.
+as the language defines them (the executable spec is the tree-walker in
+``tests/spec_interp.py``) and raises ``Fault`` where the spec faults.
+``same`` is the language's type-exact equality.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ class Fault(Exception):
 
 
 def same(a, b) -> bool:
-    """``interp.values_equal``: equal values of identical runtime types, so
-    ``True`` differs from ``1`` and a list from a tuple."""
+    """Equal values of identical runtime types, so ``True`` differs from
+    ``1`` and a list from a tuple."""
     if type(a) is not type(b) or a != b:
         return False
     if type(a) is int or type(a) is bool:
@@ -31,7 +32,7 @@ def same(a, b) -> bool:
 
 def helpers(bounds: Bounds) -> dict:
     """The helpers compiled code calls, for one integer width.  Each checks
-    its operands' runtime types as the tree-walker does."""
+    its operands' runtime types as the spec does."""
     half = 1 << (bounds.int_bits - 1)
     mask = (1 << bounds.int_bits) - 1
 

@@ -16,7 +16,7 @@ from autofix import lang
 from autofix.eml import ErrorModel, check_well_formed, parse_eml
 from autofix.feedback import diff_corrections
 from autofix.inputs import Signature, count_inputs, enumerate_inputs
-from autofix.interp import Bounds, evaluate, values_equal
+from autofix.interp import Bounds
 from autofix.parser import parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
@@ -25,6 +25,7 @@ from autofix.tilde import enumerate_candidates, instantiate
 
 from conftest import asset, read
 from expansion_oracle import expand_program
+from spec_interp import evaluate, values_equal
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -403,38 +404,34 @@ def test_criterion_7_mini_corpus():
 
 
 def test_criterion_8_determinism_across_jobs():
-    single_1 = _cli(
+    deriv = [
         "--ref", asset("computederiv", "reference.imp"),
         "--student", asset("computederiv", "student.imp"),
         "--model", asset("computederiv", "model.eml"),
-        "--format", "json", "--jobs", "1",
-    )
-    single_8 = _cli(
-        "--ref", asset("computederiv", "reference.imp"),
-        "--student", asset("computederiv", "student.imp"),
-        "--model", asset("computederiv", "model.eml"),
-        "--format", "json", "--jobs", "8",
-    )
-    reverse_1 = _cli(
+        "--format", "json",
+    ]
+    reverse = [
         "--ref", asset("arrayreverse", "reference.imp"),
         "--student", asset("arrayreverse", "student.imp"),
         "--model", asset("arrayreverse", "model.eml"),
-        "--alternates", "1", "--format", "json", "--jobs", "1",
+        "--alternates", "1", "--format", "json",
+    ]
+    # the six runs are independent: start them all, then collect each
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "autofix.cli", *args, "--jobs", jobs],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for args in (deriv, reverse, _CORPUS_ARGS)
+        for jobs in ("1", "8")
+    ]
+    single_1, single_8, reverse_1, reverse_8, corpus_1, corpus_8 = (
+        proc.communicate()[0] for proc in procs
     )
-    reverse_8 = _cli(
-        "--ref", asset("arrayreverse", "reference.imp"),
-        "--student", asset("arrayreverse", "student.imp"),
-        "--model", asset("arrayreverse", "model.eml"),
-        "--alternates", "1", "--format", "json", "--jobs", "8",
-    )
-    corpus_1 = _cli(*_CORPUS_ARGS, "--jobs", "1")
-    corpus_8 = _cli(*_CORPUS_ARGS, "--jobs", "8")
     ok = (
-        single_1.stdout == single_8.stdout
-        and reverse_1.stdout == reverse_8.stdout
-        and corpus_1.stdout == corpus_8.stdout
-        and single_1.stdout
-        and reverse_1.stdout
-        and corpus_1.stdout
+        single_1 == single_8
+        and reverse_1 == reverse_8
+        and corpus_1 == corpus_8
+        and single_1
+        and reverse_1
+        and corpus_1
     )
     report("8 determinism across --jobs", ok)

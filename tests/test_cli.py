@@ -371,3 +371,52 @@ def test_too_deep_submission_is_a_corpus_parse_error(tmp_path):
         "s02_range_start.imp": "fixed",
     }
     assert files["deep100.imp"]["error"].endswith("nested too deeply")
+
+
+NOT_UTF8 = b"def computeDeriv_list_int(poly_list_int):\n    return \xff\n"
+
+
+def test_non_utf8_input_exits_3_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.imp"
+    bad.write_bytes(NOT_UTF8)
+    for flag in ("--ref", "--model", "--student"):
+        args = deriv_args(asset("computederiv", "student.imp"))
+        args[args.index(flag) + 1] = str(bad)
+        assert cli.main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"autofix: line 2, col 12: {bad} is not UTF-8 (byte 0xff)\n"
+
+
+def nested_comparison(depth: int) -> str:
+    """Under the computeDeriv model, 2 ** (depth + 2) - 4 choice sites."""
+    return (
+        "def computeDeriv_list_int(poly_list_int):\n    return "
+        + "(len(poly_list_int) == " * depth + "1" + ")" * depth + "\n"
+    )
+
+
+def test_too_many_choice_sites_exit_3_with_one_line(tmp_path):
+    student = tmp_path / "deep.imp"
+    student.write_text(nested_comparison(25))
+    proc = subprocess.run(CLI + deriv_args(str(student)), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("autofix: line 2, col ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(": too many choice sites (more than 10,000)\n")
+
+
+def test_non_utf8_and_too_many_sites_are_corpus_parse_errors(tmp_path, capsys):
+    (tmp_path / "bad.imp").write_bytes(NOT_UTF8)
+    (tmp_path / "deep.imp").write_text(nested_comparison(25))
+    with open(asset("computederiv", "corpus", "s02_range_start.imp"), encoding="utf-8") as fh:
+        (tmp_path / "s02_range_start.imp").write_text(fh.read())
+    args = corpus_args("--format", "json")
+    args[args.index("--corpus") + 1] = str(tmp_path)
+    assert cli.main(args) == 0
+    out, err = capsys.readouterr()
+    files = {e["name"]: e for e in json.loads(out)["files"]}
+    assert err == "" and {name: e["verdict"] for name, e in files.items()} == {
+        "bad.imp": "parse-error", "deep.imp": "parse-error", "s02_range_start.imp": "fixed",
+    }
+    assert files["bad.imp"]["error"].endswith("is not UTF-8 (byte 0xff)")
+    assert files["deep.imp"]["error"].endswith("too many choice sites (more than 10,000)")

@@ -1,15 +1,15 @@
 """Differential tests: the compiler against the tree-walking interpreter.
 
-`interp.evaluate` is the executable spec.  On every program and input both
-must give the same value, or both a fault; the fault kinds must match except
-where one side reports FuelExhausted (the compiled code checks its fuel at
-function entry, loop iterations and the end of the run, not at every tick).
-Fuel 25 puts many runs right at the exhaustion boundary.  A choice-site
-program is compiled once and each candidate runs as its pick tuple; the spec
-for a candidate is `instantiate` followed by the tree-walker.  Programs are
-compiled both without and with the signature their inputs are drawn from:
-with it, the entry's parameters have known types and the compiler leaves out
-the checks those types make redundant.
+The tree-walker in `spec_interp` is the executable spec.  On every program
+and input both must give the same value, or both a fault; the fault kinds
+must match except where one side reports FuelExhausted (the compiled code
+checks its fuel at function entry, loop iterations and the end of the run,
+not at every tick).  Fuel 25 puts many runs right at the exhaustion
+boundary.  A choice-site program is compiled once and each candidate runs
+as its pick tuple; the spec for a candidate is `instantiate` followed by the
+tree-walker.  Programs are compiled both without and with the signature
+their inputs are drawn from: with it, the entry's parameters have known
+types and the compiler leaves out the checks those types make redundant.
 """
 
 import functools
@@ -25,7 +25,7 @@ from autofix import lang
 from autofix.compiler import Compiler
 from autofix.eml import parse_eml
 from autofix.inputs import Signature, parse_signature
-from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal, evaluate, values_equal
+from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal
 from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.printer import pretty_program
@@ -43,6 +43,7 @@ from autofix.tilde import (
 )
 
 from conftest import ASSETS, read
+from spec_interp import evaluate, values_equal
 
 FUELS = (300, 25)
 COMPILERS = {fuel: Compiler(Bounds(4, 3, fuel=fuel)) for fuel in FUELS}
@@ -121,6 +122,9 @@ CASES = [
     ("def f_int(x_int):\n    return g(1 / 0)\n\ndef g(a, b):\n    return a\n", [(3,)]),
     # a helper's parameter holds whatever it is called with
     ("def f_int(x_int):\n    return g(x_int > 0)\n\ndef g(k):\n    k = k + 1\n    return k\n", [(1,)]),
+    # a slice of a range is iterated as the sliced tuple
+    ("def f_int(x_int):\n    s = 0\n    for k in range(x_int)[1:]:\n        s += k\n    return s\n",
+     [(4,), (0,)]),
 ]
 
 
@@ -225,31 +229,52 @@ def nested_loops(depth: int) -> lang.Program:
                         "f_int")
 
 
-def test_deeply_nested_program_falls_back_to_the_tree_walker():
+def test_too_deep_program_is_a_source_error():
     # past the 20 blocks Python's compiler nests statically
     program = nested_loops(22)
     compiler = Compiler(Bounds(4, 0))
-    for run in (compiler.compile(program),
-                compiler.compile(program, signature=parse_signature(program.entry_func()))):
-        assert not is_compiled(run)
-        for x in (-8, 0, 7):
-            assert_agree(program, (x,), compiler, run=run)
+    for signature in (None, parse_signature(program.entry_func())):
+        with pytest.raises(SourceError, match="nested too deeply to compile"):
+            compiler.compile(program, signature=signature)
+
+
+def deep_programs():
+    """The deepest expressions the parser accepts: 88 levels of `-`, `and`,
+    indexing and list literals, and 80 of conditionals.  They are built by
+    hand because how deep the parser reaches depends on the stack it is
+    called from."""
+    x, xs = lang.Var("x_int"), lang.Var("x_list_int")
+    shapes = [
+        ("f_int", x, lang.IntLit(1), 88, lambda e: lang.BinOp(x, "-", e)),
+        ("f_bool", x, lang.BoolLit(True), 88,
+         lambda e: lang.BoolOp(lang.Compare(x, "<", lang.IntLit(1)), "and", e)),
+        ("f_int", xs, lang.IntLit(0), 88, lambda e: lang.Index(xs, e)),
+        ("f_list_int", x, x, 88, lambda e: lang.ListLit([e])),
+        ("f_int", x, lang.IntLit(1), 80,
+         lambda e: lang.CondExpr(x, lang.Compare(x, "<", lang.IntLit(0)), e)),
+    ]
+    for name, param, leaf, depth, wrap in shapes:
+        for _ in range(depth):
+            leaf = wrap(leaf)
+        yield lang.Program([lang.FuncDef(name, [param.name], [lang.Return(leaf)])], name)
 
 
 def test_deep_expressions_compile():
-    # the deepest `-` and `and` nestings measured to compile before static
-    # types removed checks: inlined operations must not nest deeper
-    minus = parse_imp("def f_int(x_int):\n    return " + "(x_int - " * 85 + "1" + ")" * 85 + "\n")
-    both = parse_imp(
-        "def f_bool(x_int):\n    return " + "(x_int < 1 and " * 60 + "True" + ")" * 60 + "\n"
-    )
+    # inlined operations must not nest deeper than Python's compiler allows,
+    # with or without a choice site at every variable
+    model = parse_eml("rule VarF: v -> {?v, 0, 1}\n")
     compiler = COMPILERS[300]
-    for program in (minus, both):
+    for program in deep_programs():
         signature = parse_signature(program.entry_func())
+        lists = program.entry_func().params == ["x_list_int"]
+        inputs = [((),), ((1, 0, 2),)] if lists else [(-8,), (0,), (1,), (7,)]
         for run in (compiler.compile(program), compiler.compile(program, signature=signature)):
-            assert is_compiled(run)
-            for x in (-8, 0, 1, 7):
-                assert_agree(program, (x,), compiler, run=run)
+            for args in inputs:
+                assert_agree(program, args, compiler, run=run)
+        tilde = rewrite(program, model)
+        assert tilde.sites
+        # every site's code is compiled; the unchanged candidate runs it
+        assert_candidates_agree(tilde, inputs, 0, signatures=(None, signature))
 
 
 def test_sixteen_nested_loops_compile():
@@ -259,7 +284,6 @@ def test_sixteen_nested_loops_compile():
     source += "    " * 17 + "x_int -= 1\n    return x_int\n"
     program = parse_imp(source)
     run = COMPILERS[300].compile(program)
-    assert is_compiled(run)
     for x in (-3, 0, 3):
         assert_agree(program, (x,), COMPILERS[300], run=run)
 
@@ -400,11 +424,6 @@ def bundled_programs():
                 yield os.path.relpath(path, ASSETS), model, program
 
 
-def is_compiled(run) -> bool:
-    """`run` is compiled code, not the tree-walker fallback."""
-    return run.__code__.co_filename == "<autofix>"
-
-
 # every fuel up to past what the small programs below spend, so that each
 # run that ends ok also runs with exactly its ticks and with one tick less
 FUEL_SWEEP = {fuel: Compiler(Bounds(4, 3, fuel=fuel)) for fuel in range(1, 90)}
@@ -421,7 +440,6 @@ def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compiler
     once per signature."""
     runs = {fuel: [compiler.compile(tilde, callees, sig) for sig in signatures]
             for fuel, compiler in compilers.items()}
-    assert all(is_compiled(run) for each in runs.values() for run in each)
     spec = {}  # (tree key, fuel, input) -> tree-walker result
     cases = fuel_disagreements = candidates = 0
     for assignment, cost in enumerate_candidates(tilde, max_cost):
@@ -567,16 +585,11 @@ def test_spliced_statement_lists_agree():
     assert run((3,), (2, 0, 0)) == 2 and run((-3,), (2, 0, 1)) == -1
 
 
-def test_too_deep_choice_site_program_falls_back_to_instantiate():
+def test_too_deep_choice_site_program_is_a_source_error():
     tilde = rewrite(nested_loops(22), parse_eml("rule LitF: 1 -> {2, 0}\n"))
     assert len(tilde.sites) == 1
-    run = COMPILERS[300].compile(tilde)
-    assert not is_compiled(run)
-    inputs = [(x,) for x in (-8, 0, 1, 7)]
-    for assignment, _ in enumerate_candidates(tilde, 1):
-        program = instantiate(tilde, assignment).program
-        for args in inputs:
-            assert_agree(program, args, COMPILERS[300], run=run, picks=pick_tuple(tilde, assignment))
+    with pytest.raises(SourceError, match="nested too deeply to compile"):
+        COMPILERS[300].compile(tilde)
 
 
 # -- ill-typed programs ------------------------------------------------------
@@ -748,7 +761,7 @@ def compiled_names(run) -> set:
 def test_reference_runs_without_type_checks(deriv_ref, deriv_oracle_w3):
     checks = {"_seq", "_bool", "_mul", "_len"}
     typed = deriv_oracle_w3.compile(deriv_ref)
-    assert is_compiled(typed) and not compiled_names(typed) & checks
+    assert not compiled_names(typed) & checks
     # without the signature only `_bool` goes: a comparison gives a bool
     assert compiled_names(COMPILERS[300].compile(deriv_ref)) & checks == checks - {"_bool"}
 

@@ -1,10 +1,38 @@
+"""The language's semantics, on the executable spec (`spec_interp`).
+
+Every run here also runs through the package's own `evaluate` (compiled
+code), which must agree with the spec: the same value, or a fault on both
+sides of the same kind unless one side reports FuelExhausted.
+"""
+
 import pytest
 
-from autofix.interp import Bounds, TupleVal, evaluate, values_equal
+import autofix
+import spec_interp
+from autofix.inputs import enumerate_inputs, parse_signature
+from autofix.interp import Bounds, TupleVal
 from autofix.parser import parse_imp
+from conftest import read
+from spec_interp import values_equal
 
 W4 = Bounds(4, 4)
 W8 = Bounds(8, 4)
+
+
+def evaluate(program, args, bounds):
+    """The spec's result, once the package's `evaluate` has agreed with it."""
+    want = spec_interp.evaluate(program, args, bounds)
+    assert_same_outcome(autofix.evaluate(program, args, bounds), want, args)
+    return want
+
+
+def assert_same_outcome(got, want, args):
+    if want.is_ok:
+        assert got.is_ok and values_equal(got.value, want.value), f"{got!r} != {want!r} on {args!r}"
+    else:
+        assert not got.is_ok, f"{got!r} where the spec gives {want!r} on {args!r}"
+        if got.fault != want.fault:
+            assert "FuelExhausted" in (got.fault, want.fault), f"{got!r} vs {want!r} on {args!r}"
 
 
 def run(source, *args, bounds=W4):
@@ -190,3 +218,13 @@ def test_values_equal_distinguishes_list_and_tuple():
     assert not values_equal((1, 2), TupleVal((1, 2)))
     assert values_equal(TupleVal((1, 2)), TupleVal((1, 2)))
     assert not values_equal(True, 1)
+
+
+@pytest.mark.parametrize("asset", ["computederiv", "arrayreverse"])
+def test_public_evaluate_agrees_with_the_spec_on_the_references(asset):
+    program = parse_imp(read(asset, "reference.imp"))
+    bounds = Bounds(3, 2)
+    inputs = list(enumerate_inputs(parse_signature(program.entry_func()), bounds))
+    assert len(inputs) == 73
+    for args in inputs:
+        evaluate(program, args, bounds)
