@@ -107,15 +107,18 @@ def config_from_args(argv) -> RunConfig:
 
 
 def _load(path: str) -> str:
+    """The file's UTF-8 text, with ``\\r\\n`` and ``\\r`` read as ``\\n``
+    (as text mode reads them)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
         col = err.start - data.rfind(b"\n", 0, err.start)
         message = f"{path} is not UTF-8 (byte 0x{data[err.start]:02x})"
         raise SourceError(message, line, col) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _bounds(cfg: RunConfig) -> Bounds:

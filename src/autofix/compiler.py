@@ -69,6 +69,12 @@ from .tilde import ChoiceSite, TildeProgram
 # the helper that checks each operation where its operands are not proven
 _ARITH = {"+": "_add", "-": "_sub", "*": "_mul", "/": "_div", "**": "_pow"}
 _COMPARE = {"==": "_eq", "!=": "_ne", "<": "_lt", ">": "_gt", "<=": "_le", ">=": "_ge"}
+# the messages of the ``SyntaxError``s Python's compiler raises for nesting alone
+_TOO_DEEP = (
+    "too many statically nested blocks",
+    "too many nested parentheses",
+    "too many levels of indentation",
+)
 
 
 class Compiler:
@@ -97,7 +103,9 @@ class Compiler:
         source = _Emitter(root, callees or {}, self.bounds, sites, signature).source()
         try:
             code = compile(source, "<autofix>", "exec")
-        except (SyntaxError, RecursionError, MemoryError):
+        except (SyntaxError, RecursionError, MemoryError) as err:
+            if isinstance(err, SyntaxError) and err.msg not in _TOO_DEEP:
+                raise  # a defect of the emitter, not of the program
             line = root.entry_func().span.line
             raise SourceError("nested too deeply to compile", line, 1) from None
         scope = {}

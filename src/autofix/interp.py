@@ -70,7 +70,13 @@ def evaluate(program, input_state, bounds: Bounds, callees=None) -> EvalResult:
     input, compiled.  Never raises for program-level errors; those surface
     as Fault results.  ``callees`` maps helper names to the ``FuncDef``
     that calls of them run.  A program nested too deeply for Python's
-    compiler raises ``lexer.SourceError``."""
+    compiler raises ``lexer.SourceError``.
+
+    Each call compiles the program anew, which costs far more than the run.
+    To run one program on many inputs, compile it once with
+    ``compiler.Compiler(bounds).compile(program, callees)`` and call the
+    result on each input's tuple of arguments; it raises ``runtime.Fault``
+    where the program faults."""
     from .compiler import Compiler  # the compiler imports the value model from here
     from .runtime import Fault
 

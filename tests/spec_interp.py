@@ -43,23 +43,11 @@ def values_equal(a, b) -> bool:
     return all(values_equal(x, y) for x, y in zip(a, b))
 
 
-def show_value(v) -> str:
-    t = value_tag(v)
-    if t == "bool":
-        return "True" if v else "False"
-    if t == "int":
-        return str(v)
-    inner = ", ".join(show_value(x) for x in v)
-    if t == "tuple":
-        return "(" + inner + ("," if len(v) == 1 else "") + ")"
-    return "[" + inner + "]"
-
-
 def ok(value) -> EvalResult:
     return EvalResult(value=value)
 
 
-def fault(kind: str, span: Span) -> EvalResult:
+def fault(kind: str) -> EvalResult:
     return EvalResult(fault=kind)  # a result carries no location
 
 
@@ -95,7 +83,7 @@ class Evaluator:
         try:
             return ok(self.call_func(entry, list(args)))
         except _FaultSignal as f:
-            return fault(f.kind, f.span)
+            return fault(f.kind)
 
     # -- helpers -------------------------------------------------------------
 

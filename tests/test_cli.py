@@ -420,3 +420,36 @@ def test_non_utf8_and_too_many_sites_are_corpus_parse_errors(tmp_path, capsys):
     }
     assert files["bad.imp"]["error"].endswith("is not UTF-8 (byte 0xff)")
     assert files["deep.imp"]["error"].endswith("too many choice sites (more than 10,000)")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_inputs_repair_as_their_lf_files(tmp_path, capsys, newline):
+    want = cli.main(deriv_args(asset("computederiv", "corpus", "s02_range_start.imp")))
+    lf_out, lf_err = capsys.readouterr()
+    assert want == 1 and lf_err == ""
+    args = deriv_args(asset("computederiv", "corpus", "s02_range_start.imp"))
+    for flag in ("--ref", "--model", "--student"):
+        path = args[args.index(flag) + 1]
+        with open(path, "rb") as fh:
+            converted = fh.read().replace(b"\n", newline.encode())
+        args[args.index(flag) + 1] = str(tmp_path / os.path.basename(path))
+        (tmp_path / os.path.basename(path)).write_bytes(converted)
+    assert cli.main(args) == want
+    assert capsys.readouterr() == (lf_out, "")
+
+
+def test_crlf_corpus_repairs_as_its_lf_files(tmp_path, capsys):
+    outputs = []
+    for newline in (b"\n", b"\r\n"):
+        corpus = tmp_path / repr(newline).strip("b'\\")
+        corpus.mkdir()
+        for name in ("s01_three_bugs.imp", "s02_range_start.imp", "s15_syntax_error.imp"):
+            with open(asset("computederiv", "corpus", name), "rb") as fh:
+                (corpus / name).write_bytes(fh.read().replace(b"\n", newline))
+        args = corpus_args("--format", "json")
+        args[args.index("--corpus") + 1] = str(corpus)
+        assert cli.main(args) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0][1] == ""
+    verdicts = [e["verdict"] for e in json.loads(outputs[0][0])["files"]]
+    assert verdicts == ["fixed", "fixed", "parse-error"]

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autofix import compiler as compiler_module
 from autofix import lang
 from autofix.compiler import Compiler
 from autofix.eml import parse_eml
@@ -236,6 +237,13 @@ def test_too_deep_program_is_a_source_error():
     for signature in (None, parse_signature(program.entry_func())):
         with pytest.raises(SourceError, match="nested too deeply to compile"):
             compiler.compile(program, signature=signature)
+
+
+def test_other_compile_errors_are_not_source_errors(monkeypatch):
+    # code Python rejects for anything but its nesting is the emitter's defect
+    monkeypatch.setattr(compiler_module._Emitter, "source", lambda self: "def _make(:\n")
+    with pytest.raises(SyntaxError):  # not SourceError, which no SyntaxError is
+        Compiler(Bounds(4, 0)).compile(nested_loops(1))
 
 
 def deep_programs():
