@@ -227,6 +227,10 @@ def _corpus_entry(path: str) -> dict:
     except (OSError, SourceError, UnknownTypeSuffix) as err:
         return {"name": name, "verdict": "parse-error", "error": str(err),
                 "seconds": time.monotonic() - started}
+    except Exception as err:  # a defect must not abort the rest of the batch
+        error = f"{type(err).__name__}: {err}".splitlines()[0]
+        return {"name": name, "verdict": "internal-error", "error": error,
+                "seconds": time.monotonic() - started}
     entry = {
         "name": name,
         "verdict": report.verdict,
@@ -278,7 +282,8 @@ def run_corpus(cfg: RunConfig) -> int:
     correct = sum(1 for e in entries if e["verdict"] == "correct")
     fixed = sum(1 for e in entries if e["verdict"] == "fixed")
     parse_error = sum(1 for e in entries if e["verdict"] == "parse-error")
-    incorrect = total - correct - parse_error
+    internal_error = sum(1 for e in entries if e["verdict"] == "internal-error")
+    incorrect = total - correct - parse_error - internal_error
     summary = {
         "total": total,
         "correct": correct,
@@ -287,6 +292,8 @@ def run_corpus(cfg: RunConfig) -> int:
         "parse_error": parse_error,
         "fixed_pct": round(100.0 * fixed / incorrect, 1) if incorrect else 0.0,
     }
+    if internal_error:  # only then, so that the summary of a sound run keeps its form
+        summary["internal_error"] = internal_error
     if cfg.timing and timings:
         import statistics
 
@@ -307,14 +314,20 @@ def run_corpus(cfg: RunConfig) -> int:
             if e["verdict"] == "fixed":
                 line += f" (cost {e['cost']})"
             sys.stdout.write(line + "\n")
-        sys.stdout.write(
-            "summary: total={total} correct={correct} fixed={fixed} "
-            "no_fix={no_fix} parse_error={parse_error} fixed_pct={fixed_pct}\n".format(**summary)
-        )
+        line = ("summary: total={total} correct={correct} fixed={fixed} "
+                "no_fix={no_fix} parse_error={parse_error}").format(**summary)
+        if internal_error:
+            line += f" internal_error={internal_error}"
+        sys.stdout.write(f"{line} fixed_pct={summary['fixed_pct']}\n")
         if "avg_s" in summary:
             sys.stdout.write(
                 f"timing: avg_s={summary['avg_s']} median_s={summary['median_s']}\n"
             )
+    if internal_error:  # a defect of the program: say where, and fail the batch
+        for e in entries:
+            if e["verdict"] == "internal-error":
+                print(f"autofix: {e['name']}: {e['error']}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_CORRECT
 
 

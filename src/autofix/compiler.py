@@ -26,7 +26,11 @@ proven list or tuple not checked, a list is sliced by Python with its int
 ends clamped at 0, ``for`` iterates a ``range`` of one or two ints directly,
 and constants fold.  What can fail on proven types stays checked: index
 bounds, division by zero, negative exponents, ``range``'s step, fuel.
-Operands are still evaluated once, left to right.
+Operands are still evaluated once, left to right.  The entry's return type,
+the join over its ``return`` statements in every alternative, comes with
+the runner (``run.returns``); where it and the reference's join to an
+exact type (`_exact`), the search compares results with Python's ``!=``
+(``ReferenceOracle.compile`` sets ``run.exact``).
 
 Choice sites.  A choice-site program (``TildeProgram``) is compiled once for
 the whole search; a candidate is its pick tuple, one alternative index per
@@ -94,13 +98,16 @@ class Compiler:
         alternative indices, one per site.  ``callees`` maps helper names to
         the ``FuncDef`` that calls of them run (not the entry's own calls).
         With a `signature` (``inputs.Signature``), `run` may only be given
-        inputs of its types, and the entry's parameters take them.  A
-        program nested too deeply for Python's compiler raises
-        ``SourceError`` at its entry's line."""
+        inputs of its types, and the entry's parameters take them.
+        ``run.returns`` is the static type of every value `run` returns,
+        for every pick tuple (see `_exact`).  A program nested too
+        deeply for Python's compiler raises ``SourceError`` at its entry's
+        line."""
         tilde = program if isinstance(program, TildeProgram) else None
         root = program.root if tilde else program
         sites = len(tilde.sites) if tilde else 0
-        source = _Emitter(root, callees or {}, self.bounds, sites, signature).source()
+        emitter = _Emitter(root, callees or {}, self.bounds, sites, signature)
+        source = emitter.source()
         try:
             code = compile(source, "<autofix>", "exec")
         except (SyntaxError, RecursionError, MemoryError) as err:
@@ -110,7 +117,9 @@ class Compiler:
             raise SourceError("nested too deeply to compile", line, 1) from None
         scope = {}
         exec(code, self.namespace, scope)
-        return scope["_make"]()
+        run = scope["_make"]()
+        run.returns = emitter.returns
+        return run
 
 
 # -- static types --------------------------------------------------------------
@@ -210,6 +219,8 @@ class _Emitter:
         self.entry_types = self.parameter_types(signature)
         self.vars = {}  # variable of the function being emitted -> type
         self.changed = False  # whether a store widened a variable's type
+        self.func_returns = ""  # join of the types the function being emitted returns
+        self.returns = ""  # the entry's return type
 
     def parameter_types(self, signature):
         """The entry's parameter types, which the inputs are drawn from; None
@@ -273,25 +284,30 @@ class _Emitter:
 
     def function(self, func: lang.FuncDef):
         """One ``def``, emitted until no store widens a variable's type: the
-        code kept was emitted with every variable's final type."""
+        code kept, and the entry's return type, come from the pass with
+        every variable's final type."""
         # like dict(zip(params, args)): a repeated parameter takes the last argument
         params = [
             f"v_{p}" if p not in func.params[i + 1 :] else f"_unused{i}"
             for i, p in enumerate(func.params)
         ]
-        types = self.entry_types if func is self.program.entry_func() else None
+        entry = func is self.program.entry_func()
+        types = self.entry_types if entry else None
         self.vars = dict(zip(func.params, types or ["?"] * len(params)))
         start = len(self.lines)
         self.changed = True
         while self.changed:
             del self.lines[start:]
             self.changed = False
+            self.func_returns = ""
             self.emit(1, f"def {self.func_name(func)}({', '.join(params + ['_d'])}):")
             self.emit(2, "nonlocal _fuel")
             self.emit(2, f"if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
             self.emit(3, "raise Fault('FuelExhausted')")
             self.block(func.body, 2)
             self.emit(2, "raise Fault('NoReturn')")
+        if entry:
+            self.returns = self.func_returns
 
     def bind(self, name: str, t: str):
         """Widen variable `name`'s type to hold a stored value of type `t`."""
@@ -433,7 +449,8 @@ class _Emitter:
             self.check_fuel(depth + 1)
             self.block(stmt.body, depth + 1)
         elif cls is lang.Return:
-            value, ticks, _ = self.expr(stmt.value)
+            value, ticks, t = self.expr(stmt.value)
+            self.func_returns = _join(self.func_returns, t)
             self.charge(depth, 1 + ticks)
             self.emit(depth, f"return {value}")
         elif cls is lang.Pass:

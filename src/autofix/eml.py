@@ -432,11 +432,11 @@ class RuleParser(Parser):
             return lang.Pass(tok.span), "stmt"
         if tok.kind == "OP" and tok.value == "{" and template:
             # statement choice is only recognized when options are statements
-            save = self.pos
+            save = self.pos, self.expr_depth
             try:
                 return self.parse_stmt_choice(), "stmt"
             except SourceError:
-                self.pos = save
+                self.pos, self.expr_depth = save
         expr = self.parse_expr()
         tok = self.peek()
         if tok.kind == "OP" and tok.value == "=":

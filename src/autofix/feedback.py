@@ -1,4 +1,4 @@
-"""Turns a winning assignment into line-anchored corrections.
+"""Turns a winning pick tuple into line-anchored corrections.
 
 Each active non-default selection becomes one correction carrying the four
 feedback facets: the line, the enclosing statement text (sliced from the
@@ -42,10 +42,10 @@ class FeedbackReport:
         self.stats = {} if stats is None else stats
 
 
-def _render_payload(tilde: TildeProgram, payload, assignment) -> str:
-    """Pretty-print one site alternative under the given assignment (nested
-    picks inside the fragment resolve to their selected alternatives)."""
-    node = tilde.resolve(payload, assignment)
+def _render_payload(tilde: TildeProgram, payload, picks: tuple) -> str:
+    """Pretty-print one site alternative under the given picks (nested
+    sites inside the fragment resolve to their picked alternatives)."""
+    node = tilde.resolve(payload, picks)
     if isinstance(node, str):
         return node
     if isinstance(node, lang.Expr):
@@ -54,18 +54,18 @@ def _render_payload(tilde: TildeProgram, payload, assignment) -> str:
     return "; ".join(line.strip() for s in stmts for line in pretty_stmt(s))
 
 
-def diff_corrections(tilde: TildeProgram, assignment: dict) -> list:
-    """One correction per active non-default selection, ordered by source
+def diff_corrections(tilde: TildeProgram, picks: tuple) -> list:
+    """One correction per active non-default pick, ordered by source
     position."""
     source = tilde.origin.source if tilde.origin else ""
     rules = {r.rule_id: r for r in tilde.model} if tilde.model else {}
-    active = instantiate(tilde, assignment).active
+    active = instantiate(tilde, picks).active
     corrections = []
     for site_id, alt_idx in sorted(active):
         site = tilde.site(site_id)
         alt = site.alternatives[alt_idx]
-        sub = _render_payload(tilde, site.alternatives[0].payload, {})
-        new = _render_payload(tilde, alt.payload, assignment)
+        sub = _render_payload(tilde, site.alternatives[0].payload, tilde.defaults())
+        new = _render_payload(tilde, alt.payload, picks)
         if site.kind == "op":
             # augmented-assignment operators display in their += form
             token = site.span.text(source)
@@ -102,9 +102,9 @@ def build_report(
     verdict = VERDICTS[result.status]
     corrections = []
     if result.status == "fixed" and tilde is not None:
-        corrections = diff_corrections(tilde, result.assignment)
+        corrections = diff_corrections(tilde, result.picks)
     alt_corrections = [
-        diff_corrections(tilde, alt.assignment)
+        diff_corrections(tilde, alt.picks)
         for alt in alternates
         if alt.status == "fixed"
     ]

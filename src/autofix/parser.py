@@ -16,6 +16,11 @@ LIST_METHODS = {"append": (1, 1)}
 # statement blocks nested inside a function body; Python's compiler, which
 # runs programs (``compiler``), nests at most 20 loops
 MAX_BLOCK_DEPTH = 16
+# expressions nested inside a statement's expression: in parentheses,
+# brackets, call arguments and conditional branches, and by ``not``, unary
+# minus and ``**``.  Counted, so that what parses does not depend on the
+# caller's stack: a program at the limit parses with 200 frames below.
+MAX_EXPR_DEPTH = 48
 
 
 class Parser:
@@ -24,6 +29,7 @@ class Parser:
         self.source = source
         self.pos = 0
         self.block_depth = -1  # a function body is depth 0
+        self.expr_depth = -1  # a statement's expression is depth 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -193,7 +199,20 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
+    def nested(self, parse) -> lang.Expr:
+        """`parse()` one expression level deeper; deeper than
+        ``MAX_EXPR_DEPTH`` is a ``SourceError``."""
+        self.expr_depth += 1
+        if self.expr_depth > MAX_EXPR_DEPTH:
+            raise self.error("nested too deeply")
+        node = parse()
+        self.expr_depth -= 1
+        return node
+
     def parse_expr(self) -> lang.Expr:
+        return self.nested(self.parse_cond)
+
+    def parse_cond(self) -> lang.Expr:
         start = self.peek().span
         body = self.parse_or()
         if self.at("KEYWORD", "if"):
@@ -225,7 +244,7 @@ class Parser:
     def parse_not(self) -> lang.Expr:
         if self.at("KEYWORD", "not"):
             start = self.advance().span
-            operand = self.parse_not()
+            operand = self.nested(self.parse_not)
             return lang.Not(operand, self.span_from(start))
         return self.parse_comparison()
 
@@ -268,10 +287,10 @@ class Parser:
                 node = self.parse_trailers(node, start)
                 if self.at("OP", "**"):
                     self.advance()
-                    exponent = self.parse_factor()
+                    exponent = self.nested(self.parse_factor)
                     return lang.BinOp(node, "**", exponent, self.span_from(start))
                 return node
-            operand = self.parse_factor()
+            operand = self.nested(self.parse_factor)
             return lang.BinOp(
                 lang.IntLit(0, start), "-", operand, self.span_from(start)
             )
@@ -282,7 +301,7 @@ class Parser:
         base = self.parse_postfix()
         if self.at("OP", "**"):
             self.advance()
-            exponent = self.parse_factor()
+            exponent = self.nested(self.parse_factor)
             return lang.BinOp(base, "**", exponent, self.span_from(start))
         return base
 

@@ -6,6 +6,12 @@ cheaply; survivors face full bounded verification against the reference,
 and every verification failure contributes a fresh counterexample.  The
 first candidate that survives full verification is the minimal repair, and
 the total order makes the result deterministic.
+
+Values are compared with the language's type-exact ``same`` unless the
+static return types of the candidate program and the reference prove that
+Python's ``!=`` tells the same: then screening and verification compare with
+``!=``.  `ReferenceOracle.compile` makes the choice once per runner
+(``run.exact``).
 """
 
 from __future__ import annotations
@@ -13,12 +19,12 @@ from __future__ import annotations
 import time
 
 from . import lang
-from .compiler import Compiler
+from .compiler import Compiler, _exact, _join
 from .inputs import Signature, enumerate_inputs, parse_signature
 from .interp import Bounds
 from .printer import pretty_program
 from .runtime import Fault, same
-from .tilde import TildeProgram, enumerate_candidates, instantiate, pick_tuple
+from .tilde import TildeProgram, enumerate_candidates, instantiate
 
 
 class ReferenceFault(Exception):
@@ -44,12 +50,12 @@ class SearchBudget:
 
 
 class RepairResult:
-    def __init__(self, status: str, assignment: dict | None = None, cost: int = 0,
+    def __init__(self, status: str, picks: tuple | None = None, cost: int = 0,
                  active: frozenset = frozenset(), program: lang.Program | None = None,
                  cexs_used: int = 0, candidates_tested: int = 0, max_cost: int = 0,
                  budget_kind: str | None = None):
         self.status = status  # correct | fixed | no_fix | budget
-        self.assignment = assignment
+        self.picks = picks  # the winner's pick tuple
         self.cost = cost
         self.active = active
         self.program = program
@@ -66,7 +72,8 @@ class ReferenceOracle:
     Programs run compiled (``compiler``): `compile` turns a program or a
     choice-site program into a runner once, and `agrees_at` (screening on
     one input) and `first_mismatch` (full verification) run a candidate as
-    that runner and its pick tuple."""
+    that runner and its pick tuple.  They compare values with ``same``, or
+    with Python's ``!=`` where the runner's ``exact`` says so."""
 
     def __init__(self, reference: lang.Program, bounds: Bounds, signature: Signature | None = None):
         self.reference = reference
@@ -74,7 +81,8 @@ class ReferenceOracle:
         self.signature = signature or parse_signature(reference.entry_func())
         self.inputs = list(enumerate_inputs(self.signature, bounds))
         self._compiler = Compiler(bounds)
-        run = self.compile(reference)
+        run = self._compiler.compile(reference, None, self.signature)
+        self.returns = run.returns  # the reference's static return type
         self.values = []
         for inp in self.inputs:
             try:
@@ -84,14 +92,19 @@ class ReferenceOracle:
 
     def compile(self, program, callees=None):
         """``Compiler.compile`` under this oracle's bounds and signature: the
-        runner is only ever given this oracle's inputs."""
-        return self._compiler.compile(program, callees, self.signature)
+        runner is only ever given this oracle's inputs.  ``run.exact`` says
+        whether Python's ``==`` is ``same`` between its values and the
+        reference's, as their static return types prove."""
+        run = self._compiler.compile(program, callees, self.signature)
+        run.exact = _exact(_join(run.returns, self.returns))
+        return run
 
     def first_mismatch(self, run, picks=(), budget=None):
         """Index of the first input where the candidate `picks` of the
         compiled `run` disagrees (any fault counts as disagreement), or
         None when boundedly equivalent."""
         values = self.values
+        exact = run.exact
         for i, inp in enumerate(self.inputs):
             if budget is not None:
                 over = budget.spend()
@@ -101,7 +114,7 @@ class ReferenceOracle:
                 value = run(inp, picks)
             except Fault:
                 return i
-            if not same(value, values[i]):
+            if (value != values[i]) if exact else not same(value, values[i]):
                 return i
         return None
 
@@ -114,7 +127,7 @@ class ReferenceOracle:
             value = run(self.inputs[i], picks)
         except Fault:
             return False
-        return same(value, self.values[i])
+        return (value == self.values[i]) if run.exact else same(value, self.values[i])
 
 
 class _BudgetStop(Exception):
@@ -125,7 +138,8 @@ class _BudgetStop(Exception):
 def find_counterexample(candidate: lang.Program, oracle: ReferenceOracle, callees=None):
     """First bounded input (stream order) where candidate and reference
     disagree; None means bounded equivalence."""
-    i = oracle.first_mismatch(oracle.compile(candidate, callees))
+    run = oracle.compile(candidate, callees)
+    i = oracle.first_mismatch(run)
     return None if i is None else oracle.inputs[i]
 
 
@@ -144,41 +158,44 @@ def cegis_min(
     are not told apart: a text duplicate of a candidate that failed
     verification is screened out by that candidate's counterexample.  A
     text duplicate of a prior fix is not, so screening survivors are
-    printed and skipped when their text is in `blocked_trees`."""
+    printed and skipped when their text is in `blocked_trees`.  `blocked`
+    holds the pick tuples of candidates not to be tested."""
     budget = budget or SearchBudget()
     blocked = set(blocked)
     run = oracle.compile(tilde, callees)
+    agrees_at = oracle.agrees_at
     cex_indices: list = []
     tested = 0
 
     try:
-        for assignment, cost in enumerate_candidates(tilde, max_cost):
-            active = frozenset(assignment.items())
-            if active in blocked:
+        for picks, cost in enumerate_candidates(tilde, max_cost):
+            if picks in blocked:
                 continue
             tested += 1
-            picks = pick_tuple(tilde, assignment)
-            if not all(oracle.agrees_at(run, picks, i, budget) for i in cex_indices):
-                continue
-            program = None
-            if blocked_trees:
-                program = instantiate(tilde, assignment).program
-                if pretty_program(program) in blocked_trees:
-                    continue  # a text twin of a prior fix
-            mismatch = oracle.first_mismatch(run, picks, budget)
-            if mismatch is None:
-                status = "correct" if cost == 0 else "fixed"
+            for i in cex_indices:
+                if not agrees_at(run, picks, i, budget):
+                    break
+            else:  # no counterexample rejects it: verify
+                winner = None
+                if blocked_trees:
+                    winner = instantiate(tilde, picks)
+                    if pretty_program(winner.program) in blocked_trees:
+                        continue  # a text twin of a prior fix
+                mismatch = oracle.first_mismatch(run, picks, budget)
+                if mismatch is not None:
+                    cex_indices.append(mismatch)
+                    continue
+                winner = winner or instantiate(tilde, picks)
                 return RepairResult(
-                    status=status,
-                    assignment=assignment,
+                    status="correct" if cost == 0 else "fixed",
+                    picks=picks,
                     cost=cost,
-                    active=active,
-                    program=program or instantiate(tilde, assignment).program,
+                    active=winner.active,
+                    program=winner.program,
                     cexs_used=len(cex_indices),
                     candidates_tested=tested,
                     max_cost=max_cost,
                 )
-            cex_indices.append(mismatch)
     except _BudgetStop as stop:
         return RepairResult(
             status="budget",
@@ -207,7 +224,7 @@ def next_alternate(
     exact selection patterns and their program texts)."""
     if not priors:
         raise ValueError("next_alternate needs at least one prior fix")
-    blocked = {p.active for p in priors}
+    blocked = {p.picks for p in priors}
     blocked_trees = {pretty_program(p.program) for p in priors if p.program is not None}
     return cegis_min(
         tilde,

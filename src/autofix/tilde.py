@@ -1,10 +1,10 @@
 """Weighted program sets: a program plus choice sites.
 
 A choice site holds a zero-weight default (the original code) and weighted
-alternatives contributed by correction rules.  An assignment picks one
-alternative per site; instantiating it yields a concrete program whose cost
-is the summed weight of every *active* non-default pick (a site is active
-only when every enclosing alternative is itself selected).
+alternatives contributed by correction rules.  A candidate is a pick tuple,
+one alternative index per site; instantiating it yields a concrete program
+whose cost is the summed weight of every *active* non-default pick (a site
+is active only when every enclosing alternative is itself selected).
 """
 
 from __future__ import annotations
@@ -51,18 +51,22 @@ class TildeProgram:
     def site(self, site_id: int) -> ChoiceSite:
         return self.sites[site_id]
 
-    def resolve(self, node, assignment: dict, picked=None):
+    def defaults(self) -> tuple:
+        """The pick tuple of the unchanged program."""
+        return (0,) * len(self.sites)
+
+    def resolve(self, node, picks: tuple, picked=None):
         """`node` (a fragment of this tree, a list of them or an operator)
-        with every choice site replaced by its alternative under
-        `assignment`.  A site picked as a list of statements is spliced into
-        its block, and subtrees without sites are shared.  Each non-default
-        pick on the way is appended to `picked` as (site, index); sites
-        inside unpicked alternatives are never visited."""
+        with every choice site replaced by its alternative in `picks`.  A
+        site picked as a list of statements is spliced into its block, and
+        subtrees without sites are shared.  Each non-default pick on the way
+        is appended to `picked` as (site, index); sites inside unpicked
+        alternatives are never visited."""
 
         def visit(node):
             if type(node) is not ChoiceSite:
                 return lang.map_children(node, visit)
-            idx = assignment.get(node.site_id, 0)
+            idx = picks[node.site_id]
             if not 0 <= idx < len(node.alternatives):
                 raise BadIndex(f"site {node.site_id}: alternative {idx}")
             if idx and picked is not None:
@@ -102,23 +106,14 @@ def number_sites(tilde: TildeProgram) -> None:
 # instantiation
 
 
-def instantiate(tilde: TildeProgram, assignment: dict) -> WeightedCandidate:
-    """Resolve every site to one alternative; selections at inactive sites
-    contribute neither code nor cost."""
+def instantiate(tilde: TildeProgram, picks: tuple) -> WeightedCandidate:
+    """Resolve every site to its alternative in `picks`; picks at inactive
+    sites contribute neither code nor cost."""
     picked = []
-    program = tilde.resolve(tilde.root, assignment, picked)
+    program = tilde.resolve(tilde.root, picks, picked)
     cost = sum(site.alternatives[idx].weight for site, idx in picked)
     active = frozenset((site.site_id, idx) for site, idx in picked)
     return WeightedCandidate(program, cost, active)
-
-
-def pick_tuple(tilde: TildeProgram, assignment: dict) -> tuple:
-    """`assignment` as one alternative index per site, the form a compiled
-    choice-site program takes (``compiler``)."""
-    picks = [0] * len(tilde.sites)
-    for site_id, idx in assignment.items():
-        picks[site_id] = idx
-    return tuple(picks)
 
 
 # --------------------------------------------------------------------------
@@ -132,44 +127,47 @@ def max_cost_bound(tilde: TildeProgram) -> int:
 
 
 def enumerate_candidates(tilde: TildeProgram, max_cost=None):
-    """Yield (assignment, cost) for every canonical candidate with cost up to
+    """Yield (picks, cost) for every canonical candidate with cost up to
     `max_cost`, in non-decreasing cost order; within one cost the sorted
     sequences of active (site_id, alternative index) picks are emitted in
-    lexicographic order.  Inactive sites stay pinned at the default, so each
+    lexicographic order.  `picks` holds one alternative index per site, and
+    inactive sites stay pinned at the default 0, so a candidate's picks and
+    its active picks (the non-zero ones) determine each other and each
     active-selection pattern appears exactly once."""
     if max_cost is None:
         max_cost = max_cost_bound(tilde)
     sites = tilde.sites
     n = len(sites)
+    picks = [0] * n
 
-    def is_active(site, assign) -> bool:
+    def is_active(site) -> bool:
         parent = site.parent
         while parent is not None:
             pid, pidx = parent
-            if assign.get(pid, 0) != pidx:
+            if picks[pid] != pidx:
                 return False
             parent = sites[pid].parent
         return True
 
-    def rec(start, remaining, assign):
+    def rec(start, remaining):
         # extend the current pick set with sites >= start, ascending
         if remaining == 0:
-            yield dict(assign)
+            yield tuple(picks)
             return
         for i in range(start, n):
             site = sites[i]
-            if not is_active(site, assign):
+            if not is_active(site):
                 continue
             for idx, alt in enumerate(site.alternatives):
                 if idx == 0 or alt.weight > remaining:
                     continue
-                assign[site.site_id] = idx
-                yield from rec(i + 1, remaining - alt.weight, assign)
-                del assign[site.site_id]
+                picks[i] = idx
+                yield from rec(i + 1, remaining - alt.weight)
+                picks[i] = 0
 
     for target in range(max_cost + 1):
-        for assign in rec(0, target, {}):
-            yield assign, target
+        for candidate in rec(0, target):
+            yield candidate, target
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,17 @@ def read(*parts) -> str:
         return fh.read()
 
 
+def picks_for(tilde, chosen: dict) -> tuple:
+    """The pick tuple of `tilde` that picks `chosen[site_id]` at each site
+    named and the default elsewhere."""
+    return tuple(chosen.get(i, 0) for i in range(len(tilde.sites)))
+
+
+def active_of(picks: tuple) -> frozenset:
+    """The (site_id, index) pairs of the non-default picks."""
+    return frozenset((i, p) for i, p in enumerate(picks) if p)
+
+
 @pytest.fixture(scope="session")
 def deriv_ref():
     return parse_imp(read("computederiv", "reference.imp"))

@@ -48,7 +48,7 @@ def test_criterion_1_compute_deriv_end_to_end(deriv_ref, deriv_student, deriv_mo
     if ok:
         facts = [
             (c.line, c.sub_expr, c.new_expr)
-            for c in diff_corrections(tilde, result.assignment)
+            for c in diff_corrections(tilde, result.picks)
         ]
         ok = facts == [
             (5, "deriv", "[0]"),
@@ -80,7 +80,7 @@ def reverse_run(reverse_ref, reverse_student, reverse_model):
 def test_criterion_2_array_reverse_minimal_fix(reverse_run):
     _, tilde, first, _, elapsed = reverse_run
     facts = (
-        [(c.line, c.sub_expr, c.new_expr) for c in diff_corrections(tilde, first.assignment)]
+        [(c.line, c.sub_expr, c.new_expr) for c in diff_corrections(tilde, first.picks)]
         if first.status == "fixed"
         else []
     )
@@ -122,7 +122,7 @@ def test_criterion_2_array_reverse_alternate(reverse_run):
     oracle, tilde, first, second, _ = reverse_run
     fixed = second.status == "fixed"
     facts = (
-        [(c.line, c.sub_expr, c.new_expr) for c in diff_corrections(tilde, second.assignment)]
+        [(c.line, c.sub_expr, c.new_expr) for c in diff_corrections(tilde, second.picks)]
         if fixed
         else []
     )
@@ -139,8 +139,8 @@ def test_criterion_2_array_reverse_alternate(reverse_run):
 
     nominal = parse_imp(_REVERSE_NOMINAL_ALTERNATE)
     candidate_costs = {}
-    for assignment, cost in enumerate_candidates(tilde, 3):
-        candidate_costs.setdefault(instantiate(tilde, assignment).program.key(), cost)
+    for candidate, cost in enumerate_candidates(tilde, 3):
+        candidate_costs.setdefault(instantiate(tilde, candidate).program.key(), cost)
     nominal_cost = candidate_costs.get(nominal.key())
     empty = ((),)
     empty_fault = evaluate(nominal, empty, oracle.bounds).fault
@@ -240,10 +240,10 @@ def test_criterion_3_minimality_oracle():
         oracle = ReferenceOracle(ref, bounds)
         result = cegis_min(tilde, oracle, max_cost=4)
         best = None
-        for assignment, cost in candidates:
+        for candidate, cost in candidates:
             if best is not None and cost > best:
                 break
-            cand = instantiate(tilde, assignment)
+            cand = instantiate(tilde, candidate)
             if find_counterexample(cand.program, oracle) is None:
                 best = cost
         if best is None:
@@ -275,8 +275,8 @@ def test_criterion_4_weighted_set_agreement():
         for text, cost in expand_program(tilde):
             expanded[(text, cost)] = expanded.get((text, cost), 0) + 1
         enumerated = {}
-        for assignment, cost in enumerate_candidates(tilde):
-            text = pretty_program(instantiate(tilde, assignment).program)
+        for candidate, cost in enumerate_candidates(tilde):
+            text = pretty_program(instantiate(tilde, candidate).program)
             enumerated[(text, cost)] = enumerated.get((text, cost), 0) + 1
         agreements += enumerated == expanded
     report("4 weighted-set agreement", agreements == 50, f"{agreements}/50 multisets equal")
@@ -328,7 +328,7 @@ def test_criterion_5_default_identity_and_termination():
     for program_file, model_file in _BUNDLED:
         source = read(*program_file)
         tilde = rewrite(parse_imp(source), parse_eml(read(*model_file)))
-        if pretty_program(instantiate(tilde, {}).program) != source:
+        if pretty_program(instantiate(tilde, tilde.defaults()).program) != source:
             report("5 default identity / termination", False, f"{program_file} not byte-identical")
 
     ill = parse_eml("rule Bad: v[a] -> {(v[a])' + 1}\n")
@@ -344,7 +344,7 @@ def test_criterion_5_default_identity_and_termination():
         program = parse_imp(source)
         tilde = rewrite(program, model)
         within_bound = tilde.max_rewrite_depth <= lang.size(program)
-        identity = pretty_program(instantiate(tilde, {}).program) == source
+        identity = pretty_program(instantiate(tilde, tilde.defaults()).program) == source
         terminated += within_bound and identity
     report(
         "5 default identity / termination",

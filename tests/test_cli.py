@@ -339,6 +339,38 @@ def test_serial_corpus_builds_the_table_once(monkeypatch, capsys):
     assert len(built) == 1
 
 
+def test_a_crash_on_one_file_is_an_internal_error_verdict(tmp_path, monkeypatch, capsys):
+    for name in ("s01_three_bugs.imp", "s02_range_start.imp"):
+        with open(asset("computederiv", "corpus", name), encoding="utf-8") as fh:
+            (tmp_path / name).write_text(fh.read())
+    repair_one = cli.repair_one
+
+    def crashing(source, *args):
+        if "for i in" in source:  # s02's loop, not s01's
+            raise RuntimeError("defect\nsecond line")
+        return repair_one(source, *args)
+
+    monkeypatch.setattr(cli, "repair_one", crashing)
+    args = corpus_args("--jobs", "1")
+    args[args.index("--corpus") + 1] = str(tmp_path)
+    assert cli.main(args) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == (
+        "s01_three_bugs.imp: fixed (cost 3)\n"
+        "s02_range_start.imp: internal-error\n"
+        "summary: total=2 correct=0 fixed=1 no_fix=0 parse_error=0 internal_error=1"
+        " fixed_pct=100.0\n"
+    )
+    assert err == "autofix: s02_range_start.imp: RuntimeError: defect\n"
+    assert cli.main(args + ["--format", "json"]) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == "autofix: s02_range_start.imp: RuntimeError: defect\n"
+    assert doc["files"][1] == {"name": "s02_range_start.imp", "verdict": "internal-error",
+                               "error": "RuntimeError: defect"}
+    assert doc["summary"]["internal_error"] == 1 and doc["summary"]["no_fix"] == 0
+
+
 def nested_source(depth: int) -> str:
     return (
         "def computeDeriv_list_int(poly_list_int):\n    return "

@@ -28,7 +28,7 @@ from autofix.eml import parse_eml
 from autofix.inputs import Signature, parse_signature
 from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal
 from autofix.lexer import SourceError
-from autofix.parser import parse_imp
+from autofix.parser import MAX_EXPR_DEPTH, parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.runtime import Fault, same
@@ -40,10 +40,9 @@ from autofix.tilde import (
     enumerate_candidates,
     instantiate,
     number_sites,
-    pick_tuple,
 )
 
-from conftest import ASSETS, read
+from conftest import ASSETS, active_of, picks_for, read
 from spec_interp import evaluate, values_equal
 
 FUELS = (300, 25)
@@ -247,24 +246,25 @@ def test_other_compile_errors_are_not_source_errors(monkeypatch):
 
 
 def deep_programs():
-    """The deepest expressions the parser accepts: 88 levels of `-`, `and`,
-    indexing and list literals, and 80 of conditionals.  They are built by
-    hand because how deep the parser reaches depends on the stack it is
-    called from."""
+    """Expressions of `-`, `and`, indexing, list literals and conditionals,
+    each ``MAX_EXPR_DEPTH`` levels deep, the parser's limit; each parses
+    from its printed text."""
     x, xs = lang.Var("x_int"), lang.Var("x_list_int")
     shapes = [
-        ("f_int", x, lang.IntLit(1), 88, lambda e: lang.BinOp(x, "-", e)),
-        ("f_bool", x, lang.BoolLit(True), 88,
+        ("f_int", x, lang.IntLit(1), lambda e: lang.BinOp(x, "-", e)),
+        ("f_bool", x, lang.BoolLit(True),
          lambda e: lang.BoolOp(lang.Compare(x, "<", lang.IntLit(1)), "and", e)),
-        ("f_int", xs, lang.IntLit(0), 88, lambda e: lang.Index(xs, e)),
-        ("f_list_int", x, x, 88, lambda e: lang.ListLit([e])),
-        ("f_int", x, lang.IntLit(1), 80,
+        ("f_int", xs, lang.IntLit(0), lambda e: lang.Index(xs, e)),
+        ("f_list_int", x, x, lambda e: lang.ListLit([e])),
+        ("f_int", x, lang.IntLit(1),
          lambda e: lang.CondExpr(x, lang.Compare(x, "<", lang.IntLit(0)), e)),
     ]
-    for name, param, leaf, depth, wrap in shapes:
-        for _ in range(depth):
+    for name, param, leaf, wrap in shapes:
+        for _ in range(MAX_EXPR_DEPTH):
             leaf = wrap(leaf)
-        yield lang.Program([lang.FuncDef(name, [param.name], [lang.Return(leaf)])], name)
+        program = lang.Program([lang.FuncDef(name, [param.name], [lang.Return(leaf)])], name)
+        assert parse_imp(pretty_program(program)).key() == program.key()
+        yield program
 
 
 def test_deep_expressions_compile():
@@ -442,7 +442,7 @@ def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compiler
     """Every candidate of `tilde` up to `max_cost`, run as its pick tuple
     of the choice-site program compiled once per fuel and per signature in
     `signatures`, agrees with its instantiated program on the tree-walker.
-    The search's `active` and `cost` (the assignment's items and the
+    The search's `active` and `cost` (the non-default picks and the
     enumerated cost) equal `instantiate`'s.  Returns (cases, fuel-only
     disagreements, candidates); a case is a candidate, fuel and input, run
     once per signature."""
@@ -450,10 +450,10 @@ def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compiler
             for fuel, compiler in compilers.items()}
     spec = {}  # (tree key, fuel, input) -> tree-walker result
     cases = fuel_disagreements = candidates = 0
-    for assignment, cost in enumerate_candidates(tilde, max_cost):
-        candidate = instantiate(tilde, assignment)
-        assert frozenset(assignment.items()) == candidate.active and cost == candidate.cost
-        picks, key = pick_tuple(tilde, assignment), candidate.program.key()
+    for picks, cost in enumerate_candidates(tilde, max_cost):
+        candidate = instantiate(tilde, picks)
+        assert active_of(picks) == candidate.active and cost == candidate.cost
+        key = candidate.program.key()
         candidates += 1
         for fuel, compiler in compilers.items():
             for args in inputs:
@@ -479,8 +479,8 @@ def test_bundled_candidates_up_to_cost_2_agree():
         cases += more
         fuel_disagreements += fuel_only
         texts = {}  # printed text -> structural key
-        for assignment, _ in enumerate_candidates(tilde, 2):
-            candidate = instantiate(tilde, assignment).program
+        for picks, _ in enumerate_candidates(tilde, 2):
+            candidate = instantiate(tilde, picks).program
             key = candidate.key()
             assert texts.setdefault(pretty_program(candidate), key) == key
         # each text has one key: the text fingerprint that blocks prior
@@ -513,7 +513,7 @@ def test_choice_sites_with_reference_callees():
     run = COMPILERS[300].compile(tilde, callees)
     opf = next(s for s in tilde.sites if s.kind == "op")
     plus = [alt.payload for alt in opf.alternatives].index("+")
-    assert run((1, 2), pick_tuple(tilde, {opf.site_id: plus})) == 6
+    assert run((1, 2), picks_for(tilde, {opf.site_id: plus})) == 6
 
 
 # Statement, block and assignment-target sites: the bundled models make only

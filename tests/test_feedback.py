@@ -11,6 +11,8 @@ from autofix.rewrite import rewrite
 from autofix.search import ReferenceOracle, cegis_min
 from autofix.tilde import instantiate
 
+from conftest import picks_for
+
 
 @pytest.fixture(scope="module")
 def deriv_fix(deriv_student, deriv_model, deriv_oracle_w3):
@@ -22,7 +24,7 @@ def deriv_fix(deriv_student, deriv_model, deriv_oracle_w3):
 
 def test_corrections_match_expected_fix(deriv_fix):
     tilde, result = deriv_fix
-    corrections = diff_corrections(tilde, result.assignment)
+    corrections = diff_corrections(tilde, result.picks)
     facts = [(c.line, c.sub_expr, c.new_expr, c.rule_id) for c in corrections]
     assert facts == [
         (5, "deriv", "[0]", "RetF"),
@@ -35,18 +37,18 @@ def test_corrections_match_expected_fix(deriv_fix):
 
 def test_default_assignment_has_no_corrections(deriv_fix):
     tilde, _ = deriv_fix
-    assert diff_corrections(tilde, {}) == []
+    assert diff_corrections(tilde, tilde.defaults()) == []
 
 
 def test_inactive_selection_contributes_no_correction(deriv_fix):
     tilde, _ = deriv_fix
     nested = next(s for s in tilde.sites if s.parent is not None and s.parent[1] != 0)
-    assert diff_corrections(tilde, {nested.site_id: 1}) == []
+    assert diff_corrections(tilde, picks_for(tilde, {nested.site_id: 1})) == []
 
 
 def test_messages_render_rule_templates(deriv_fix):
     tilde, result = deriv_fix
-    messages = [c.message for c in diff_corrections(tilde, result.assignment)]
+    messages = [c.message for c in diff_corrections(tilde, result.picks)]
     assert messages[0] == "In the return statement return deriv in line 5, replace deriv by [0]."
     assert messages[1] == "In the expression for expo in range(0, len(poly_list_int)) in line 6, change 0 to 1."
     assert (
@@ -59,7 +61,7 @@ def test_generic_message_when_rule_has_none(deriv_oracle_w3, deriv_student):
     model = parse_eml("rule RetF: return a -> return [0]\n")
     tilde = rewrite(deriv_student, model)
     site = tilde.sites[0]
-    corrections = diff_corrections(tilde, {site.site_id: 1})
+    corrections = diff_corrections(tilde, picks_for(tilde, {site.site_id: 1}))
     assert corrections[0].message == "In line 5, change deriv to [0]."
 
 
@@ -134,9 +136,9 @@ def test_round_trip_splice_matches_instantiation(
     deriv_fix, deriv_student_source
 ):
     tilde, result = deriv_fix
-    corrections = diff_corrections(tilde, result.assignment)
+    corrections = diff_corrections(tilde, result.picks)
     patched = splice(deriv_student_source, corrections)
-    fixed = instantiate(tilde, result.assignment).program
+    fixed = instantiate(tilde, result.picks).program
     assert parse_imp(patched).key() == fixed.key()
 
 
@@ -155,14 +157,14 @@ def test_round_trip_splice_with_operator_correction(
         Bounds(3, 2),
     )
     tilde = rewrite(reverse_student, reverse_model)
-    # pick an assignment that rewrites the loop operator and an index
+    # picks that rewrite the loop operator and an index
     op_site = next(s for s in tilde.sites if s.kind == "op" and s.span.line == 4)
     idx_site = next(s for s in tilde.sites if s.span.line == 5)
-    assignment = {op_site.site_id: 1, idx_site.site_id: 2}
-    corrections = diff_corrections(tilde, assignment)
+    chosen = picks_for(tilde, {op_site.site_id: 1, idx_site.site_id: 2})
+    corrections = diff_corrections(tilde, chosen)
     assert {c.sub_expr for c in corrections} == {"<=", "i"}
     patched = splice(reverse_student_source, corrections)
-    assert parse_imp(patched).key() == instantiate(tilde, assignment).program.key()
+    assert parse_imp(patched).key() == instantiate(tilde, chosen).program.key()
 
 
 def test_alternates_render_in_report(reverse_student, reverse_model, reverse_ref):

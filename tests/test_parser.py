@@ -3,7 +3,7 @@ import pytest
 from autofix import lang
 from autofix.eml import parse_eml
 from autofix.lexer import SourceError
-from autofix.parser import parse_imp
+from autofix.parser import MAX_EXPR_DEPTH, parse_imp
 from autofix.printer import pretty_program
 
 from conftest import read
@@ -129,8 +129,38 @@ def test_blocks_nest_at_most_16_deep():
 
 
 def test_nesting_the_parser_handles_still_parses():
-    program = parse_imp(nested_source(70))
+    program = parse_imp(nested_source(MAX_EXPR_DEPTH))
     assert pretty_program(parse_imp(pretty_program(program))) == pretty_program(program)
+
+
+# expressions `depth` levels deep, one shape per way to nest
+NESTINGS = {
+    "parentheses": lambda d: "(1 - " * d + "x_int" + ")" * d,
+    "arguments": lambda d: "len(" * d + "xs" + ")" * d,
+    "indices": lambda d: "xs[" * d + "0" + "]" * d,
+    "lists": lambda d: "[" * d + "x_int" + "]" * d,
+    "conditionals": lambda d: "x_int if x_int < 0 else " * d + "1",
+    "not": lambda d: "not " * d + "True",
+    "minus": lambda d: "- " * d + "x_int",
+    "powers": lambda d: "x_int ** " * d + "1",
+}
+
+
+def called_deeper(frames: int, f):
+    return f() if frames == 0 else called_deeper(frames - 1, f)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_expression_depth_does_not_depend_on_the_stack(shape):
+    # one constant bounds expressions, as MAX_BLOCK_DEPTH bounds blocks
+    def source(depth):
+        return "def f_int(x_int, xs):\n    return " + NESTINGS[shape](depth) + "\n"
+
+    called_deeper(200, lambda: parse_imp(source(MAX_EXPR_DEPTH)))
+    with pytest.raises(SourceError, match="nested too deeply"):
+        parse_imp(source(MAX_EXPR_DEPTH + 1))
+    rule = "rule R: a -> {" + NESTINGS[shape](MAX_EXPR_DEPTH - 1).replace("x_int", "a") + "}\n"
+    called_deeper(200, lambda: parse_eml(rule))
 
 
 @pytest.mark.parametrize("depth", [100, 1000])

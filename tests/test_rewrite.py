@@ -12,8 +12,8 @@ from conftest import read
 
 def candidate_texts(tilde, max_cost=None):
     out = {}
-    for assignment, cost in enumerate_candidates(tilde, max_cost):
-        cand = instantiate(tilde, assignment)
+    for candidate, cost in enumerate_candidates(tilde, max_cost):
+        cand = instantiate(tilde, candidate)
         out.setdefault((pretty_program(cand.program), cost), 0)
         out[(pretty_program(cand.program), cost)] += 1
     return out
@@ -22,7 +22,7 @@ def candidate_texts(tilde, max_cost=None):
 def test_empty_model_rewrites_to_zero_sites(deriv_student, deriv_student_source):
     tilde = rewrite(deriv_student, ErrorModel([]))
     assert tilde.sites == []
-    cand = instantiate(tilde, {})
+    cand = instantiate(tilde, tilde.defaults())
     assert pretty_program(cand.program) == deriv_student_source
     assert cand.cost == 0
 
@@ -41,7 +41,7 @@ def test_empty_model_rewrites_to_zero_sites(deriv_student, deriv_student_source)
 def test_default_assignment_reproduces_input(program_file, model_file):
     source = read(*program_file)
     tilde = rewrite(parse_imp(source), parse_eml(read(*model_file)))
-    assert pretty_program(instantiate(tilde, {}).program) == source
+    assert pretty_program(instantiate(tilde, tilde.defaults()).program) == source
 
 
 def test_ill_formed_model_rejected(deriv_student):

@@ -1,12 +1,19 @@
+import glob
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autofix import lang
 from autofix.eml import parse_eml
 from autofix.interp import Bounds
+from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
+from autofix.runtime import Fault, same
 from autofix.search import (
     ReferenceFault,
     ReferenceOracle,
@@ -15,7 +22,16 @@ from autofix.search import (
     find_counterexample,
     next_alternate,
 )
-from autofix.tilde import enumerate_candidates, instantiate
+from autofix.tilde import (
+    Alternative,
+    ChoiceSite,
+    TildeProgram,
+    enumerate_candidates,
+    instantiate,
+    number_sites,
+)
+
+from conftest import ASSETS, read
 
 
 def test_oracle_rejects_faulting_reference():
@@ -51,7 +67,7 @@ def test_compute_deriv_repair(deriv_student, deriv_model, deriv_oracle_w3):
     assert result.cost == 3
     assert find_counterexample(result.program, deriv_oracle_w3) is None
     again = cegis_min(tilde, deriv_oracle_w3, max_cost=5)
-    assert again.assignment == result.assignment  # deterministic
+    assert again.picks == result.picks  # deterministic
 
 
 def test_reference_is_already_correct(deriv_ref, deriv_model, deriv_oracle_w3):
@@ -113,7 +129,7 @@ def test_next_alternate_skips_text_twins_of_prior_fixes():
     assert first.status == "fixed" and first.cost == 1
     text = pretty_program(first.program)
     twins = [
-        candidate for candidate in (instantiate(tilde, a) for a, _ in enumerate_candidates(tilde))
+        candidate for candidate in (instantiate(tilde, p) for p, _ in enumerate_candidates(tilde))
         if candidate.active != first.active and pretty_program(candidate.program) == text
     ]
     assert len(twins) == 1 and find_counterexample(twins[0].program, oracle) is None
@@ -179,10 +195,10 @@ def make_instance(rng):
 
 def brute_force_minimum(tilde, oracle, max_cost):
     best = None
-    for assignment, cost in enumerate_candidates(tilde, max_cost):
+    for candidate, cost in enumerate_candidates(tilde, max_cost):
         if best is not None and cost > best:
             break
-        cand = instantiate(tilde, assignment)
+        cand = instantiate(tilde, candidate)
         if find_counterexample(cand.program, oracle) is None:
             best = cost if best is None else min(best, cost)
     return best
@@ -243,3 +259,111 @@ def test_student_callees_use_the_submitted_helpers():
     result = cegis_min(tilde, oracle, max_cost=5)
     # only the entry function is rewritten; the wrong helper stays
     assert result.status == "no_fix"
+
+
+# -- the comparison the static types choose ------------------------------------
+#
+# Screening and verification compare with Python's `!=` where the static
+# return types of candidate and reference prove it exact, and with `same`
+# elsewhere.  Either way a candidate must fail first where `same` says so.
+
+
+def first_mismatch_by_same(oracle, run, picks):
+    """`first_mismatch` written with `same` alone."""
+    for i, (inp, want) in enumerate(zip(oracle.inputs, oracle.values)):
+        try:
+            value = run(inp, picks)
+        except Fault:
+            return i
+        if not same(value, want):
+            return i
+    return None
+
+
+def assert_comparison_agrees_with_same(tilde, oracle, max_cost=None):
+    run = oracle.compile(tilde)
+    for picks, _ in enumerate_candidates(tilde, max_cost):
+        want = first_mismatch_by_same(oracle, run, picks)
+        assert oracle.first_mismatch(run, picks) == want
+        if want is not None:
+            assert not oracle.agrees_at(run, picks, want)
+            assert all(oracle.agrees_at(run, picks, i) for i in range(want))
+    return run.exact
+
+
+def test_int_returned_for_bool_is_no_fix(deriv_model):
+    # Python's `1 == True` holds; the language's does not
+    reference = parse_imp("def isPos_bool(x_int):\n    return x_int > 0\n")
+    student = parse_imp(
+        "def isPos_bool(x_int):\n    if x_int > 0:\n        return 1\n    return 0\n"
+    )
+    oracle = ReferenceOracle(reference, Bounds(3, 0))
+    tilde = rewrite(student, deriv_model)
+    assert cegis_min(tilde, oracle).status == "no_fix"
+    assert not oracle.compile(tilde).exact
+
+
+PARAMS = ["x_int", "xs_list_int", "t_tuple_int"]
+X, XS, T = (lang.Var(p) for p in PARAMS)
+
+
+@st.composite
+def returned(draw, depth=2):
+    """An expression that never faults on the inputs, of any type: ints,
+    bools, lists of ints, of bools, of lists or mixed, and tuples."""
+    leaves = [
+        st.integers(-2, 1).map(lang.IntLit), st.just(X), st.booleans().map(lang.BoolLit),
+        st.builds(lang.Compare, st.just(X), st.sampled_from(lang.COMPARE_OPS),
+                  st.integers(-2, 1).map(lang.IntLit)),
+        st.just(XS), st.just(T), st.just(lang.Call("len", [XS])),
+    ]
+    if depth == 0:
+        return draw(st.one_of(*leaves))
+    inner = returned(depth - 1)
+    return draw(st.one_of(
+        *leaves,
+        st.lists(inner, max_size=2).map(lang.ListLit),
+        st.builds(lang.BinOp, st.just(T), st.just("+"), st.just(T)),
+        st.builds(lang.CondExpr, inner, st.just(lang.Compare(X, "<", lang.IntLit(0))), inner),
+    ))
+
+
+def entry(body) -> lang.Program:
+    return lang.Program([lang.FuncDef("f_int", PARAMS, body)], "f_int")
+
+
+def site(default, others) -> ChoiceSite:
+    alternatives = [Alternative(default)] + [Alternative(o, "Alt", 1) for o in others]
+    return ChoiceSite("expr", lang.NO_SPAN, lang.NO_SPAN, alternatives)
+
+
+@given(returned(), returned(), st.lists(returned(), min_size=1, max_size=3), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_type_chosen_comparison_agrees_with_same_on_generated_candidates(
+        reference, default, others, through_variable):
+    oracle = ReferenceOracle(entry([lang.Return(reference)]), Bounds(2, 1))
+    value = site(default, others)
+    if through_variable:  # the type of a variable stored in every alternative
+        body = [lang.Assign(lang.Var("y"), value), lang.Return(lang.Var("y"))]
+    else:
+        body = [lang.Return(value)]
+    tilde = TildeProgram(entry(body))
+    number_sites(tilde)
+    assert_comparison_agrees_with_same(tilde, oracle)
+
+
+def test_type_chosen_comparison_agrees_with_same_on_bundled_candidates():
+    exact = set()
+    for asset in ("computederiv", "arrayreverse"):
+        oracle = ReferenceOracle(parse_imp(read(asset, "reference.imp")), Bounds(3, 2))
+        files = [os.path.join(ASSETS, asset, n) for n in ("student.imp", "reference.imp")]
+        files += sorted(glob.glob(os.path.join(ASSETS, asset, "corpus", "*.imp")))
+        for model_path in sorted(glob.glob(os.path.join(ASSETS, asset, "*.eml"))):
+            model = parse_eml(read(model_path))
+            for path in files:
+                try:
+                    program = parse_imp(read(path))
+                except SourceError:
+                    continue  # the corpus holds one unparseable submission
+                exact.add(assert_comparison_agrees_with_same(rewrite(program, model), oracle, 2))
+    assert exact == {True, False}

@@ -14,6 +14,7 @@ from autofix.tilde import (
     max_cost_bound,
 )
 
+from conftest import active_of, picks_for
 from expansion_oracle import expand_program
 
 
@@ -23,14 +24,14 @@ def find_site(tilde, line, kind="expr"):
 
 def test_default_assignment_is_empty_and_free(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
-    cand = instantiate(tilde, {})
+    cand = instantiate(tilde, tilde.defaults())
     assert cand.cost == 0 and cand.active == frozenset()
 
 
 def test_zero_site_tilde(deriv_student):
     tilde = rewrite(deriv_student, parse_eml(""))
     candidates = list(enumerate_candidates(tilde))
-    assert len(candidates) == 1 and candidates[0] == ({}, 0)
+    assert len(candidates) == 1 and candidates[0] == ((), 0)
 
 
 def test_walkthrough_selection_costs_three(deriv_student, deriv_model_simple, deriv_student_source):
@@ -40,8 +41,7 @@ def test_walkthrough_selection_costs_three(deriv_student, deriv_model_simple, de
     ret5 = find_site(tilde, 5)
     lower6 = find_site(tilde, 6)
     cmp7 = find_site(tilde, 7)
-    assignment = {ret5.site_id: 1, cmp7.site_id: 1, lower6.site_id: 1}
-    cand = instantiate(tilde, assignment)
+    cand = instantiate(tilde, picks_for(tilde, {ret5.site_id: 1, cmp7.site_id: 1, lower6.site_id: 1}))
     assert cand.cost == 3
     text = pretty_program(cand.program)
     assert "return [0]" in text
@@ -54,7 +54,7 @@ def test_walkthrough_selection_costs_three(deriv_student, deriv_model_simple, de
 def test_bad_index_rejected(deriv_student, deriv_model_simple):
     tilde = rewrite(deriv_student, deriv_model_simple)
     with pytest.raises(BadIndex):
-        instantiate(tilde, {0: 99})
+        instantiate(tilde, picks_for(tilde, {0: 99}))
 
 
 def test_inactive_selection_is_masked(deriv_student, deriv_model):
@@ -64,8 +64,8 @@ def test_inactive_selection_is_masked(deriv_student, deriv_model):
     op_site = next(
         s for s in tilde.sites if s.kind == "op" and s.parent and s.parent[0] == cmp4.site_id
     )
-    plain = instantiate(tilde, {})
-    masked = instantiate(tilde, {op_site.site_id: 2})
+    plain = instantiate(tilde, tilde.defaults())
+    masked = instantiate(tilde, picks_for(tilde, {op_site.site_id: 2}))
     assert pretty_program(masked.program) == pretty_program(plain.program)
     assert masked.cost == 0 and masked.active == frozenset()
 
@@ -74,13 +74,13 @@ def test_overview_model_induces_32_candidates(reverse_student, reverse_model_ove
     tilde = rewrite(reverse_student, reverse_model_overview)
     candidates = list(enumerate_candidates(tilde))
     assert len(candidates) == 32
-    distinct = {pretty_program(instantiate(tilde, a).program) for a, _ in candidates}
+    distinct = {pretty_program(instantiate(tilde, p).program) for p, _ in candidates}
     assert len(distinct) == 32
 
 
 def test_stream_is_cost_sorted_with_lexicographic_ties(reverse_student, reverse_model_overview):
     tilde = rewrite(reverse_student, reverse_model_overview)
-    seen = [(cost, tuple(sorted(a.items()))) for a, cost in enumerate_candidates(tilde)]
+    seen = [(cost, tuple(sorted(active_of(p)))) for p, cost in enumerate_candidates(tilde)]
     assert seen == sorted(seen)
     assert len(set(seen)) == len(seen)
 
@@ -89,20 +89,21 @@ def test_cost_additivity_for_sibling_sites(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
     s_a = find_site(tilde, 5)
     s_b = find_site(tilde, 6)
-    both = instantiate(tilde, {s_a.site_id: 1, s_b.site_id: 1})
-    only_a = instantiate(tilde, {s_a.site_id: 1})
-    only_b = instantiate(tilde, {s_b.site_id: 1})
+    both = instantiate(tilde, picks_for(tilde, {s_a.site_id: 1, s_b.site_id: 1}))
+    only_a = instantiate(tilde, picks_for(tilde, {s_a.site_id: 1}))
+    only_b = instantiate(tilde, picks_for(tilde, {s_b.site_id: 1}))
     assert both.cost == only_a.cost + only_b.cost == 2
 
 
 def test_canonical_enumeration_no_duplicate_patterns(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
     seen = set()
-    for assignment, cost in enumerate_candidates(tilde, 2):
-        active = instantiate(tilde, assignment).active
+    for candidate, cost in enumerate_candidates(tilde, 2):
+        active = instantiate(tilde, candidate).active
         assert active not in seen
         seen.add(active)
-        assert dict(assignment) == {k: v for k, v in assignment.items()}
+        # inactive sites stay at the default: the picks are the active set
+        assert active_of(candidate) == active
 
 
 def random_tilde(rng):
@@ -142,8 +143,8 @@ def test_enumeration_agrees_with_direct_expansion():
         for text, cost in expand_program(tilde):
             expanded[(text, cost)] = expanded.get((text, cost), 0) + 1
         enumerated = {}
-        for assignment, cost in enumerate_candidates(tilde):
-            text = pretty_program(instantiate(tilde, assignment).program)
+        for candidate, cost in enumerate_candidates(tilde):
+            text = pretty_program(instantiate(tilde, candidate).program)
             enumerated[(text, cost)] = enumerated.get((text, cost), 0) + 1
         assert enumerated == expanded
 
