@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import lang
 from .lexer import SourceError, tokenize
-from .parser import Parser
+from .parser import ARITH, COMPARE, TERM, Parser
 
 META_KINDS = ("a", "b", "v", "n", "s", "cop", "aop")
 
@@ -313,7 +313,7 @@ class RuleParser(Parser):
 
     # names become metavariables when their stem is a known kind
     def parse_atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "OP" and tok.value == "{" and self.allow_template:
             self.advance()
             options = [self.parse_expr()]
@@ -338,7 +338,7 @@ class RuleParser(Parser):
         return nxt.kind == "OP" and nxt.value == "("
 
     def parse_postfix(self):
-        start = self.peek().span
+        start = self.tokens[self.pos].span
         node = self.parse_atom()
         while True:
             before = self.pos
@@ -352,61 +352,36 @@ class RuleParser(Parser):
                         tok.span.col,
                     )
                 node = Primed(node, node.span)
+                self.deepen(self.reach + 1)
                 continue
             if self.pos == before:
                 return node
 
-    def parse_comparison(self):
-        start = self.peek().span
-        left = self.parse_arith()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value in lang.COMPARE_OPS:
-            op = self.advance().value
-            right = self.parse_arith()
-            return lang.Compare(left, op, right, self.span_from(start))
-        if tok.kind == "OP" and tok.value == "~" and self.allow_template:
-            self.advance()
-            name = self.expect("NAME").value
-            right = self.parse_arith()
-            node = lang.Compare(left, "==", right, self.span_from(start))
-            node.op = OpSet(name)
-            return node
-        if tok.kind == "NAME" and meta_kind(tok.value) == "cop":
-            self.advance()
-            right = self.parse_arith()
-            node = lang.Compare(left, "==", right, self.span_from(start))
-            node.op = MetaVar(tok.value, "cop", tok.span)
-            return node
-        return left
+    # operator metavariables: ``a cop b`` and ``a aop b``, and in templates
+    # the operator sets ``a ~cop b`` and ``a ~aop b``
+    def binary_level(self, tok):
+        level = super().binary_level(tok)
+        if level is not None:
+            return level
+        if tok.kind == "NAME":
+            kind = meta_kind(tok.value)
+            if kind == "cop":
+                return COMPARE
+            if kind == "aop" and not self._ends_expr():
+                return ARITH
+        elif tok.kind == "OP" and tok.value == "~" and self.allow_template:
+            nxt = self.peek(1)
+            return ARITH if nxt.kind == "NAME" and meta_kind(nxt.value) == "aop" else COMPARE
+        return None
 
-    def parse_arith(self):
-        start = self.peek().span
-        left = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("+", "-"):
-                op = self.advance().value
-                left = lang.BinOp(left, op, self.parse_term(), self.span_from(start))
-            elif tok.kind == "NAME" and meta_kind(tok.value) == "aop" and not self._ends_expr():
-                self.advance()
-                node = lang.BinOp(left, "+", self.parse_term(), self.span_from(start))
-                node.op = MetaVar(tok.value, "aop", tok.span)
-                left = node
-            elif tok.kind == "OP" and tok.value == "~" and self.allow_template:
-                save = self.pos
-                self.advance()
-                name_tok = self.peek()
-                if name_tok.kind == "NAME" and meta_kind(name_tok.value) == "aop":
-                    self.advance()
-                    node = lang.BinOp(left, "+", self.parse_term(), self.span_from(start))
-                    node.op = OpSet(name_tok.value)
-                    left = node
-                else:
-                    self.pos = save
-                    break
-            else:
-                break
-        return left
+    def binary_operator(self, level):
+        tok = self.advance()
+        if tok.kind == "NAME":
+            return MetaVar(tok.value, meta_kind(tok.value), tok.span), lang.NO_SPAN
+        if tok.value == "~":
+            return OpSet(self.expect("NAME").value), lang.NO_SPAN
+        # a rule's comparisons and sums keep no operator span
+        return tok.value, tok.span if level == TERM else lang.NO_SPAN
 
     def _ends_expr(self) -> bool:
         nxt = self.peek(1)

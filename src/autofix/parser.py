@@ -3,6 +3,11 @@
 The grammar is an indentation-based Python subset: ``def``, ``if``/``else``,
 ``while``, ``for .. in``, ``return``, ``pass``, assignment, augmented
 assignment and ``x.append(e)`` statements over int/bool/list expressions.
+Binary operators are parsed by precedence climbing (`Parser.parse_binary`),
+which `eml.RuleParser` extends with operator metavariables and sets.  Two
+bounds, both counted while parsing, keep every tree within the stack of the
+recursive passes after the parser: `MAX_EXPR_DEPTH` on nesting and
+`MAX_TREE_DEPTH` on the depth of the tree.
 """
 
 from __future__ import annotations
@@ -21,6 +26,19 @@ MAX_BLOCK_DEPTH = 16
 # minus and ``**``.  Counted, so that what parses does not depend on the
 # caller's stack: a program at the limit parses with 200 frames below.
 MAX_EXPR_DEPTH = 48
+# levels below the root of a statement's expression that a node of its
+# syntax tree may lie, so that the recursive passes after the parser
+# (rewrite, compile, print) stay within the stack too.  A left-associated
+# chain is as deep as it is long (``a + b + c``, ``x[i][j]``): counted as
+# the tree is built, not by a walk.  One more than MAX_EXPR_DEPTH, as a
+# comparison in the deepest conditional branch lies one level below it.
+MAX_TREE_DEPTH = MAX_EXPR_DEPTH + 1
+
+# binding levels of the binary operators, loosest first; ``not`` binds
+# between ``and`` and the comparisons
+OR, AND, NOT, COMPARE, ARITH, TERM = range(1, 7)
+BINARY_LEVELS = {"or": OR, "and": AND, "+": ARITH, "-": ARITH, "*": TERM, "/": TERM}
+BINARY_LEVELS.update(dict.fromkeys(lang.COMPARE_OPS, COMPARE))
 
 
 class Parser:
@@ -30,11 +48,15 @@ class Parser:
         self.pos = 0
         self.block_depth = -1  # a function body is depth 0
         self.expr_depth = -1  # a statement's expression is depth 0
+        self.reach = 0  # see `deepen`
 
     # -- token plumbing ----------------------------------------------------
+    # `tokens` ends in EOF, and `advance` never moves past it
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -43,23 +65,25 @@ class Parser:
         return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, value):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise self.error(f"expected {want!r}, found {tok.value or tok.kind!r}")
-        return self.advance()
+        if kind != "EOF":
+            self.pos += 1
+        return tok
 
     def error(self, message: str) -> SourceError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return SourceError(message, tok.span.line, tok.span.col)
 
     def span_from(self, start: Span) -> Span:
         prev = self.tokens[self.pos - 1].span
-        return Span(start.line, start.col, start.start, prev.end)
+        return tuple.__new__(Span, (start.line, start.col, start.start, prev.end))
 
     # -- program structure -------------------------------------------------
 
@@ -199,147 +223,167 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def nested(self, parse) -> lang.Expr:
-        """`parse()` one expression level deeper; deeper than
+    def nested(self, parse, *args) -> lang.Expr:
+        """`parse(*args)` one expression level deeper; deeper than
         ``MAX_EXPR_DEPTH`` is a ``SourceError``."""
-        self.expr_depth += 1
-        if self.expr_depth > MAX_EXPR_DEPTH:
+        depth = self.expr_depth + 1
+        if depth > MAX_EXPR_DEPTH:
             raise self.error("nested too deeply")
-        node = parse()
-        self.expr_depth -= 1
+        outer = self.reach
+        self.expr_depth = self.reach = depth
+        node = parse(*args)
+        self.expr_depth = depth - 1
+        if outer > self.reach:
+            self.reach = outer
         return node
+
+    def deepen(self, reach: int) -> None:
+        """Record that the fragment being parsed now reaches `reach` levels
+        below its statement's expression; past `MAX_TREE_DEPTH` is a
+        ``SourceError``.
+
+        `reach` is the level of the fragment's deepest node.  A fragment
+        that `nested` starts, and a chain's right operand or a conditional's
+        condition, starts at `expr_depth`, its own level.  A node built over
+        operands parsed at its own level (a binary operator, a conditional,
+        ``**`` over its base, an index or slice over its base, a prime)
+        puts them one level deeper: one more than their reach.  A nested
+        fragment's reach counts its own level, so parentheses, which make
+        no node, take one off."""
+        if reach > MAX_TREE_DEPTH:
+            raise self.error("nested too deeply")
+        self.reach = reach
 
     def parse_expr(self) -> lang.Expr:
         return self.nested(self.parse_cond)
 
     def parse_cond(self) -> lang.Expr:
-        start = self.peek().span
-        body = self.parse_or()
-        if self.at("KEYWORD", "if"):
-            self.advance()
-            cond = self.parse_or()
-            self.expect("KEYWORD", "else")
-            orelse = self.parse_expr()
-            return lang.CondExpr(body, cond, orelse, self.span_from(start))
-        return body
+        start = self.tokens[self.pos].span
+        body = self.parse_binary(OR)
+        tok = self.tokens[self.pos]
+        if tok.value != "if" or tok.kind != "KEYWORD":
+            return body
+        self.pos += 1
+        below = self.reach
+        self.reach = self.expr_depth
+        cond = self.parse_binary(OR)
+        self.expect("KEYWORD", "else")
+        beside = self.reach
+        orelse = self.parse_expr()
+        node = lang.CondExpr(body, cond, orelse, self.span_from(start))
+        self.deepen(max(below + 1, beside + 1, self.reach))
+        return node
 
-    def parse_or(self) -> lang.Expr:
-        start = self.peek().span
-        left = self.parse_and()
-        while self.at("KEYWORD", "or"):
-            self.advance()
-            right = self.parse_and()
-            left = lang.BoolOp(left, "or", right, self.span_from(start))
-        return left
+    def parse_binary(self, loosest: int) -> lang.Expr:
+        """A left-associated chain of the binary operators that bind at
+        `loosest` or tighter (see `BINARY_LEVELS`), over operands that may
+        start with ``not`` when `loosest` admits it.  Comparisons do not
+        chain, and an operand of ``not`` or a comparison is no operand of
+        another comparison or arithmetic operator."""
+        tok = self.tokens[self.pos]
+        start = tok.span
+        if tok.value == "not" and tok.kind == "KEYWORD" and loosest <= NOT:
+            self.pos += 1
+            left = lang.Not(self.nested(self.parse_binary, NOT), self.span_from(start))
+            tightest = AND
+        else:
+            left = self.parse_factor()
+            tightest = TERM
+        while True:
+            level = self.binary_level(self.tokens[self.pos])
+            if level is None or level < loosest or level > tightest:
+                return left
+            op, op_span = self.binary_operator(level)
+            below = self.reach
+            self.reach = self.expr_depth
+            right = self.parse_binary(level + 1)
+            span = self.span_from(start)
+            if level >= ARITH:
+                left = lang.BinOp(left, op, right, span, op_span)
+                tightest = level
+            elif level == COMPARE:
+                left = lang.Compare(left, op, right, span, op_span)
+                tightest = AND
+            else:
+                left = lang.BoolOp(left, op, right, span)
+                tightest = level
+            self.deepen(max(below, self.reach) + 1)
 
-    def parse_and(self) -> lang.Expr:
-        start = self.peek().span
-        left = self.parse_not()
-        while self.at("KEYWORD", "and"):
-            self.advance()
-            right = self.parse_not()
-            left = lang.BoolOp(left, "and", right, self.span_from(start))
-        return left
+    def binary_level(self, tok: Token):
+        """The binding level of `tok` as a binary operator, or None."""
+        if tok.kind == "STRING":
+            return None
+        return BINARY_LEVELS.get(tok.value)
 
-    def parse_not(self) -> lang.Expr:
-        if self.at("KEYWORD", "not"):
-            start = self.advance().span
-            operand = self.nested(self.parse_not)
-            return lang.Not(operand, self.span_from(start))
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> lang.Expr:
-        start = self.peek().span
-        left = self.parse_arith()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value in lang.COMPARE_OPS:
-            op_tok = self.advance()
-            right = self.parse_arith()
-            return lang.Compare(left, op_tok.value, right, self.span_from(start), op_tok.span)
-        return left
-
-    def parse_arith(self) -> lang.Expr:
-        start = self.peek().span
-        left = self.parse_term()
-        while self.peek().kind == "OP" and self.peek().value in ("+", "-"):
-            op_tok = self.advance()
-            right = self.parse_term()
-            left = lang.BinOp(left, op_tok.value, right, self.span_from(start), op_tok.span)
-        return left
-
-    def parse_term(self) -> lang.Expr:
-        start = self.peek().span
-        left = self.parse_factor()
-        while self.peek().kind == "OP" and self.peek().value in ("*", "/"):
-            op_tok = self.advance()
-            right = self.parse_factor()
-            left = lang.BinOp(left, op_tok.value, right, self.span_from(start), op_tok.span)
-        return left
+    def binary_operator(self, level: int):
+        """Consume the binary operator of `level` at the cursor: the node's
+        operator and its span."""
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok.value, tok.span
 
     def parse_factor(self) -> lang.Expr:
-        if self.at("OP", "-"):
-            start = self.advance().span
-            if self.at("INT"):
-                # a leading minus on a literal is part of the literal, so it
-                # binds tighter than ** (unlike Python's unary minus)
-                tok = self.advance()
-                node = lang.IntLit(-int(tok.value), self.span_from(start))
-                node = self.parse_trailers(node, start)
-                if self.at("OP", "**"):
-                    self.advance()
-                    exponent = self.nested(self.parse_factor)
-                    return lang.BinOp(node, "**", exponent, self.span_from(start))
-                return node
-            operand = self.nested(self.parse_factor)
-            return lang.BinOp(
-                lang.IntLit(0, start), "-", operand, self.span_from(start)
-            )
-        return self.parse_power()
-
-    def parse_power(self) -> lang.Expr:
-        start = self.peek().span
-        base = self.parse_postfix()
-        if self.at("OP", "**"):
-            self.advance()
-            exponent = self.nested(self.parse_factor)
-            return lang.BinOp(base, "**", exponent, self.span_from(start))
-        return base
+        tok = self.tokens[self.pos]
+        start = tok.span
+        if tok.value == "-" and tok.kind == "OP":
+            self.pos += 1
+            lit = self.tokens[self.pos]
+            if lit.kind != "INT":
+                operand = self.nested(self.parse_factor)
+                return lang.BinOp(
+                    lang.IntLit(0, start), "-", operand, self.span_from(start)
+                )
+            # a leading minus on a literal is part of the literal, so it
+            # binds tighter than ** (unlike Python's unary minus)
+            self.pos += 1
+            base = lang.IntLit(-int(lit.value), self.span_from(start))
+            base = self.parse_trailers(base, start)
+        else:
+            base = self.parse_postfix()
+        tok = self.tokens[self.pos]
+        if tok.value != "**" or tok.kind != "OP":
+            return base
+        self.pos += 1
+        below = self.reach
+        exponent = self.nested(self.parse_factor)
+        node = lang.BinOp(base, "**", exponent, self.span_from(start))
+        self.deepen(max(below + 1, self.reach))
+        return node
 
     def parse_postfix(self) -> lang.Expr:
-        start = self.peek().span
+        start = self.tokens[self.pos].span
         node = self.parse_atom()
         return self.parse_trailers(node, start)
 
     def parse_trailers(self, node: lang.Expr, start: Span) -> lang.Expr:
-        while self.at("OP", "["):
-            self.advance()
+        while True:
+            tok = self.tokens[self.pos]
+            if tok.value != "[" or tok.kind != "OP":
+                return node
+            self.pos += 1
+            below = self.reach
             if self.at("OP", ":"):
                 self.advance()
                 hi = None if self.at("OP", "]") else self.parse_expr()
                 self.expect("OP", "]")
                 node = lang.Slice(node, None, hi, self.span_from(start))
-                continue
-            first = self.parse_expr()
-            if self.at("OP", ":"):
-                self.advance()
-                hi = None if self.at("OP", "]") else self.parse_expr()
-                self.expect("OP", "]")
-                node = lang.Slice(node, first, hi, self.span_from(start))
             else:
-                self.expect("OP", "]")
-                node = lang.Index(node, first, self.span_from(start))
-        return node
+                first = self.parse_expr()
+                if self.at("OP", ":"):
+                    self.advance()
+                    hi = None if self.at("OP", "]") else self.parse_expr()
+                    self.expect("OP", "]")
+                    node = lang.Slice(node, first, hi, self.span_from(start))
+                else:
+                    self.expect("OP", "]")
+                    node = lang.Index(node, first, self.span_from(start))
+            self.deepen(max(below + 1, self.reach))
 
     def parse_atom(self) -> lang.Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return lang.IntLit(int(tok.value), tok.span)
-        if tok.kind == "KEYWORD" and tok.value in ("True", "False"):
-            self.advance()
-            return lang.BoolLit(tok.value == "True", tok.span)
-        if tok.kind == "NAME":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "NAME":
+            self.pos += 1
             if self.at("OP", "("):
                 self.advance()
                 args = self.parse_args()
@@ -347,12 +391,20 @@ class Parser:
                 span = Span(tok.span.line, tok.span.col, tok.span.start, close.span.end)
                 return lang.Call(tok.value, args, span)
             return lang.Var(tok.value, tok.span)
-        if tok.kind == "OP" and tok.value == "(":
-            self.advance()
+        if kind == "INT":
+            self.pos += 1
+            return lang.IntLit(int(tok.value), tok.span)
+        if kind == "KEYWORD" and tok.value in ("True", "False"):
+            self.pos += 1
+            return lang.BoolLit(tok.value == "True", tok.span)
+        if kind == "OP" and tok.value == "(":
+            self.pos += 1
+            below = self.reach
             inner = self.parse_expr()
             self.expect("OP", ")")
+            self.reach = max(below, self.reach - 1)  # parentheses make no node
             return inner
-        if tok.kind == "OP" and tok.value == "[":
+        if kind == "OP" and tok.value == "[":
             start = self.advance().span
             elements = []
             if not self.at("OP", "]"):

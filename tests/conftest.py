@@ -19,6 +19,25 @@ def read(*parts) -> str:
         return fh.read()
 
 
+def called_deeper(frames: int, f):
+    return f() if frames == 0 else called_deeper(frames - 1, f)
+
+
+# left-associated chains whose syntax tree is `depth` levels deep below the
+# expression's root: each operator puts everything before it one level deeper
+CHAINS = {
+    "sums": lambda depth: " + ".join(["poly_list_int"] * (depth + 1)),
+    "products": lambda depth: "[" + " * ".join(["len(poly_list_int)"] * (depth - 1)) + "]",
+    "conjunctions": lambda depth: "[1 if " + " and ".join(["True"] * (depth - 1)) + " else 0]",
+    "slices": lambda depth: "poly_list_int" + "[1:]" * depth,
+}
+
+
+def chain_program(expression: str) -> str:
+    """A computeDeriv submission that returns `expression`."""
+    return f"def computeDeriv_list_int(poly_list_int):\n    return {expression}\n"
+
+
 def picks_for(tilde, chosen: dict) -> tuple:
     """The pick tuple of `tilde` that picks `chosen[site_id]` at each site
     named and the default elsewhere."""

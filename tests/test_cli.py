@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from autofix import cli
-from conftest import asset
+from autofix.parser import MAX_TREE_DEPTH
+from conftest import CHAINS, asset, called_deeper, chain_program
 
 CLI = [sys.executable, "-m", "autofix.cli"]
 FAST = ["--int-bits", "3", "--max-list", "3"]
@@ -485,3 +486,65 @@ def test_crlf_corpus_repairs_as_its_lf_files(tmp_path, capsys):
     assert outputs[0] == outputs[1] and outputs[0][1] == ""
     verdicts = [e["verdict"] for e in json.loads(outputs[0][0])["files"]]
     assert verdicts == ["fixed", "fixed", "parse-error"]
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_a_chain_at_the_depth_limit_repairs_with_200_frames_below(tmp_path, capsys, shape):
+    # rewrite, compile, search and feedback all recurse down the tree
+    student = tmp_path / "chain.imp"
+    student.write_text(chain_program(CHAINS[shape](MAX_TREE_DEPTH)))
+    code = called_deeper(200, lambda: cli.main(deriv_args(str(student), "--format", "json")))
+    out, err = capsys.readouterr()
+    assert err == "" and code in (0, 1, 2)
+    assert json.loads(out)["verdict"] == {0: "correct", 1: "fixed", 2: "no-fix"}[code]
+
+
+# each used to crash the CLI or change the program's meaning: a chain of 300
+# operands passed the parser and overflowed the stack in `rewrite`; a name with
+# `²` compiled to Python that `compile` rejects; `int` refused a 5,000-digit
+# literal
+ONE_LINE_SOURCE_ERRORS = {
+    "chain300.imp": (chain_program(" + ".join(["poly_list_int"] * 300)),
+                     "line 2, col 826: nested too deeply"),
+    "chain1000.imp": (chain_program(" + ".join(["poly_list_int"] * 1000)),
+                      "line 2, col 826: nested too deeply"),
+    "square.imp": (chain_program("poly² + poly_list_int"), "line 2, col 16: unexpected character '²'"),
+    "literal.imp": (chain_program("[" + "1" * 5000 + "]"),
+                    "line 2, col 13: integer literal longer than 640 digits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LINE_SOURCE_ERRORS))
+def test_front_end_errors_exit_3_with_one_line(tmp_path, name):
+    source, message = ONE_LINE_SOURCE_ERRORS[name]
+    (tmp_path / name).write_text(source, encoding="utf-8")
+    proc = run_cli(*deriv_args(str(tmp_path / name)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"autofix: {message}\n")
+
+
+def test_front_end_errors_are_corpus_parse_errors(tmp_path, capsys):
+    for name, (source, _) in ONE_LINE_SOURCE_ERRORS.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    args = corpus_args("--format", "json")
+    args[args.index("--corpus") + 1] = str(tmp_path)
+    assert cli.main(args) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert {e["name"]: (e["verdict"], e["error"]) for e in json.loads(out)["files"]} == {
+        name: ("parse-error", message) for name, (_, message) in ONE_LINE_SOURCE_ERRORS.items()
+    }
+
+
+def test_a_fix_of_a_chain_at_the_depth_limit_prints_with_200_frames_below(tmp_path, capsys):
+    # the reference, but its last return adds MAX_TREE_DEPTH empty lists to
+    # the result and so keeps its first element: fixed by RetF (`a[1:]`),
+    # whose feedback prints the whole chain
+    chain = " + ".join(["result"] + ["[]"] * MAX_TREE_DEPTH)
+    with open(asset("computederiv", "reference.imp"), encoding="utf-8") as fh:
+        source = fh.read().replace("return result[1:]", f"return {chain}")
+    (tmp_path / "chain.imp").write_text(source)
+    code = called_deeper(200, lambda: cli.main(deriv_args(str(tmp_path / "chain.imp"), "--format", "json")))
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"], doc["cost"]) == (1, "", "fixed", 1)
+    assert doc["corrections"][0]["new"] == f"({chain})[1:]"

@@ -14,8 +14,8 @@ from autofix.eml import (
     match_pattern,
     parse_eml,
 )
-from autofix.lexer import SourceError
-from autofix.parser import Parser, tokenize
+from autofix.lexer import MAX_INT_DIGITS, SourceError
+from autofix.parser import MAX_TREE_DEPTH, Parser, tokenize
 
 
 def expr(text):
@@ -56,6 +56,39 @@ def test_msg_templates_are_checked_against_the_correction_fields():
     for bad in ("{neww}", "{", "}", "{0}", "{}", "{sub.x}", "{sub[0]}", "{line:q}"):
         with pytest.raises(IllFormedModel, match=r"^rule X: msg "):
             parse_eml(rule + f'"{bad}"\n')
+
+
+@pytest.mark.parametrize("text,col,char", [
+    ("rule R: a -> a + ²", 18, "²"),
+    ("rule ﬁx: a -> a", 6, "ﬁ"),
+    ("rule R weight ٣: a -> a", 15, "٣"),
+    ("rule R: v² = n -> v² = 0", 10, "²"),
+])
+def test_names_and_digits_are_ascii_in_models(text, col, char):
+    with pytest.raises(SourceError) as err:
+        parse_eml(text + "\n")
+    assert str(err.value) == f"line 1, col {col}: unexpected character {char!r}"
+
+
+def test_strings_and_comments_may_hold_any_character():
+    model = parse_eml('# ﬁx ² ٣\nrule R: return a -> return [0] msg "ﬁx ² ٣ in {line}"  # é\n')
+    assert model.rules[0].message == "ﬁx ² ٣ in {line}"
+
+
+def test_weights_have_at_most_640_digits():
+    assert parse_eml(f"rule R weight {'9' * MAX_INT_DIGITS}: a -> a\n").rules[0].weight == int(
+        "9" * MAX_INT_DIGITS
+    )
+    with pytest.raises(SourceError) as err:
+        parse_eml(f"rule R weight {'1' * 5000}: a -> a\n")
+    assert str(err.value) == f"line 1, col 15: integer literal longer than {MAX_INT_DIGITS} digits"
+
+
+def test_prime_marks_count_toward_the_tree_depth():
+    # each prime wraps what it marks; a long run used to pass the parser
+    parse_eml("rule R: a -> a" + "'" * MAX_TREE_DEPTH + "\n")
+    with pytest.raises(SourceError, match="line 1, col 65: nested too deeply"):
+        parse_eml("rule R: a -> a" + "'" * (MAX_TREE_DEPTH + 1) + "\n")
 
 
 def test_duplicate_rule_id_rejected():

@@ -1,12 +1,20 @@
+import glob
+import os
+import re
+import unicodedata
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autofix import lang
-from autofix.eml import parse_eml
-from autofix.lexer import SourceError
-from autofix.parser import MAX_EXPR_DEPTH, parse_imp
-from autofix.printer import pretty_program
+from autofix.eml import DuplicateRuleId, IllFormedModel, parse_eml
+from autofix.interp import Bounds, evaluate
+from autofix.lexer import MAX_INT_DIGITS, SourceError, tokenize
+from autofix.parser import MAX_EXPR_DEPTH, MAX_TREE_DEPTH, parse_imp
+from autofix.printer import pretty_expr, pretty_program
 
-from conftest import read
+from conftest import ASSETS, CHAINS, called_deeper, chain_program, read
 
 
 def test_reference_parses_to_one_function(deriv_ref):
@@ -146,10 +154,6 @@ NESTINGS = {
 }
 
 
-def called_deeper(frames: int, f):
-    return f() if frames == 0 else called_deeper(frames - 1, f)
-
-
 @pytest.mark.parametrize("shape", sorted(NESTINGS))
 def test_expression_depth_does_not_depend_on_the_stack(shape):
     # one constant bounds expressions, as MAX_BLOCK_DEPTH bounds blocks
@@ -168,3 +172,218 @@ def test_too_deep_nesting_in_a_model_is_a_source_error(depth):
     rule = "rule R: a -> " + "(a - " * depth + "1" + ")" * depth + "\n"
     with pytest.raises(SourceError, match="nested too deeply"):
         parse_eml(rule)
+
+
+def tree_depth(node) -> int:
+    kids = lang.children(node)
+    return 1 + max(map(tree_depth, kids)) if kids else 0
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_tree_depth_is_bounded_where_chains_make_it(shape):
+    # a chain nests nothing, but every pass after the parser recurses down it
+    program = called_deeper(200, lambda: parse_imp(chain_program(CHAINS[shape](MAX_TREE_DEPTH))))
+    assert tree_depth(program.functions[0].body[0].value) == MAX_TREE_DEPTH
+    with pytest.raises(SourceError, match="line 2, col .*: nested too deeply"):
+        parse_imp(chain_program(CHAINS[shape](MAX_TREE_DEPTH + 1)))
+    rule = "rule R: a -> {" + CHAINS[shape](MAX_TREE_DEPTH - 1) + "}\n"
+    called_deeper(200, lambda: parse_eml(rule))
+    with pytest.raises(SourceError, match="nested too deeply"):
+        parse_eml("rule R: a -> {" + CHAINS[shape](MAX_TREE_DEPTH) + "}\n")
+
+
+sums = CHAINS["sums"]
+
+
+@pytest.mark.parametrize("shape", [
+    lambda d: f"[{sums(d - 1)}, {sums(d - 1)}]",
+    lambda d: f"[{sums(d - 2)}, 0] + poly_list_int",
+    lambda d: f"{sums(d - 1)} < {sums(d - 1)}",
+    lambda d: f"{sums(d - 1)} if {sums(d - 1)} else {sums(d - 1)}",
+    lambda d: f"{sums(d - 1)} - ({sums(d - 2)})",
+    lambda d: f"poly_list_int[{sums(d - 2)}][{sums(d - 3)}]",
+    lambda d: "poly_list_int" + "[0]" * (d - 1) + " ** 2",
+    lambda d: "-1" + "[0]" * (d - 1) + " ** 2",
+])
+def test_siblings_do_not_add_up_their_depths(shape):
+    expr = parse_imp(chain_program(shape(MAX_TREE_DEPTH))).functions[0].body[0].value
+    assert tree_depth(expr) == MAX_TREE_DEPTH
+    with pytest.raises(SourceError, match="nested too deeply"):
+        parse_imp(chain_program(shape(MAX_TREE_DEPTH + 1)))
+
+
+@pytest.mark.parametrize("operands", [300, 1000])
+def test_long_chains_are_source_errors_at_the_chain(operands):
+    # the operator after the chain's first MAX_TREE_DEPTH + 2 operands
+    with pytest.raises(SourceError) as err:
+        parse_imp(chain_program(" + ".join(["poly_list_int"] * operands)))
+    assert str(err.value) == "line 2, col 826: nested too deeply"
+    with pytest.raises(SourceError, match="line 1, col .*: nested too deeply"):
+        parse_eml("rule R: a -> " + " + ".join(["a"] * operands) + "\n")
+
+
+# names and integer literals are ASCII.  Each character here used to be read
+# as part of a name or a number: `int` rejects a superscript digit, Python
+# folds the ligature in "ﬁx" to "fix" (NFKC) where the spec kept two
+# variables, and an Arabic-Indic digit read as 3.
+NOT_ASCII = [
+    ("return x_int + ²", 2, 20, "²"),
+    ("y² = x_int\n    return y²", 2, 6, "²"),
+    ("ﬁx = 1\n    fix = 2\n    return ﬁx", 2, 5, "ﬁ"),
+    ("return ٣", 2, 12, "٣"),
+    ("return x_int + 1٣", 2, 21, "٣"),
+    ("return café", 2, 15, "é"),
+]
+
+
+@pytest.mark.parametrize("body,line,col,char", NOT_ASCII)
+def test_names_and_digits_are_ascii(body, line, col, char):
+    with pytest.raises(SourceError) as err:
+        parse_imp(f"def f_int(x_int):\n    {body}\n")
+    assert str(err.value) == f"line {line}, col {col}: unexpected character {char!r}"
+
+
+def test_comments_may_hold_any_character():
+    prog = parse_imp("# ﬁx ² ٣\ndef f_int(x_int):\n    return x_int  # café\n")
+    assert isinstance(prog.functions[0].body[0].value, lang.Var)
+
+
+def test_integer_literals_have_at_most_640_digits():
+    widest = "9" * MAX_INT_DIGITS
+    program = parse_imp(f"def f_int(x_int):\n    return x_int - {widest}\n")
+    wrapped = (1 - int(widest) + 8) % 16 - 8
+    assert evaluate(program, (1,), Bounds(4, 0)).value == wrapped
+    with pytest.raises(SourceError) as err:
+        parse_imp("def f_int(x_int):\n    return x_int + " + "1" * 5000 + "\n")
+    assert str(err.value) == f"line 2, col 20: integer literal longer than {MAX_INT_DIGITS} digits"
+
+
+# -- front-end fuzz ------------------------------------------------------------
+
+BUNDLED = [
+    read(os.path.relpath(path, ASSETS))
+    for path in sorted(glob.glob(os.path.join(ASSETS, "**", "*.*"), recursive=True))
+    if path.endswith((".imp", ".eml"))
+]
+# every operator character, quotes, escapes, comment marks, blanks, digits
+# and letters, with non-ASCII letters, digits and spaces among them
+FUZZ_CHARS = "+-*/=<>!()[]{},:.;?~'\"\\# \t\r\n_09azAZ" + "²٣ﬁé　\x00"
+pieces = st.one_of(
+    st.sampled_from(FUZZ_CHARS),
+    st.integers(1, 5000).map(lambda n: "7" * n),  # long digit runs
+    st.sampled_from(["**", "->", "    ", "not ", " and ", "if ", "def ", "rule "]),
+)
+
+
+@st.composite
+def mutated_sources(draw):
+    """A bundled source with one to four pieces inserted, deleted or replaced."""
+    text = draw(st.sampled_from(BUNDLED))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.sampled_from([0, 1]))
+        text = text[:at] + (draw(pieces) if draw(st.booleans()) or not cut else "") + text[at + cut:]
+    return text
+
+
+def assert_spans_slice_back(text: str, tokens: list) -> None:
+    for tok in tokens:
+        span = tok.span
+        piece = text[span.start : span.end]
+        if tok.kind in ("NEWLINE", "INDENT", "DEDENT", "EOF"):
+            assert piece == ""
+            continue
+        assert span.line == text.count("\n", 0, span.start) + 1
+        assert span.col == span.start - text.rfind("\n", 0, span.start)
+        if tok.kind == "STRING":
+            assert piece[0] == piece[-1] == '"' and len(piece) >= 2
+            assert re.sub(r"\\(.)", r"\1", piece[1:-1]) == tok.value
+        else:
+            assert piece == tok.value
+            # a name is its own NFKC form, as Python's compiler reads it
+            assert unicodedata.normalize("NFKC", piece) == piece
+
+
+@given(st.one_of(st.text(max_size=200), st.lists(pieces, max_size=40).map("".join), mutated_sources()))
+@settings(max_examples=300, deadline=None)
+def test_front_end_returns_or_raises_a_source_error(text):
+    for rule_mode, parse in ((False, parse_imp), (True, parse_eml)):
+        try:
+            parse(text)
+        except (SourceError, DuplicateRuleId, IllFormedModel):
+            pass
+        try:
+            tokens = tokenize(text, rule_mode)
+        except SourceError:
+            continue
+        assert_spans_slice_back(text, tokens)
+
+
+# expressions deep in chains but nested only a few levels, so that the tree's
+# depth alone decides whether they parse
+leaves = st.one_of(st.integers(0, 9).map(lang.IntLit), st.sampled_from(["x_int", "xs"]).map(lang.Var))
+operands = st.one_of(leaves, leaves.map(lambda e: lang.Index(lang.Var("xs"), e)))
+binary = st.sampled_from([
+    (lang.BinOp, "+"), (lang.BinOp, "-"), (lang.BinOp, "*"), (lang.BinOp, "/"),
+    (lang.Compare, "<"), (lang.Compare, "=="), (lang.BoolOp, "and"), (lang.BoolOp, "or"),
+])
+
+
+@st.composite
+def chains(draw, expr, length):
+    """`expr` at any operand of a left-associated chain of `length` more."""
+    chain = [draw(operands) for _ in range(length)]
+    chain.insert(draw(st.integers(0, length)), expr)
+    expr = chain[0]
+    for right in chain[1:]:
+        cls, op = draw(binary)
+        expr = cls(expr, op, right)
+    return expr
+
+
+@st.composite
+def layered_trees(draw):
+    """A leaf, then layers around it: each puts the expression so far at any
+    operand of a left-associated chain of 4 to 25 operators (the others
+    leaves or indexed leaves), or under an index, a slice, a call, a list or
+    a conditional, beside a chain.  Many are near MAX_TREE_DEPTH deep."""
+    expr = draw(leaves)
+    for _ in range(draw(st.integers(2, 8))):
+        layer = draw(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5]))
+        if layer == 0:
+            expr = draw(chains(expr, draw(st.integers(4, 25))))
+        elif layer == 1:
+            expr = lang.Index(expr, draw(leaves)) if draw(st.booleans()) else lang.Index(lang.Var("xs"), expr)
+        elif layer == 2:
+            expr = lang.Slice(expr, None, draw(leaves)) if draw(st.booleans()) else lang.Slice(lang.Var("xs"), expr, draw(leaves))
+        elif layer == 3:
+            expr = lang.Call("len", [expr])
+        elif layer == 4:
+            expr = lang.ListLit([expr, draw(leaves)] if draw(st.booleans()) else [draw(leaves), expr])
+        else:  # the expression as the body or the condition, the other a chain
+            other = draw(chains(draw(leaves), draw(st.integers(0, 25))))
+            body, cond = (expr, other) if draw(st.booleans()) else (other, expr)
+            expr = lang.CondExpr(body, cond, draw(leaves))
+    return expr
+
+
+def bracket_depth(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch in "([") - (ch in ")]")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@given(layered_trees())
+@settings(max_examples=200, deadline=None)
+def test_exactly_the_trees_within_the_depth_bound_parse(expr):
+    text = pretty_expr(expr)
+    assert bracket_depth(text) < MAX_EXPR_DEPTH  # an else branch nests one more
+    within = tree_depth(expr) <= MAX_TREE_DEPTH
+    try:
+        program = parse_imp(f"def f_int(x_int, xs):\n    return {text}\n")
+    except SourceError as err:
+        assert err.message == "nested too deeply" and not within
+    else:
+        assert within and program.functions[0].body[0].value.key() == expr.key()
