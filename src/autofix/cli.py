@@ -90,9 +90,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for corpus mode")
     p.add_argument("--budget-candidates", type=int, default=10_000_000,
-                   help="candidate-evaluation ceiling per submission")
+                   help="ceiling on candidate runs per submission, one per input screened "
+                        "or verified (not on candidates); the reference table is outside it")
     p.add_argument("--budget-seconds", type=float, default=None,
-                   help="wall-clock ceiling per submission (off by default)")
+                   help="wall-clock ceiling per submission (off by default); "
+                        "the reference table is outside it")
     p.add_argument("--callees", default="student", choices=("student", "reference"),
                    help="whose helper functions candidate programs call")
     p.add_argument("--dump-tilde", action="store_true",

@@ -143,10 +143,16 @@ def tokenize(source: str, rule_mode: bool = False) -> list:
 
 
 def _comment_start(code: str):
-    in_string = False
+    """Index of the ``#`` that starts a comment, or None.  Strings end as
+    in the string rule: a backslash escapes the character after it."""
+    in_string = escaped = False
     for i, ch in enumerate(code):
-        if ch == '"':
+        if escaped:
+            escaped = False
+        elif ch == '"':
             in_string = not in_string
+        elif ch == "\\":
+            escaped = in_string
         elif ch == "#" and not in_string:
             return i
     return None

@@ -75,6 +75,19 @@ def test_strings_and_comments_may_hold_any_character():
     assert model.rules[0].message == "ﬁx ² ٣ in {line}"
 
 
+def test_an_escaped_quote_does_not_end_a_msg_string():
+    rule = "rule R: return a -> return [0] msg "
+    model = parse_eml(rule + r'"say \"#1\" at {line}"  # a comment' + "\n")
+    assert model.rules[0].message == 'say "#1" at {line}'
+    assert parse_eml(rule + r'"a \\" # b' + "\n").rules[0].message == "a \\"
+    # a string still ends at its first unescaped quote, or is unterminated
+    assert parse_eml(rule + r'"a" # b"' + "\n").rules[0].message == "a"
+    for text, col in ((r'"a \" # b', 36), (r'"a \\"" # b', 42)):
+        with pytest.raises(SourceError) as err:
+            parse_eml(rule + text + "\n")
+        assert str(err.value) == f"line 1, col {col}: unterminated string"
+
+
 def test_weights_have_at_most_640_digits():
     assert parse_eml(f"rule R weight {'9' * MAX_INT_DIGITS}: a -> a\n").rules[0].weight == int(
         "9" * MAX_INT_DIGITS

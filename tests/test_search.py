@@ -15,6 +15,8 @@ from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.runtime import Fault, same
 from autofix.search import (
+    ALONE_AFTER,
+    CHUNK,
     ReferenceFault,
     ReferenceOracle,
     SearchBudget,
@@ -286,8 +288,8 @@ def assert_comparison_agrees_with_same(tilde, oracle, max_cost=None):
         want = first_mismatch_by_same(oracle, run, picks)
         assert oracle.first_mismatch(run, picks) == want
         if want is not None:
-            assert not oracle.agrees_at(run, picks, want)
-            assert all(oracle.agrees_at(run, picks, i) for i in range(want))
+            assert not oracle.screen(run, picks, [want])
+            assert oracle.screen(run, picks, range(want))
     return run.exact
 
 
@@ -337,10 +339,9 @@ def site(default, others) -> ChoiceSite:
     return ChoiceSite("expr", lang.NO_SPAN, lang.NO_SPAN, alternatives)
 
 
-@given(returned(), returned(), st.lists(returned(), min_size=1, max_size=3), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_type_chosen_comparison_agrees_with_same_on_generated_candidates(
-        reference, default, others, through_variable):
+def generated_search(reference, default, others, through_variable):
+    """The oracle of a generated reference, and a choice-site program that
+    returns one site's alternatives, directly or through a variable."""
     oracle = ReferenceOracle(entry([lang.Return(reference)]), Bounds(2, 1))
     value = site(default, others)
     if through_variable:  # the type of a variable stored in every alternative
@@ -349,6 +350,14 @@ def test_type_chosen_comparison_agrees_with_same_on_generated_candidates(
         body = [lang.Return(value)]
     tilde = TildeProgram(entry(body))
     number_sites(tilde)
+    return tilde, oracle
+
+
+@given(returned(), returned(), st.lists(returned(), min_size=1, max_size=3), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_type_chosen_comparison_agrees_with_same_on_generated_candidates(
+        reference, default, others, through_variable):
+    tilde, oracle = generated_search(reference, default, others, through_variable)
     assert_comparison_agrees_with_same(tilde, oracle)
 
 
@@ -367,3 +376,169 @@ def test_type_chosen_comparison_agrees_with_same_on_bundled_candidates():
                     continue  # the corpus holds one unparseable submission
                 exact.add(assert_comparison_agrees_with_same(rewrite(program, model), oracle, 2))
     assert exact == {True, False}
+
+
+# -- two-stage verification and the budget charged per chunk -------------------
+#
+# A survivor runs on the choice-site program for its first ALONE_AFTER inputs
+# and, where at least four times as many remain, compiled alone for the rest;
+# the budget is charged once per chunk or candidate.  `per_input_search` is
+# the search with neither: one runner, and the budget checked before every
+# run.
+
+
+class Refused(Exception):
+    """The per-input budget refused a run."""
+
+
+def per_input_search(tilde, oracle, max_cost=5, max_evals=None, blocked=(), blocked_trees=()):
+    """`cegis_min` with one runner and the evaluation budget checked before
+    every run: ((status, budget kind, cost, candidates tested,
+    counterexamples, evaluations), [(pick tuple, evaluations before) per
+    verification])."""
+    run = oracle.compile(tilde)
+    evals = 0
+    cexs = []
+    tested = 0
+    verified = []
+
+    def first_failure(picks, indices):
+        nonlocal evals
+        for i in indices:
+            evals += 1
+            if max_evals is not None and evals > max_evals:
+                raise Refused
+            try:
+                value = run(oracle.inputs[i], picks)
+            except Fault:
+                return i
+            if not same(value, oracle.values[i]):
+                return i
+        return None
+
+    try:
+        for picks, cost in enumerate_candidates(tilde, max_cost):
+            if picks in blocked:
+                continue
+            tested += 1
+            if first_failure(picks, cexs) is not None:
+                continue
+            if blocked_trees and pretty_program(instantiate(tilde, picks).program) in blocked_trees:
+                continue
+            verified.append((picks, evals))
+            mismatch = first_failure(picks, range(len(oracle.inputs)))
+            if mismatch is None:
+                status = "correct" if cost == 0 else "fixed"
+                return (status, None, cost, tested, len(cexs), evals), verified
+            cexs.append(mismatch)
+    except Refused:
+        return ("budget", "evals", 0, tested, len(cexs), evals), verified
+    return ("no_fix", None, 0, tested, len(cexs), evals), verified
+
+
+def outcome(result, budget):
+    return (result.status, result.budget_kind, result.cost, result.candidates_tested,
+            result.cexs_used, budget.evals)
+
+
+def test_budget_stops_at_the_same_run_as_a_check_before_every_run(deriv_ref, deriv_student,
+                                                                    deriv_model):
+    oracle = ReferenceOracle(deriv_ref, Bounds(4, 3))
+    assert len(oracle.inputs) >= 5 * ALONE_AFTER  # the passing survivor finishes alone
+    tilde = rewrite(deriv_student, deriv_model)
+    (*_, total), verified = per_input_search(tilde, oracle)
+    starts = [before for _, before in verified]
+    last = starts[-1]  # the verification that passes
+    sweep = {0, 1, 2, total - 1, total, total + 1}
+    sweep |= {start + d for start in starts for d in (-1, 0, 1, 2)}
+    # inside screening, where a cut can fall between a candidate's counterexamples
+    sweep |= set(range(last - 24, last))
+    sweep |= {(a + b) // 2 for a, b in zip(starts, starts[1:])}
+    # inside the first ALONE_AFTER inputs, on chunk edges and in the tail run alone
+    sweep |= {last + d for d in (CHUNK - 1, CHUNK, CHUNK + 1, ALONE_AFTER - 1, ALONE_AFTER,
+                                 ALONE_AFTER + 1, ALONE_AFTER + CHUNK, ALONE_AFTER + 1000)}
+    for max_evals in sorted(sweep):
+        budget = SearchBudget(max_evals=max_evals)
+        result = cegis_min(tilde, oracle, 5, budget)
+        want, _ = per_input_search(tilde, oracle, max_evals=max_evals)
+        assert outcome(result, budget) == want, max_evals
+
+
+def test_a_survivor_failing_first_at_any_input_yields_that_counterexample():
+    reference = parse_imp("def f_int(x_int, y_int, z_int):\n    return 0\n")
+    oracle = ReferenceOracle(reference, Bounds(4, 0))
+    assert len(oracle.inputs) >= 5 * ALONE_AFTER
+    model = parse_eml("rule RetF: return n -> return {0}\n")
+    last = len(oracle.inputs) - 1
+    for index in (0, CHUNK, ALONE_AFTER - 1, ALONE_AFTER, ALONE_AFTER + 1,
+                  ALONE_AFTER + CHUNK, last - 1, last):
+        x, y, z = oracle.inputs[index]
+        student = parse_imp(
+            "def f_int(x_int, y_int, z_int):\n"
+            f"    if x_int == {x} and y_int == {y} and z_int == {z}:\n"
+            "        return 1\n"
+            "    return 0\n"
+        )
+        tilde = rewrite(student, model)
+        budget = SearchBudget()
+        result = cegis_min(tilde, oracle, 5, budget)
+        want, verified = per_input_search(tilde, oracle)
+        assert outcome(result, budget) == want, index
+        assert result.status == "fixed" and verified[0][0] == (0,) * len(tilde.sites)
+
+
+def bundled_searches():
+    """(choice-site program, oracle, blocked pick tuples, blocked texts) for
+    every search the bundled workloads make: computeDeriv's student and
+    corpus, and array-reverse's student with one alternate."""
+    deriv = parse_imp(read("computederiv", "reference.imp"))
+    deriv_model = parse_eml(read("computederiv", "model.eml"))
+    oracle = ReferenceOracle(deriv, Bounds(4, 3))
+    yield rewrite(parse_imp(read("computederiv", "student.imp")), deriv_model), oracle, (), ()
+    oracle = ReferenceOracle(deriv, Bounds(3, 3))
+    for path in sorted(glob.glob(os.path.join(ASSETS, "computederiv", "corpus", "*.imp"))):
+        try:
+            program = parse_imp(read(path))
+        except SourceError:
+            continue  # the corpus holds one unparseable submission
+        yield rewrite(program, deriv_model), oracle, (), ()
+    oracle = ReferenceOracle(parse_imp(read("arrayreverse", "reference.imp")), Bounds(4, 3))
+    tilde = rewrite(parse_imp(read("arrayreverse", "student.imp")),
+                    parse_eml(read("arrayreverse", "model.eml")))
+    first = cegis_min(tilde, oracle)
+    yield tilde, oracle, (), ()
+    yield tilde, oracle, {first.picks}, {pretty_program(first.program)}
+
+
+def assert_runners_agree(tilde, oracle, run, picks, starts):
+    """The candidate `picks` fails first at the same input, from each of
+    `starts` on, as its pick tuple on `run` (`tilde` compiled) and compiled
+    alone."""
+    alone = oracle.compile(instantiate(tilde, picks).program)
+    for start in starts:
+        want = oracle.first_mismatch(run, picks, start=start)
+        assert oracle.first_mismatch(alone, start=start) == want, (picks, start)
+
+
+def test_bundled_survivors_fail_first_at_the_same_input_on_both_runners():
+    survivors = 0
+    for tilde, oracle, blocked, blocked_trees in bundled_searches():
+        want, verified = per_input_search(tilde, oracle, 5, None, blocked, blocked_trees)
+        budget = SearchBudget()
+        assert outcome(cegis_min(tilde, oracle, 5, budget, blocked, blocked_trees), budget) == want
+        run = oracle.compile(tilde)
+        for picks, _ in verified:
+            assert_runners_agree(tilde, oracle, run, picks, (0, min(ALONE_AFTER, len(oracle.inputs))))
+        survivors += len(verified)
+    assert survivors >= 40
+
+
+@given(returned(), returned(), st.lists(returned(), min_size=1, max_size=3), st.booleans(),
+       st.integers(0, 100))
+@settings(max_examples=100, deadline=None)
+def test_both_runners_fail_first_at_the_same_input_on_generated_candidates(
+        reference, default, others, through_variable, start):
+    tilde, oracle = generated_search(reference, default, others, through_variable)
+    run = oracle.compile(tilde)
+    for picks, _ in enumerate_candidates(tilde):
+        assert_runners_agree(tilde, oracle, run, picks, (0, min(start, len(oracle.inputs))))
