@@ -9,7 +9,7 @@ bounds, and render the result as line-anchored feedback.
 from .eml import ErrorModel, check_well_formed, match_pattern, parse_eml
 from .feedback import FeedbackReport, build_report, diff_corrections, render_feedback
 from .inputs import Signature, count_inputs, enumerate_inputs, parse_signature
-from .interp import Bounds, EvalResult, evaluate
+from .interp import Bounds
 from .parser import parse_imp
 from .printer import pretty_program
 from .rewrite import rewrite
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bounds",
     "ErrorModel",
-    "EvalResult",
     "FeedbackReport",
     "ReferenceOracle",
     "RepairResult",
@@ -48,7 +47,6 @@ __all__ = [
     "dump",
     "enumerate_candidates",
     "enumerate_inputs",
-    "evaluate",
     "find_counterexample",
     "instantiate",
     "match_pattern",

@@ -10,6 +10,10 @@ statement block, ``cop``/``aop`` operators).  The right side is a template
 over the same metavariables extended with choice sets ``{e1, e2}``, scope
 sets ``?a`` (every variable in scope), operator sets ``~cop`` and a trailing
 prime mark on subterms that are rewritten recursively.
+
+A left side matches a node of its own class field by field (`match_pattern`);
+metavariables bind what they stand for, and a metavariable that occurs twice
+must bind structurally equal fragments.
 """
 
 from __future__ import annotations
@@ -174,7 +178,14 @@ def check_well_formed(model: ErrorModel) -> list:
 
 def match_pattern(pattern, node, binding=None):
     """One-way structural match of a rule pattern against an AST node.
-    Returns the substitution (metavar name -> bound fragment) or None."""
+    Returns the substitution (metavar name -> bound fragment) or None.
+
+    An expression metavariable binds a node of its kind; a function pattern
+    binds the parameters and the body.  Any other pattern matches a node of
+    its class when every field does: list fields element-wise at equal
+    lengths, an operator metavariable by binding the operator, a method
+    call's metavariable object by binding it as a variable, node fields
+    recursively and every other value by ``==``."""
     if binding is None:
         binding = {}
     if _match(pattern, node, binding):
@@ -224,80 +235,26 @@ def _match(pattern, node, binding) -> bool:
             return _bind(binding, body_pat[0].name, list(node.body))
         return False
 
-    if type(pattern) is not type(node):
+    cls = type(pattern)
+    if cls is not type(node):
         return False
-
-    if isinstance(pattern, lang.IntLit):
-        return pattern.value == node.value
-    if isinstance(pattern, lang.BoolLit):
-        return pattern.value == node.value
-    if isinstance(pattern, lang.Var):
-        return pattern.name == node.name
-    if isinstance(pattern, lang.ListLit):
-        return len(pattern.elements) == len(node.elements) and all(
-            _match(p, n, binding) for p, n in zip(pattern.elements, node.elements)
-        )
-    if isinstance(pattern, lang.Index):
-        return _match(pattern.base, node.base, binding) and _match(
-            pattern.index, node.index, binding
-        )
-    if isinstance(pattern, lang.Slice):
-        for p, n in ((pattern.lo, node.lo), (pattern.hi, node.hi)):
-            if (p is None) != (n is None):
+    for name in cls.fields:
+        p, n = getattr(pattern, name), getattr(node, name)
+        if type(p) is list:
+            if len(p) != len(n) or not all(_match(x, y, binding) for x, y in zip(p, n)):
                 return False
-        return (
-            _match(pattern.base, node.base, binding)
-            and (pattern.lo is None or _match(pattern.lo, node.lo, binding))
-            and (pattern.hi is None or _match(pattern.hi, node.hi, binding))
-        )
-    if isinstance(pattern, (lang.BinOp, lang.Compare, lang.BoolOp)):
-        if not _match_op(pattern.op, node.op, binding):
-            return False
-        return _match(pattern.left, node.left, binding) and _match(
-            pattern.right, node.right, binding
-        )
-    if isinstance(pattern, lang.Not):
-        return _match(pattern.operand, node.operand, binding)
-    if isinstance(pattern, lang.Call):
-        return (
-            pattern.func == node.func
-            and len(pattern.args) == len(node.args)
-            and all(_match(p, n, binding) for p, n in zip(pattern.args, node.args))
-        )
-    if isinstance(pattern, lang.CondExpr):
-        return (
-            _match(pattern.body, node.body, binding)
-            and _match(pattern.cond, node.cond, binding)
-            and _match(pattern.orelse, node.orelse, binding)
-        )
-    if isinstance(pattern, lang.Assign):
-        return _match(pattern.target, node.target, binding) and _match(
-            pattern.value, node.value, binding
-        )
-    if isinstance(pattern, lang.AugAssign):
-        if not _match_op(pattern.op, node.op, binding):
-            return False
-        return _match(pattern.target, node.target, binding) and _match(
-            pattern.value, node.value, binding
-        )
-    if isinstance(pattern, lang.Return):
-        return _match(pattern.value, node.value, binding)
-    if isinstance(pattern, lang.MethodCall):
-        if pattern.method != node.method or len(pattern.args) != len(node.args):
-            return False
-        if meta_kind(pattern.obj):
-            if not _bind(binding, pattern.obj, lang.Var(node.obj)):
+        elif type(p) is MetaVar and type(n) is str:  # an operator metavariable
+            if not _bind(binding, p.name, n):
                 return False
-        elif pattern.obj != node.obj:
+        elif isinstance(p, lang.Node):
+            if not _match(p, n, binding):
+                return False
+        elif name == "obj" and meta_kind(p):  # the list a method call mutates
+            if not _bind(binding, p, lang.Var(n)):
+                return False
+        elif p != n:
             return False
-        return all(_match(p, n, binding) for p, n in zip(pattern.args, node.args))
-    return False
-
-
-def _match_op(pattern_op, node_op, binding) -> bool:
-    if isinstance(pattern_op, MetaVar):
-        return _bind(binding, pattern_op.name, node_op)
-    return pattern_op == node_op
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,13 @@ are rendered.
 from __future__ import annotations
 
 from . import lang
-from .printer import pretty_expr, pretty_stmt
+from .printer import Printer
 from .search import RepairResult
 from .tilde import TildeProgram, instantiate
 
 GENERIC_MESSAGE = "In line {line}, change {sub} to {new}."
+
+fragment = Printer().fragment  # a fragment on one line, as the normative printer prints it
 
 VERDICTS = {"correct": "correct", "fixed": "fixed", "no_fix": "no-fix", "budget": "budget"}
 
@@ -42,18 +44,6 @@ class FeedbackReport:
         self.stats = {} if stats is None else stats
 
 
-def _render_payload(tilde: TildeProgram, payload, picks: tuple) -> str:
-    """Pretty-print one site alternative under the given picks (nested
-    sites inside the fragment resolve to their picked alternatives)."""
-    node = tilde.resolve(payload, picks)
-    if isinstance(node, str):
-        return node
-    if isinstance(node, lang.Expr):
-        return pretty_expr(node)
-    stmts = node if isinstance(node, list) else [node]
-    return "; ".join(line.strip() for s in stmts for line in pretty_stmt(s))
-
-
 def diff_corrections(tilde: TildeProgram, picks: tuple) -> list:
     """One correction per active non-default pick, ordered by source
     position."""
@@ -64,8 +54,8 @@ def diff_corrections(tilde: TildeProgram, picks: tuple) -> list:
     for site_id, alt_idx in sorted(active):
         site = tilde.site(site_id)
         alt = site.alternatives[alt_idx]
-        sub = _render_payload(tilde, site.alternatives[0].payload, tilde.defaults())
-        new = _render_payload(tilde, alt.payload, picks)
+        sub = fragment(tilde.resolve(site.alternatives[0].payload, tilde.defaults()))
+        new = fragment(tilde.resolve(alt.payload, picks))
         if site.kind == "op":
             # augmented-assignment operators display in their += form
             token = site.span.text(source)

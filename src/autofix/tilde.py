@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import lang
 from .lang import Span
-from .printer import pretty_expr, pretty_stmt
+from .printer import Printer
 
 
 class BadIndex(Exception):
@@ -174,105 +174,40 @@ def enumerate_candidates(tilde: TildeProgram, max_cost=None):
 # debug dump
 
 
+class _Dump(Printer):
+    """The dump's printer: every compound expression parenthesised, and a
+    choice site printed inline as ``{default | alt @rule}``, except that in
+    the tree (`placeholders`) a site standing for a statement, a block or an
+    augmented operator prints as ``<site N>``."""
+
+    full = True
+
+    def __init__(self, placeholders: bool):
+        self.placeholders = placeholders
+
+    def site(self, node, inline: bool) -> str:
+        if self.placeholders and not inline:
+            return f"<site {node.site_id}>"
+        return _alternatives(node, weights=False)
+
+
+_INLINE = _Dump(placeholders=False)
+
+
+def _alternatives(site: ChoiceSite, weights: bool) -> str:
+    """``{default | alt @rule | ...}``, each rule with its weight if `weights`."""
+    texts = [_INLINE.fragment(site.alternatives[0].payload)]
+    for alt in site.alternatives[1:]:
+        tag = f"{alt.rule_id}:{alt.weight}" if weights else alt.rule_id
+        texts.append(f"{_INLINE.fragment(alt.payload)} @{tag}")
+    return "{" + " | ".join(texts) + "}"
+
+
 def dump(tilde: TildeProgram) -> str:
-    """Stable text rendering of the choice structure."""
-    lines = []
-    for f in tilde.root.functions:
-        lines.append(f"def {f.name}({', '.join(f.params)}):")
-        _dump_block(f.body, 1, lines)
-    lines.append("")
+    """Stable text rendering of the choice structure: the tree, then one
+    ``site N (line L): {default | alt @rule:weight}`` line per site."""
+    tree = _Dump(placeholders=True)
+    lines = [tree.func(f) for f in tilde.root.functions] + [""]
     for site in tilde.sites:
-        alts = []
-        for idx, alt in enumerate(site.alternatives):
-            if idx == 0:
-                alts.append(_dump_payload(alt.payload))
-            else:
-                alts.append(f"{_dump_payload(alt.payload)} @{alt.rule_id}:{alt.weight}")
-        lines.append(f"site {site.site_id} (line {site.span.line}): {{" + " | ".join(alts) + "}")
+        lines.append(f"site {site.site_id} (line {site.span.line}): " + _alternatives(site, True))
     return "\n".join(lines) + "\n"
-
-
-def _dump_block(stmts, indent, lines):
-    if isinstance(stmts, ChoiceSite):
-        lines.append("    " * indent + f"<site {stmts.site_id}>")
-        return
-    for s in stmts:
-        _dump_stmt(s, indent, lines)
-
-
-def _dump_stmt(node, indent, lines):
-    pad = "    " * indent
-    if isinstance(node, ChoiceSite):
-        lines.append(pad + f"<site {node.site_id}>")
-        return
-    cls = type(node)
-    if cls is lang.If:
-        lines.append(pad + f"if {_dump_payload(node.cond)}:")
-        _dump_block(node.then_body, indent + 1, lines)
-        if node.else_body:
-            lines.append(pad + "else:")
-            _dump_block(node.else_body, indent + 1, lines)
-    elif cls is lang.While:
-        lines.append(pad + f"while {_dump_payload(node.cond)}:")
-        _dump_block(node.body, indent + 1, lines)
-    elif cls is lang.ForIn:
-        lines.append(pad + f"for {node.var} in {_dump_payload(node.iterable)}:")
-        _dump_block(node.body, indent + 1, lines)
-    elif cls is lang.Assign:
-        lines.append(pad + f"{_dump_payload(node.target)} = {_dump_payload(node.value)}")
-    elif cls is lang.AugAssign:
-        op = node.op if isinstance(node.op, str) else f"<site {node.op.site_id}>"
-        lines.append(pad + f"{_dump_payload(node.target)} {op}= {_dump_payload(node.value)}")
-    elif cls is lang.MethodCall:
-        args = ", ".join(_dump_payload(a) for a in node.args)
-        lines.append(pad + f"{node.obj}.{node.method}({args})")
-    elif cls is lang.Return:
-        lines.append(pad + f"return {_dump_payload(node.value)}")
-    else:
-        lines.append(pad + "pass")
-
-
-def _dump_payload(node) -> str:
-    if isinstance(node, ChoiceSite):
-        inner = " | ".join(
-            _dump_payload(alt.payload)
-            + ("" if idx == 0 else f" @{alt.rule_id}")
-            for idx, alt in enumerate(node.alternatives)
-        )
-        return "{" + inner + "}"
-    if isinstance(node, str):
-        return node
-    if isinstance(node, list):
-        return "; ".join(_dump_payload(s) for s in node)
-    if isinstance(node, lang.Stmt):
-        return "; ".join(pretty_stmt(node))  # single-line best effort
-    if isinstance(node, lang.Expr):
-        return _dump_expr(node)
-    return repr(node)
-
-
-def _dump_expr(node) -> str:
-    if isinstance(node, ChoiceSite):
-        return _dump_payload(node)
-    cls = type(node)
-    if cls is lang.Index:
-        return f"{_dump_expr(node.base)}[{_dump_expr(node.index)}]"
-    if cls is lang.Slice:
-        lo = _dump_expr(node.lo) if node.lo is not None else ""
-        hi = _dump_expr(node.hi) if node.hi is not None else ""
-        return f"{_dump_expr(node.base)}[{lo}:{hi}]"
-    if cls is lang.BinOp or cls is lang.Compare or cls is lang.BoolOp:
-        op = node.op if isinstance(node.op, str) else _dump_payload(node.op)
-        return f"({_dump_expr(node.left)} {op} {_dump_expr(node.right)})"
-    if cls is lang.Not:
-        return f"(not {_dump_expr(node.operand)})"
-    if cls is lang.Call:
-        return f"{node.func}({', '.join(_dump_expr(a) for a in node.args)})"
-    if cls is lang.ListLit:
-        return "[" + ", ".join(_dump_expr(e) for e in node.elements) + "]"
-    if cls is lang.CondExpr:
-        return f"({_dump_expr(node.body)} if {_dump_expr(node.cond)} else {_dump_expr(node.orelse)})"
-    try:
-        return pretty_expr(node)
-    except TypeError:
-        return repr(node)

@@ -2,10 +2,13 @@ import os
 
 import pytest
 
+from autofix.compiler import Compiler
 from autofix.eml import parse_eml
 from autofix.interp import Bounds
 from autofix.parser import parse_imp
+from autofix.runtime import Fault
 from autofix.search import ReferenceOracle
+from spec_interp import EvalResult
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
 
@@ -19,6 +22,16 @@ def read(*parts) -> str:
         return fh.read()
 
 
+def run_compiled(program, args, bounds: Bounds, callees=None) -> EvalResult:
+    """One run of `program` on `args` through the package's compiled code,
+    as the spec's outcome object: the value, or the kind of fault."""
+    run = Compiler(bounds).compile(program, callees)
+    try:
+        return EvalResult(run(tuple(args)))
+    except Fault as f:
+        return EvalResult(fault=f.kind)
+
+
 def called_deeper(frames: int, f):
     return f() if frames == 0 else called_deeper(frames - 1, f)
 
@@ -30,6 +43,31 @@ CHAINS = {
     "products": lambda depth: "[" + " * ".join(["len(poly_list_int)"] * (depth - 1)) + "]",
     "conjunctions": lambda depth: "[1 if " + " and ".join(["True"] * (depth - 1)) + " else 0]",
     "slices": lambda depth: "poly_list_int" + "[1:]" * depth,
+}
+
+
+# a program and models that make a site of every kind: statements, a block,
+# assignment targets and index targets
+SITE_KINDS_STUDENT = (
+    "def f_int(xs_list_int, n_int):\n"
+    "    s = 0\n"
+    "    i = 0\n"
+    "    while i < len(xs_list_int):\n"
+    "        s += xs_list_int[i]\n"
+    "        xs_list_int[i] = s\n"
+    "        i += 1\n"
+    "    if n_int > s:\n"
+    "        t = n_int\n"
+    "    return s\n"
+)
+SITE_KINDS_MODELS = {
+    "stmt": "rule IncF: v += a -> {v -= a, v += 2, pass}\nrule RetF: return a -> {return ?a, pass}\n",
+    "block": (
+        "rule BaseF weight 2: def f(a0, a1): s -> def f(a0, a1): {if a1 <= 0: {return 1}; s}\n"
+        "rule InitF: v = n -> v = {n + 1}\n"
+    ),
+    "target": "rule VarF: v -> ?v\n",
+    "index target": "rule IndF: v[a] -> ?v[{a, a - 1}]\n",
 }
 
 

@@ -16,7 +16,7 @@ free of shared state.
 from __future__ import annotations
 
 from autofix import lang
-from autofix.interp import MAX_CALL_DEPTH, Bounds, EvalResult, TupleVal
+from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal
 from autofix.lang import Span
 
 
@@ -41,6 +41,23 @@ def values_equal(a, b) -> bool:
     if len(a) != len(b):
         return False
     return all(values_equal(x, y) for x, y in zip(a, b))
+
+
+class EvalResult:
+    """A run's value, or the kind of fault it ended in."""
+
+    def __init__(self, value=None, fault: str | None = None):
+        self.value = value
+        self.fault = fault
+
+    @property
+    def is_ok(self) -> bool:
+        return self.fault is None
+
+    def __repr__(self):
+        if self.is_ok:
+            return f"Ok({self.value!r})"
+        return f"Fault({self.fault})"
 
 
 def ok(value) -> EvalResult:

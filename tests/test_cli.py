@@ -88,6 +88,23 @@ def test_dump_tilde_is_stable():
     assert "site 0" in one.stdout
 
 
+def test_dump_tilde_prints_statement_sites(tmp_path):
+    # a statement rule whose alternatives hold a nested site
+    model = tmp_path / "model.eml"
+    model.write_text("rule RetF: return a -> {return ?a, pass}\n")
+    args = deriv_args(asset("computederiv", "student.imp"), "--dump-tilde")
+    args[args.index("--model") + 1] = str(model)
+    proc = run_cli(*args)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "    <site 2>\n" in proc.stdout
+    site_lines = [line for line in proc.stdout.splitlines() if line.startswith("site ")]
+    assert [line.split(" (")[0] for line in site_lines] == ["site 0", "site 1", "site 2", "site 3"]
+    assert site_lines[0] == (
+        "site 0 (line 5): {return deriv | return {deriv | poly_list_int @RetF | zero @RetF} @RetF:1"
+        " | pass @RetF:1}"
+    )
+
+
 def test_seed_env_var_is_a_no_op():
     args = deriv_args(asset("computederiv", "student.imp"), "--format", "json")
     plain = run_cli(*args)

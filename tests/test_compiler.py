@@ -42,7 +42,7 @@ from autofix.tilde import (
     number_sites,
 )
 
-from conftest import ASSETS, active_of, picks_for, read
+from conftest import ASSETS, SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
 from spec_interp import evaluate, values_equal
 
 FUELS = (300, 25)
@@ -518,27 +518,6 @@ def test_choice_sites_with_reference_callees():
 
 # Statement, block and assignment-target sites: the bundled models make only
 # expression and operator sites.
-SITE_KINDS_STUDENT = (
-    "def f_int(xs_list_int, n_int):\n"
-    "    s = 0\n"
-    "    i = 0\n"
-    "    while i < len(xs_list_int):\n"
-    "        s += xs_list_int[i]\n"
-    "        xs_list_int[i] = s\n"
-    "        i += 1\n"
-    "    if n_int > s:\n"
-    "        t = n_int\n"
-    "    return s\n"
-)
-SITE_KINDS_MODELS = {
-    "stmt": "rule IncF: v += a -> {v -= a, v += 2, pass}\nrule RetF: return a -> {return ?a, pass}\n",
-    "block": (
-        "rule BaseF weight 2: def f(a0, a1): s -> def f(a0, a1): {if a1 <= 0: {return 1}; s}\n"
-        "rule InitF: v = n -> v = {n + 1}\n"
-    ),
-    "target": "rule VarF: v -> ?v\n",
-    "index target": "rule IndF: v[a] -> ?v[{a, a - 1}]\n",
-}
 SITE_KINDS_INPUTS = [((), 0), ((3,), 2), ((-2, 5), -3), ((1, 7, -8), 1), ((6, -1, 2), 7)]
 
 

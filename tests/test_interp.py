@@ -1,18 +1,17 @@
 """The language's semantics, on the executable spec (`spec_interp`).
 
-Every run here also runs through the package's own `evaluate` (compiled
-code), which must agree with the spec: the same value, or a fault on both
+Every run here also runs through the package's compiled code
+(`conftest.run_compiled`), which must agree with the spec: the same value, or a fault on both
 sides of the same kind unless one side reports FuelExhausted.
 """
 
 import pytest
 
-import autofix
 import spec_interp
 from autofix.inputs import enumerate_inputs, parse_signature
 from autofix.interp import Bounds, TupleVal
 from autofix.parser import parse_imp
-from conftest import read
+from conftest import read, run_compiled
 from spec_interp import values_equal
 
 W4 = Bounds(4, 4)
@@ -20,9 +19,9 @@ W8 = Bounds(8, 4)
 
 
 def evaluate(program, args, bounds):
-    """The spec's result, once the package's `evaluate` has agreed with it."""
+    """The spec's result, once the package's compiled code has agreed with it."""
     want = spec_interp.evaluate(program, args, bounds)
-    assert_same_outcome(autofix.evaluate(program, args, bounds), want, args)
+    assert_same_outcome(run_compiled(program, args, bounds), want, args)
     return want
 
 
@@ -221,7 +220,7 @@ def test_values_equal_distinguishes_list_and_tuple():
 
 
 @pytest.mark.parametrize("asset", ["computederiv", "arrayreverse"])
-def test_public_evaluate_agrees_with_the_spec_on_the_references(asset):
+def test_compiled_code_agrees_with_the_spec_on_the_references(asset):
     program = parse_imp(read(asset, "reference.imp"))
     bounds = Bounds(3, 2)
     inputs = list(enumerate_inputs(parse_signature(program.entry_func()), bounds))

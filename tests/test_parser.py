@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from autofix import lang
 from autofix.eml import DuplicateRuleId, IllFormedModel, parse_eml
-from autofix.interp import Bounds, evaluate
+from autofix.interp import Bounds
 from autofix.lexer import MAX_INT_DIGITS, SourceError, tokenize
 from autofix.parser import MAX_EXPR_DEPTH, MAX_TREE_DEPTH, parse_imp
 from autofix.printer import pretty_expr, pretty_program
 
-from conftest import ASSETS, CHAINS, called_deeper, chain_program, read
+from conftest import ASSETS, CHAINS, called_deeper, chain_program, read, run_compiled
 
 
 def test_reference_parses_to_one_function(deriv_ref):
@@ -252,7 +252,7 @@ def test_integer_literals_have_at_most_640_digits():
     widest = "9" * MAX_INT_DIGITS
     program = parse_imp(f"def f_int(x_int):\n    return x_int - {widest}\n")
     wrapped = (1 - int(widest) + 8) % 16 - 8
-    assert evaluate(program, (1,), Bounds(4, 0)).value == wrapped
+    assert run_compiled(program, (1,), Bounds(4, 0)).value == wrapped
     with pytest.raises(SourceError) as err:
         parse_imp("def f_int(x_int):\n    return x_int + " + "1" * 5000 + "\n")
     assert str(err.value) == f"line 2, col 20: integer literal longer than {MAX_INT_DIGITS} digits"

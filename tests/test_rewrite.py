@@ -172,3 +172,13 @@ def test_statement_choice_rule():
     texts = candidate_texts(tilde)
     assert any("x_int -= 1" in t and c == 1 for (t, c) in texts)
     assert any("x_int += 2" in t and c == 1 for (t, c) in texts)
+
+
+def test_a_pass_pattern_matches_pass():
+    program = parse_imp(read("computederiv", "corpus", "s05_skips_zeros.imp"))
+    tilde = rewrite(program, parse_eml("rule P: pass -> return [0]\n"))
+    (site,) = tilde.sites
+    assert site.kind == "stmt" and site.span.line == 7
+    default, alt = site.alternatives
+    assert isinstance(default.payload, lang.Pass) and alt.rule_id == "P"
+    assert isinstance(alt.payload, lang.Return) and pretty_expr(alt.payload.value) == "[0]"

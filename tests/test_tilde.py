@@ -1,20 +1,27 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autofix import lang
 from autofix.eml import parse_eml
-from autofix.parser import parse_imp
+from autofix.feedback import diff_corrections
+from autofix.lexer import tokenize
+from autofix.parser import Parser, parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.tilde import (
     BadIndex,
+    ChoiceSite,
     dump,
     enumerate_candidates,
     instantiate,
     max_cost_bound,
 )
 
-from conftest import active_of, picks_for
+from conftest import SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
 from expansion_oracle import expand_program
 
 
@@ -163,3 +170,158 @@ def test_dump_is_stable(deriv_student, deriv_model):
     again = rewrite(deriv_student, deriv_model)
     assert dump(tilde) == dump(again)
     assert "site 0" in dump(tilde)
+
+
+def site_lines(text: str, tilde) -> list:
+    """The dump's site lines, after checking that the tree above them shows
+    a `<site N>` placeholder for each site outside an alternative that
+    stands for a statement, a block or an augmented operator, in order."""
+    tree, _, sites = text.partition("\n\n")
+    assert text.endswith("\n") and "\n\n" not in sites
+    aug_ops = {id(node.op) for node in lang.walk(tilde.root) if isinstance(node, lang.AugAssign)}
+    standing = [
+        site.site_id for site in tilde.sites
+        if site.parent is None and (site.kind in ("stmt", "block") or id(site) in aug_ops)
+    ]
+    assert re.findall(r"<site (\d+)>", tree) == [str(i) for i in standing]
+    lines = sites.splitlines()
+    assert [line.split(" (line ")[0] for line in lines] == [f"site {i}" for i in range(len(tilde.sites))]
+    return lines
+
+
+@pytest.mark.parametrize("kind", sorted(SITE_KINDS_MODELS))
+def test_dump_lists_every_site_of_every_kind_once(kind):
+    tilde = rewrite(parse_imp(SITE_KINDS_STUDENT), parse_eml(SITE_KINDS_MODELS[kind]))
+    assert len(site_lines(dump(tilde), tilde)) == len(tilde.sites) > 0
+
+
+def test_dump_of_statement_sites():
+    tilde = rewrite(parse_imp(SITE_KINDS_STUDENT), parse_eml(SITE_KINDS_MODELS["stmt"]))
+    assert dump(tilde) == (
+        "def f_int(xs_list_int, n_int):\n"
+        "    s = 0\n"
+        "    i = 0\n"
+        "    while (i < len(xs_list_int)):\n"
+        "        <site 0>\n"
+        "        xs_list_int[i] = s\n"
+        "        <site 1>\n"
+        "    if (n_int > s):\n"
+        "        t = n_int\n"
+        "    <site 2>\n"
+        "\n"
+        "site 0 (line 5): {s += xs_list_int[i] | s -= xs_list_int[i] @IncF:1 | s += 2 @IncF:1 | pass @IncF:1}\n"
+        "site 1 (line 7): {i += 1 | i -= 1 @IncF:1 | i += 2 @IncF:1 | pass @IncF:1}\n"
+        "site 2 (line 10): {return s | return {s | xs_list_int @RetF | n_int @RetF | i @RetF | t @RetF} @RetF:1"
+        " | pass @RetF:1}\n"
+        "site 3 (line 10): {s | xs_list_int @RetF:1 | n_int @RetF:1 | i @RetF:1 | t @RetF:1}\n"
+    )
+
+
+def test_dump_of_a_block_site():
+    # a compound statement inside an alternative prints on the alternative's
+    # one line, stripped and fully parenthesised
+    tilde = rewrite(parse_imp(SITE_KINDS_STUDENT), parse_eml(SITE_KINDS_MODELS["block"]))
+    body = (
+        "s = {0 | (0 + 1) @InitF}; i = {0 | (0 + 1) @InitF}; while (i < len(xs_list_int)):;"
+        " s += xs_list_int[i]; xs_list_int[i] = s; i += 1; if (n_int > s):; t = n_int; return s"
+    )
+    plain = body.replace("{0 | (0 + 1) @InitF}", "0")
+    assert dump(tilde) == (
+        "def f_int(xs_list_int, n_int):\n"
+        "    <site 0>\n"
+        "\n"
+        f"site 0 (line 1): {{{body} | if (n_int <= 0):; return 1; {plain} @BaseF:2}}\n"
+        "site 1 (line 2): {0 | (0 + 1) @InitF:1}\n"
+        "site 2 (line 3): {0 | (0 + 1) @InitF:1}\n"
+    )
+
+
+# Rule forms of the .eml grammar, for generated models: aligned and
+# whole-node expression rules, choice sets, scope sets, operator sets, primed
+# subterms, statement rules and choices, and block rules over each student's
+# function (a block rule whose name or arity differs makes no site).
+RULE_FORMS = (
+    "v[a] -> v[{a + 1, a - 1, ?a}]",
+    "v[a] -> v[a - 1]",
+    "v[a] -> ?v[{a, a - 1}]",
+    "v -> ?v",
+    "n -> {n + 1, 0}",
+    "a0 cop a1 -> a0' ~cop {a1 + 1, a1 - 1, 0, ?a1}",
+    "a0 cop a1 -> {{a0' - 1, ?a0} ~cop {a1' - 1, 0, 1, ?a1}, True, False}",
+    "a0 == a1 -> False",
+    "a0 > a1 -> a0 < a1",
+    "a0 aop a1 -> a0 ~aop a1",
+    "a0 - a1 -> {a0 + a1, a0' - 1, a1}",
+    "range(a0, a1) -> range({0, 1, a0 - 1, a0 + 1}, {a1 + 1, a1 - 1})",
+    "len(a) -> {len(a) - 1, 0}",
+    "return a -> return {[0], a[1:]}",
+    "return a -> {return ?a, pass}",
+    "return v -> return ?v",
+    "v = n -> v = {n + 1, n - 1, 0}",
+    "v = a -> v = a'",
+    "v += n -> v -= n",
+    "v += a -> {v -= a, v += 2, pass}",
+    "pass -> return [0]",
+    "def computeDeriv(a0): s -> def computeDeriv(a0): {if len(a0) == 1: {return [0]}; s}",
+    "def reverse(a0): s -> def reverse(a0): {if len(a0) <= {1, 0}: {return a0}; s}",
+    "def f(a0, a1): s -> def f(a0, a1): {if a1 <= 0: {return 1}; while a1 > 0: {a1 -= 1}; s}",
+)
+
+STUDENTS = {
+    "computederiv": read("computederiv", "student.imp"),
+    "arrayreverse": read("arrayreverse", "student.imp"),
+    "site kinds": SITE_KINDS_STUDENT,
+}
+
+
+def parse_expression(text: str) -> lang.Expr:
+    return Parser(tokenize(text + "\n"), text).parse_expr()
+
+
+def has_site(node) -> bool:
+    return type(node) is ChoiceSite or any(has_site(child) for child in lang.children(node))
+
+
+def compound_count(node) -> int:
+    """Parentheses a fully parenthesised printing opens: one per compound
+    expression and one per call."""
+    kinds = (lang.BinOp, lang.Compare, lang.BoolOp, lang.Not, lang.CondExpr, lang.Call)
+    return sum(isinstance(sub, kinds) for sub in lang.walk(node))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    student=st.sampled_from(sorted(STUDENTS)),
+    forms=st.lists(st.sampled_from(RULE_FORMS), min_size=1, max_size=3, unique=True),
+    weights=st.lists(st.integers(1, 2), min_size=3, max_size=3),
+)
+def test_dump_and_feedback_print_every_generated_choice(student, forms, weights):
+    model = parse_eml("".join(
+        f"rule R{i} weight {w}: {form}\n" for i, (form, w) in enumerate(zip(forms, weights))
+    ))
+    tilde = rewrite(parse_imp(STUDENTS[student]), model)
+    # the alternatives of an expression site without nested sites print
+    # fully parenthesised and parse back to themselves
+    for site, line in zip(tilde.sites, site_lines(dump(tilde), tilde)):
+        if site.kind != "expr" or any(has_site(alt.payload) for alt in site.alternatives):
+            continue
+        texts = line.split(": {", 1)[1][:-1].split(" | ")
+        assert len(texts) == site.arity()
+        for alt, text in zip(site.alternatives, texts):
+            text = text.rsplit(" @", 1)[0] if alt.rule_id else text
+            assert parse_expression(text).key() == alt.payload.key()
+            assert text.count("(") == compound_count(alt.payload)
+    defaults = tilde.defaults()
+    for picks, _ in enumerate_candidates(tilde, 2):
+        corrections = diff_corrections(tilde, picks)
+        active = sorted(instantiate(tilde, picks).active)
+        active.sort(key=lambda pick: (tilde.site(pick[0]).span.line, tilde.site(pick[0]).span.col))
+        assert len(corrections) == len(active)
+        for c, (site_id, idx) in zip(corrections, active):
+            site = tilde.site(site_id)
+            assert c.span == site.span and c.rule_id == site.alternatives[idx].rule_id
+            if site.kind == "expr":
+                new = tilde.resolve(site.alternatives[idx].payload, picks)
+                sub = tilde.resolve(site.alternatives[0].payload, defaults)
+                assert parse_expression(c.new_expr).key() == new.key()
+                assert parse_expression(c.sub_expr).key() == sub.key()
