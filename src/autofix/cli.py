@@ -39,34 +39,26 @@ class InputSpaceTooLarge(Exception):
     """The bounds give more inputs than ``--max-inputs`` allows."""
 
 
-class RunConfig:
-    """One run's settings, as the command line gives them."""
+# every option's default, by its keyword (the option's dest)
+OPTION_DEFAULTS = {
+    "student": None, "corpus": None, "int_bits": 4, "max_list": 4, "fuel": 100_000,
+    "max_inputs": 2_000_000, "max_cost": 5, "alternates": 0, "level": 4, "format": "text",
+    "jobs": 1, "budget_candidates": 10_000_000, "budget_seconds": None, "callees": "student",
+    "dump_tilde": False, "timing": False,
+}
 
-    def __init__(self, ref: str, model: str, student: str | None = None,
-                 corpus: str | None = None, int_bits: int = 4, max_list: int = 4,
-                 fuel: int = 100_000, max_inputs: int = 2_000_000, max_cost: int = 5,
-                 alternates: int = 0,
-                 level: int = 4, format: str = "text", jobs: int = 1,
-                 budget_candidates: int = 10_000_000, budget_seconds: float | None = None,
-                 callees: str = "student", dump_tilde: bool = False, timing: bool = False):
+
+class RunConfig:
+    """One run's settings, as the command line gives them: the reference and
+    the model, and any of `OPTION_DEFAULTS` by keyword."""
+
+    def __init__(self, ref: str, model: str, **options):
+        unknown = options.keys() - OPTION_DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"RunConfig() got unknown options {sorted(unknown)}")
         self.ref = ref
         self.model = model
-        self.student = student
-        self.corpus = corpus
-        self.int_bits = int_bits
-        self.max_list = max_list
-        self.fuel = fuel
-        self.max_inputs = max_inputs
-        self.max_cost = max_cost
-        self.alternates = alternates
-        self.level = level
-        self.format = format
-        self.jobs = jobs
-        self.budget_candidates = budget_candidates
-        self.budget_seconds = budget_seconds
-        self.callees = callees
-        self.dump_tilde = dump_tilde
-        self.timing = timing
+        self.__dict__.update(OPTION_DEFAULTS, **options)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -79,28 +71,28 @@ def make_parser() -> argparse.ArgumentParser:
     target.add_argument("--student", help="one student submission (.imp)")
     target.add_argument("--corpus", help="directory of student submissions")
     p.add_argument("--model", required=True, help="error model (.eml)")
-    p.add_argument("--int-bits", type=int, default=4, help="integer width in bits")
-    p.add_argument("--max-list", type=int, default=4, help="maximum input list length")
-    p.add_argument("--fuel", type=int, default=100_000, help="evaluation step budget per run")
-    p.add_argument("--max-inputs", type=int, default=2_000_000,
-                   help="largest input space to enumerate")
-    p.add_argument("--max-cost", type=int, default=5, help="cost cap for fixes")
-    p.add_argument("--alternates", type=int, default=0, help="extra distinct fixes to report")
-    p.add_argument("--level", type=int, default=4, choices=(1, 2, 3, 4), help="feedback detail level")
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for corpus mode")
-    p.add_argument("--budget-candidates", type=int, default=10_000_000,
+    p.add_argument("--int-bits", type=int, help="integer width in bits")
+    p.add_argument("--max-list", type=int, help="maximum input list length")
+    p.add_argument("--fuel", type=int, help="evaluation step budget per run")
+    p.add_argument("--max-inputs", type=int, help="largest input space to enumerate")
+    p.add_argument("--max-cost", type=int, help="cost cap for fixes")
+    p.add_argument("--alternates", type=int, help="extra distinct fixes to report")
+    p.add_argument("--level", type=int, choices=(1, 2, 3, 4), help="feedback detail level")
+    p.add_argument("--format", choices=("text", "json"))
+    p.add_argument("--jobs", type=int, help="parallel workers for corpus mode")
+    p.add_argument("--budget-candidates", type=int,
                    help="ceiling on candidate runs per submission, one per input screened "
                         "or verified (not on candidates); the reference table is outside it")
-    p.add_argument("--budget-seconds", type=float, default=None,
+    p.add_argument("--budget-seconds", type=float,
                    help="wall-clock ceiling per submission (off by default); "
                         "the reference table is outside it")
-    p.add_argument("--callees", default="student", choices=("student", "reference"),
+    p.add_argument("--callees", choices=("student", "reference"),
                    help="whose helper functions candidate programs call")
     p.add_argument("--dump-tilde", action="store_true",
                    help="print the rewritten choice structure and exit")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock timing in reports (non-reproducible)")
+    p.set_defaults(**OPTION_DEFAULTS)
     return p
 
 

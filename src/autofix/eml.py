@@ -23,6 +23,8 @@ from .lexer import SourceError, tokenize
 from .parser import ARITH, COMPARE, TERM, Parser
 
 META_KINDS = ("a", "b", "v", "n", "s", "cop", "aop")
+# what follows an expression that starts a statement on a rule side
+_STMT_AFTER_EXPR = ("=", ".") + lang.AUG_OPS
 
 
 class DuplicateRuleId(Exception):
@@ -120,6 +122,8 @@ def collect_metavars(node) -> dict:
     for sub in lang.walk(node):
         if isinstance(sub, MetaVar):
             counts[sub.name] = counts.get(sub.name, 0) + 1
+        elif isinstance(sub, lang.MethodCall) and meta_kind(sub.obj):
+            counts[sub.obj] = counts.get(sub.obj, 0) + 1
         elif isinstance(sub, (ScopeSet, OpSet)):
             counts.setdefault(sub.of, 0)
     return counts
@@ -346,7 +350,10 @@ class RuleParser(Parser):
             nxt.kind == "OP" and nxt.value in (")", "]", "}", ",")
         )
 
-    # -- statement-level fragments ------------------------------------------
+    # -- statements --------------------------------------------------------
+    # A rule's statements are the program's (`Parser.parse_simple_stmt` and
+    # `Parser.parse_compound_stmt`) on one line: a block is ``: {s1; s2}``
+    # and an assignment target an expression.
 
     def parse_fragment(self, template: bool):
         """Parse one rule side: a function pattern, a statement or an
@@ -355,13 +362,6 @@ class RuleParser(Parser):
         tok = self.peek()
         if tok.kind == "KEYWORD" and tok.value == "def":
             return self.parse_func_fragment(), "func"
-        if tok.kind == "KEYWORD" and tok.value == "return":
-            self.advance()
-            value = self.parse_expr()
-            return lang.Return(value, self.span_from(tok.span)), "stmt"
-        if tok.kind == "KEYWORD" and tok.value == "pass":
-            self.advance()
-            return lang.Pass(tok.span), "stmt"
         if tok.kind == "OP" and tok.value == "{" and template:
             # statement choice is only recognized when options are statements
             save = self.pos, self.expr_depth
@@ -369,29 +369,32 @@ class RuleParser(Parser):
                 return self.parse_stmt_choice(), "stmt"
             except SourceError:
                 self.pos, self.expr_depth = save
-        expr = self.parse_expr()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value == "=":
-            self.advance()
-            value = self.parse_expr()
-            if not isinstance(expr, (lang.Var, lang.Index, MetaVar)):
-                raise self.error("assignment target must be a variable or index")
-            return lang.Assign(expr, value, self.span_from(expr.span)), "stmt"
-        if tok.kind == "OP" and tok.value in lang.AUG_OPS:
-            op = self.advance().value
-            value = self.parse_expr()
-            return (
-                lang.AugAssign(expr, op[0], value, self.span_from(expr.span)),
-                "stmt",
-            )
-        return expr, "expr"
+        if tok.kind != "KEYWORD" or tok.value not in ("return", "pass"):
+            start = self.pos
+            expr = self.parse_expr()
+            nxt = self.peek()
+            if nxt.kind != "OP" or nxt.value not in _STMT_AFTER_EXPR:
+                return expr, "expr"
+            self.pos = start  # an assignment or a method call
+        return self.parse_simple_stmt(), "stmt"
+
+    def parse_target(self):
+        target = self.parse_expr()
+        if not isinstance(target, (lang.Var, lang.Index, MetaVar)):
+            raise SourceError("assignment target must be a variable or index",
+                              target.span.line, target.span.col)
+        return target
+
+    def parse_block(self) -> list:
+        self.expect("OP", ":")
+        self.expect("OP", "{")
+        body = self.parse_stmt_seq()
+        self.expect("OP", "}")
+        return body
 
     def parse_stmt_choice(self):
         start = self.expect("OP", "{").span
-        options = [self.parse_inline_stmt()]
-        while self.at("OP", ","):
-            self.advance()
-            options.append(self.parse_inline_stmt())
+        options = self.parse_stmt_seq(",")
         self.expect("OP", "}")
         return StmtChoice(options, self.span_from(start))
 
@@ -406,12 +409,11 @@ class RuleParser(Parser):
                 self.advance()
                 params.append(self._param())
         self.expect("OP", ")")
-        self.expect("OP", ":")
-        if self.at("OP", "{") and self.allow_template:
-            self.advance()
-            body = self.parse_stmt_seq()
-            self.expect("OP", "}")
+        nxt = self.peek(1)
+        if self.allow_template and nxt.kind == "OP" and nxt.value == "{":
+            body = self.parse_block()
         else:
+            self.expect("OP", ":")
             body = self.parse_stmt_seq()
         return FuncPattern(name, params, body, self.span_from(start))
 
@@ -422,49 +424,23 @@ class RuleParser(Parser):
             raise self.error(f"parameter {tok.value!r} must be a metavariable")
         return MetaVar(tok.value, kind, tok.span)
 
-    def parse_stmt_seq(self) -> list:
+    def parse_stmt_seq(self, separator: str = ";") -> list:
         stmts = [self.parse_inline_stmt()]
-        while self.at("OP", ";"):
+        while self.at("OP", separator):
             self.advance()
             stmts.append(self.parse_inline_stmt())
         return stmts
 
     def parse_inline_stmt(self):
+        """A statement inside a block or a statement choice: an
+        s-metavariable, an ``if`` or ``while`` or a simple statement."""
         tok = self.peek()
         if tok.kind == "NAME" and meta_kind(tok.value) == "s":
             self.advance()
             return MetaVar(tok.value, "s", tok.span)
-        if tok.kind == "KEYWORD" and tok.value == "return":
-            self.advance()
-            return lang.Return(self.parse_expr(), self.span_from(tok.span))
-        if tok.kind == "KEYWORD" and tok.value == "pass":
-            self.advance()
-            return lang.Pass(tok.span)
         if tok.kind == "KEYWORD" and tok.value in ("if", "while"):
-            self.advance()
-            cond = self.parse_expr()
-            self.expect("OP", ":")
-            self.expect("OP", "{")
-            body = self.parse_stmt_seq()
-            self.expect("OP", "}")
-            if tok.value == "while":
-                return lang.While(cond, body, self.span_from(tok.span))
-            else_body = []
-            if self.at("KEYWORD", "else"):
-                self.advance()
-                self.expect("OP", ":")
-                self.expect("OP", "{")
-                else_body = self.parse_stmt_seq()
-                self.expect("OP", "}")
-            return lang.If(cond, body, else_body, self.span_from(tok.span))
-        expr = self.parse_expr()
-        if self.at("OP", "="):
-            self.advance()
-            return lang.Assign(expr, self.parse_expr(), self.span_from(expr.span))
-        if self.peek().kind == "OP" and self.peek().value in lang.AUG_OPS:
-            op = self.advance().value
-            return lang.AugAssign(expr, op[0], self.parse_expr(), self.span_from(expr.span))
-        raise self.error("expected a statement")
+            return self.parse_compound_stmt()
+        return self.parse_simple_stmt()
 
 
 def parse_eml(source: str) -> ErrorModel:
@@ -510,7 +486,7 @@ def _parse_rules(parser: RuleParser) -> ErrorModel:
         if not parser.at("EOF"):
             parser.expect("NEWLINE")
         rule = CorrectionRule(rule_id, lhs, rhs, weight, message, lhs_kind)
-        _validate_rule(rule, rhs_kind)
+        _validate_rule(rule, rhs_kind, tok.span.line, tok.span.col)
         rules.append(rule)
     return ErrorModel(rules)
 
@@ -528,18 +504,33 @@ def _check_message(rule_id: str, message: str) -> None:
         ) from None
 
 
-def _validate_rule(rule: CorrectionRule, rhs_kind: str) -> None:
+_KIND_NAMES = {"expr": "an expression", "stmt": "a statement", "func": "a function"}
+
+
+def _validate_rule(rule: CorrectionRule, rhs_kind: str, line: int, col: int) -> None:
+    """Reject a rule, at `line` and `col` where it starts, whose right side
+    uses a metavariable the left side does not bind, whose left side uses
+    template syntax, whose two sides are of different kinds, or that appends
+    to a list named by a metavariable that may bind more than a variable
+    (only statements append)."""
     lhs_vars = set(rule.lhs_metavars())
     for name in collect_metavars(rule.rhs):
         if name not in lhs_vars:
             raise SourceError(
-                f"unbound metavariable {name!r} in rule {rule.rule_id}", 0, 0
+                f"unbound metavariable {name!r} in rule {rule.rule_id}", line, col
             )
     if any(isinstance(sub, TEMPLATE_FORMS) for sub in lang.walk(rule.lhs)):
         raise SourceError(
-            f"rule {rule.rule_id}: template syntax on the left side", 0, 0
+            f"rule {rule.rule_id}: template syntax on the left side", line, col
         )
-    if rule.lhs_kind == "func" and rhs_kind != "func":
+    if rhs_kind != rule.lhs_kind:
         raise SourceError(
-            f"rule {rule.rule_id}: function pattern needs a function template", 0, 0
+            f"rule {rule.rule_id}: the left side is {_KIND_NAMES[rule.lhs_kind]},"
+            f" the right side {_KIND_NAMES[rhs_kind]}", line, col
         )
+    for sub in lang.walk([rule.lhs, rule.rhs]) if rhs_kind != "expr" else ():
+        if isinstance(sub, lang.MethodCall) and meta_kind(sub.obj) not in (None, "v"):
+            raise SourceError(
+                f"rule {rule.rule_id}: the list in {sub.obj}.{sub.method}(...)"
+                " must be a name or a v-metavariable", line, col
+            )

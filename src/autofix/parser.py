@@ -132,41 +132,47 @@ class Parser:
 
     def parse_stmt(self) -> lang.Stmt:
         tok = self.peek()
+        if tok.kind == "KEYWORD" and tok.value in ("if", "while", "for"):
+            return self.parse_compound_stmt()
+        stmt = self.parse_simple_stmt()
+        self.expect("NEWLINE")
+        return stmt
+
+    def parse_compound_stmt(self) -> lang.Stmt:
+        """An ``if``, ``while`` or ``for`` statement, its blocks read by
+        `parse_block`."""
+        keyword = self.advance()
+        start = keyword.span
+        if keyword.value == "for":
+            var = self.expect("NAME").value
+            self.expect("KEYWORD", "in")
+            iterable = self.parse_expr()
+            body = self.parse_block()
+            return lang.ForIn(var, iterable, body, self.span_from(start))
+        cond = self.parse_expr()
+        body = self.parse_block()
+        if keyword.value == "while":
+            return lang.While(cond, body, self.span_from(start))
+        else_body = []
+        if self.at("KEYWORD", "else"):
+            self.advance()
+            else_body = self.parse_block()
+        return lang.If(cond, body, else_body, self.span_from(start))
+
+    def parse_simple_stmt(self) -> lang.Stmt:
+        """A ``return``, ``pass``, ``x.append(e)`` or assignment statement,
+        up to its last token."""
+        tok = self.peek()
         start = tok.span
         if tok.kind == "KEYWORD":
             if tok.value == "return":
                 self.advance()
                 value = self.parse_expr()
-                self.expect("NEWLINE")
                 return lang.Return(value, self.span_from(start))
             if tok.value == "pass":
                 self.advance()
-                self.expect("NEWLINE")
-                return lang.Pass(self.span_from(start))
-            if tok.value == "if":
-                self.advance()
-                cond = self.parse_expr()
-                then_body = self.parse_block()
-                else_body = []
-                if self.at("KEYWORD", "else"):
-                    self.advance()
-                    else_body = self.parse_block()
-                return lang.If(cond, then_body, else_body, self.span_from(start))
-            if tok.value == "while":
-                self.advance()
-                cond = self.parse_expr()
-                body = self.parse_block()
-                return lang.While(cond, body, self.span_from(start))
-            if tok.value == "for":
-                self.advance()
-                var = self.expect("NAME").value
-                self.expect("KEYWORD", "in")
-                iterable = self.parse_expr()
-                body = self.parse_block()
-                return lang.ForIn(var, iterable, body, self.span_from(start))
+                return lang.Pass(start)
             raise self.error(f"unexpected keyword {tok.value!r}")
-
-        # method-call statement: NAME '.' NAME '(' args ')'
         if tok.kind == "NAME" and self.peek(1).kind == "OP" and self.peek(1).value == ".":
             obj = self.advance().value
             self.expect("OP", ".")
@@ -181,22 +187,21 @@ class Parser:
                     f"{method}() takes {lo}..{hi} arguments", start.line, start.col
                 )
             self.expect("OP", ")")
-            self.expect("NEWLINE")
             return lang.MethodCall(obj, method, args, self.span_from(start))
+        return self.parse_assignment(self.parse_target())
 
-        target = self.parse_target()
+    def parse_assignment(self, target: lang.Expr) -> lang.Stmt:
+        """The assignment or augmented assignment to `target`."""
         tok = self.peek()
         if tok.kind == "OP" and tok.value == "=":
             self.advance()
             value = self.parse_expr()
-            self.expect("NEWLINE")
-            return lang.Assign(target, value, self.span_from(start))
+            return lang.Assign(target, value, self.span_from(target.span))
         if tok.kind == "OP" and tok.value in lang.AUG_OPS:
-            op_tok = self.advance()
+            self.advance()
             value = self.parse_expr()
-            self.expect("NEWLINE")
             return lang.AugAssign(
-                target, op_tok.value[0], value, self.span_from(start), op_tok.span
+                target, tok.value[0], value, self.span_from(target.span), tok.span
             )
         raise self.error("expected '=' or augmented assignment")
 

@@ -1,17 +1,21 @@
 """Applies an error model to a program, producing its weighted program set.
 
-Every AST node of the entry function is visited.  The default traversal
-(alternative 0, cost zero) reproduces the node with rewritten children.  Each
-rule whose pattern matches contributes weighted alternatives:
+One pass, `_Engine.rewrite_node`, visits every statement and expression of
+the entry function, children first.  A node's default (alternative 0, cost
+zero) is the node with rewritten children.  Each rule of the node's kind
+whose pattern matches then contributes weighted alternatives:
 
 * a rule whose template keeps the matched node's shape ("aligned", e.g.
-  ``v[a] -> v[{a + 1, a - 1}]``) grafts a choice site at each changed child
-  position, defaulting to the original child;
-* any other template becomes a whole-node alternative; choice sets flatten
-  into sibling alternatives, and sets nested inside a replacement become
-  nested sites whose first element is the local default.
+  ``v[a] -> v[{a + 1, a - 1}]``) grafts a choice site onto the default at
+  each changed child position, defaulting to the original child;
+* any other template adds whole-node alternatives to one site for the node:
+  one per element of a set at its top (`_variants`), while sets nested
+  inside a replacement become nested sites whose first element is the local
+  default.
 
-Primed subterms are rewritten recursively (their sites cost extra); unprimed
+Every site that offers one rule's options beside a default is built by
+`_choice`.  A function rule offers its bodies at one block site.  Primed
+subterms are rewritten recursively (their sites cost extra); unprimed
 metavariables are frozen copies of what they matched.  Scope sets expand to
 the variables assigned before the enclosing statement, parameters included.
 """
@@ -23,7 +27,6 @@ from .eml import (
     TEMPLATE_FORMS,
     ChoiceSet,
     ErrorModel,
-    FuncPattern,
     IllFormedModel,
     MetaVar,
     OpSet,
@@ -32,6 +35,7 @@ from .eml import (
     StmtChoice,
     check_well_formed,
     match_pattern,
+    meta_kind,
 )
 from .lexer import SourceError
 from .tilde import Alternative, ChoiceSite, TildeProgram, number_sites
@@ -60,7 +64,6 @@ def rewrite(program: lang.Program, model: ErrorModel) -> TildeProgram:
 class _Engine:
     def __init__(self, program: lang.Program, model: ErrorModel):
         self.program = program
-        self.model = model
         self.expr_rules = [r for r in model if r.lhs_kind == "expr"]
         self.stmt_rules = [r for r in model if r.lhs_kind == "stmt"]
         self.func_rules = [r for r in model if r.lhs_kind == "func"]
@@ -73,15 +76,6 @@ class _Engine:
         entry = program.entry_func()
         self.params = list(entry.params)
         self.first_def = _first_definitions(entry)
-
-    # -- scope ---------------------------------------------------------------
-
-    def scope_names(self) -> list:
-        names = list(self.params)
-        for name, offset in self.first_def:
-            if offset < self.anchor and name not in names:
-                names.append(name)
-        return names
 
     def _site(self, kind, span, header, alternatives) -> ChoiceSite:
         """A new choice site, counted against ``MAX_SITES``."""
@@ -103,208 +97,113 @@ class _Engine:
         return lang.Program(functions, self.program.entry, self.program.source)
 
     def rewrite_func(self, func: lang.FuncDef):
-        self.stmt_header = func.span
-        self.anchor = func.span.start
-        body = self.rewrite_node(func.body)
+        self._enter(func)
+        body = lang.map_children(func.body, self.rewrite_node)
         alternatives = []
-        tilde_func = lang.FuncDef(func.name, func.params, body, func.span)
         for rule in self.func_rules:
-            binding = match_pattern(rule.lhs, func)
-            if binding is None:
-                continue
-            rhs = rule.rhs
-            if isinstance(rhs, FuncPattern) and self._func_aligned(rhs, rule.lhs):
+            lhs, rhs = rule.lhs, rule.rhs
+            binding = match_pattern(lhs, func)
+            if binding is not None and rhs.name == lhs.name and (
+                [p.name for p in rhs.params] == [p.name for p in lhs.params]
+            ):
                 payload = self._instantiate(rhs.body, binding, rule, func.span)
                 alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
         if alternatives:
-            site = self._site(
-                "block",
-                func.span,
-                func.span,
-                [Alternative(tilde_func.body)] + alternatives,
-            )
-            tilde_func.body = site
-        return tilde_func
+            body = self._site("block", func.span, func.span, [Alternative(body)] + alternatives)
+        return lang.FuncDef(func.name, func.params, body, func.span)
 
-    def _func_aligned(self, rhs: FuncPattern, lhs: FuncPattern) -> bool:
-        return rhs.name == lhs.name and [p.name for p in rhs.params] == [
-            p.name for p in lhs.params
-        ]
-
-    # -- statements ------------------------------------------------------------
+    # -- statements and expressions -------------------------------------------
 
     def rewrite_node(self, node):
-        """Rewrite a statement, an expression or a statement list."""
-        if isinstance(node, list):
-            return [self.rewrite_stmt(s) for s in node]
-        if isinstance(node, lang.Stmt):
-            return self.rewrite_stmt(node)
-        return self.rewrite_expr(node)
-
-    def _default(self, node):
-        """Alternative 0 of `node`'s site: the node with rewritten children."""
-        return lang.map_children(node, self.rewrite_node)
-
-    def rewrite_stmt(self, stmt: lang.Stmt):
-        self.stmt_header = _header_span(stmt)
-        self.anchor = stmt.span.start
-        default = self._default(stmt)
+        """Rewrite a statement or an expression: its default (alternative 0)
+        is the node with rewritten children, each aligned rule grafts sites
+        onto that default, and every other matching rule adds whole-node
+        alternatives."""
+        stmt = isinstance(node, lang.Stmt)
+        if stmt:
+            self._enter(node)
+        default = lang.map_children(node, self.rewrite_node)
         alternatives = []
-        for rule in self.stmt_rules:
-            binding = match_pattern(rule.lhs, stmt)
-            if binding is None:
-                continue
-            rhs = rule.rhs
-            if not isinstance(rhs, (ChoiceSet, StmtChoice)) and self._aligned(
-                rhs, rule.lhs
-            ):
-                default = self._graft(default, rhs, rule.lhs, binding, rule)
-                continue
-            elements = rhs.options if isinstance(rhs, (ChoiceSet, StmtChoice)) else [rhs]
-            for elem in elements:
-                for payload in self._element_variants(elem, binding, rule, stmt.span):
-                    alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
-            # restore statement context clobbered by nested rewrites
-            self.stmt_header = _header_span(stmt)
-            self.anchor = stmt.span.start
-        if alternatives:
-            return self._site(
-                "stmt",
-                stmt.span,
-                self.stmt_header,
-                [Alternative(default)] + alternatives,
-            )
-        return default
-
-    # -- expressions ------------------------------------------------------------
-
-    def rewrite_expr(self, node: lang.Expr):
-        default = self._default(node)
-        alternatives = []
-        for rule in self.expr_rules:
+        for rule in self.stmt_rules if stmt else self.expr_rules:
             binding = match_pattern(rule.lhs, node)
             if binding is None:
                 continue
-            rhs = rule.rhs
-            if not isinstance(rhs, ChoiceSet) and self._aligned(rhs, rule.lhs):
-                default = self._graft(default, rhs, rule.lhs, binding, rule)
+            if _aligned(rule.rhs, rule.lhs):
+                default = self._graft(default, rule, binding)
                 continue
-            elements = rhs.options if isinstance(rhs, ChoiceSet) else [rhs]
-            for elem in elements:
-                for payload in self._element_variants(elem, binding, rule, node.span):
-                    alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
+            for payload in self._variants(rule.rhs, binding, rule, node.span):
+                alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
+            if stmt:
+                self._enter(node)  # restore the context nested rewrites clobbered
         if alternatives:
-            return self._site(
-                "expr",
-                node.span,
-                self.stmt_header,
-                [Alternative(default)] + alternatives,
-            )
+            kind = "stmt" if stmt else "expr"
+            return self._site(kind, node.span, self.stmt_header, [Alternative(default)] + alternatives)
         return default
 
-    # -- alignment and grafting --------------------------------------------------
+    def _enter(self, node) -> None:
+        """Make `node` (a statement or the function) the one whose header
+        new sites name and before which scope sets look for variables."""
+        self.stmt_header = _header_span(node)
+        self.anchor = node.span.start
 
-    def _aligned(self, rhs, lhs) -> bool:
-        rhs = _strip_prime(rhs)
-        if isinstance(lhs, (MetaVar, Primed)):
-            return False
-        if type(rhs) is not type(lhs):
-            return False
-        if isinstance(lhs, lang.Call):
-            return rhs.func == lhs.func and len(rhs.args) == len(lhs.args)
-        if isinstance(lhs, lang.MethodCall):
-            return rhs.obj == lhs.obj and rhs.method == lhs.method and len(
-                rhs.args
-            ) == len(lhs.args)
-        if isinstance(lhs, lang.ListLit):
-            return len(rhs.elements) == len(lhs.elements)
-        if isinstance(lhs, lang.Slice):
-            return (rhs.lo is None) == (lhs.lo is None) and (rhs.hi is None) == (
-                lhs.hi is None
-            )
-        return isinstance(
-            lhs,
-            (
-                lang.Index,
-                lang.BinOp,
-                lang.Compare,
-                lang.BoolOp,
-                lang.Not,
-                lang.CondExpr,
-                lang.Assign,
-                lang.AugAssign,
-                lang.Return,
-            ),
-        )
+    # -- grafting and sites --------------------------------------------------------
 
-    def _graft(self, default, rhs, lhs, binding, rule):
+    def _graft(self, default, rule, binding):
         """`default` with a choice site at each child position where the
-        aligned template differs from the pattern."""
-        rhs = _strip_prime(rhs)
-        for slot, lhs_child, rhs_child in _child_slots(lhs, rhs):
+        aligned template differs from the pattern; a position that already
+        holds a site (grafted by an earlier rule) gains the options."""
+        for slot, lhs_child, rhs_child in _child_slots(rule.lhs, _strip_prime(rule.rhs)):
             if _template_key(rhs_child) == _template_key(lhs_child):
                 continue
-            if slot == "op":
-                options = self._op_options(rhs_child, binding, rule)
-                default = self._graft_site(default, slot, options, rule, kind="op")
+            current = _get_slot(default, slot)
+            if slot != "op":
+                kind, span = "expr", current.span
+                options = self._variants(rhs_child, binding, rule, span)
             else:
-                current = _get_slot(default, slot)
-                anchor = getattr(current, "span", None) or default.span
-                options = self._position_options(rhs_child, binding, rule, anchor)
-                default = self._graft_site(default, slot, options, rule, kind="expr")
+                kind, span = "op", getattr(default, "op_span", lang.NO_SPAN)
+                if span.end == 0:
+                    span = default.span
+                if isinstance(rhs_child, OpSet):
+                    options = _other_ops(binding[rhs_child.of])
+                elif isinstance(rhs_child, MetaVar):
+                    options = [binding[rhs_child.name]]
+                else:
+                    options = [rhs_child]  # a literal operator
+            if isinstance(current, ChoiceSite):
+                current.alternatives += [Alternative(p, rule.rule_id, rule.weight) for p in options]
+            elif options:  # none, e.g., for a scope set with nothing in scope
+                default = _with_slot(default, slot, self._choice(kind, span, current, options, rule))
         return default
 
-    def _graft_site(self, default, slot, options, rule, kind):
-        if not options:
-            return default  # e.g. a scope set with nothing in scope
-        current = _get_slot(default, slot)
-        if isinstance(current, ChoiceSite):
-            current.alternatives.extend(
-                Alternative(p, rule.rule_id, rule.weight) for p in options
-            )
-            return default
-        if kind == "op":
-            span = getattr(default, "op_span", lang.NO_SPAN)
-            if span is lang.NO_SPAN or span.end == 0:
-                span = default.span
-        else:
-            span = getattr(current, "span", None) or default.span
-        site = self._site(
+    def _choice(self, kind, span, default, options, rule) -> ChoiceSite:
+        """A site offering `rule`'s `options` beside `default`."""
+        return self._site(
             kind,
             span,
             self.stmt_header,
-            [Alternative(current)]
-            + [Alternative(p, rule.rule_id, rule.weight) for p in options],
+            [Alternative(default)] + [Alternative(p, rule.rule_id, rule.weight) for p in options],
         )
-        return _with_slot(default, slot, site)
 
-    def _op_options(self, tpl, binding, rule) -> list:
-        if isinstance(tpl, OpSet):
-            return _other_ops(binding[tpl.of])
-        if isinstance(tpl, MetaVar):
-            return [binding[tpl.name]]
-        return [tpl]  # literal operator
-
-    def _position_options(self, tpl, binding, rule, anchor) -> list:
-        """Alternatives for one grafted child position."""
-        if isinstance(tpl, ChoiceSet):
-            options = []
-            for o in tpl.options:
-                options.extend(self._element_variants(o, binding, rule, anchor))
-            return options
-        return self._element_variants(tpl, binding, rule, anchor)
-
-    def _element_variants(self, tpl, binding, rule, anchor) -> list:
-        """A set element (or whole replacement) as concrete payloads; scope
-        sets at element level expand one payload per variable in scope."""
-        if isinstance(tpl, ScopeSet):
-            return [lang.Var(name) for name in self._scope_options(tpl, binding)]
-        return [self._instantiate(tpl, binding, rule, anchor)]
+    def _variants(self, tpl, binding, rule, anchor) -> list:
+        """The payloads a template offers: one per element of a set
+        ``{...}`` (or the template itself), where a scope set ``?a`` gives
+        one variable per name in scope."""
+        payloads = []
+        for elem in tpl.options if isinstance(tpl, (ChoiceSet, StmtChoice)) else [tpl]:
+            if isinstance(elem, ScopeSet):
+                payloads += [lang.Var(name) for name in self._scope_options(elem, binding)]
+            else:
+                payloads.append(self._instantiate(elem, binding, rule, anchor))
+        return payloads
 
     def _scope_options(self, tpl: ScopeSet, binding) -> list:
+        """The names `tpl` offers: the parameters and the variables first
+        assigned before the current statement, except the one it is
+        anchored to."""
         bound = binding.get(tpl.of)
         exclude = bound.name if isinstance(bound, lang.Var) else None
-        return [name for name in self.scope_names() if name != exclude]
+        names = self.params + [name for name, offset in self.first_def if offset < self.anchor]
+        return [name for name in names if name != exclude]
 
     # -- template instantiation ---------------------------------------------------
 
@@ -315,40 +214,18 @@ class _Engine:
         if isinstance(tpl, Primed):
             return self._rewrite_primed(tpl.inner, binding)
         if isinstance(tpl, ChoiceSet):
-            variants = []
-            for o in tpl.options:
-                variants.extend(self._element_variants(o, binding, rule, anchor))
-            default = variants[0]
-            rest = variants[1:]
-            return self._site(
-                "expr",
-                anchor,
-                self.stmt_header,
-                [Alternative(default)]
-                + [Alternative(v, rule.rule_id, rule.weight) for v in rest],
-            )
+            variants = self._variants(tpl, binding, rule, anchor)
+            return self._choice("expr", anchor, variants[0], variants[1:], rule)
         if isinstance(tpl, ScopeSet):
             bound = binding.get(tpl.of)
-            options = [lang.Var(n) for n in self._scope_options(tpl, binding)]
             default = bound if bound is not None else lang.Var(tpl.of)
-            if not options:
-                return default
-            return self._site(
-                "expr",
-                anchor,
-                self.stmt_header,
-                [Alternative(default)]
-                + [Alternative(v, rule.rule_id, rule.weight) for v in options],
-            )
+            options = [lang.Var(n) for n in self._scope_options(tpl, binding)]
+            return self._choice("expr", anchor, default, options, rule) if options else default
         if isinstance(tpl, OpSet):
             original = binding[tpl.of]
-            return self._site(
-                "op",
-                anchor,
-                self.stmt_header,
-                [Alternative(original)]
-                + [Alternative(o, rule.rule_id, rule.weight) for o in _other_ops(original)],
-            )
+            return self._choice("op", anchor, original, _other_ops(original), rule)
+        if isinstance(tpl, lang.MethodCall) and meta_kind(tpl.obj):
+            tpl = lang.with_field(tpl, "obj", binding[tpl.obj].name)
         # a bare s-metavariable binds a statement list, spliced into its block
         return lang.map_children(
             tpl, lambda child: self._instantiate(child, binding, rule, anchor)
@@ -391,7 +268,7 @@ def _first_definitions(func: lang.FuncDef) -> list:
     return first
 
 
-def _header_span(stmt: lang.Stmt) -> lang.Span:
+def _header_span(stmt) -> lang.Span:
     if isinstance(stmt, (lang.If, lang.While)):
         return lang.Span(
             stmt.span.line, stmt.span.col, stmt.span.start, stmt.cond.span.end
@@ -401,6 +278,34 @@ def _header_span(stmt: lang.Stmt) -> lang.Span:
             stmt.span.line, stmt.span.col, stmt.span.start, stmt.iterable.span.end
         )
     return stmt.span
+
+
+# the patterns whose aligned templates graft sites onto their children
+_ALIGNABLE = (
+    lang.Index, lang.Slice, lang.BinOp, lang.Compare, lang.BoolOp, lang.Not, lang.CondExpr,
+    lang.Call, lang.ListLit, lang.Assign, lang.AugAssign, lang.MethodCall, lang.Return,
+)
+
+
+def _aligned(rhs, lhs) -> bool:
+    """Whether template `rhs` keeps the shape of pattern `lhs`: the same
+    class, among `_ALIGNABLE`, with the same names (a call's function, a
+    method call's list and method), lists of the same lengths and the same
+    slice ends absent."""
+    rhs = _strip_prime(rhs)
+    if type(rhs) is not type(lhs) or not isinstance(lhs, _ALIGNABLE):
+        return False
+    for name in lhs.fields:
+        left, right = getattr(lhs, name), getattr(rhs, name)
+        if type(left) is list:
+            if len(left) != len(right):
+                return False
+        elif type(left) is str and name != "op":
+            if left != right:
+                return False
+        elif (left is None) != (right is None):
+            return False
+    return True
 
 
 def _strip_prime(node):

@@ -105,6 +105,19 @@ def test_dump_tilde_prints_statement_sites(tmp_path):
     )
 
 
+@pytest.mark.parametrize("rule", ["n -> return 1", "n -> {x = 1, pass}"])
+@pytest.mark.parametrize("extra", [[], ["--dump-tilde"]])
+def test_a_rule_whose_sides_differ_in_kind_exits_3_with_one_line(tmp_path, capsys, rule, extra):
+    (tmp_path / "model.eml").write_text(f"# an expression rewritten to a statement\nrule R: {rule}\n")
+    args = deriv_args(asset("computederiv", "student.imp"), *extra)
+    args[args.index("--model") + 1] = str(tmp_path / "model.eml")
+    assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "autofix: line 2, col 1: rule R: the left side is an expression, the right side a statement\n"
+    )
+
+
 def test_seed_env_var_is_a_no_op():
     args = deriv_args(asset("computederiv", "student.imp"), "--format", "json")
     plain = run_cli(*args)

@@ -45,8 +45,48 @@ def test_empty_file_gives_empty_model():
 
 def test_unbound_metavariable_rejected():
     with pytest.raises(SourceError) as err:
-        parse_eml("rule X: v[a] -> v[a0]\n")
-    assert "unbound metavariable" in str(err.value)
+        parse_eml("# a comment\nrule X: v[a] -> v[a0]\n")
+    assert str(err.value) == "line 2, col 1: unbound metavariable 'a0' in rule X"
+
+
+@pytest.mark.parametrize("rule,sides", [
+    ("n -> return 1", "an expression, the right side a statement"),
+    ("n -> {x = 1, pass}", "an expression, the right side a statement"),
+    ("return a -> a + 1", "a statement, the right side an expression"),
+    ("v = n -> n", "a statement, the right side an expression"),
+    ("def f(a0): s -> return a0", "a function, the right side a statement"),
+    ("a -> def f(a): {return a}", "an expression, the right side a function"),
+])
+def test_both_sides_of_a_rule_are_of_one_kind(rule, sides):
+    with pytest.raises(SourceError) as err:
+        parse_eml(f"rule A: v = n -> v = 0\n  rule R: {rule}\n")
+    assert str(err.value) == f"line 2, col 3: rule R: the left side is {sides}"
+
+
+def test_a_rule_may_match_an_append():
+    (rule,) = parse_eml("rule A: v.append(a) -> pass\n")
+    stmt = Parser(tokenize("xs.append(x + 1)\n"), "").parse_stmt()
+    binding = match_pattern(rule.lhs, stmt)
+    assert binding["v"].key() == lang.Var("xs").key() and binding["a"].key() == expr("x + 1").key()
+    assert collect_metavars(rule.lhs) == {"v": 1, "a": 1}
+    assert parse_eml("rule L: deriv.append(a) -> pass\n").rules[0].lhs.obj == "deriv"
+    with pytest.raises(SourceError, match="unbound metavariable 'v1' in rule B"):
+        parse_eml("rule B: v.append(a) -> v1.append(a)\n")
+    # only a variable can be appended to
+    with pytest.raises(SourceError, match=r"rule C: the list in a\.append\(\.\.\.\) must be"):
+        parse_eml("rule C: return a -> {a.append(1), pass}\n")
+
+
+@pytest.mark.parametrize("rule", [
+    "v += n -> {v + 1 = n, pass}",
+    "v += n -> v + 1 = n",
+    "v + 1 += n -> pass",
+    "def f(a0): s -> def f(a0): {a0 + 1 = 1; s}",
+    "def f(a0): s -> def f(a0): {if a0: {?a0 = 1}; s}",
+])
+def test_an_assignment_target_is_a_variable_or_an_index_everywhere(rule):
+    with pytest.raises(SourceError):
+        parse_eml(f"rule R: {rule}\n")
 
 
 def test_msg_templates_are_checked_against_the_correction_fields():

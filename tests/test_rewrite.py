@@ -5,7 +5,7 @@ from autofix.eml import ErrorModel, IllFormedModel, parse_eml
 from autofix.parser import parse_imp
 from autofix.printer import pretty_expr, pretty_program
 from autofix.rewrite import rewrite
-from autofix.tilde import ChoiceSite, enumerate_candidates, instantiate
+from autofix.tilde import ChoiceSite, dump, enumerate_candidates, instantiate
 
 from conftest import read
 
@@ -182,3 +182,12 @@ def test_a_pass_pattern_matches_pass():
     default, alt = site.alternatives
     assert isinstance(default.payload, lang.Pass) and alt.rule_id == "P"
     assert isinstance(alt.payload, lang.Return) and pretty_expr(alt.payload.value) == "[0]"
+
+
+def test_an_append_rule_appends_to_the_list_it_matched(deriv_student):
+    model = parse_eml("rule A: v.append(a) -> {pass, v.append(a - 1)}\n")
+    tilde = rewrite(deriv_student, model)
+    assert dump(tilde).splitlines()[-1] == (
+        "site 0 (line 10): {deriv.append((poly_list_int[expo] * expo)) | pass @A:1"
+        " | deriv.append(((poly_list_int[expo] * expo) - 1)) @A:1}"
+    )

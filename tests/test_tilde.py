@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autofix import lang
-from autofix.eml import parse_eml
+from autofix.compiler import Compiler
+from autofix.eml import IllFormedModel, parse_eml
 from autofix.feedback import diff_corrections
-from autofix.lexer import tokenize
+from autofix.interp import Bounds
+from autofix.lexer import SourceError, tokenize
 from autofix.parser import Parser, parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
@@ -272,6 +274,21 @@ STUDENTS = {
     "arrayreverse": read("arrayreverse", "student.imp"),
     "site kinds": SITE_KINDS_STUDENT,
 }
+
+
+@pytest.mark.parametrize("lhs", sorted({form.split(" -> ")[0] for form in RULE_FORMS}))
+def test_every_pattern_with_every_template_is_rejected_or_rewrites(lhs):
+    # a rule either fails to parse or rewrites, dumps and compiles
+    compiler = Compiler(Bounds(3, 2))
+    for rhs in (form.split(" -> ")[1] for form in RULE_FORMS):
+        try:
+            model = parse_eml(f"rule R: {lhs} -> {rhs}\n")
+        except (SourceError, IllFormedModel):
+            continue
+        for source in STUDENTS.values():
+            tilde = rewrite(parse_imp(source), model)
+            dump(tilde)
+            compiler.compile(tilde)
 
 
 def parse_expression(text: str) -> lang.Expr:
