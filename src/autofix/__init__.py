@@ -6,7 +6,7 @@ the submission agree with the reference on every input within configured
 bounds, and render the result as line-anchored feedback.
 """
 
-from .eml import ErrorModel, check_well_formed, match_pattern, parse_eml
+from .eml import ErrorModel, match_pattern, parse_eml
 from .feedback import FeedbackReport, build_report, diff_corrections, render_feedback
 from .inputs import Signature, count_inputs, enumerate_inputs, parse_signature
 from .interp import Bounds
@@ -18,7 +18,6 @@ from .search import (
     RepairResult,
     SearchBudget,
     cegis_min,
-    find_counterexample,
     next_alternate,
 )
 from .tilde import (
@@ -41,13 +40,11 @@ __all__ = [
     "TildeProgram",
     "build_report",
     "cegis_min",
-    "check_well_formed",
     "count_inputs",
     "diff_corrections",
     "dump",
     "enumerate_candidates",
     "enumerate_inputs",
-    "find_counterexample",
     "instantiate",
     "match_pattern",
     "next_alternate",

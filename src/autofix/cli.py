@@ -11,7 +11,7 @@ import os
 import sys
 import time
 
-from .eml import DuplicateRuleId, IllFormedModel, parse_eml
+from .eml import IllFormedModel, parse_eml
 from .feedback import build_report, render_feedback
 from .inputs import UnknownTypeSuffix, count_inputs, parse_signature
 from .interp import Bounds
@@ -37,6 +37,11 @@ _EXIT_BY_VERDICT = {"correct": EXIT_CORRECT, "fixed": EXIT_FIXED, "no-fix": EXIT
 
 class InputSpaceTooLarge(Exception):
     """The bounds give more inputs than ``--max-inputs`` allows."""
+
+
+# what a bad file, model or bound raises: exit 3 with one line
+_INPUT_ERRORS = (OSError, SourceError, IllFormedModel, UnknownTypeSuffix, ReferenceFault,
+                 InputSpaceTooLarge)
 
 
 # every option's default, by its keyword (the option's dest)
@@ -187,8 +192,7 @@ def run_single(cfg: RunConfig) -> int:
             sys.stdout.write(dump(rewrite(student, model)))
             return EXIT_CORRECT
         report, _ = repair_one(student_source, ref, model, oracle, cfg)
-    except (OSError, SourceError, DuplicateRuleId, IllFormedModel,
-            UnknownTypeSuffix, ReferenceFault, InputSpaceTooLarge) as err:
+    except _INPUT_ERRORS as err:
         print(f"autofix: {err}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(render_feedback(report, cfg.level, cfg.format))
@@ -252,8 +256,7 @@ def run_corpus(cfg: RunConfig) -> int:
             for n in os.listdir(cfg.corpus)
             if n.endswith(".imp")
         )
-    except (OSError, SourceError, DuplicateRuleId, IllFormedModel,
-            UnknownTypeSuffix, ReferenceFault, InputSpaceTooLarge) as err:
+    except _INPUT_ERRORS as err:
         print(f"autofix: {err}", file=sys.stderr)
         return EXIT_ERROR
 

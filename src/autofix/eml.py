@@ -20,15 +20,11 @@ from __future__ import annotations
 
 from . import lang
 from .lexer import SourceError, tokenize
-from .parser import ARITH, COMPARE, TERM, Parser
+from .parser import ARITH, BUILTIN_FUNCS, COMPARE, TERM, Parser
 
 META_KINDS = ("a", "b", "v", "n", "s", "cop", "aop")
 # what follows an expression that starts a statement on a rule side
 _STMT_AFTER_EXPR = ("=", ".") + lang.AUG_OPS
-
-
-class DuplicateRuleId(Exception):
-    pass
 
 
 class IllFormedModel(Exception):
@@ -99,9 +95,6 @@ class CorrectionRule:
         self.message = message
         self.lhs_kind = lhs_kind  # expr | stmt | func
 
-    def lhs_metavars(self) -> dict:
-        return collect_metavars(self.lhs)
-
 
 class ErrorModel:
     def __init__(self, rules: list | None = None):
@@ -127,53 +120,6 @@ def collect_metavars(node) -> dict:
         elif isinstance(sub, (ScopeSet, OpSet)):
             counts.setdefault(sub.of, 0)
     return counts
-
-
-def template_size(node) -> int:
-    """Syntax-tree size with metavariables counted as single nodes."""
-    if isinstance(node, (MetaVar, ScopeSet, OpSet)):
-        return 1
-    if isinstance(node, Primed):
-        return template_size(node.inner)
-    kids = lang.children(node)
-    if isinstance(node, (ChoiceSet, StmtChoice)):
-        return max((template_size(k) for k in kids), default=1)
-    extra = 1 if isinstance(node, lang.ForIn) else 0
-    return 1 + extra + sum(template_size(k) for k in kids)
-
-
-def primed_subterms(node):
-    if isinstance(node, Primed):
-        yield node.inner
-        return  # primes do not nest
-    for child in lang.children(node):
-        yield from primed_subterms(child)
-
-
-def check_well_formed(model: ErrorModel) -> list:
-    """Return violations (empty when the model is well-formed).
-
-    A rule is well-formed when every primed right-side subterm is a strictly
-    smaller syntax tree than the left side and repeats no metavariable more
-    often than the left side does (the second condition keeps instantiated
-    subterms shrinking even for duplicating templates)."""
-    violations = []
-    for rule in model:
-        lhs_size = template_size(rule.lhs)
-        lhs_counts = rule.lhs_metavars()
-        for sub in primed_subterms(rule.rhs):
-            if template_size(sub) >= lhs_size:
-                violations.append(
-                    f"{rule.rule_id}: primed subterm is not smaller than the pattern"
-                )
-                continue
-            for name, count in collect_metavars(sub).items():
-                if count > lhs_counts.get(name, 0):
-                    violations.append(
-                        f"{rule.rule_id}: primed subterm repeats metavariable {name!r}"
-                    )
-                    break
-    return violations
 
 
 # --------------------------------------------------------------------------
@@ -356,27 +302,32 @@ class RuleParser(Parser):
     # and an assignment target an expression.
 
     def parse_fragment(self, template: bool):
-        """Parse one rule side: a function pattern, a statement or an
-        expression (decided by lookahead)."""
+        """Parse one rule side: a function pattern, a statement, a choice of
+        statements or an expression (decided by lookahead: a set is a
+        statement choice when its first element is a statement)."""
         self.allow_template = template
         tok = self.peek()
         if tok.kind == "KEYWORD" and tok.value == "def":
             return self.parse_func_fragment(), "func"
         if tok.kind == "OP" and tok.value == "{" and template:
-            # statement choice is only recognized when options are statements
-            save = self.pos, self.expr_depth
-            try:
+            if self._starts_stmt(1):
                 return self.parse_stmt_choice(), "stmt"
-            except SourceError:
-                self.pos, self.expr_depth = save
-        if tok.kind != "KEYWORD" or tok.value not in ("return", "pass"):
-            start = self.pos
-            expr = self.parse_expr()
-            nxt = self.peek()
-            if nxt.kind != "OP" or nxt.value not in _STMT_AFTER_EXPR:
-                return expr, "expr"
-            self.pos = start  # an assignment or a method call
-        return self.parse_simple_stmt(), "stmt"
+        elif self._starts_stmt(0):
+            return self.parse_simple_stmt(), "stmt"
+        return self.parse_expr(), "expr"
+
+    def _starts_stmt(self, ahead: int) -> bool:
+        """Whether a statement starts `ahead` tokens on: a statement keyword,
+        or an expression followed by an assignment or a method call."""
+        tok = self.peek(ahead)
+        if tok.kind == "KEYWORD":
+            return tok.value in ("return", "pass", "if", "while")
+        start = self.pos
+        self.pos += ahead
+        self.parse_expr()
+        nxt = self.peek()
+        self.pos = start
+        return nxt.kind == "OP" and nxt.value in _STMT_AFTER_EXPR
 
     def parse_target(self):
         target = self.parse_expr()
@@ -444,9 +395,12 @@ class RuleParser(Parser):
 
 
 def parse_eml(source: str) -> ErrorModel:
-    """Parse rule text into an ErrorModel.  Raises SourceError on malformed
-    input, DuplicateRuleId on repeated rule names and IllFormedModel on a
-    `msg` that is not a template over the correction's fields."""
+    """Parse rule text into an ErrorModel, checking each rule once: a model
+    that parses is well-formed, and rewriting under it terminates.  Raises
+    SourceError on malformed input or a rule that is not a rule of the
+    language (see `_validate_rule`), naming its line, and IllFormedModel on
+    an ill-formed prime or a `msg` that is not a template over the
+    correction's fields."""
     parser = RuleParser(tokenize(source, rule_mode=True), source)
     try:
         return _parse_rules(parser)
@@ -464,9 +418,10 @@ def _parse_rules(parser: RuleParser) -> ErrorModel:
         tok = parser.expect("NAME")
         if tok.value != "rule":
             raise SourceError("expected 'rule'", tok.span.line, tok.span.col)
-        rule_id = parser.expect("NAME").value
+        id_tok = parser.expect("NAME")
+        rule_id = id_tok.value
         if rule_id in seen:
-            raise DuplicateRuleId(rule_id)
+            raise SourceError(f"duplicate rule id {rule_id!r}", id_tok.span.line, id_tok.span.col)
         seen.add(rule_id)
         weight = 1
         if parser.at("NAME", "weight"):
@@ -510,12 +465,17 @@ _KIND_NAMES = {"expr": "an expression", "stmt": "a statement", "func": "a functi
 def _validate_rule(rule: CorrectionRule, rhs_kind: str, line: int, col: int) -> None:
     """Reject a rule, at `line` and `col` where it starts, whose right side
     uses a metavariable the left side does not bind, whose left side uses
-    template syntax, whose two sides are of different kinds, or that appends
-    to a list named by a metavariable that may bind more than a variable
-    (only statements append)."""
-    lhs_vars = set(rule.lhs_metavars())
+    template syntax, whose two sides are of different kinds, whose function
+    template renames the function or its parameters, that calls ``len`` or
+    ``range`` with a wrong number of arguments, or that appends to a list
+    named by a metavariable that may bind more than a variable (only
+    statements append).  Then, as IllFormedModel, a rule with a primed
+    subterm that is not a strictly smaller tree than the pattern, repeats a
+    metavariable more often than the pattern or holds a template form: every
+    recursive rewrite is of a smaller plain fragment, so rewriting ends."""
+    lhs_counts = collect_metavars(rule.lhs)
     for name in collect_metavars(rule.rhs):
-        if name not in lhs_vars:
+        if name not in lhs_counts:
             raise SourceError(
                 f"unbound metavariable {name!r} in rule {rule.rule_id}", line, col
             )
@@ -528,9 +488,34 @@ def _validate_rule(rule: CorrectionRule, rhs_kind: str, line: int, col: int) -> 
             f"rule {rule.rule_id}: the left side is {_KIND_NAMES[rule.lhs_kind]},"
             f" the right side {_KIND_NAMES[rhs_kind]}", line, col
         )
-    for sub in lang.walk([rule.lhs, rule.rhs]) if rhs_kind != "expr" else ():
-        if isinstance(sub, lang.MethodCall) and meta_kind(sub.obj) not in (None, "v"):
+    if rhs_kind == "func" and (rule.rhs.name, [p.name for p in rule.rhs.params]) != (
+        rule.lhs.name, [p.name for p in rule.lhs.params]
+    ):
+        raise SourceError(
+            f"rule {rule.rule_id}: the right side renames the function or its parameters",
+            line, col
+        )
+    for sub in lang.walk([rule.lhs, rule.rhs]):
+        if isinstance(sub, lang.Call) and sub.func in BUILTIN_FUNCS:
+            lo, hi = BUILTIN_FUNCS[sub.func]
+            if not lo <= len(sub.args) <= hi:
+                raise SourceError(
+                    f"rule {rule.rule_id}: {sub.func}() takes {lo}..{hi} arguments", line, col
+                )
+        elif isinstance(sub, lang.MethodCall) and meta_kind(sub.obj) not in (None, "v"):
             raise SourceError(
                 f"rule {rule.rule_id}: the list in {sub.obj}.{sub.method}(...)"
                 " must be a name or a v-metavariable", line, col
             )
+    lhs_size = lang.size(rule.lhs)
+    primed = [sub.inner for sub in lang.walk(rule.rhs) if type(sub) is Primed]
+    for sub in primed:
+        if lang.size(sub) >= lhs_size:
+            raise IllFormedModel(f"{rule.rule_id}: primed subterm is not smaller than the pattern")
+        for name, count in collect_metavars(sub).items():
+            if count > lhs_counts[name]:
+                raise IllFormedModel(
+                    f"{rule.rule_id}: primed subterm repeats metavariable {name!r}"
+                )
+    if any(isinstance(node, TEMPLATE_FORMS) for sub in primed for node in lang.walk(sub)):
+        raise IllFormedModel(f"{rule.rule_id}: a primed subterm holds a set, a ?a, a ~op or a prime")

@@ -11,20 +11,21 @@ whose pattern matches then contributes weighted alternatives:
 * any other template adds whole-node alternatives to one site for the node:
   one per element of a set at its top (`_variants`), while sets nested
   inside a replacement become nested sites whose first element is the local
-  default.
+  default (a set of one element is that element, and an element whose
+  nested set is left empty is left out).
 
 Every site that offers one rule's options beside a default is built by
-`_choice`.  A function rule offers its bodies at one block site.  Primed
-subterms are rewritten recursively (their sites cost extra); unprimed
-metavariables are frozen copies of what they matched.  Scope sets expand to
-the variables assigned before the enclosing statement, parameters included.
+`_choice`.  A function rule offers its bodies at one block site, built in
+the function's context.  Primed subterms are rewritten recursively (their
+sites cost extra); unprimed metavariables are frozen copies of what they
+matched.  Scope sets expand to the variables assigned before the enclosing
+statement (for a function rule, the parameters).
 """
 
 from __future__ import annotations
 
 from . import lang
 from .eml import (
-    TEMPLATE_FORMS,
     ChoiceSet,
     ErrorModel,
     IllFormedModel,
@@ -33,7 +34,6 @@ from .eml import (
     Primed,
     ScopeSet,
     StmtChoice,
-    check_well_formed,
     match_pattern,
     meta_kind,
 )
@@ -49,10 +49,10 @@ MAX_SITES = 10_000
 
 
 def rewrite(program: lang.Program, model: ErrorModel) -> TildeProgram:
-    """Rewrite the entry function of `program` under `model`."""
-    violations = check_well_formed(model)
-    if violations:
-        raise IllFormedModel("; ".join(violations))
+    """Rewrite the entry function of `program` under `model`, which
+    `parse_eml` has checked: every primed subterm is a smaller plain
+    fragment than its pattern.  A model built by hand is not checked; the
+    recursion is cut at the program's size (`IllFormedModel`)."""
     engine = _Engine(program, model)
     root = engine.run()
     tilde = TildeProgram(root, origin=program, model=model)
@@ -97,19 +97,16 @@ class _Engine:
         return lang.Program(functions, self.program.entry, self.program.source)
 
     def rewrite_func(self, func: lang.FuncDef):
-        self._enter(func)
         body = lang.map_children(func.body, self.rewrite_node)
+        self._enter(func)  # the function's own context, not its last statement's
         alternatives = []
         for rule in self.func_rules:
-            lhs, rhs = rule.lhs, rule.rhs
-            binding = match_pattern(lhs, func)
-            if binding is not None and rhs.name == lhs.name and (
-                [p.name for p in rhs.params] == [p.name for p in lhs.params]
-            ):
-                payload = self._instantiate(rhs.body, binding, rule, func.span)
-                alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
+            binding = match_pattern(rule.lhs, func)
+            if binding is not None:
+                for payload in self._variants(rule.rhs.body, binding, rule, func.span):
+                    alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
         if alternatives:
-            body = self._site("block", func.span, func.span, [Alternative(body)] + alternatives)
+            body = self._site("block", func.span, self.stmt_header, [Alternative(body)] + alternatives)
         return lang.FuncDef(func.name, func.params, body, func.span)
 
     # -- statements and expressions -------------------------------------------
@@ -133,8 +130,6 @@ class _Engine:
                 continue
             for payload in self._variants(rule.rhs, binding, rule, node.span):
                 alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
-            if stmt:
-                self._enter(node)  # restore the context nested rewrites clobbered
         if alternatives:
             kind = "stmt" if stmt else "expr"
             return self._site(kind, node.span, self.stmt_header, [Alternative(default)] + alternatives)
@@ -143,7 +138,7 @@ class _Engine:
     def _enter(self, node) -> None:
         """Make `node` (a statement or the function) the one whose header
         new sites name and before which scope sets look for variables."""
-        self.stmt_header = _header_span(node)
+        self.stmt_header = _header_span(node, self.program.source)
         self.anchor = node.span.start
 
     # -- grafting and sites --------------------------------------------------------
@@ -187,13 +182,17 @@ class _Engine:
     def _variants(self, tpl, binding, rule, anchor) -> list:
         """The payloads a template offers: one per element of a set
         ``{...}`` (or the template itself), where a scope set ``?a`` gives
-        one variable per name in scope."""
+        one variable per name in scope and an element holding a nested set
+        left with no elements gives none."""
         payloads = []
         for elem in tpl.options if isinstance(tpl, (ChoiceSet, StmtChoice)) else [tpl]:
             if isinstance(elem, ScopeSet):
                 payloads += [lang.Var(name) for name in self._scope_options(elem, binding)]
-            else:
+                continue
+            try:
                 payloads.append(self._instantiate(elem, binding, rule, anchor))
+            except _NoElements:
+                pass
         return payloads
 
     def _scope_options(self, tpl: ScopeSet, binding) -> list:
@@ -211,10 +210,21 @@ class _Engine:
         if isinstance(tpl, MetaVar):
             bound = binding[tpl.name]
             return bound  # frozen: shared original fragment
-        if isinstance(tpl, Primed):
-            return self._rewrite_primed(tpl.inner, binding)
-        if isinstance(tpl, ChoiceSet):
+        if isinstance(tpl, Primed):  # a plain expression (`parse_eml` checked), rewritten
+            self.rule_depth += 1
+            self.max_rule_depth = max(self.max_rule_depth, self.rule_depth)
+            if self.rule_depth > self.depth_limit:
+                raise IllFormedModel("rewrite recursion exceeded the termination bound")
+            try:
+                return self.rewrite_node(self._instantiate(tpl.inner, binding, rule))
+            finally:
+                self.rule_depth -= 1
+        if isinstance(tpl, ChoiceSet):  # nested: its first element is the default
             variants = self._variants(tpl, binding, rule, anchor)
+            if not variants:
+                raise _NoElements
+            if len(variants) == 1:
+                return variants[0]
             return self._choice("expr", anchor, variants[0], variants[1:], rule)
         if isinstance(tpl, ScopeSet):
             bound = binding.get(tpl.of)
@@ -231,19 +241,9 @@ class _Engine:
             tpl, lambda child: self._instantiate(child, binding, rule, anchor)
         )
 
-    def _rewrite_primed(self, inner, binding):
-        if isinstance(inner, MetaVar):
-            target = binding[inner.name]
-        else:
-            target = _concretize(inner, binding)
-        self.rule_depth += 1
-        self.max_rule_depth = max(self.max_rule_depth, self.rule_depth)
-        if self.rule_depth > self.depth_limit:
-            raise IllFormedModel("rewrite recursion exceeded the termination bound")
-        try:
-            return self.rewrite_node(target)
-        finally:
-            self.rule_depth -= 1
+
+class _NoElements(Exception):
+    """A set nested in a template was left with no elements."""
 
 
 # --------------------------------------------------------------------------
@@ -268,16 +268,20 @@ def _first_definitions(func: lang.FuncDef) -> list:
     return first
 
 
-def _header_span(stmt) -> lang.Span:
-    if isinstance(stmt, (lang.If, lang.While)):
-        return lang.Span(
-            stmt.span.line, stmt.span.col, stmt.span.start, stmt.cond.span.end
-        )
-    if isinstance(stmt, lang.ForIn):
-        return lang.Span(
-            stmt.span.line, stmt.span.col, stmt.span.start, stmt.iterable.span.end
-        )
-    return stmt.span
+def _header_span(node, source: str) -> lang.Span:
+    """What feedback quotes as the statement around a site in `node`: the
+    header of a compound statement up to its condition or iterable, a
+    function's ``def`` line up to its colon, any other statement whole."""
+    span = node.span
+    if isinstance(node, (lang.If, lang.While)):
+        end = node.cond.span.end
+    elif isinstance(node, lang.ForIn):
+        end = node.iterable.span.end
+    elif isinstance(node, lang.FuncDef):
+        end = source.find(":", span.start) + 1  # no name or parameter holds one
+    else:
+        return span
+    return lang.Span(span.line, span.col, span.start, end)
 
 
 # the patterns whose aligned templates graft sites onto their children
@@ -356,12 +360,3 @@ def _unprime(node):
     if isinstance(node, Primed):
         return _unprime(node.inner)
     return lang.map_children(node, _unprime)
-
-
-def _concretize(tpl, binding):
-    """Instantiate a primed group as a plain fragment (no template forms)."""
-    if isinstance(tpl, MetaVar):
-        return binding[tpl.name]
-    if isinstance(tpl, TEMPLATE_FORMS):
-        raise IllFormedModel("nested template forms inside a primed group")
-    return lang.map_children(tpl, lambda child: _concretize(child, binding))

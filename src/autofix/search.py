@@ -101,11 +101,11 @@ class ReferenceOracle:
     Construction verifies the reference is fault-free on every input.
 
     Programs run compiled (``compiler``): `compile` turns a program or a
-    choice-site program into a runner once, and `screen` (on the
-    counterexamples) and `first_mismatch` (full verification, or a range of
-    it) run a candidate as that runner and its pick tuple.  They compare
-    values with ``same``, or with Python's ``!=`` where the runner's
-    ``exact`` says so."""
+    choice-site program into a runner once, and `scan` (on the
+    counterexamples, or a chunk of inputs) and `first_mismatch` (full
+    verification, or a range of it, by chunks) run a candidate as that
+    runner and its pick tuple.  They compare values with ``same``, or with
+    Python's ``!=`` where the runner's ``exact`` says so."""
 
     def __init__(self, reference: lang.Program, bounds: Bounds, signature: Signature | None = None):
         self.reference = reference
@@ -133,44 +133,29 @@ class ReferenceOracle:
 
     def first_mismatch(self, run, picks=(), budget=None, start=0, stop=None):
         """Index of the first input of ``inputs[start:stop]`` where the
-        candidate `picks` of the compiled `run` disagrees (any fault counts
-        as disagreement), or None when they agree on all of them.  With a
-        `budget`, inputs run in chunks of `CHUNK`, each allowed and charged
-        once."""
-        inputs = self.inputs
-        values = self.values
-        exact = run.exact
-        stop = len(inputs) if stop is None else stop
-        lo = start
-        while lo < stop:
-            hi = stop if budget is None else lo + budget.allow(min(CHUNK, stop - lo))
-            for i in range(lo, hi):
-                try:
-                    value = run(inputs[i], picks)
-                except Fault:
-                    break
-                if (value != values[i]) if exact else not same(value, values[i]):
-                    break
-            else:
-                if budget is not None:
-                    budget.evals += hi - lo
-                lo = hi
-                continue
-            if budget is not None:
-                budget.evals += i - lo + 1
-            return i
+        candidate `picks` of the compiled `run` disagrees, or None when they
+        agree on all of them.  With a `budget`, inputs run in chunks of
+        `CHUNK`, each allowed and charged once."""
+        stop = len(self.inputs) if stop is None else stop
+        step = CHUNK if budget is not None else max(stop - start, 1)
+        for lo in range(start, stop, step):
+            i = self.scan(run, picks, range(lo, min(lo + step, stop)), budget)
+            if i is not None:
+                return i
         return None
 
-    def screen(self, run, picks, indices, budget=None) -> bool:
-        """Whether the candidate `picks` of `run` agrees with the reference
-        at every input index of `indices`, tried in their order.  A `budget`
-        is checked and charged once."""
+    def scan(self, run, picks, indices, budget=None):
+        """The first input index of `indices`, tried in their order, where
+        the candidate `picks` of `run` disagrees with the reference (any
+        fault counts as disagreement), or None.  A `budget` is checked and
+        charged once, and where it ends within `indices` the run past it is
+        refused."""
         n = len(indices)
         if budget is not None and n:
             allowed = budget.allow(n)
-            if allowed < n:  # the budget ends within this candidate
-                return (self.screen(run, picks, indices[:allowed], budget)
-                        and self.screen(run, picks, indices[allowed:], budget))
+            if allowed < n:  # the budget ends within these inputs
+                i = self.scan(run, picks, indices[:allowed], budget)
+                return i if i is not None else self.scan(run, picks, indices[allowed:], budget)
         inputs = self.inputs
         values = self.values
         exact = run.exact
@@ -184,24 +169,16 @@ class ReferenceOracle:
         else:
             if budget is not None:
                 budget.evals += n
-            return True
+            return None
         if budget is not None:
             # runs are deterministic, so a repeated index fails at its first
             budget.evals += indices.index(i) + 1
-        return False
+        return i
 
 
 class _BudgetStop(Exception):
     def __init__(self, kind: str):
         self.kind = kind
-
-
-def find_counterexample(candidate: lang.Program, oracle: ReferenceOracle, callees=None):
-    """First bounded input (stream order) where candidate and reference
-    disagree; None means bounded equivalence."""
-    run = oracle.compile(candidate, callees)
-    i = oracle.first_mismatch(run)
-    return None if i is None else oracle.inputs[i]
 
 
 def cegis_min(
@@ -226,7 +203,7 @@ def cegis_min(
     budget = budget or SearchBudget()
     blocked = set(blocked)
     run = oracle.compile(tilde, callees)
-    screen = oracle.screen
+    scan = oracle.scan
     first_mismatch = oracle.first_mismatch
     # inputs verified on the choice-site program; a survivor passing them
     # all is compiled alone for the rest, when enough remain to pay for it
@@ -241,7 +218,7 @@ def cegis_min(
             if picks in blocked:
                 continue
             tested += 1
-            if not screen(run, picks, cex_indices, budget):
+            if scan(run, picks, cex_indices, budget) is not None:
                 continue
             winner = None
             if blocked_trees:

@@ -32,6 +32,13 @@ def run_compiled(program, args, bounds: Bounds, callees=None) -> EvalResult:
         return EvalResult(fault=f.kind)
 
 
+def find_counterexample(candidate, oracle: ReferenceOracle, callees=None):
+    """The first bounded input where `candidate` and the reference disagree,
+    or None."""
+    i = oracle.first_mismatch(oracle.compile(candidate, callees))
+    return None if i is None else oracle.inputs[i]
+
+
 def called_deeper(frames: int, f):
     return f() if frames == 0 else called_deeper(frames - 1, f)
 
@@ -69,6 +76,38 @@ SITE_KINDS_MODELS = {
     "target": "rule VarF: v -> ?v\n",
     "index target": "rule IndF: v[a] -> ?v[{a, a - 1}]\n",
 }
+
+
+# Rule forms of the .eml grammar, for generated models: aligned and
+# whole-node expression rules, choice sets, scope sets, operator sets, primed
+# subterms, statement rules and choices, and block rules over each student's
+# function (a block rule whose name or arity differs makes no site).
+RULE_FORMS = (
+    "v[a] -> v[{a + 1, a - 1, ?a}]",
+    "v[a] -> v[a - 1]",
+    "v[a] -> ?v[{a, a - 1}]",
+    "v -> ?v",
+    "n -> {n + 1, 0}",
+    "a0 cop a1 -> a0' ~cop {a1 + 1, a1 - 1, 0, ?a1}",
+    "a0 cop a1 -> {{a0' - 1, ?a0} ~cop {a1' - 1, 0, 1, ?a1}, True, False}",
+    "a0 == a1 -> False",
+    "a0 > a1 -> a0 < a1",
+    "a0 aop a1 -> a0 ~aop a1",
+    "a0 - a1 -> {a0 + a1, a0' - 1, a1}",
+    "range(a0, a1) -> range({0, 1, a0 - 1, a0 + 1}, {a1 + 1, a1 - 1})",
+    "len(a) -> {len(a) - 1, 0}",
+    "return a -> return {[0], a[1:]}",
+    "return a -> {return ?a, pass}",
+    "return v -> return ?v",
+    "v = n -> v = {n + 1, n - 1, 0}",
+    "v = a -> v = a'",
+    "v += n -> v -= n",
+    "v += a -> {v -= a, v += 2, pass}",
+    "pass -> return [0]",
+    "def computeDeriv(a0): s -> def computeDeriv(a0): {if len(a0) == 1: {return [0]}; s}",
+    "def reverse(a0): s -> def reverse(a0): {if len(a0) <= {1, 0}: {return a0}; s}",
+    "def f(a0, a1): s -> def f(a0, a1): {if a1 <= 0: {return 1}; while a1 > 0: {a1 -= 1}; s}",
+)
 
 
 def chain_program(expression: str) -> str:

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autofix import cli
+from autofix.lexer import tokenize
 from autofix.parser import MAX_TREE_DEPTH
-from conftest import CHAINS, asset, called_deeper, chain_program
+from conftest import CHAINS, RULE_FORMS, asset, called_deeper, chain_program, read
 
 CLI = [sys.executable, "-m", "autofix.cli"]
 FAST = ["--int-bits", "3", "--max-list", "3"]
@@ -319,6 +325,115 @@ def test_input_space_past_max_inputs_exits_3_with_one_line(monkeypatch, capsys, 
     assert capsys.readouterr().err == (
         "autofix: 585 inputs at --int-bits 3 --max-list 3 exceed --max-inputs 100\n"
     )
+
+
+# faults of a model, and the one line each is rejected with when the model
+# is parsed
+BAD_MODELS = {
+    "rule R: a0 + a1 -> (a0 + a1)'": "R: primed subterm is not smaller than the pattern",
+    "rule R: v[a0 - a1] -> v[(a0 + {1, 2})']": "R: primed subterm is not smaller than the pattern",
+    "rule R: def computeDeriv(a0): s -> def deriv(a0): s":
+        "line 1, col 1: rule R: the right side renames the function or its parameters",
+    "rule R: n -> 0\nrule R: n -> 1": "line 2, col 6: duplicate rule id 'R'",
+    "rule R: a -> a''": "R: primed subterm is not smaller than the pattern",
+}
+
+
+@pytest.mark.parametrize("model", sorted(BAD_MODELS))
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_a_bad_model_exits_3_with_one_line_before_the_table_is_built(
+    tmp_path, monkeypatch, capsys, model, mode
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the reference table was built")
+
+    monkeypatch.setattr(cli, "ReferenceOracle", never)
+    (tmp_path / "model.eml").write_text(model + "\n")
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    args[args.index("--model") + 1] = str(tmp_path / "model.eml")
+    assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"autofix: {BAD_MODELS[model]}\n"
+
+
+def test_a_function_rule_is_instantiated_in_the_function_context(tmp_path, capsys):
+    # the guard's `?a0` offers the parameters only (not `b`, assigned after
+    # it), and feedback quotes the function's header line
+    files = {
+        "ref.imp": "def first_int(a_list_int):\n    if len(a_list_int) == 0:\n        return 0\n"
+                   "    return a_list_int[0]\n",
+        "stu.imp": "def first_int(a_list_int):\n    b = a_list_int\n    return b[0]\n",
+        "m.eml": "rule B: def first(a0): s -> def first(a0): {if len(a0) == {0, ?a0}: {return 0}; s}\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = ["--ref", str(tmp_path / "ref.imp"), "--student", str(tmp_path / "stu.imp"),
+            "--model", str(tmp_path / "m.eml"), "--int-bits", "3", "--max-list", "2"]
+    assert cli.main(args + ["--dump-tilde"]) == 0
+    assert capsys.readouterr().out.split("\n\n")[1] == (
+        "site 0 (line 1): {b = a_list_int; return b[0]"
+        " | if (len(a_list_int) == 0):; return 0; b = a_list_int; return b[0] @B:1}\n"
+    )
+    assert cli.main(args + ["--level", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "The program requires 1 change(s). cost = 1.\n- line 1: def first_int(a_list_int):\n"
+    )
+
+
+# models a user may write by mistake: a left side and a right side of the
+# rule forms, or a bundled model with one token dropped, duplicated or
+# swapped with the next
+BUNDLED_MODELS = [read(problem, name) for problem, name in (
+    ("computederiv", "model.eml"), ("computederiv", "model_simple.eml"),
+    ("arrayreverse", "model.eml"), ("arrayreverse", "model_overview.eml"),
+)]
+
+
+@st.composite
+def mutated_models(draw):
+    text = draw(st.sampled_from(BUNDLED_MODELS))
+    spans = [t.span for t in tokenize(text, rule_mode=True) if t.span.end > t.span.start]
+    i = draw(st.integers(0, len(spans) - 2))
+    a, b = spans[i], spans[i + 1]
+    edit = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+    if edit == "drop":
+        return text[:a.start] + text[a.end:]
+    if edit == "duplicate":
+        return text[:a.end] + " " + text[a.start:a.end] + text[a.end:]
+    return (text[:a.start] + text[b.start:b.end] + text[a.end:b.start]
+            + text[a.start:a.end] + text[b.end:])
+
+
+rule_pairs = st.lists(
+    st.tuples(st.sampled_from(RULE_FORMS), st.sampled_from(RULE_FORMS)), min_size=1, max_size=2
+).map(lambda pairs: "".join(
+    f"rule R{i}: {lhs.split(' -> ')[0]} -> {rhs.split(' -> ')[1]}\n"
+    for i, (lhs, rhs) in enumerate(pairs)
+))
+
+
+@pytest.fixture(scope="module")
+def two_file_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two_file_corpus")
+    (root / "corpus").mkdir()
+    for name in ("student.imp", os.path.join("corpus", "s07_index_off_by_one.imp")):
+        shutil.copy(asset("computederiv", name), root / "corpus")
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.one_of(rule_pairs, mutated_models()))
+def test_a_bad_model_never_reaches_the_batch(two_file_corpus, model):
+    (two_file_corpus / "model.eml").write_text(model)
+    args = ["--ref", asset("computederiv", "reference.imp"),
+            "--corpus", str(two_file_corpus / "corpus"), "--model", str(two_file_corpus / "model.eml"),
+            "--int-bits", "2", "--max-list", "1", "--max-cost", "2"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert "internal-error" not in out.getvalue(), err.getvalue()
 
 
 def test_too_deeply_nested_blocks_exit_3_with_one_line(tmp_path):

@@ -3,13 +3,11 @@ import pytest
 from autofix import lang
 from autofix.eml import (
     ChoiceSet,
-    DuplicateRuleId,
     ErrorModel,
     IllFormedModel,
     MetaVar,
     Primed,
     ScopeSet,
-    check_well_formed,
     collect_metavars,
     match_pattern,
     parse_eml,
@@ -77,16 +75,24 @@ def test_a_rule_may_match_an_append():
         parse_eml("rule C: return a -> {a.append(1), pass}\n")
 
 
-@pytest.mark.parametrize("rule", [
-    "v += n -> {v + 1 = n, pass}",
-    "v += n -> v + 1 = n",
-    "v + 1 += n -> pass",
-    "def f(a0): s -> def f(a0): {a0 + 1 = 1; s}",
-    "def f(a0): s -> def f(a0): {if a0: {?a0 = 1}; s}",
-])
+# each rule, and the assignment target on it that is neither a variable nor
+# an index
+BAD_TARGETS = {
+    "v += n -> {v + 1 = n, pass}": "v + 1",
+    "v += n -> v + 1 = n": "v + 1",
+    "v + 1 += n -> pass": "v + 1",
+    "def f(a0): s -> def f(a0): {a0 + 1 = 1; s}": "a0 + 1",
+    "def f(a0): s -> def f(a0): {if a0: {?a0 = 1}; s}": "?a0 =",
+}
+
+
+@pytest.mark.parametrize("rule", list(BAD_TARGETS))
 def test_an_assignment_target_is_a_variable_or_an_index_everywhere(rule):
-    with pytest.raises(SourceError):
+    # reported where the target is, in a statement choice too
+    with pytest.raises(SourceError) as err:
         parse_eml(f"rule R: {rule}\n")
+    col = len("rule R: ") + rule.index(BAD_TARGETS[rule]) + 1
+    assert str(err.value) == f"line 1, col {col}: assignment target must be a variable or index"
 
 
 def test_msg_templates_are_checked_against_the_correction_fields():
@@ -138,15 +144,18 @@ def test_weights_have_at_most_640_digits():
 
 
 def test_prime_marks_count_toward_the_tree_depth():
-    # each prime wraps what it marks; a long run used to pass the parser
-    parse_eml("rule R: a -> a" + "'" * MAX_TREE_DEPTH + "\n")
+    # each prime wraps what it marks; a long run used to pass the parser.  A
+    # run that the parser takes is an ill-formed model: primes do not nest
+    with pytest.raises(IllFormedModel, match="^R: primed subterm is not smaller"):
+        parse_eml("rule R: a -> a" + "'" * MAX_TREE_DEPTH + "\n")
     with pytest.raises(SourceError, match="line 1, col 65: nested too deeply"):
         parse_eml("rule R: a -> a" + "'" * (MAX_TREE_DEPTH + 1) + "\n")
 
 
 def test_duplicate_rule_id_rejected():
-    with pytest.raises(DuplicateRuleId):
+    with pytest.raises(SourceError) as err:
         parse_eml("rule X: v = n -> v = 0\nrule X: return a -> return [0]\n")
+    assert str(err.value) == "line 2, col 6: duplicate rule id 'X'"
 
 
 def test_template_syntax_not_allowed_in_pattern():
@@ -157,25 +166,64 @@ def test_template_syntax_not_allowed_in_pattern():
 # -- well-formedness ---------------------------------------------------------
 
 
+# checked when the model is parsed
+
+
 def test_primed_whole_pattern_is_ill_formed():
-    model = parse_eml("rule Bad: v[a] -> {(v[a])' + 1}\n")
-    violations = check_well_formed(model)
-    assert violations and "Bad" in violations[0]
+    with pytest.raises(IllFormedModel) as err:
+        parse_eml("rule Bad: v[a] -> {(v[a])' + 1}\n")
+    assert str(err.value) == "Bad: primed subterm is not smaller than the pattern"
 
 
 def test_primed_parts_are_well_formed():
     model = parse_eml("rule Good: v[a] -> {v'[a'] + 1}\n")
-    assert check_well_formed(model) == []
+    assert [r.rule_id for r in model] == ["Good"]
 
 
 def test_empty_model_is_well_formed():
-    assert check_well_formed(ErrorModel([])) == []
+    assert parse_eml("# no rules\n") == ErrorModel([])
 
 
 def test_duplicating_primed_metavariable_is_ill_formed():
     # pattern-size alone would admit this; the occurrence check rejects it
-    model = parse_eml("rule Dup: v[a + a0] -> {(v[v'])'}\n")
-    assert check_well_formed(model)
+    with pytest.raises(IllFormedModel) as err:
+        parse_eml("rule Dup: v[a + a0] -> {(v[v'])'}\n")
+    assert str(err.value) == "Dup: primed subterm repeats metavariable 'v'"
+
+
+@pytest.mark.parametrize("rule", [
+    "a0 + a1 + a2 -> (a0 + {1})'",
+    "a0 + a1 -> (?a0)'",
+    "a0 aop0 a1 - a2 -> (a0 ~aop0 a1)'",
+    "a0 + a1 + a2 -> (a0' + 1)'",
+])
+def test_a_template_form_inside_a_primed_subterm_is_ill_formed(rule):
+    # small enough and repeating nothing, but not a plain fragment to rewrite
+    with pytest.raises(IllFormedModel) as err:
+        parse_eml(f"rule R: {rule}\n")
+    assert str(err.value) == "R: a primed subterm holds a set, a ?a, a ~op or a prime"
+
+
+@pytest.mark.parametrize("rule,call", [
+    ("v[a] -> v[{a + 1, len() - a - 1}]", "len() takes 1..1"),
+    ("range(a0, a1) -> range(a0, a1, 1, 2)", "range() takes 1..3"),
+    ("len(a0, a1) -> 0", "len() takes 1..1"),
+])
+def test_a_builtin_call_in_a_rule_takes_its_number_of_arguments(rule, call):
+    # a program that calls `len()` does not parse, so neither does a rule
+    # that would write one
+    with pytest.raises(SourceError) as err:
+        parse_eml(f"rule R: {rule}\n")
+    assert str(err.value) == f"line 1, col 1: rule R: {call} arguments"
+
+
+@pytest.mark.parametrize("rhs", ["def g(a0, a1): s", "def f(a1, a0): s"])
+def test_a_function_rule_keeps_the_function_and_its_parameters(rhs):
+    with pytest.raises(SourceError) as err:
+        parse_eml(f"rule A: v = n -> v = 0\n\nrule R: def f(a0, a1): s -> {rhs}\n")
+    assert str(err.value) == (
+        "line 3, col 1: rule R: the right side renames the function or its parameters"
+    )
 
 
 # -- matching ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autofix import lang
-from autofix.eml import DuplicateRuleId, IllFormedModel, parse_eml
+from autofix.eml import IllFormedModel, parse_eml
 from autofix.interp import Bounds
 from autofix.lexer import MAX_INT_DIGITS, SourceError, tokenize
 from autofix.parser import MAX_EXPR_DEPTH, MAX_TREE_DEPTH, parse_imp
@@ -310,7 +310,7 @@ def test_front_end_returns_or_raises_a_source_error(text):
     for rule_mode, parse in ((False, parse_imp), (True, parse_eml)):
         try:
             parse(text)
-        except (SourceError, DuplicateRuleId, IllFormedModel):
+        except (SourceError, IllFormedModel):
             pass
         try:
             tokens = tokenize(text, rule_mode)

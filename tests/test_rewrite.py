@@ -1,7 +1,7 @@
 import pytest
 
 from autofix import lang
-from autofix.eml import ErrorModel, IllFormedModel, parse_eml
+from autofix.eml import ChoiceSet, CorrectionRule, ErrorModel, IllFormedModel, Primed, parse_eml
 from autofix.parser import parse_imp
 from autofix.printer import pretty_expr, pretty_program
 from autofix.rewrite import rewrite
@@ -44,10 +44,32 @@ def test_default_assignment_reproduces_input(program_file, model_file):
     assert pretty_program(instantiate(tilde, tilde.defaults()).program) == source
 
 
-def test_ill_formed_model_rejected(deriv_student):
-    model = parse_eml("rule Bad: v[a] -> {(v[a])' + 1}\n")
-    with pytest.raises(IllFormedModel):
-        rewrite(deriv_student, model)
+def test_ill_formed_model_rejected():
+    with pytest.raises(IllFormedModel, match="^Bad: primed subterm is not smaller"):
+        parse_eml("rule Bad: a0 + a1 -> {(a0 + a1)', 0}\n")
+    # the same rule built by hand: the recursion bound ends its rewrite
+    (rule,) = parse_eml("rule Bad: a0 + a1 -> {a0 + a1, 0}\n")
+    whole, zero = rule.rhs.options
+    bad = CorrectionRule("Bad", rule.lhs, ChoiceSet([Primed(whole), zero]))
+    with pytest.raises(IllFormedModel, match="termination bound"):
+        rewrite(parse_imp("def f_int(x_int):\n    return x_int + 1\n"), ErrorModel([bad]))
+
+
+def test_a_nested_set_left_with_no_elements_offers_nothing():
+    # `?a0` offers the variables in scope but the one `a0` bound
+    model = parse_eml("rule R: a0 + a1 -> {{?a0} - 1, 0}\n")
+    sites = {
+        "x_int": "site 0 (line 2): {(x_int + 1) | 0 @R:1}\n",
+        # a nested set with one element is that element
+        "x_int, y_int": "site 0 (line 2): {(x_int + 1) | (y_int - 1) @R:1 | 0 @R:1}\n",
+        "x_int, y_int, z_int": (
+            "site 0 (line 2): {(x_int + 1) | ({y_int | z_int @R} - 1) @R:1 | 0 @R:1}\n"
+            "site 1 (line 2): {y_int | z_int @R:1}\n"
+        ),
+    }
+    for params, want in sites.items():
+        tilde = rewrite(parse_imp(f"def f_int({params}):\n    return x_int + 1\n"), model)
+        assert dump(tilde).split("\n\n")[1] == want
 
 
 def test_compute_deriv_site_lines(deriv_student, deriv_model):

@@ -21,7 +21,6 @@ from autofix.search import (
     ReferenceOracle,
     SearchBudget,
     cegis_min,
-    find_counterexample,
     next_alternate,
 )
 from autofix.tilde import (
@@ -33,7 +32,7 @@ from autofix.tilde import (
     number_sites,
 )
 
-from conftest import ASSETS, read
+from conftest import ASSETS, find_counterexample, read
 
 
 def test_oracle_rejects_faulting_reference():
@@ -288,8 +287,8 @@ def assert_comparison_agrees_with_same(tilde, oracle, max_cost=None):
         want = first_mismatch_by_same(oracle, run, picks)
         assert oracle.first_mismatch(run, picks) == want
         if want is not None:
-            assert not oracle.screen(run, picks, [want])
-            assert oracle.screen(run, picks, range(want))
+            assert oracle.scan(run, picks, [want]) == want
+            assert oracle.scan(run, picks, range(want)) is None
     return run.exact
 
 

@@ -23,7 +23,7 @@ from autofix.tilde import (
     max_cost_bound,
 )
 
-from conftest import SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
+from conftest import RULE_FORMS, SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
 from expansion_oracle import expand_program
 
 
@@ -237,37 +237,6 @@ def test_dump_of_a_block_site():
         "site 2 (line 3): {0 | (0 + 1) @InitF:1}\n"
     )
 
-
-# Rule forms of the .eml grammar, for generated models: aligned and
-# whole-node expression rules, choice sets, scope sets, operator sets, primed
-# subterms, statement rules and choices, and block rules over each student's
-# function (a block rule whose name or arity differs makes no site).
-RULE_FORMS = (
-    "v[a] -> v[{a + 1, a - 1, ?a}]",
-    "v[a] -> v[a - 1]",
-    "v[a] -> ?v[{a, a - 1}]",
-    "v -> ?v",
-    "n -> {n + 1, 0}",
-    "a0 cop a1 -> a0' ~cop {a1 + 1, a1 - 1, 0, ?a1}",
-    "a0 cop a1 -> {{a0' - 1, ?a0} ~cop {a1' - 1, 0, 1, ?a1}, True, False}",
-    "a0 == a1 -> False",
-    "a0 > a1 -> a0 < a1",
-    "a0 aop a1 -> a0 ~aop a1",
-    "a0 - a1 -> {a0 + a1, a0' - 1, a1}",
-    "range(a0, a1) -> range({0, 1, a0 - 1, a0 + 1}, {a1 + 1, a1 - 1})",
-    "len(a) -> {len(a) - 1, 0}",
-    "return a -> return {[0], a[1:]}",
-    "return a -> {return ?a, pass}",
-    "return v -> return ?v",
-    "v = n -> v = {n + 1, n - 1, 0}",
-    "v = a -> v = a'",
-    "v += n -> v -= n",
-    "v += a -> {v -= a, v += 2, pass}",
-    "pass -> return [0]",
-    "def computeDeriv(a0): s -> def computeDeriv(a0): {if len(a0) == 1: {return [0]}; s}",
-    "def reverse(a0): s -> def reverse(a0): {if len(a0) <= {1, 0}: {return a0}; s}",
-    "def f(a0, a1): s -> def f(a0, a1): {if a1 <= 0: {return 1}; while a1 > 0: {a1 -= 1}; s}",
-)
 
 STUDENTS = {
     "computederiv": read("computederiv", "student.imp"),
