@@ -57,7 +57,11 @@ end of the run.  A run that ends ok is charged exactly the ticks the spec
 spends on it and never more at any check, so it passes every check; a run
 that spends more than its fuel is stopped by a check unless it faults
 first.  So a fault's kind may differ from the spec's only where one of the
-two reports ``FuelExhausted``.
+two reports ``FuelExhausted``.  All of this fuel code is emitted only where
+a run can exhaust the fuel: `_survey` bounds the ticks that a run of the
+program spends, for any pick tuple, and where the bound is at most the fuel
+no charge and no check is emitted.  A program with a ``while``, a call of a
+function, or a ``for`` over anything but ``range(...)`` has no bound.
 """
 
 from __future__ import annotations
@@ -190,13 +194,45 @@ def _slice_end(code: str) -> str:
     return code if value is not None and value >= 0 else f"max(0, {code})"
 
 
-def _calls(name: str, node) -> bool:
-    """Whether `node` calls `name`, in any alternative of its choice sites."""
-    if type(node) is ChoiceSite:
-        return any(_calls(name, alt.payload) for alt in node.alternatives)
-    if type(node) is lang.Call and node.func == name:
-        return True
-    return any(_calls(name, child) for child in lang.children(node))
+def _survey(program: lang.Program, callees: dict, bounds: Bounds):
+    """Whether a function of `program` or `callees` calls the entry, in any
+    alternative, and a bound, capped at ``bounds.fuel + 1``, on the ticks one
+    run of the entry spends for any pick tuple: a node ticks at most once, a
+    choice site as much as all its alternatives, an augmented assignment's
+    target twice (read, then stored), and a ``for`` over ``range`` runs its
+    body at most ``2 ** int_bits`` times.  A ``while``, a call of anything
+    but the builtins ``len`` and ``range``, or a ``for`` over anything else
+    reaches the cap."""
+    cap = bounds.fuel + 1
+    loops = 1 << bounds.int_bits  # more than a range of wrapped ints holds
+    builtins = {name for name in ("len", "range") if program.func(name) is None}
+    called = set()
+
+    def ticks(node) -> int:
+        cls = type(node)
+        if cls is ChoiceSite:
+            total = sum(ticks(alt.payload) for alt in node.alternatives)
+        elif cls is lang.ForIn:  # a call of a `range` the program defines reaches the cap
+            total = 1 + ticks(node.iterable) + loops * (1 + ticks(node.body))
+            if type(node.iterable) is not lang.Call or node.iterable.func != "range":
+                total = cap
+        else:
+            total = sum(map(ticks, lang.children(node))) + isinstance(node, (lang.Expr, lang.Stmt))
+            if cls is lang.AugAssign:
+                total += ticks(node.target)
+            elif cls is lang.Call and node.func not in builtins:
+                called.add(node.func)
+                total = cap
+            elif cls is lang.While:
+                total = cap
+        return min(total, cap)
+
+    entry = program.entry_func()
+    bound = ticks(entry.body)
+    for func in program.functions + list(callees.values()):
+        if func is not entry:
+            ticks(func.body)
+    return program.entry in called, bound
 
 
 class _Emitter:
@@ -216,22 +252,19 @@ class _Emitter:
         self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
         self.pending = []  # reachable functions not yet emitted
-        self.entry_types = self.parameter_types(signature)
+        calls_entry, ticks = _survey(program, callees, bounds)
+        self.fueled = ticks > bounds.fuel  # else no run can exhaust its fuel
+        # the entry's parameters take the types its inputs are drawn from,
+        # unless a call may give it other arguments
+        arity = len(program.entry_func().params)
+        if signature is None or calls_entry or signature.arity() != arity:
+            self.entry_types = None
+        else:
+            self.entry_types = [_SEM_TYPES[sem] for _, sem in signature.params]
         self.vars = {}  # variable of the function being emitted -> type
         self.changed = False  # whether a store widened a variable's type
         self.func_returns = ""  # join of the types the function being emitted returns
         self.returns = ""  # the entry's return type
-
-    def parameter_types(self, signature):
-        """The entry's parameter types, which the inputs are drawn from; None
-        without a signature or when any call may reach the entry."""
-        entry = self.program.entry_func()
-        if signature is None or signature.arity() != len(entry.params):
-            return None
-        for func in self.program.functions + list(self.callees.values()):
-            if _calls(entry.name, func.body):
-                return None
-        return [_SEM_TYPES[sem] for _, sem in signature.params]
 
     def source(self) -> str:
         entry = self.program.entry_func()
@@ -239,30 +272,30 @@ class _Emitter:
         while self.pending:
             self.function(self.pending.pop(0))
         picks = [f"_s{i}" for i in range(self.sites)]
-        lines = ["def _make():", "    _fuel = 0"]
-        if picks:
-            lines.append(f"    {' = '.join(picks)} = 0")
-        lines += list(self.preamble.values()) + self.lines
-        lines += [
+        fuel = self.fueled
+        cells = ["_fuel"] * fuel + picks
+        lines = [  # a line that is falsy is left out
+            "def _make():",
+            fuel and "    _fuel = 0",
+            picks and f"    {' = '.join(picks)} = 0",
+            *self.preamble.values(),
+            *self.lines,
             "    def _run(_args, _picks=()):",
-            f"        nonlocal {', '.join(['_fuel'] + picks)}",
+            cells and f"        nonlocal {', '.join(cells)}",
             f"        if len(_args) != {len(entry.params)}:",
             "            raise Fault('TypeMismatch')",
-        ]
-        if picks:
-            lines.append(f"        {', '.join(picks)}, = _picks")
-        lines += [
-            f"        _fuel = {self.bounds.fuel}",
+            picks and f"        {', '.join(picks)}, = _picks",
+            fuel and f"        _fuel = {self.bounds.fuel}",
             "        try:",
             f"            value = {run}(*_args, 1)",
             "        except NameError:",  # a variable read before any assignment
             "            raise Fault('TypeMismatch') from None",
-            "        if _fuel < 0:",
-            "            raise Fault('FuelExhausted')",
+            fuel and "        if _fuel < 0:",
+            fuel and "            raise Fault('FuelExhausted')",
             "        return value",
             "    return _run",
         ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(line for line in lines if line) + "\n"
 
     def func_name(self, func: lang.FuncDef) -> str:
         name = self.names.get(id(func))
@@ -301,9 +334,10 @@ class _Emitter:
             self.changed = False
             self.func_returns = ""
             self.emit(1, f"def {self.func_name(func)}({', '.join(params + ['_d'])}):")
-            self.emit(2, "nonlocal _fuel")
-            self.emit(2, f"if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
-            self.emit(3, "raise Fault('FuelExhausted')")
+            if self.fueled:  # else nothing calls a function
+                self.emit(2, "nonlocal _fuel")
+                self.emit(2, f"if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
+                self.emit(3, "raise Fault('FuelExhausted')")
             self.block(func.body, 2)
             self.emit(2, "raise Fault('NoReturn')")
         if entry:
@@ -361,7 +395,7 @@ class _Emitter:
 
     def charged(self, code: str, ticks: int, static: int = 0) -> str:
         """`code`, charged its ticks beyond `static` when it runs."""
-        if ticks == static:
+        if ticks == static or not self.fueled:
             return code
         return f"(_fuel := _fuel - {ticks - static}, {code})[1]"
 
@@ -390,11 +424,13 @@ class _Emitter:
         self.lines.append("    " * depth + line)
 
     def charge(self, depth: int, ticks: int):
-        self.emit(depth, f"_fuel -= {ticks}")
+        if self.fueled:
+            self.emit(depth, f"_fuel -= {ticks}")
 
     def check_fuel(self, depth: int):
-        self.emit(depth, "if _fuel < 0:")
-        self.emit(depth + 1, "raise Fault('FuelExhausted')")
+        if self.fueled:
+            self.emit(depth, "if _fuel < 0:")
+            self.emit(depth + 1, "raise Fault('FuelExhausted')")
 
     def stmt(self, stmt, depth: int):
         cls = type(stmt)
@@ -455,6 +491,8 @@ class _Emitter:
             self.emit(depth, f"return {value}")
         elif cls is lang.Pass:
             self.charge(depth, 1)
+            if not self.fueled:
+                self.emit(depth, "pass")
         else:
             raise TypeError(f"cannot compile {stmt!r}")
 
@@ -475,7 +513,7 @@ class _Emitter:
             lines = [f"_v = {value}"]
             for (header, _), (alt_lines, ticks) in zip(self.branches(site), stores):
                 lines.append(header)
-                if ticks > low:
+                if ticks > low and self.fueled:
                     lines.append(f"    _fuel -= {ticks - low}")
                 lines += ["    " + line for line in alt_lines]
             return lines, low

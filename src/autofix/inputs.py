@@ -67,15 +67,16 @@ def parse_signature(func: FuncDef) -> Signature:
 
 def _groups_for(sem: str, bounds: Bounds):
     """Values of one type, grouped by size (ints/bools are size 0, sequences
-    are grouped by length).  Within a group the order is ascending."""
-    ints = list(range(bounds.int_lo, bounds.int_hi + 1))
+    are grouped by length).  Within a group the order is ascending.  The
+    ints are a range, so that lists of length 0 alone never list them."""
+    ints = range(bounds.int_lo, bounds.int_hi + 1)
     if sem == "int":
         return {0: ints}
     if sem == "bool":
         return {0: [False, True]}
     groups = {}
     for k in range(bounds.max_list_len + 1):
-        combos = itertools.product(ints, repeat=k)
+        combos = itertools.product(ints, repeat=k) if k else [()]
         if sem == "list_int":
             groups[k] = [tuple(c) for c in combos]
         else:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -10,10 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autofix import cli
+from autofix import cli, compiler, lang
+from autofix.eml import collect_metavars, parse_eml
+from autofix.feedback import build_report
+from autofix.inputs import enumerate_inputs, parse_signature
+from autofix.interp import Bounds
 from autofix.lexer import tokenize
-from autofix.parser import MAX_TREE_DEPTH
+from autofix.parser import MAX_TREE_DEPTH, parse_imp
+from autofix.printer import pretty_program
+from autofix.rewrite import rewrite
 from conftest import CHAINS, RULE_FORMS, asset, called_deeper, chain_program, read
+from spec_interp import evaluate as spec_evaluate
+from spec_interp import values_equal
 
 CLI = [sys.executable, "-m", "autofix.cli"]
 FAST = ["--int-bits", "3", "--max-list", "3"]
@@ -327,6 +336,13 @@ def test_input_space_past_max_inputs_exits_3_with_one_line(monkeypatch, capsys, 
     )
 
 
+def test_a_space_of_empty_lists_runs_at_any_int_width(capsys):
+    # the only input is the empty list: no int is listed, however wide
+    args = deriv_args(asset("computederiv", "student.imp"))
+    assert cli.main(args + ["--int-bits", "64", "--max-list", "0"]) == 0
+    assert capsys.readouterr() == ("No corrections needed. cost = 0.\n", "")
+
+
 # faults of a model, and the one line each is rejected with when the model
 # is parsed
 BAD_MODELS = {
@@ -381,8 +397,8 @@ def test_a_function_rule_is_instantiated_in_the_function_context(tmp_path, capsy
 
 
 # models a user may write by mistake: a left side and a right side of the
-# rule forms, or a bundled model with one token dropped, duplicated or
-# swapped with the next
+# rule forms of one kind, or a bundled model with one token dropped,
+# duplicated or swapped with the next
 BUNDLED_MODELS = [read(problem, name) for problem, name in (
     ("computederiv", "model.eml"), ("computederiv", "model_simple.eml"),
     ("arrayreverse", "model.eml"), ("arrayreverse", "model_overview.eml"),
@@ -390,9 +406,9 @@ BUNDLED_MODELS = [read(problem, name) for problem, name in (
 
 
 @st.composite
-def mutated_models(draw):
-    text = draw(st.sampled_from(BUNDLED_MODELS))
-    spans = [t.span for t in tokenize(text, rule_mode=True) if t.span.end > t.span.start]
+def mutated(draw, text: str, rule_mode: bool):
+    """`text` with one token dropped, duplicated or swapped with the next."""
+    spans = [t.span for t in tokenize(text, rule_mode) if t.span.end > t.span.start]
     i = draw(st.integers(0, len(spans) - 2))
     a, b = spans[i], spans[i + 1]
     edit = draw(st.sampled_from(["drop", "duplicate", "swap"]))
@@ -404,8 +420,26 @@ def mutated_models(draw):
             + text[a.start:a.end] + text[b.end:])
 
 
+def mutated_models():
+    return st.sampled_from(BUNDLED_MODELS).flatmap(lambda text: mutated(text, rule_mode=True))
+
+
+def form_kind(form: str):
+    """Whether a rule form's left side is an expression, a statement or a
+    function, and the metavariables it binds: a right side fits every left
+    side of its kind."""
+    lhs = next(iter(parse_eml(f"rule R: {form}\n"))).lhs
+    return isinstance(lhs, lang.Expr), isinstance(lhs, lang.Stmt), frozenset(collect_metavars(lhs))
+
+
+SAME_KIND = {form: [other for other in RULE_FORMS if form_kind(other) == form_kind(form)]
+             for form in RULE_FORMS}
+
+# the left side of a rule form and the right side of one of its kind
 rule_pairs = st.lists(
-    st.tuples(st.sampled_from(RULE_FORMS), st.sampled_from(RULE_FORMS)), min_size=1, max_size=2
+    st.sampled_from(RULE_FORMS).flatmap(lambda lhs: st.tuples(st.just(lhs),
+                                                              st.sampled_from(SAME_KIND[lhs]))),
+    min_size=1, max_size=2,
 ).map(lambda pairs: "".join(
     f"rule R{i}: {lhs.split(' -> ')[0]} -> {rhs.split(' -> ')[1]}\n"
     for i, (lhs, rhs) in enumerate(pairs)
@@ -421,6 +455,14 @@ def two_file_corpus(tmp_path_factory):
     return root
 
 
+def main_in_process(args):
+    """`cli.main(args)`: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(model=st.one_of(rule_pairs, mutated_models()))
 def test_a_bad_model_never_reaches_the_batch(two_file_corpus, model):
@@ -428,12 +470,104 @@ def test_a_bad_model_never_reaches_the_batch(two_file_corpus, model):
     args = ["--ref", asset("computederiv", "reference.imp"),
             "--corpus", str(two_file_corpus / "corpus"), "--model", str(two_file_corpus / "model.eml"),
             "--int-bits", "2", "--max-list", "1", "--max-cost", "2"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(args)
+    code, out, err = main_in_process(args)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    assert "internal-error" not in out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    assert "internal-error" not in out, err
+
+
+# the bundled submissions the flag property mutates, each with its problem
+SUBMISSIONS = [("computederiv", "student.imp"), ("arrayreverse", "student.imp")] + [
+    ("computederiv", os.path.join("corpus", name))
+    for name in sorted(os.listdir(asset("computederiv", "corpus")))
+]
+
+
+@functools.lru_cache(maxsize=None)
+def tick_bounds(problem: str, bits: int) -> list:
+    """The tick bounds up to 10**6 of `problem`'s reference and of its
+    student's choice-site program at `bits`: a fuel at or just below one
+    of them leaves out or keeps that program's fuel code."""
+    if bits < 1:
+        return []
+    model = parse_eml(read(problem, "model.eml"))
+    programs = (parse_imp(read(problem, "reference.imp")),
+                rewrite(parse_imp(read(problem, "student.imp")), model).root)
+    ticks = [compiler._survey(p, {}, Bounds(bits, 0, 10**6))[1] for p in programs]
+    return [t for t in ticks if t <= 10**6]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_factory, data):
+    # one input at most is drawn from its whole range, the others from
+    # values a run goes through with; a space past 300 inputs ends at the
+    # --max-inputs guard and never runs
+    odd = data.draw(st.sampled_from([None, "source", "--int-bits", "--max-list", "--fuel",
+                                     "--max-cost", "--budget-candidates"]))
+
+    def value(name, plain, wild):
+        return data.draw(wild if name == odd else plain)
+
+    problem, name = data.draw(st.sampled_from(SUBMISSIONS))
+    text = read(problem, name)
+    path = tmp_path_factory.mktemp("flags") / "student.imp"
+    path.write_text(value("source", st.just(text), mutated(text, rule_mode=False)))
+    # widths 9 to 62 are left out: were a space of empty lists to list
+    # every int again, they would fill the memory before anything failed
+    bits = value("--int-bits", st.integers(2, 4), st.integers(-1, 8) | st.integers(63, 70))
+    near = [t + d for t in tick_bounds(problem, bits) for d in (-1, 0)]
+    args = [
+        "--ref", asset(problem, "reference.imp"), "--student", str(path),
+        "--model", asset(problem, "model.eml"), "--max-inputs", "300", "--int-bits", str(bits),
+        "--fuel", str(value("--fuel", st.sampled_from(near or [10**5]), st.integers(1, 10**6))),
+        "--max-list", str(value("--max-list", st.integers(0, 2 if bits > 2 else 1),
+                                st.integers(-1, 4))),
+        "--max-cost", str(value("--max-cost", st.integers(1, 4), st.integers(-1, 4))),
+        "--budget-candidates", str(value("--budget-candidates", st.integers(10**3, 10**5),
+                                         st.integers(-1, 10**3))),
+        "--alternates", str(data.draw(st.integers(-1, 2))),
+        "--format", data.draw(st.sampled_from(["text", "json"])),
+    ]
+    code, _, err = main_in_process(args)
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+# every fix the CLI reports on the bundled assets, at bounds where the spec
+# re-verifies it over the whole space in seconds: (problem, target, bounds,
+# fixes reported)
+REPORTED = [
+    ("computederiv", ["--student", asset("computederiv", "student.imp")], (4, 3), 1),
+    ("computederiv", ["--corpus", asset("computederiv", "corpus"), "--jobs", "1"], (3, 3), 13),
+    ("arrayreverse", ["--student", asset("arrayreverse", "student.imp"), "--alternates", "1"],
+     (4, 3), 2),
+]
+
+
+@pytest.mark.parametrize("problem,target,bounds,reported", REPORTED)
+def test_every_reported_fix_matches_the_reference_under_the_spec(monkeypatch, problem, target,
+                                                                 bounds, reported):
+    fixes = []
+
+    def keep_fixes(tilde, result, alternates=(), millis=None):
+        fixes.extend(r.program for r in [result, *alternates] if r.status == "fixed")
+        return build_report(tilde, result, alternates, millis)
+
+    monkeypatch.setattr(cli, "build_report", keep_fixes)
+    bits, max_list = bounds
+    args = ["--ref", asset(problem, "reference.imp"), "--model", asset(problem, "model.eml"),
+            *target, "--int-bits", str(bits), "--max-list", str(max_list)]
+    code, _, err = main_in_process(args)
+    assert code in (0, 1) and err == "" and len(fixes) == reported
+    reference = parse_imp(read(problem, "reference.imp"))
+    limits = Bounds(bits, max_list)
+    for args in enumerate_inputs(parse_signature(reference.entry_func()), limits):
+        want = spec_evaluate(reference, args, limits)
+        assert want.is_ok
+        for fix in fixes:
+            got = spec_evaluate(fix, args, limits)
+            assert got.is_ok and values_equal(got.value, want.value), (pretty_program(fix), args)
 
 
 def test_too_deeply_nested_blocks_exit_3_with_one_line(tmp_path):

@@ -5,8 +5,10 @@ and input both must give the same value, or both a fault; the fault kinds
 must match except where one side reports FuelExhausted (the compiled code
 checks its fuel at function entry, loop iterations and the end of the run,
 not at every tick).  Fuel 25 puts many runs right at the exhaustion
-boundary.  A choice-site program is compiled once and each candidate runs
-as its pick tuple; the spec for a candidate is `instantiate` followed by the
+boundary; a program whose static tick bound is at most the fuel compiles
+with no fuel code at all, so both kinds of code meet the spec.  A
+choice-site program is compiled once and each candidate runs as its pick
+tuple; the spec for a candidate is `instantiate` followed by the
 tree-walker.  Programs are compiled both without and with the signature
 their inputs are drawn from: with it, the entry's parameters have known
 types and the compiler leaves out the checks those types make redundant.
@@ -43,7 +45,7 @@ from autofix.tilde import (
 )
 
 from conftest import ASSETS, SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
-from spec_interp import evaluate, values_equal
+from spec_interp import Evaluator, evaluate, values_equal
 
 FUELS = (300, 25)
 COMPILERS = {fuel: Compiler(Bounds(4, 3, fuel=fuel)) for fuel in FUELS}
@@ -315,13 +317,14 @@ G_PRELUDE = prelude("    b = a\n    xs = [n]\n    ys = []\n    lambda = n\n")
 
 
 @functools.lru_cache(maxsize=None)
-def exprs(kind: str, depth: int):
+def exprs(kind: str, depth: int, calls: bool = True):
     """Expressions of a type ("int", "bool", "list" or "any") of bounded
-    depth.  Some runs fault: `b` may be unbound, and exponents, range steps,
-    indices and divisors are drawn without regard to their range."""
+    depth, calling the helper `g` if `calls`.  Some runs fault: `b` may be
+    unbound, and exponents, range steps, indices and divisors are drawn
+    without regard to their range."""
     if kind == "any":
-        return st.one_of(exprs("int", depth), exprs("bool", depth), exprs("list", depth),
-                         st.just(lang.Var(ANY_VAR)))
+        return st.one_of(exprs("int", depth, calls), exprs("bool", depth, calls),
+                         exprs("list", depth, calls), st.just(lang.Var(ANY_VAR)))
     if kind == "int":
         leaves = st.one_of(st.integers(-9, 9).map(lang.IntLit),
                            st.sampled_from(INT_VARS).map(lang.Var))
@@ -334,14 +337,15 @@ def exprs(kind: str, depth: int):
         )
     if depth == 0:
         return leaves
-    i, b, l = (exprs(k, depth - 1) for k in ("int", "bool", "list"))
+    i, b, l = (exprs(k, depth - 1, calls) for k in ("int", "bool", "list"))
     if kind == "int":
         compound = [
             st.builds(lang.BinOp, i, st.sampled_from(lang.ARITH_OPS), i),
             st.builds(lang.Index, l, i),
             l.map(lambda x: lang.Call("len", [x])),
-            st.builds(lambda x, y: lang.Call("g", [x, y]), i, i),
         ]
+        if calls:
+            compound.append(st.builds(lambda x, y: lang.Call("g", [x, y]), i, i))
     elif kind == "bool":
         compound = [
             st.builds(lang.Compare, i, st.sampled_from(lang.COMPARE_OPS), i),
@@ -356,14 +360,17 @@ def exprs(kind: str, depth: int):
             st.builds(lang.BinOp, l, st.just("+"), l),
             st.lists(i, min_size=1, max_size=3).map(lambda args: lang.Call("range", args)),
         ]
-    same_kind = exprs(kind, depth - 1)
+    same_kind = exprs(kind, depth - 1, calls)
     compound.append(st.builds(lang.CondExpr, same_kind, b, same_kind))
     return st.one_of(leaves, *compound)
 
 
 @functools.lru_cache(maxsize=None)
-def blocks(depth: int):
-    i, l, a = exprs("int", 2), exprs("list", 2), exprs("any", 2)
+def blocks(depth: int, bounded: bool = False):
+    """Statement lists nesting `depth` deep.  `bounded` ones loop only with
+    `for` over `range(...)`, call nothing but `len` and `range`, and hold
+    choice sites."""
+    i, l, a = (exprs(kind, 2, not bounded) for kind in ("int", "list", "any"))
     int_var = st.sampled_from(INT_VARS).map(lang.Var)
     list_var = st.sampled_from(LIST_VARS).map(lang.Var)
     simple = [
@@ -378,13 +385,24 @@ def blocks(depth: int):
         st.builds(lang.Return, a),
         st.just(lang.Pass()),
     ]
-    if depth > 0:
-        inner, cond = blocks(depth - 1), exprs("bool", 2)
+    if bounded:
+        stmt = st.one_of(*simple)
+        sites = st.lists(i, min_size=1, max_size=2)
         simple += [
-            st.builds(lang.If, cond, inner, st.just([]) | inner),
-            st.builds(lang.While, cond, inner),
-            st.builds(lang.ForIn, st.sampled_from(INT_VARS + (ANY_VAR,)), l, inner),
+            st.builds(mixed_site, st.just("stmt"), stmt, st.lists(stmt, min_size=1, max_size=2)),
+            st.builds(lambda v, d, o: lang.Assign(v, mixed_site("expr", d, o)), int_var, i, sites),
         ]
+    if depth > 0:
+        inner, cond = blocks(depth - 1, bounded), exprs("bool", 2, not bounded)
+        loop_var = st.sampled_from(INT_VARS + (ANY_VAR,))
+        simple.append(st.builds(lang.If, cond, inner, st.just([]) | inner))
+        if bounded:  # often the longest range at 4 bits, of 15 ints
+            longest = lang.Call("range", [lang.IntLit(-8), lang.IntLit(7)])
+            ranges = st.just(longest) | st.lists(i, min_size=1, max_size=3).map(
+                lambda args: lang.Call("range", args))
+            simple.append(st.builds(lang.ForIn, loop_var, ranges, inner))
+        else:
+            simple += [st.builds(lang.While, cond, inner), st.builds(lang.ForIn, loop_var, l, inner)]
     return st.lists(st.one_of(*simple), min_size=1, max_size=3)
 
 
@@ -751,6 +769,167 @@ def test_reference_runs_without_type_checks(deriv_ref, deriv_oracle_w3):
     assert not compiled_names(typed) & checks
     # without the signature only `_bool` goes: a comparison gives a bool
     assert compiled_names(COMPILERS[300].compile(deriv_ref)) & checks == checks - {"_bool"}
+
+
+# -- the tick bound ----------------------------------------------------------
+#
+# A program whose loops are all `for` over `range(...)` and which calls
+# nothing but `len` and `range` has a static bound on the ticks a run
+# spends.  At a fuel no smaller than it no run can exhaust the fuel, and the
+# compiled code charges and checks none; above the fuel, or with no bound,
+# the code is as it always was.
+
+
+def tick_bound(root, bits: int = 4) -> int:
+    return compiler_module._survey(root, {}, Bounds(bits, 3, fuel=10**9))[1]
+
+
+def fuel_free(run) -> bool:
+    """Whether the compiled `run` keeps no fuel counter."""
+    return "_fuel" not in run.__code__.co_freevars
+
+
+bounded_programs = st.builds(
+    lambda body, ret: lang.Program(
+        [lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)])], entry="f"
+    ),
+    blocks(2, bounded=True), exprs("any", 2, calls=False),
+)
+
+
+@given(bounded_programs)
+@settings(max_examples=100, deadline=None)
+def test_no_run_spends_more_ticks_than_the_bound(program):
+    # nested range loops, indexed augmented stores and choice sites, run
+    # at a fuel of exactly the bound: the spec never exhausts it, so the
+    # compiled code, which charges no fuel, agrees with it on every run
+    tilde = TildeProgram(program)
+    number_sites(tilde)
+    bound = tick_bound(tilde.root)
+    assert bound <= 10**9
+    compiler = Compiler(Bounds(4, 3, fuel=bound))
+    assert fuel_free(compiler.compile(tilde))
+    _, fuel_only, _ = assert_candidates_agree(tilde, INPUTS, 2, compilers={bound: compiler},
+                                              signatures=(None, SIGNATURE))
+    assert fuel_only == 0
+
+
+# ticks: 6 for the `for`, 7 per iteration (the index of the augmented
+# target is evaluated twice) and 2 for the `return`; the bound counts 16
+# iterations and the whole target twice
+AUGMENTED_IN_A_LOOP = (
+    "def f_list_int(x_list_int):\n    for k in range(0 - 8, 7):\n"
+    "        x_list_int[0] += k\n    return x_list_int\n"
+)
+
+
+def test_an_augmented_index_store_in_a_loop_stays_within_the_bound():
+    program = parse_imp(AUGMENTED_IN_A_LOOP)
+    bound = tick_bound(program)
+    assert bound == 6 + 16 * (1 + 8) + 2
+    spec = Evaluator(program, Bounds(4, 1, fuel=bound))
+    assert spec.run(((1,),)).value == (2,) and bound - spec.fuel == 6 + 15 * 7 + 2
+    compiler = Compiler(Bounds(4, 1, fuel=bound))
+    run = compiler.compile(program)
+    assert fuel_free(run)
+    for args in [((1,),), ((),)]:
+        assert_agree(program, args, compiler, run=run)
+
+
+@pytest.mark.parametrize("source", [
+    "def f_int(x_int):\n    for k in [1, 2]:\n        pass\n    return 0\n",
+    "def f_int(x_int):\n    for k in range(3):\n        pass\n    return 0\n\n"
+    "def range(n):\n    return [n]\n",
+    "def f_int(x_int):\n    return g(x_int)\n\ndef g(n):\n    return n\n",
+])
+def test_a_loop_over_a_list_or_a_call_of_a_function_has_no_bound(source):
+    program = parse_imp(source)
+    assert tick_bound(program) == 10**9 + 1
+    assert not fuel_free(COMPILERS[300].compile(program))
+
+
+# what the compiler emitted before a program's tick bound was known, and
+# still emits where the bound is above the fuel or there is none
+FUELED_SOURCES = {
+    "while": ("def f_int(x_int):\n    while x_int > 0:\n        x_int -= 1\n    return x_int\n",
+              100_000, """\
+def _make():
+    _fuel = 0
+    def _f0(v_x_int, _d):
+        nonlocal _fuel
+        if _d > 64 or _fuel < 0:
+            raise Fault('FuelExhausted')
+        _fuel -= 1
+        while True:
+            _fuel -= 4
+            if _fuel < 0:
+                raise Fault('FuelExhausted')
+            if not _gt(v_x_int, (0)):
+                break
+            _fuel -= 3
+            v_x_int = _sub(v_x_int, (1))
+        _fuel -= 2
+        return v_x_int
+        raise Fault('NoReturn')
+"""),
+    "recursion": ("def f_int(x_int):\n    if x_int < 1:\n        return 0\n"
+                  "    return f_int(x_int - 1) + 1\n", 100_000, """\
+def _make():
+    _fuel = 0
+    def _f0(v_x_int, _d):
+        nonlocal _fuel
+        if _d > 64 or _fuel < 0:
+            raise Fault('FuelExhausted')
+        _fuel -= 4
+        if _lt(v_x_int, (1)):
+            _fuel -= 2
+            return (0)
+        _fuel -= 7
+        return _add(_f0(_sub(v_x_int, (1)), _d + 1), (1))
+        raise Fault('NoReturn')
+"""),
+    "one tick over the fuel": (AUGMENTED_IN_A_LOOP, 151, """\
+def _make():
+    _fuel = 0
+    def _f0(v_x_list_int, _d):
+        nonlocal _fuel
+        if _d > 64 or _fuel < 0:
+            raise Fault('FuelExhausted')
+        _fuel -= 6
+        for v_k in range((-8), (7)):
+            _fuel -= 1
+            if _fuel < 0:
+                raise Fault('FuelExhausted')
+            _fuel -= 6
+            _t = _add(_index(_seq(v_x_list_int), (0)), v_k)
+            v_x_list_int = _store(_list(v_x_list_int), (0), _t)
+        _fuel -= 2
+        return v_x_list_int
+        raise Fault('NoReturn')
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUELED_SOURCES))
+def test_a_program_that_can_exhaust_its_fuel_keeps_every_charge_and_check(name):
+    source, fuel, functions = FUELED_SOURCES[name]
+    emitted = compiler_module._Emitter(parse_imp(source), {}, Bounds(4, 1, fuel), 0).source()
+    assert emitted == functions + f"""\
+    def _run(_args, _picks=()):
+        nonlocal _fuel
+        if len(_args) != 1:
+            raise Fault('TypeMismatch')
+        _fuel = {fuel}
+        try:
+            value = _f0(*_args, 1)
+        except NameError:
+            raise Fault('TypeMismatch') from None
+        if _fuel < 0:
+            raise Fault('FuelExhausted')
+        return value
+    return _run
+"""
+    assert tick_bound(parse_imp(source)) > fuel
 
 
 # -- the oracle on compiled code ---------------------------------------------
