@@ -12,10 +12,10 @@ import sys
 import time
 
 from .eml import IllFormedModel, parse_eml
-from .feedback import build_report, render_feedback
+from .feedback import build_report, correction_fields, render_feedback
 from .inputs import UnknownTypeSuffix, count_inputs, parse_signature
-from .interp import Bounds
-from .lexer import SourceError
+from .interp import MAX_INT_BITS, Bounds
+from .lexer import MAX_INT_DIGITS, SourceError
 from .parser import parse_imp
 from .rewrite import rewrite
 from .search import (
@@ -129,10 +129,11 @@ def _oracle(cfg: RunConfig, reference) -> ReferenceOracle:
     ``--max-inputs``."""
     bounds = _bounds(cfg)
     signature = parse_signature(reference.entry_func())
-    count = count_inputs(signature, bounds)
-    if count > cfg.max_inputs:
+    count = count_inputs(signature, bounds)  # None: too many to run at any --max-inputs
+    if count is None or count > cfg.max_inputs:
+        shown = f"at least 10**{MAX_INT_DIGITS}" if count is None else f"{count:,}"
         raise InputSpaceTooLarge(
-            f"{count:,} inputs at --int-bits {cfg.int_bits} --max-list {cfg.max_list}"
+            f"{shown} inputs at --int-bits {cfg.int_bits} --max-list {cfg.max_list}"
             f" exceed --max-inputs {cfg.max_inputs:,}"
         )
     return ReferenceOracle(reference, bounds, signature)
@@ -233,15 +234,17 @@ def _corpus_entry(path: str) -> dict:
         "name": name,
         "verdict": report.verdict,
         "cost": report.cost,
-        "corrections": [
-            {"line": c.line, "orig": c.orig_stmt, "sub": c.sub_expr,
-             "new": c.new_expr, "rule": c.rule_id, "message": c.message}
-            for c in report.corrections
-        ],
+        "corrections": [correction_fields(c, 4) for c in report.corrections],
         "stats": report.stats,
         "seconds": time.monotonic() - started,
     }
     return entry
+
+
+def _workers(cfg: RunConfig, paths: list) -> int:
+    """How many worker processes the corpus runs in: at most one per file
+    and one per CPU, since a pool starts all of its workers at once."""
+    return min(cfg.jobs, len(paths), os.cpu_count() or 1)
 
 
 def run_corpus(cfg: RunConfig) -> int:
@@ -260,15 +263,21 @@ def run_corpus(cfg: RunConfig) -> int:
         print(f"autofix: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    if cfg.jobs > 1 and len(paths) > 1:
+    workers = _workers(cfg, paths)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(
-            max_workers=cfg.jobs,
-            initializer=_init_worker,
-            initargs=(ref_source, model_source, cfg),
-        ) as pool:
-            entries = list(pool.map(_corpus_entry, paths))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(ref_source, model_source, cfg),
+            ) as pool:
+                entries = list(pool.map(_corpus_entry, paths))
+        except BrokenProcessPool:
+            print("autofix: a corpus worker process died", file=sys.stderr)
+            return EXIT_ERROR
     else:
         _set_context(cfg, ref, model, oracle)  # the table validated above
         entries = [_corpus_entry(p) for p in paths]
@@ -334,15 +343,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
-        _bounds(cfg)
+        largest = _bounds(cfg).int_hi
     except ValueError as err:
         print(
             f"autofix: {err}: --int-bits {cfg.int_bits} --max-list {cfg.max_list}"
-            f" --fuel {cfg.fuel} (need --int-bits >= 1, --max-list >= 0, --fuel >= 1)",
+            f" --fuel {cfg.fuel} (need 1 <= --int-bits <= {MAX_INT_BITS}, --max-list >= 0,"
+            " --fuel >= 1)",
             file=sys.stderr,
         )
         return EXIT_ERROR
-    largest = (1 << (cfg.int_bits - 1)) - 1
     if cfg.max_list > largest:  # len() of a longer list would wrap negative
         print(
             f"autofix: --max-list {cfg.max_list} exceeds {largest}, the largest"

@@ -29,8 +29,8 @@ bounds, division by zero, negative exponents, ``range``'s step, fuel.
 Operands are still evaluated once, left to right.  The entry's return type,
 the join over its ``return`` statements in every alternative, comes with
 the runner (``run.returns``); where it and the reference's join to an
-exact type (`_exact`), the search compares results with Python's ``!=``
-(``ReferenceOracle.compile`` sets ``run.exact``).
+exact type (`_exact`), ``run.exact`` lets the search compare results with
+Python's ``!=``.
 
 Choice sites.  A choice-site program (``TildeProgram``) is compiled once for
 the whole search; a candidate is its pick tuple, one alternative index per
@@ -69,9 +69,8 @@ from __future__ import annotations
 import functools
 
 from . import lang
-from .interp import MAX_CALL_DEPTH, Bounds
+from .interp import MAX_CALL_DEPTH, Bounds, helpers
 from .lexer import SourceError
-from .runtime import helpers
 from .tilde import ChoiceSite, TildeProgram
 
 # the helper that checks each operation where its operands are not proven
@@ -87,14 +86,14 @@ _TOO_DEEP = (
 
 class Compiler:
     """Compiles programs to run under one ``Bounds``.  The runtime helpers
-    (``runtime.helpers``) are built once here and shared by every program
+    (``interp.helpers``) are built once here and shared by every program
     compiled."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
         self.namespace = helpers(bounds)
 
-    def compile(self, program, callees=None, signature=None):
+    def compile(self, program, callees=None, signature=None, reference_type="?"):
         """A function ``run(args, picks=())`` from one input (a tuple of
         argument values) to the entry function's value; it raises ``Fault``
         where the program faults.  `program` is a ``lang.Program`` or a
@@ -104,9 +103,11 @@ class Compiler:
         With a `signature` (``inputs.Signature``), `run` may only be given
         inputs of its types, and the entry's parameters take them.
         ``run.returns`` is the static type of every value `run` returns,
-        for every pick tuple (see `_exact`).  A program nested too
-        deeply for Python's compiler raises ``SourceError`` at its entry's
-        line."""
+        for every pick tuple, and ``run.exact`` whether Python's ``==`` is
+        ``same`` between them and the values of `reference_type`, the
+        reference's static return type, unknown unless given (see
+        `_exact`).  A program nested too deeply for Python's compiler
+        raises ``SourceError`` at its entry's line."""
         tilde = program if isinstance(program, TildeProgram) else None
         root = program.root if tilde else program
         sites = len(tilde.sites) if tilde else 0
@@ -123,6 +124,7 @@ class Compiler:
         exec(code, self.namespace, scope)
         run = scope["_make"]()
         run.returns = emitter.returns
+        run.exact = _exact(_join(emitter.returns, reference_type))
         return run
 
 
@@ -246,8 +248,6 @@ class _Emitter:
         self.callees = callees
         self.bounds = bounds
         self.sites = sites
-        self.half = 1 << (bounds.int_bits - 1)
-        self.mask = (1 << bounds.int_bits) - 1
         self.lines = []
         self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
@@ -355,10 +355,12 @@ class _Emitter:
 
     def wrap(self, code: str) -> str:
         """`code`, an int expression, wrapped to the integer width."""
-        return f"(({code} + {self.half} & {self.mask}) - {self.half})"
+        half, mask = self.bounds.half, self.bounds.mask
+        return f"(({code} + {half} & {mask}) - {half})"
 
     def constant(self, value: int) -> str:
-        return f"({((value + self.half) & self.mask) - self.half})"
+        half = self.bounds.half
+        return f"({((value + half) & self.bounds.mask) - half})"
 
     @staticmethod
     def test(code: str, t: str) -> str:

@@ -113,7 +113,7 @@ def build_report(
     )
 
 
-def _correction_fields(c: Correction, level: int) -> dict:
+def correction_fields(c: Correction, level: int) -> dict:
     out = {"line": c.line}
     if level >= 2:
         out["orig"] = c.orig_stmt
@@ -137,9 +137,9 @@ def render_feedback(report: FeedbackReport, level: int = 4, format: str = "text"
         doc = {
             "verdict": report.verdict,
             "cost": report.cost,
-            "corrections": [_correction_fields(c, level) for c in report.corrections],
+            "corrections": [correction_fields(c, level) for c in report.corrections],
             "alternates": [
-                [_correction_fields(c, level) for c in alt] for alt in report.alternates
+                [correction_fields(c, level) for c in alt] for alt in report.alternates
             ],
             "stats": report.stats,
         }

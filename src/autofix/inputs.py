@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 
-from .interp import Bounds, TupleVal
+from .interp import MAX_INT_BITS, Bounds, TupleVal
 from .lang import FuncDef
+from .lexer import MAX_INT_DIGITS
 
 SEM_TYPES = ("int", "bool", "list_int", "tuple_int")
 
@@ -112,14 +113,20 @@ def _emit(all_groups, i, remaining, prefix):
                 yield from _emit(all_groups, i + 1, remaining - sz, prefix + (v,))
 
 
-def count_inputs(sig: Signature, bounds: Bounds) -> int:
+def count_inputs(sig: Signature, bounds: Bounds) -> int | None:
+    """The number of inputs of `sig` within `bounds`, or None when it has
+    more than `MAX_INT_DIGITS` digits.  The lists of at most ``L`` ints of
+    ``b`` bits number ``(2**(b*(L+1)) - 1) // (2**b - 1)``, at least
+    ``2**(b*L)``, so a count that large is known before it is computed."""
+    bits = bounds.int_bits
+    sizes = {"int": bits, "bool": 1}  # log2 of each type's count, at least
+    least = sum(sizes.get(sem, bits * bounds.max_list_len) for _, sem in sig.params)
+    if least > MAX_INT_BITS:  # 2**least has more than MAX_INT_DIGITS digits
+        return None
     total = 1
-    n_ints = 1 << bounds.int_bits
     for _, sem in sig.params:
-        if sem == "int":
-            total *= n_ints
-        elif sem == "bool":
-            total *= 2
+        if sem in sizes:
+            total <<= sizes[sem]
         else:
-            total *= sum(n_ints**k for k in range(bounds.max_list_len + 1))
-    return total
+            total *= ((1 << bits * (bounds.max_list_len + 1)) - 1) // ((1 << bits) - 1)
+    return total if total < 10**MAX_INT_DIGITS else None

@@ -25,8 +25,8 @@ refused.  The clock is read once per chunk and once per candidate.
 Values are compared with the language's type-exact ``same`` unless the
 static return types of the candidate program and the reference prove that
 Python's ``!=`` tells the same: then screening and verification compare with
-``!=``.  `ReferenceOracle.compile` makes the choice once per runner
-(``run.exact``).
+``!=``.  The compiler makes the choice once per runner (``run.exact``), given
+the reference's return type by `ReferenceOracle.compile`.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from __future__ import annotations
 import time
 
 from . import lang
-from .compiler import Compiler, _exact, _join
+from .compiler import Compiler
 from .inputs import Signature, enumerate_inputs, parse_signature
-from .interp import Bounds
+from .interp import Bounds, Fault, same
 from .printer import pretty_program
-from .runtime import Fault, same
 from .tilde import TildeProgram, enumerate_candidates, instantiate
 
 
@@ -124,12 +123,9 @@ class ReferenceOracle:
 
     def compile(self, program, callees=None):
         """``Compiler.compile`` under this oracle's bounds and signature: the
-        runner is only ever given this oracle's inputs.  ``run.exact`` says
-        whether Python's ``==`` is ``same`` between its values and the
-        reference's, as their static return types prove."""
-        run = self._compiler.compile(program, callees, self.signature)
-        run.exact = _exact(_join(run.returns, self.returns))
-        return run
+        runner is only ever given this oracle's inputs, and its values are
+        compared with the reference's (``run.exact``)."""
+        return self._compiler.compile(program, callees, self.signature, self.returns)
 
     def first_mismatch(self, run, picks=(), budget=None, start=0, stop=None):
         """Index of the first input of ``inputs[start:stop]`` where the

@@ -6,7 +6,7 @@ from autofix.compiler import Compiler
 from autofix.eml import parse_eml
 from autofix.interp import Bounds
 from autofix.parser import parse_imp
-from autofix.runtime import Fault
+from autofix.interp import Fault
 from autofix.search import ReferenceOracle
 from spec_interp import EvalResult
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from autofix import cli, compiler, lang
 from autofix.eml import collect_metavars, parse_eml
 from autofix.feedback import build_report
 from autofix.inputs import enumerate_inputs, parse_signature
-from autofix.interp import Bounds
+from autofix.interp import MAX_INT_BITS, Bounds
 from autofix.lexer import tokenize
 from autofix.parser import MAX_TREE_DEPTH, parse_imp
 from autofix.printer import pretty_program
@@ -339,8 +340,25 @@ def test_input_space_past_max_inputs_exits_3_with_one_line(monkeypatch, capsys, 
 def test_a_space_of_empty_lists_runs_at_any_int_width(capsys):
     # the only input is the empty list: no int is listed, however wide
     args = deriv_args(asset("computederiv", "student.imp"))
-    assert cli.main(args + ["--int-bits", "64", "--max-list", "0"]) == 0
-    assert capsys.readouterr() == ("No corrections needed. cost = 0.\n", "")
+    for bits in (64, MAX_INT_BITS):
+        assert cli.main(args + ["--int-bits", str(bits), "--max-list", "0"]) == 0
+        assert capsys.readouterr() == ("No corrections needed. cost = 0.\n", "")
+
+
+@pytest.mark.parametrize("bits,max_list,message", [
+    # the wrap mask would have 6,021 digits
+    ("20000", "0", "bounds out of range: --int-bits 20000 --max-list 0 --fuel 100000"
+                   " (need 1 <= --int-bits <= 2126, --max-list >= 0, --fuel >= 1)"),
+    # 2**(64 * 10**6) inputs and more: known from the bounds, never summed
+    ("64", "1000000", "at least 10**640 inputs at --int-bits 64 --max-list 1000000"
+                      " exceed --max-inputs 2,000,000"),
+])
+def test_extreme_bounds_exit_3_with_one_line_at_once(capsys, bits, max_list, message):
+    args = deriv_args(asset("computederiv", "student.imp"))
+    started = time.monotonic()
+    assert cli.main(args + ["--int-bits", bits, "--max-list", max_list]) == 3
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr() == ("", f"autofix: {message}\n")
 
 
 # faults of a model, and the one line each is rejected with when the model
@@ -488,7 +506,7 @@ def tick_bounds(problem: str, bits: int) -> list:
     """The tick bounds up to 10**6 of `problem`'s reference and of its
     student's choice-site program at `bits`: a fuel at or just below one
     of them leaves out or keeps that program's fuel code."""
-    if bits < 1:
+    if not 1 <= bits <= MAX_INT_BITS:
         return []
     model = parse_eml(read(problem, "model.eml"))
     programs = (parse_imp(read(problem, "reference.imp")),
@@ -513,16 +531,15 @@ def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_facto
     text = read(problem, name)
     path = tmp_path_factory.mktemp("flags") / "student.imp"
     path.write_text(value("source", st.just(text), mutated(text, rule_mode=False)))
-    # widths 9 to 62 are left out: were a space of empty lists to list
-    # every int again, they would fill the memory before anything failed
-    bits = value("--int-bits", st.integers(2, 4), st.integers(-1, 8) | st.integers(63, 70))
+    bits = value("--int-bits", st.integers(2, 4),
+                 st.integers(-1, 70) | st.integers(71, 10**5) | st.just(MAX_INT_BITS + 1))
     near = [t + d for t in tick_bounds(problem, bits) for d in (-1, 0)]
     args = [
         "--ref", asset(problem, "reference.imp"), "--student", str(path),
         "--model", asset(problem, "model.eml"), "--max-inputs", "300", "--int-bits", str(bits),
         "--fuel", str(value("--fuel", st.sampled_from(near or [10**5]), st.integers(1, 10**6))),
         "--max-list", str(value("--max-list", st.integers(0, 2 if bits > 2 else 1),
-                                st.integers(-1, 4))),
+                                st.integers(-1, 4) | st.integers(5, 10**6))),
         "--max-cost", str(value("--max-cost", st.integers(1, 4), st.integers(-1, 4))),
         "--budget-candidates", str(value("--budget-candidates", st.integers(10**3, 10**5),
                                          st.integers(-1, 10**3))),
@@ -603,6 +620,30 @@ def test_cli_import_leaves_out_the_costly_modules():
     code = f"import sys, autofix.cli; print([m for m in {costly!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+@pytest.mark.parametrize("jobs,files,cpus,workers", [
+    (8, 15, 2, 2), (8, 3, 16, 3), (4, 15, 16, 4), (2, 15, None, 1),
+])
+def test_corpus_workers_are_capped_by_files_and_cpus(monkeypatch, jobs, files, cpus, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = cli.RunConfig("ref.imp", "model.eml", jobs=jobs)
+    assert cli._workers(cfg, [f"s{i}.imp" for i in range(files)]) == workers
+
+
+def exit_at_once(path):
+    os._exit(1)
+
+
+def test_a_dead_corpus_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    for name in ("s01_three_bugs.imp", "s02_range_start.imp"):
+        shutil.copy(asset("computederiv", "corpus", name), tmp_path)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # else one CPU runs the files in turn
+    monkeypatch.setattr(cli, "_corpus_entry", exit_at_once)  # a forked worker inherits it
+    args = corpus_args("--jobs", "2")
+    args[args.index("--corpus") + 1] = str(tmp_path)
+    assert cli.main(args) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", "autofix: a corpus worker process died\n")
 
 
 def test_serial_corpus_builds_the_table_once(monkeypatch, capsys):

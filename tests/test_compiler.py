@@ -33,7 +33,7 @@ from autofix.lexer import SourceError
 from autofix.parser import MAX_EXPR_DEPTH, parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
-from autofix.runtime import Fault, same
+from autofix.interp import Fault, same
 from autofix.search import ReferenceFault, ReferenceOracle
 from autofix.tilde import (
     Alternative,

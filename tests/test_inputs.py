@@ -7,7 +7,8 @@ from autofix.inputs import (
     enumerate_inputs,
     parse_signature,
 )
-from autofix.interp import Bounds
+from autofix.interp import MAX_INT_BITS, Bounds
+from autofix.lexer import MAX_INT_DIGITS
 from autofix.parser import parse_imp
 
 
@@ -43,6 +44,25 @@ def test_list_count_w4_l4():
     bounds = Bounds(4, 4)
     assert count_inputs(sig, bounds) == 69905
     assert sum(1 for _ in enumerate_inputs(sig, bounds)) == 69905
+
+
+@pytest.mark.parametrize("sems", [("int",), ("bool", "tuple_int"), ("list_int", "int", "list_int")])
+@pytest.mark.parametrize("bits,max_list", [(1, 0), (1, 2), (2, 3), (3, 1)])
+def test_count_is_the_length_of_the_stream(sems, bits, max_list):
+    sig = Signature("f", tuple((f"x{i}", sem) for i, sem in enumerate(sems)), "int")
+    bounds = Bounds(bits, max_list)
+    assert count_inputs(sig, bounds) == sum(1 for _ in enumerate_inputs(sig, bounds))
+
+
+def test_a_count_past_the_widest_int_literal_is_none():
+    lists = Signature("f", (("xs_list_int", "list_int"),), "int")
+    # 2**2126 + 1 and 2**2126 - 1 inputs have 640 digits, 2**2127 - 1 has 641
+    assert count_inputs(lists, Bounds(MAX_INT_BITS, 1)) == 2**MAX_INT_BITS + 1
+    assert len(str(count_inputs(lists, Bounds(1, MAX_INT_BITS - 1)))) == MAX_INT_DIGITS
+    assert count_inputs(lists, Bounds(1, MAX_INT_BITS)) is None  # 641 digits
+    assert count_inputs(lists, Bounds(64, 10**6)) is None
+    ints = Signature("f", (("x_int", "int"), ("y_int", "int")), "int")
+    assert count_inputs(ints, Bounds(MAX_INT_BITS, 0)) is None
 
 
 def test_list_count_w1_l2():

@@ -5,11 +5,15 @@ Every run here also runs through the package's compiled code
 sides of the same kind unless one side reports FuelExhausted.
 """
 
+import sys
+
 import pytest
 
 import spec_interp
+from autofix.compiler import Compiler
 from autofix.inputs import enumerate_inputs, parse_signature
-from autofix.interp import Bounds, TupleVal
+from autofix.interp import MAX_INT_BITS, Bounds, TupleVal
+from autofix.lexer import MAX_INT_DIGITS
 from autofix.parser import parse_imp
 from conftest import read, run_compiled
 from spec_interp import values_equal
@@ -36,6 +40,30 @@ def assert_same_outcome(got, want, args):
 
 def run(source, *args, bounds=W4):
     return evaluate(parse_imp(source), args, bounds)
+
+
+def test_bounds_own_the_wrap_and_the_int_range():
+    bounds = Bounds(4, 0)
+    assert (bounds.half, bounds.mask, bounds.int_lo, bounds.int_hi) == (8, 15, -8, 7)
+    assert run("def f_int(x_int):\n    return x_int + 1\n", 7).value == -8
+
+
+def test_the_widest_ints_compile_at_the_lowest_int_string_limit():
+    widest = Bounds(MAX_INT_BITS, 0)
+    assert len(str(widest.mask)) == MAX_INT_DIGITS
+    with pytest.raises(ValueError, match="bounds out of range"):
+        Bounds(MAX_INT_BITS + 1, 0)
+    program = parse_imp("def f_int(x_int):\n    return x_int * 2 + 1\n")
+    signature = parse_signature(program.entry_func())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_INT_DIGITS)  # the lowest Python takes
+    try:  # the typed program inlines the wrap's literals, the untyped calls helpers
+        runs = [Compiler(widest).compile(program, signature=s) for s in (None, signature)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [r((widest.int_hi,)) for r in runs] == [-1, -1]
+    assert run("def f_int(x_int):\n    return x_int * 2 + 1\n", widest.int_hi,
+               bounds=widest).value == -1
 
 
 def test_reference_on_cubic(deriv_ref):

@@ -13,7 +13,7 @@ from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
-from autofix.runtime import Fault, same
+from autofix.interp import Fault, same
 from autofix.search import (
     ALONE_AFTER,
     CHUNK,
