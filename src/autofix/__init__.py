@@ -13,13 +13,7 @@ from .interp import Bounds
 from .parser import parse_imp
 from .printer import pretty_program
 from .rewrite import rewrite
-from .search import (
-    ReferenceOracle,
-    RepairResult,
-    SearchBudget,
-    cegis_min,
-    next_alternate,
-)
+from .search import ReferenceOracle, RepairResult, SearchBudget, cegis_min
 from .tilde import (
     TildeProgram,
     dump,
@@ -47,7 +41,6 @@ __all__ = [
     "enumerate_inputs",
     "instantiate",
     "match_pattern",
-    "next_alternate",
     "parse_eml",
     "parse_imp",
     "parse_signature",

@@ -18,13 +18,7 @@ from .interp import MAX_INT_BITS, Bounds
 from .lexer import MAX_INT_DIGITS, SourceError
 from .parser import parse_imp
 from .rewrite import rewrite
-from .search import (
-    ReferenceFault,
-    ReferenceOracle,
-    SearchBudget,
-    cegis_min,
-    next_alternate,
-)
+from .search import ReferenceFault, ReferenceOracle, SearchBudget, cegis_min
 from .tilde import dump
 
 EXIT_CORRECT = 0
@@ -36,7 +30,7 @@ _EXIT_BY_VERDICT = {"correct": EXIT_CORRECT, "fixed": EXIT_FIXED, "no-fix": EXIT
 
 
 class InputSpaceTooLarge(Exception):
-    """The bounds give more inputs than ``--max-inputs`` allows."""
+    """The bounds give more inputs than ``--max-inputs`` allows, or than memory holds."""
 
 
 # what a bad file, model or bound raises: exit 3 with one line
@@ -126,7 +120,7 @@ def _bounds(cfg: RunConfig) -> Bounds:
 
 def _oracle(cfg: RunConfig, reference) -> ReferenceOracle:
     """The reference table, built only once its input space is known to fit
-    ``--max-inputs``."""
+    ``--max-inputs``; a table too large for memory is `InputSpaceTooLarge`."""
     bounds = _bounds(cfg)
     signature = parse_signature(reference.entry_func())
     count = count_inputs(signature, bounds)  # None: too many to run at any --max-inputs
@@ -136,7 +130,13 @@ def _oracle(cfg: RunConfig, reference) -> ReferenceOracle:
             f"{shown} inputs at --int-bits {cfg.int_bits} --max-list {cfg.max_list}"
             f" exceed --max-inputs {cfg.max_inputs:,}"
         )
-    return ReferenceOracle(reference, bounds, signature)
+    try:
+        return ReferenceOracle(reference, bounds, signature)
+    except MemoryError:
+        raise InputSpaceTooLarge(
+            f"{count:,} inputs at --int-bits {cfg.int_bits} --max-list {cfg.max_list}"
+            " do not fit in memory"
+        ) from None
 
 
 def _callee_map(cfg: RunConfig, reference):
@@ -166,19 +166,9 @@ def repair_one(student_source: str, reference, model, oracle, cfg: RunConfig):
     budget = SearchBudget(cfg.budget_candidates, cfg.budget_seconds)
     callees = _callee_map(cfg, reference)
     started = time.monotonic()
-    result = cegis_min(tilde, oracle, cfg.max_cost, budget, callees=callees)
-    alternates = []
-    priors = [result] if result.status == "fixed" else []
-    for _ in range(cfg.alternates):
-        if not priors:
-            break
-        nxt = next_alternate(priors, tilde, oracle, cfg.max_cost, budget, callees=callees)
-        if nxt.status != "fixed":
-            break
-        alternates.append(nxt)
-        priors.append(nxt)
+    result = cegis_min(tilde, oracle, cfg.max_cost, budget, callees, cfg.alternates)
     millis = int((time.monotonic() - started) * 1000) if cfg.timing else None
-    report = build_report(tilde, result, alternates, millis)
+    report = build_report(tilde, result, millis)
     return report, tilde
 
 

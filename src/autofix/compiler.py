@@ -71,6 +71,7 @@ import functools
 from . import lang
 from .interp import MAX_CALL_DEPTH, Bounds, helpers
 from .lexer import SourceError
+from .parser import BUILTIN_FUNCS
 from .tilde import ChoiceSite, TildeProgram
 
 # the helper that checks each operation where its operands are not proven
@@ -207,7 +208,7 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
     reaches the cap."""
     cap = bounds.fuel + 1
     loops = 1 << bounds.int_bits  # more than a range of wrapped ints holds
-    builtins = {name for name in ("len", "range") if program.func(name) is None}
+    builtins = {name for name in BUILTIN_FUNCS if program.func(name) is None}
     called = set()
 
     def ticks(node) -> int:
@@ -309,7 +310,7 @@ class _Emitter:
         defines it, a callee unless `name` is the entry, else the program's
         function definition, or None."""
         program = self.program
-        if name in ("len", "range") and program.func(name) is None:
+        if name in BUILTIN_FUNCS and program.func(name) is None:
             return name
         if name != program.entry and name in self.callees:
             return self.callees[name]

@@ -83,21 +83,14 @@ def diff_corrections(tilde: TildeProgram, picks: tuple) -> list:
     return corrections
 
 
-def build_report(
-    tilde: TildeProgram | None,
-    result: RepairResult,
-    alternates: list = (),
-    millis: int | None = None,
-) -> FeedbackReport:
+def build_report(tilde: TildeProgram | None, result: RepairResult,
+                 millis: int | None = None) -> FeedbackReport:
+    """The report of `result` and its alternates."""
     verdict = VERDICTS[result.status]
     corrections = []
     if result.status == "fixed" and tilde is not None:
         corrections = diff_corrections(tilde, result.picks)
-    alt_corrections = [
-        diff_corrections(tilde, alt.picks)
-        for alt in alternates
-        if alt.status == "fixed"
-    ]
+    alt_corrections = [diff_corrections(tilde, alt.picks) for alt in result.alternates]
     stats = {
         "candidates_tested": result.candidates_tested,
         "cexs": result.cexs_used,

@@ -38,6 +38,7 @@ from .eml import (
     meta_kind,
 )
 from .lexer import SourceError
+from .parser import BUILTIN_FUNCS
 from .tilde import Alternative, ChoiceSite, TildeProgram, number_sites
 
 _COMPARE_FAMILY = ("<", ">", "<=", ">=", "==", "!=")
@@ -216,7 +217,7 @@ class _Engine:
             if self.rule_depth > self.depth_limit:
                 raise IllFormedModel("rewrite recursion exceeded the termination bound")
             try:
-                return self.rewrite_node(self._instantiate(tpl.inner, binding, rule))
+                return self.rewrite_node(self._instantiate(tpl.inner, binding, rule, anchor))
             finally:
                 self.rule_depth -= 1
         if isinstance(tpl, ChoiceSet):  # nested: its first element is the default
@@ -234,6 +235,10 @@ class _Engine:
         if isinstance(tpl, OpSet):
             original = binding[tpl.of]
             return self._choice("op", anchor, original, _other_ops(original), rule)
+        if isinstance(tpl, lang.Call) and tpl.func not in BUILTIN_FUNCS:
+            if self.program.func(tpl.func) is None:  # as `parse_imp` checks a program's calls
+                raise SourceError(f"rule {rule.rule_id} calls {tpl.func}(), which the program"
+                                  " does not define", anchor.line, anchor.col)
         if isinstance(tpl, lang.MethodCall) and meta_kind(tpl.obj):
             tpl = lang.with_field(tpl, "obj", binding[tpl.obj].name)
         # a bare s-metavariable binds a statement list, spliced into its block

@@ -5,7 +5,8 @@ compiled choice-site program.  A growing counterexample set screens them
 cheaply; survivors face full bounded verification against the reference,
 and every verification failure contributes a fresh counterexample.  The
 first candidate that survives full verification is the minimal repair, and
-the total order makes the result deterministic.
+the total order makes the result deterministic.  Alternate fixes are the
+next survivors of the same search.
 
 Verification runs in two stages.  A survivor first runs as its pick tuple
 on the choice-site program over the first `ALONE_AFTER` inputs, where
@@ -93,6 +94,7 @@ class RepairResult:
         self.candidates_tested = candidates_tested
         self.max_cost = max_cost
         self.budget_kind = budget_kind
+        self.alternates: list = []  # further fixes, cheapest first (`cegis_min`)
 
 
 class ReferenceOracle:
@@ -101,10 +103,10 @@ class ReferenceOracle:
 
     Programs run compiled (``compiler``): `compile` turns a program or a
     choice-site program into a runner once, and `scan` (on the
-    counterexamples, or a chunk of inputs) and `first_mismatch` (full
-    verification, or a range of it, by chunks) run a candidate as that
-    runner and its pick tuple.  They compare values with ``same``, or with
-    Python's ``!=`` where the runner's ``exact`` says so."""
+    counterexamples) and `first_mismatch` (full verification, or a range
+    of it) run a candidate as that runner and its pick tuple.  They compare
+    values with ``same``, or with Python's ``!=`` where the runner's
+    ``exact`` says so."""
 
     def __init__(self, reference: lang.Program, bounds: Bounds, signature: Signature | None = None):
         self.reference = reference
@@ -129,47 +131,43 @@ class ReferenceOracle:
 
     def first_mismatch(self, run, picks=(), budget=None, start=0, stop=None):
         """Index of the first input of ``inputs[start:stop]`` where the
-        candidate `picks` of the compiled `run` disagrees, or None when they
-        agree on all of them.  With a `budget`, inputs run in chunks of
-        `CHUNK`, each allowed and charged once."""
+        candidate `picks` of the compiled `run` disagrees, or None: `scan`
+        over that range."""
         stop = len(self.inputs) if stop is None else stop
-        step = CHUNK if budget is not None else max(stop - start, 1)
-        for lo in range(start, stop, step):
-            i = self.scan(run, picks, range(lo, min(lo + step, stop)), budget)
-            if i is not None:
-                return i
-        return None
+        return self.scan(run, picks, range(start, stop), budget)
 
     def scan(self, run, picks, indices, budget=None):
         """The first input index of `indices`, tried in their order, where
         the candidate `picks` of `run` disagrees with the reference (any
-        fault counts as disagreement), or None.  A `budget` is checked and
-        charged once, and where it ends within `indices` the run past it is
-        refused."""
-        n = len(indices)
-        if budget is not None and n:
-            allowed = budget.allow(n)
-            if allowed < n:  # the budget ends within these inputs
-                i = self.scan(run, picks, indices[:allowed], budget)
-                return i if i is not None else self.scan(run, picks, indices[allowed:], budget)
+        fault counts as disagreement), or None.  With a `budget`, the
+        indices run in chunks of at most `CHUNK`, each allowed and charged
+        once; where the budget ends within a chunk, the chunk is cut to the
+        runs it has left, so the run past it is refused."""
         inputs = self.inputs
         values = self.values
         exact = run.exact
-        for i in indices:
-            try:
-                value = run(inputs[i], picks)
-            except Fault:
-                break
-            if (value != values[i]) if exact else not same(value, values[i]):
-                break
-        else:
+        n = len(indices)
+        lo = 0
+        while lo < n:
+            hi = n if budget is None else lo + budget.allow(min(CHUNK, n - lo))
+            chunk = indices[lo:hi]
+            for i in chunk:
+                try:
+                    value = run(inputs[i], picks)
+                except Fault:
+                    break
+                if (value != values[i]) if exact else not same(value, values[i]):
+                    break
+            else:
+                if budget is not None:
+                    budget.evals += hi - lo
+                lo = hi
+                continue
             if budget is not None:
-                budget.evals += n
-            return None
-        if budget is not None:
-            # runs are deterministic, so a repeated index fails at its first
-            budget.evals += indices.index(i) + 1
-        return i
+                # runs are deterministic, so a repeated index fails at its first
+                budget.evals += chunk.index(i) + 1
+            return i
+        return None
 
 
 class _BudgetStop(Exception):
@@ -182,22 +180,25 @@ def cegis_min(
     oracle: ReferenceOracle,
     max_cost: int = 5,
     budget: SearchBudget | None = None,
-    blocked=(),
-    blocked_trees=(),
     callees=None,
+    alternates: int = 0,
 ) -> RepairResult:
     """Counterexample-guided minimal repair within the cost cap.  The
     choice-site program is compiled once and a candidate runs as its pick
-    tuple; only the repair, and a survivor verified past `ALONE_AFTER`
-    inputs on its own compiled code, is built as a tree.  Candidates that
-    print alike are not told apart: a text duplicate of a candidate that
-    failed verification is screened out by that candidate's
-    counterexample.  A text duplicate of a prior fix is not, so screening
-    survivors are printed and skipped when their text is in
-    `blocked_trees`.  `blocked` holds the pick tuples of candidates not to
-    be tested."""
+    tuple; only a fix, and a survivor verified past `ALONE_AFTER` inputs on
+    its own compiled code, is built as a tree.
+
+    After a fix the search goes on, in the same order and with the same
+    counterexamples, until `alternates` more fixes are found: the result
+    is the first fix, with its own statistics, and `.alternates` holds the
+    others, cheapest first.  Candidates that print alike are not told
+    apart: a text duplicate of a candidate that failed verification is
+    screened out by that candidate's counterexample, but a text duplicate
+    of a fix is not, so once a fix is found, screening survivors are
+    printed and skipped when their text is a fix's.  A budget that ends
+    after the first fix ends the alternates, and its kind is noted on the
+    result."""
     budget = budget or SearchBudget()
-    blocked = set(blocked)
     run = oracle.compile(tilde, callees)
     scan = oracle.scan
     first_mismatch = oracle.first_mismatch
@@ -208,19 +209,20 @@ def cegis_min(
         head = ALONE_AFTER
     cex_indices: list = []
     tested = 0
+    fixes: list = []  # cheapest first
+    texts = set()  # the fixes' printed programs
+    kind = None  # why the budget stopped the search, if it did
 
     try:
         for picks, cost in enumerate_candidates(tilde, max_cost):
-            if picks in blocked:
-                continue
             tested += 1
             if scan(run, picks, cex_indices, budget) is not None:
                 continue
             winner = None
-            if blocked_trees:
+            if texts:
                 winner = instantiate(tilde, picks)
-                if pretty_program(winner.program) in blocked_trees:
-                    continue  # a text twin of a prior fix
+                if pretty_program(winner.program) in texts:
+                    continue  # a text twin of a fix
             mismatch = first_mismatch(run, picks, budget, stop=head)
             if mismatch is None and head < len(oracle.inputs):
                 winner = winner or instantiate(tilde, picks)
@@ -230,7 +232,7 @@ def cegis_min(
                 cex_indices.append(mismatch)
                 continue
             winner = winner or instantiate(tilde, picks)
-            return RepairResult(
+            fixes.append(RepairResult(
                 status="correct" if cost == 0 else "fixed",
                 picks=picks,
                 cost=cost,
@@ -239,43 +241,16 @@ def cegis_min(
                 cexs_used=len(cex_indices),
                 candidates_tested=tested,
                 max_cost=max_cost,
-            )
+            ))
+            if cost == 0 or len(fixes) > alternates:
+                break
+            texts.add(pretty_program(winner.program))
     except _BudgetStop as stop:
-        return RepairResult(
-            status="budget",
-            cexs_used=len(cex_indices),
-            candidates_tested=tested,
-            max_cost=max_cost,
-            budget_kind=stop.kind,
-        )
-    return RepairResult(
-        status="no_fix",
-        cexs_used=len(cex_indices),
-        candidates_tested=tested,
-        max_cost=max_cost,
-    )
-
-
-def next_alternate(
-    priors: list,
-    tilde: TildeProgram,
-    oracle: ReferenceOracle,
-    max_cost: int = 5,
-    budget: SearchBudget | None = None,
-    callees=None,
-) -> RepairResult:
-    """The next minimal repair once every prior fix is excluded (both the
-    exact selection patterns and their program texts)."""
-    if not priors:
-        raise ValueError("next_alternate needs at least one prior fix")
-    blocked = {p.picks for p in priors}
-    blocked_trees = {pretty_program(p.program) for p in priors if p.program is not None}
-    return cegis_min(
-        tilde,
-        oracle,
-        max_cost=max_cost,
-        budget=budget,
-        blocked=blocked,
-        blocked_trees=blocked_trees,
-        callees=callees,
-    )
+        kind = stop.kind
+    if not fixes:
+        return RepairResult("budget" if kind else "no_fix", cexs_used=len(cex_indices),
+                            candidates_tested=tested, max_cost=max_cost, budget_kind=kind)
+    first = fixes[0]
+    first.budget_kind = kind
+    first.alternates = fixes[1:]
+    return first

@@ -337,6 +337,26 @@ def test_input_space_past_max_inputs_exits_3_with_one_line(monkeypatch, capsys, 
     )
 
 
+def _limit_address_space():
+    import resource  # in the child only: the test process keeps its limits
+
+    resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocation on Linux")
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_a_table_too_large_for_memory_exits_3_with_one_line(mode):
+    # 2**30 + 1 inputs fit --max-inputs but not 300 MB of address space
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    args += ["--int-bits", "30", "--max-list", "1", "--max-inputs", str(10**10)]
+    proc = subprocess.run(CLI + args, capture_output=True, text=True,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (
+        "autofix: 1,073,741,825 inputs at --int-bits 30 --max-list 1 do not fit in memory\n"
+    )
+
+
 def test_a_space_of_empty_lists_runs_at_any_int_width(capsys):
     # the only input is the empty list: no int is listed, however wide
     args = deriv_args(asset("computederiv", "student.imp"))
@@ -359,6 +379,24 @@ def test_extreme_bounds_exit_3_with_one_line_at_once(capsys, bits, max_list, mes
     assert cli.main(args + ["--int-bits", bits, "--max-list", max_list]) == 3
     assert time.monotonic() - started < 1
     assert capsys.readouterr() == ("", f"autofix: {message}\n")
+
+
+def test_a_template_call_of_an_undefined_function_exits_3_with_one_line(tmp_path):
+    model = tmp_path / "foo.eml"
+    model.write_text("rule R: v[a] -> v[{a, foo(a)}]\n")
+    args = ["--ref", asset("computederiv", "reference.imp"), "--model", str(model),
+            "--int-bits", "2", "--max-list", "1", "--max-cost", "2"]
+    proc = run_cli(*args, "--student", asset("computederiv", "student.imp"))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (
+        "autofix: line 7, col 26: rule R calls foo(), which the program does not define\n"
+    )
+    proc = run_cli(*args, "--corpus", asset("computederiv", "corpus"), "--format", "json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    files = json.loads(proc.stdout)["files"]
+    # every submission that indexes a list by a variable reaches the rule
+    flagged = [f for f in files if "foo()" in f.get("error", "")]
+    assert flagged and all(f["verdict"] == "parse-error" for f in flagged)
 
 
 # faults of a model, and the one line each is rejected with when the model
@@ -567,9 +605,9 @@ def test_every_reported_fix_matches_the_reference_under_the_spec(monkeypatch, pr
                                                                  bounds, reported):
     fixes = []
 
-    def keep_fixes(tilde, result, alternates=(), millis=None):
-        fixes.extend(r.program for r in [result, *alternates] if r.status == "fixed")
-        return build_report(tilde, result, alternates, millis)
+    def keep_fixes(tilde, result, millis=None):
+        fixes.extend(r.program for r in [result, *result.alternates] if r.status == "fixed")
+        return build_report(tilde, result, millis)
 
     monkeypatch.setattr(cli, "build_report", keep_fixes)
     bits, max_list = bounds

@@ -501,8 +501,8 @@ def test_bundled_candidates_up_to_cost_2_agree():
             candidate = instantiate(tilde, picks).program
             key = candidate.key()
             assert texts.setdefault(pretty_program(candidate), key) == key
-        # each text has one key: the text fingerprint that blocks prior
-        # fixes in `next_alternate` partitions candidates as `key()` does
+        # each text has one key: the text fingerprint by which `cegis_min`
+        # skips twins of the fixes it found partitions candidates as `key()` does
         assert len(texts) == len(set(texts.values()))
     assert cases > 35_000
     assert fuel_disagreements < cases // 10  # most faults are not at the boundary

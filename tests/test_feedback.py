@@ -168,13 +168,10 @@ def test_round_trip_splice_with_operator_correction(
 
 
 def test_alternates_render_in_report(reverse_student, reverse_model, reverse_ref):
-    from autofix.search import next_alternate
-
     oracle = ReferenceOracle(reverse_ref, Bounds(3, 3))
     tilde = rewrite(reverse_student, reverse_model)
-    first = cegis_min(tilde, oracle, max_cost=4)
-    second = next_alternate([first], tilde, oracle, max_cost=4)
-    report = build_report(tilde, first, [second])
+    first = cegis_min(tilde, oracle, max_cost=4, alternates=1)
+    report = build_report(tilde, first)
     assert len(report.alternates) == 1
     text = render_feedback(report, 4, "text")
     assert "Alternate fix 1" in text

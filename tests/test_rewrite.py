@@ -2,6 +2,7 @@ import pytest
 
 from autofix import lang
 from autofix.eml import ChoiceSet, CorrectionRule, ErrorModel, IllFormedModel, Primed, parse_eml
+from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.printer import pretty_expr, pretty_program
 from autofix.rewrite import rewrite
@@ -213,3 +214,20 @@ def test_an_append_rule_appends_to_the_list_it_matched(deriv_student):
         "site 0 (line 10): {deriv.append((poly_list_int[expo] * expo)) | pass @A:1"
         " | deriv.append(((poly_list_int[expo] * expo) - 1)) @A:1}"
     )
+
+
+def test_a_template_calls_only_functions_the_program_defines():
+    source = "def f_int(x_int):\n    return g_int(x_int)\n\ndef g_int(y_int):\n    return y_int\n"
+    program = parse_imp(source)
+    for rule, line, col in (("rule R: return a -> return {foo(a)}\n", 2, 12),
+                            ("rule R: g_int(a) -> g_int({foo(a), a})\n", 2, 18)):
+        with pytest.raises(SourceError) as err:
+            rewrite(program, parse_eml(rule))
+        assert str(err.value) == (
+            f"line {line}, col {col}: rule R calls foo(), which the program does not define"
+        )
+    # a function of the program and a builtin may be called
+    model = parse_eml("rule R: return a -> return {g_int(a), len(range(a))}\n")
+    (site,) = rewrite(program, model).sites
+    assert [pretty_expr(alt.payload) for alt in site.alternatives[1:]] == [
+        "g_int(g_int(x_int))", "len(range(g_int(x_int)))"]

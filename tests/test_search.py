@@ -21,7 +21,6 @@ from autofix.search import (
     ReferenceOracle,
     SearchBudget,
     cegis_min,
-    next_alternate,
 )
 from autofix.tilde import (
     Alternative,
@@ -107,13 +106,12 @@ def test_single_fix_then_alternates_exhaust():
     model = parse_eml("rule OpF: a0 - a1 -> a0 + a1\n")
     oracle = ReferenceOracle(ref, Bounds(3, 0))
     tilde = rewrite(student, model)
-    first = cegis_min(tilde, oracle, max_cost=5)
+    first = cegis_min(tilde, oracle, max_cost=5, alternates=1)
     assert first.status == "fixed" and first.cost == 1
-    second = next_alternate([first], tilde, oracle, max_cost=5)
-    assert second.status == "no_fix"
+    assert first.alternates == []
 
 
-def test_next_alternate_skips_text_twins_of_prior_fixes():
+def test_alternates_skip_text_twins_of_prior_fixes():
     # SwapF's whole-node alternative and OpF's operator site print the same
     # program, so the first fix has a twin that is a fix too; the alternate
     # must be RetF's, distinct in text
@@ -126,7 +124,7 @@ def test_next_alternate_skips_text_twins_of_prior_fixes():
     )
     oracle = ReferenceOracle(ref, Bounds(3, 0))
     tilde = rewrite(student, model)
-    first = cegis_min(tilde, oracle)
+    first = cegis_min(tilde, oracle, alternates=2)
     assert first.status == "fixed" and first.cost == 1
     text = pretty_program(first.program)
     twins = [
@@ -134,19 +132,17 @@ def test_next_alternate_skips_text_twins_of_prior_fixes():
         if candidate.active != first.active and pretty_program(candidate.program) == text
     ]
     assert len(twins) == 1 and find_counterexample(twins[0].program, oracle) is None
-    second = next_alternate([first], tilde, oracle)
+    [second] = first.alternates  # and no third
     assert second.status == "fixed" and second.cost == 2
     assert pretty_program(second.program) != text
-    assert next_alternate([first, second], tilde, oracle).status == "no_fix"
 
 
 def test_alternates_are_distinct(reverse_student, reverse_model, reverse_ref):
     oracle = ReferenceOracle(reverse_ref, Bounds(3, 3))
     tilde = rewrite(reverse_student, reverse_model)
-    first = cegis_min(tilde, oracle, max_cost=4)
-    second = next_alternate([first], tilde, oracle, max_cost=4)
-    third = next_alternate([first, second], tilde, oracle, max_cost=4)
-    fixes = [first, second, third]
+    first = cegis_min(tilde, oracle, max_cost=4, alternates=2)
+    fixes = [first, *first.alternates]
+    assert len(fixes) == 3 and [f.cost for f in fixes] == sorted(f.cost for f in fixes)
     assert all(f.status == "fixed" for f in fixes)
     assert len({f.active for f in fixes}) == 3
     assert len({pretty_program(f.program) for f in fixes}) == 3
@@ -390,16 +386,20 @@ class Refused(Exception):
     """The per-input budget refused a run."""
 
 
-def per_input_search(tilde, oracle, max_cost=5, max_evals=None, blocked=(), blocked_trees=()):
+def per_input_search(tilde, oracle, max_cost=5, max_evals=None, alternates=0):
     """`cegis_min` with one runner and the evaluation budget checked before
     every run: ((status, budget kind, cost, candidates tested,
-    counterexamples, evaluations), [(pick tuple, evaluations before) per
-    verification])."""
+    counterexamples, evaluations, (cost, pick tuple) per fix), [(pick
+    tuple, evaluations before) per verification]).  It goes on after a fix
+    until `alternates` more are found, skipping text twins of the fixes."""
     run = oracle.compile(tilde)
     evals = 0
     cexs = []
     tested = 0
     verified = []
+    fixes = []  # (status, cost, pick tuple, candidates tested, counterexamples)
+    texts = set()
+    kind = None
 
     def first_failure(picks, indices):
         nonlocal evals
@@ -417,27 +417,34 @@ def per_input_search(tilde, oracle, max_cost=5, max_evals=None, blocked=(), bloc
 
     try:
         for picks, cost in enumerate_candidates(tilde, max_cost):
-            if picks in blocked:
-                continue
             tested += 1
             if first_failure(picks, cexs) is not None:
                 continue
-            if blocked_trees and pretty_program(instantiate(tilde, picks).program) in blocked_trees:
+            text = pretty_program(instantiate(tilde, picks).program)
+            if text in texts:
                 continue
             verified.append((picks, evals))
             mismatch = first_failure(picks, range(len(oracle.inputs)))
-            if mismatch is None:
-                status = "correct" if cost == 0 else "fixed"
-                return (status, None, cost, tested, len(cexs), evals), verified
-            cexs.append(mismatch)
+            if mismatch is not None:
+                cexs.append(mismatch)
+                continue
+            fixes.append(("correct" if cost == 0 else "fixed", cost, picks, tested, len(cexs)))
+            if cost == 0 or len(fixes) > alternates:
+                break
+            texts.add(text)
     except Refused:
-        return ("budget", "evals", 0, tested, len(cexs), evals), verified
-    return ("no_fix", None, 0, tested, len(cexs), evals), verified
+        kind = "evals"
+    found = tuple((cost, picks) for _, cost, picks, _, _ in fixes)
+    if not fixes:
+        return ("budget" if kind else "no_fix", kind, 0, tested, len(cexs), evals, found), verified
+    status, cost, _, tested, cexs_used = fixes[0]
+    return (status, kind, cost, tested, cexs_used, evals, found), verified
 
 
 def outcome(result, budget):
+    found = tuple((r.cost, r.picks) for r in [result, *result.alternates] if r.picks is not None)
     return (result.status, result.budget_kind, result.cost, result.candidates_tested,
-            result.cexs_used, budget.evals)
+            result.cexs_used, budget.evals, found)
 
 
 def test_budget_stops_at_the_same_run_as_a_check_before_every_run(deriv_ref, deriv_student,
@@ -445,7 +452,7 @@ def test_budget_stops_at_the_same_run_as_a_check_before_every_run(deriv_ref, der
     oracle = ReferenceOracle(deriv_ref, Bounds(4, 3))
     assert len(oracle.inputs) >= 5 * ALONE_AFTER  # the passing survivor finishes alone
     tilde = rewrite(deriv_student, deriv_model)
-    (*_, total), verified = per_input_search(tilde, oracle)
+    (*_, total, _), verified = per_input_search(tilde, oracle)
     starts = [before for _, before in verified]
     last = starts[-1]  # the verification that passes
     sweep = {0, 1, 2, total - 1, total, total + 1}
@@ -461,6 +468,33 @@ def test_budget_stops_at_the_same_run_as_a_check_before_every_run(deriv_ref, der
         result = cegis_min(tilde, oracle, 5, budget)
         want, _ = per_input_search(tilde, oracle, max_evals=max_evals)
         assert outcome(result, budget) == want, max_evals
+
+
+def test_scan_allows_and_charges_the_budget_once_per_chunk():
+    reference = parse_imp("def f_int(x_int, y_int, z_int):\n    return 0\n")
+    oracle = ReferenceOracle(reference, Bounds(4, 0))
+    run = oracle.compile(reference)
+    n = len(oracle.inputs)
+    asked = []
+
+    class Counted(SearchBudget):
+        def allow(self, runs):
+            asked.append(runs)
+            return super().allow(runs)
+
+    budget = Counted()
+    assert oracle.first_mismatch(run, budget=budget, start=1) is None
+    chunks = -(-(n - 1) // CHUNK)
+    assert asked == [CHUNK] * (chunks - 1) + [(n - 1) - CHUNK * (chunks - 1)]
+    assert budget.evals == n - 1
+    # a budget that ends inside a chunk cuts it to the 5 runs left, and
+    # refuses (and counts) the next
+    asked.clear()
+    budget = Counted(max_evals=CHUNK + 5)
+    with pytest.raises(Exception) as stop:
+        oracle.scan(run, (), range(n), budget)
+    assert stop.value.kind == "evals" and budget.evals == CHUNK + 5 + 1
+    assert asked == [CHUNK] * 3
 
 
 def test_a_survivor_failing_first_at_any_input_yields_that_counterexample():
@@ -486,27 +520,46 @@ def test_a_survivor_failing_first_at_any_input_yields_that_counterexample():
         assert result.status == "fixed" and verified[0][0] == (0,) * len(tilde.sites)
 
 
+def test_budget_stops_the_alternates_search_at_the_same_run_as_a_check_before_every_run():
+    tilde, oracle = reverse_search(Bounds(4, 3))
+    assert len(oracle.inputs) >= 5 * ALONE_AFTER
+    (*_, total, found), verified = per_input_search(tilde, oracle, alternates=3)
+    assert len(found) == 4
+    starts = [before for _, before in verified]
+    sweep = {0, 1, total - 1, total, total + 1}
+    sweep |= {start + d for start in starts for d in (-1, 0, 1, CHUNK, ALONE_AFTER + 1)}
+    sweep |= {(a + b) // 2 for a, b in zip(starts, starts[1:])}
+    for max_evals in sorted(sweep):
+        budget = SearchBudget(max_evals=max_evals)
+        result = cegis_min(tilde, oracle, 5, budget, alternates=3)
+        want, _ = per_input_search(tilde, oracle, max_evals=max_evals, alternates=3)
+        assert outcome(result, budget) == want, max_evals
+
+
 def bundled_searches():
-    """(choice-site program, oracle, blocked pick tuples, blocked texts) for
-    every search the bundled workloads make: computeDeriv's student and
-    corpus, and array-reverse's student with one alternate."""
+    """(choice-site program, oracle, alternates) for every search the
+    bundled workloads make: computeDeriv's student and corpus, and
+    array-reverse's student with one alternate."""
     deriv = parse_imp(read("computederiv", "reference.imp"))
     deriv_model = parse_eml(read("computederiv", "model.eml"))
     oracle = ReferenceOracle(deriv, Bounds(4, 3))
-    yield rewrite(parse_imp(read("computederiv", "student.imp")), deriv_model), oracle, (), ()
+    yield rewrite(parse_imp(read("computederiv", "student.imp")), deriv_model), oracle, 0
     oracle = ReferenceOracle(deriv, Bounds(3, 3))
     for path in sorted(glob.glob(os.path.join(ASSETS, "computederiv", "corpus", "*.imp"))):
         try:
             program = parse_imp(read(path))
         except SourceError:
             continue  # the corpus holds one unparseable submission
-        yield rewrite(program, deriv_model), oracle, (), ()
-    oracle = ReferenceOracle(parse_imp(read("arrayreverse", "reference.imp")), Bounds(4, 3))
+        yield rewrite(program, deriv_model), oracle, 0
+    yield (*reverse_search(Bounds(4, 3)), 1)
+
+
+def reverse_search(bounds):
+    """Array-reverse's student rewritten, and the reference's oracle."""
+    oracle = ReferenceOracle(parse_imp(read("arrayreverse", "reference.imp")), bounds)
     tilde = rewrite(parse_imp(read("arrayreverse", "student.imp")),
                     parse_eml(read("arrayreverse", "model.eml")))
-    first = cegis_min(tilde, oracle)
-    yield tilde, oracle, (), ()
-    yield tilde, oracle, {first.picks}, {pretty_program(first.program)}
+    return tilde, oracle
 
 
 def assert_runners_agree(tilde, oracle, run, picks, starts):
@@ -521,10 +574,11 @@ def assert_runners_agree(tilde, oracle, run, picks, starts):
 
 def test_bundled_survivors_fail_first_at_the_same_input_on_both_runners():
     survivors = 0
-    for tilde, oracle, blocked, blocked_trees in bundled_searches():
-        want, verified = per_input_search(tilde, oracle, 5, None, blocked, blocked_trees)
+    for tilde, oracle, alternates in bundled_searches():
+        want, verified = per_input_search(tilde, oracle, 5, None, alternates)
         budget = SearchBudget()
-        assert outcome(cegis_min(tilde, oracle, 5, budget, blocked, blocked_trees), budget) == want
+        result = cegis_min(tilde, oracle, 5, budget, alternates=alternates)
+        assert outcome(result, budget) == want
         run = oracle.compile(tilde)
         for picks, _ in verified:
             assert_runners_agree(tilde, oracle, run, picks, (0, min(ALONE_AFTER, len(oracle.inputs))))
