@@ -26,25 +26,30 @@ proven list or tuple not checked, a list is sliced by Python with its int
 ends clamped at 0, ``for`` iterates a ``range`` of one or two ints directly,
 and constants fold.  What can fail on proven types stays checked: index
 bounds, division by zero, negative exponents, ``range``'s step, fuel.
-Operands are still evaluated once, left to right.  The entry's return type,
-the join over its ``return`` statements in every alternative, comes with
-the runner (``run.returns``); where it and the reference's join to an
-exact type (`_exact`), ``run.exact`` lets the search compare results with
-Python's ``!=``.
+Where no run can exhaust its fuel, two more go: the bounds check of
+``v[i]`` in a loop ``for i in range([k,] len(v))`` (`_Emitter.in_range`),
+and the wrap of ``len`` of an entry list parameter that is never stored,
+while no input list is longer than the largest int.  Operands are still
+evaluated once, left to right.  The entry's return type, the join over its
+``return`` statements in every alternative, comes with the runner
+(``run.returns``); where it and the reference's join to an exact type
+(`_exact`), ``run.exact`` lets the search compare results with Python's
+``!=``.
 
 Choice sites.  A choice-site program (``TildeProgram``) is compiled once for
 the whole search; a candidate is its pick tuple, one alternative index per
 site, passed with each input.  The picks are unpacked into one variable per
-site, ``_s<id>``, and each site becomes a branch on it: an expression site a
-chain of conditional expressions, an operator site an index into the tuple
-of its operators' helpers, a statement or block site an ``if``/``elif``
-chain whose branches hold the alternative's statements (a list payload is
-spliced there, an empty one leaves the branch empty), and an assignment
-target site a chain of stores of the value computed once.  Code for every
-alternative is emitted, also inside alternatives the pick leaves unused, so
-a variable assigned in any alternative is a local of its ``def``; reading it
-before any assignment raises ``NameError``, a ``TypeMismatch`` as in the
-spec.
+site, ``_s<id>``, a local of the entry wherever no run can exhaust its fuel
+(else a variable of the closure), and each site becomes a branch on it: an
+expression site a chain of conditional expressions, an operator site an
+index into the tuple of its operators' helpers, a statement or block site
+an ``if``/``elif`` chain whose branches hold the alternative's statements
+(a list payload is spliced there, an empty one leaves the branch empty),
+and an assignment target site a chain of stores of the value computed
+once.  Code for every alternative is emitted, also inside alternatives the
+pick leaves unused, so a variable assigned in any alternative is a local of
+its ``def``; reading it before any assignment raises ``NameError``, a
+``TypeMismatch`` as in the spec.
 
 Fuel.  A statement is charged its static tick count when it starts: its own
 tick plus one per expression node that always runs.  The right operand of
@@ -61,7 +66,10 @@ two reports ``FuelExhausted``.  All of this fuel code is emitted only where
 a run can exhaust the fuel: `_survey` bounds the ticks that a run of the
 program spends, for any pick tuple, and where the bound is at most the fuel
 no charge and no check is emitted.  A program with a ``while``, a call of a
-function, or a ``for`` over anything but ``range(...)`` has no bound.
+function, or a ``for`` over anything but ``range(...)`` has no bound.  Only
+a program with fuel code has a wrapper around its entry, which sets and
+checks the counter; elsewhere nothing calls the entry, and its ``def`` is
+the runner.
 """
 
 from __future__ import annotations
@@ -102,7 +110,8 @@ class Compiler:
         alternative indices, one per site.  ``callees`` maps helper names to
         the ``FuncDef`` that calls of them run (not the entry's own calls).
         With a `signature` (``inputs.Signature``), `run` may only be given
-        inputs of its types, and the entry's parameters take them.
+        inputs of its types within the bounds, and the entry's parameters
+        take them.
         ``run.returns`` is the static type of every value `run` returns,
         for every pick tuple, and ``run.exact`` whether Python's ``==`` is
         ``same`` between them and the values of `reference_type`, the
@@ -257,42 +266,51 @@ class _Emitter:
         self.fueled = ticks > bounds.fuel  # else no run can exhaust its fuel
         # the entry's parameters take the types its inputs are drawn from,
         # unless a call may give it other arguments
-        arity = len(program.entry_func().params)
-        if signature is None or calls_entry or signature.arity() != arity:
+        entry = program.entry_func()
+        if signature is None or calls_entry or signature.arity() != len(entry.params):
             self.entry_types = None
         else:
             self.entry_types = [_SEM_TYPES[sem] for _, sem in signature.params]
+        # an input list is no longer than the largest int, so the length of
+        # an entry list parameter that is never stored needs no wrap
+        self.short_lists = set()
+        if self.entry_types and not self.fueled and bounds.max_list_len <= bounds.int_hi:
+            stored = lang.stored(entry.body)
+            self.short_lists = {f"v_{p}" for p, t in zip(entry.params, self.entry_types)
+                                if t[0] == "[" and p not in stored}
         self.vars = {}  # variable of the function being emitted -> type
         self.changed = False  # whether a store widened a variable's type
         self.func_returns = ""  # join of the types the function being emitted returns
         self.returns = ""  # the entry's return type
+        self.ranged = set()  # (list, index) codes of variables whose index is in range
 
     def source(self) -> str:
         entry = self.program.entry_func()
         run = self.func_name(entry)
         while self.pending:
             self.function(self.pending.pop(0))
+        if not self.fueled:  # the entry is the runner
+            return "\n".join(["def _make():", *self.preamble.values(), *self.lines,
+                              f"    return {run}\n"])
         picks = [f"_s{i}" for i in range(self.sites)]
-        fuel = self.fueled
-        cells = ["_fuel"] * fuel + picks
         lines = [  # a line that is falsy is left out
             "def _make():",
-            fuel and "    _fuel = 0",
+            "    _fuel = 0",
             picks and f"    {' = '.join(picks)} = 0",
             *self.preamble.values(),
             *self.lines,
             "    def _run(_args, _picks=()):",
-            cells and f"        nonlocal {', '.join(cells)}",
+            f"        nonlocal {', '.join(['_fuel'] + picks)}",
             f"        if len(_args) != {len(entry.params)}:",
             "            raise Fault('TypeMismatch')",
             picks and f"        {', '.join(picks)}, = _picks",
-            fuel and f"        _fuel = {self.bounds.fuel}",
+            f"        _fuel = {self.bounds.fuel}",
             "        try:",
             f"            value = {run}(*_args, 1)",
             "        except NameError:",  # a variable read before any assignment
             "            raise Fault('TypeMismatch') from None",
-            fuel and "        if _fuel < 0:",
-            fuel and "            raise Fault('FuelExhausted')",
+            "        if _fuel < 0:",
+            "            raise Fault('FuelExhausted')",
             "        return value",
             "    return _run",
         ]
@@ -319,7 +337,8 @@ class _Emitter:
     def function(self, func: lang.FuncDef):
         """One ``def``, emitted until no store widens a variable's type: the
         code kept, and the entry's return type, come from the pass with
-        every variable's final type."""
+        every variable's final type.  Where no run can exhaust its fuel,
+        nothing calls a function, and the entry is the runner."""
         # like dict(zip(params, args)): a repeated parameter takes the last argument
         params = [
             f"v_{p}" if p not in func.params[i + 1 :] else f"_unused{i}"
@@ -327,6 +346,7 @@ class _Emitter:
         ]
         entry = func is self.program.entry_func()
         types = self.entry_types if entry else None
+        runner = entry and not self.fueled
         self.vars = dict(zip(func.params, types or ["?"] * len(params)))
         start = len(self.lines)
         self.changed = True
@@ -334,13 +354,25 @@ class _Emitter:
             del self.lines[start:]
             self.changed = False
             self.func_returns = ""
-            self.emit(1, f"def {self.func_name(func)}({', '.join(params + ['_d'])}):")
-            if self.fueled:  # else nothing calls a function
+            if runner:  # its arguments and the picks are its locals
+                self.emit(1, f"def {self.func_name(func)}(_args, _picks=()):")
+                self.emit(2, f"if len(_args) != {len(params)}:")
+                self.emit(3, "raise Fault('TypeMismatch')")
+                picks = [f"_s{i}" for i in range(self.sites)]
+                for names, values in ((params, "_args"), (picks, "_picks")):
+                    if names:
+                        self.emit(2, f"{', '.join(names)}, = {values}")
+                self.emit(2, "try:")
+            else:
+                self.emit(1, f"def {self.func_name(func)}({', '.join(params + ['_d'])}):")
                 self.emit(2, "nonlocal _fuel")
                 self.emit(2, f"if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
                 self.emit(3, "raise Fault('FuelExhausted')")
-            self.block(func.body, 2)
-            self.emit(2, "raise Fault('NoReturn')")
+            self.block(func.body, 2 + runner)
+            self.emit(2 + runner, "raise Fault('NoReturn')")
+            if runner:
+                self.emit(2, "except NameError:")  # a variable read before any assignment
+                self.emit(3, "raise Fault('TypeMismatch') from None")
         if entry:
             self.returns = self.func_returns
 
@@ -486,7 +518,10 @@ class _Emitter:
             self.bind(stmt.var, _element(t))
             self.charge(depth + 1, 1)
             self.check_fuel(depth + 1)
+            pair = self.in_range(stmt)
+            self.ranged.add(pair)
             self.block(stmt.body, depth + 1)
+            self.ranged.discard(pair)
         elif cls is lang.Return:
             value, ticks, t = self.expr(stmt.value)
             self.func_returns = _join(self.func_returns, t)
@@ -498,6 +533,29 @@ class _Emitter:
                 self.emit(depth, "pass")
         else:
             raise TypeError(f"cannot compile {stmt!r}")
+
+    def in_range(self, loop: lang.ForIn):
+        """The codes of `v` and `i` if `loop` is ``for i in range([k,]
+        len(v))``, `v` a proven list, `k` a constant of at least 0, and no
+        alternative in the body stores `i` or `v`: then ``v[i]`` is in range
+        there, as a wrapped length is never more than the true one.  Where
+        no run can exhaust its fuel, ``range`` and ``len`` are builtins."""
+        it = loop.iterable
+        args = it.args if type(it) is lang.Call and it.func == "range" and not self.fueled else ()
+        if len(args) not in (1, 2):
+            return None
+        *start, n = args
+        if start and (type(start[0]) is not lang.IntLit
+                      or _constant(self.constant(start[0].value)) < 0):
+            return None
+        if type(n) is not lang.Call or n.func != "len" or [type(a) for a in n.args] != [lang.Var]:
+            return None
+        v = n.args[0].name
+        if v == loop.var or self.vars.get(v, "")[:1] != "[":
+            return None
+        if {v, loop.var} & lang.stored(loop.body):
+            return None
+        return f"v_{v}", f"v_{loop.var}"
 
     def store(self, target, value: str, t: str):
         """Lines that store `value`, of type `t`, into `target`, and the
@@ -553,8 +611,10 @@ class _Emitter:
             ticks += 1 + base_ticks
             if not _is_seq(t):
                 return f"_index(_seq({base}), {index})", ticks, "?"
-            if index_type == "int" and all(c.isidentifier() or _constant(c) is not None
-                                           for c in (base, index)):
+            if (base, index) in self.ranged:
+                code = f"{base}[{index}]"
+            elif index_type == "int" and all(c.isidentifier() or _constant(c) is not None
+                                             for c in (base, index)):
                 code = f"({base}[{index}] if 0 <= {index} < len({base}) else _out_of_range())"
             else:
                 code = f"_index({base}, {index})"
@@ -647,7 +707,8 @@ class _Emitter:
         callee = self.resolve(node.func)
         if callee == "len":
             if len(types) == 1 and _is_seq(types[0]):
-                return self.wrap(f"len({args})"), ticks, "int"
+                code = f"len({args})"
+                return code if args in self.short_lists else self.wrap(code), ticks, "int"
             return f"_len({args})", ticks, "int"
         if callee == "range":  # the 3-argument form checks its step
             if len(types) in (1, 2) and all(t == "int" for t in types):

@@ -208,6 +208,39 @@ def walk(node):
         yield from walk(child)
 
 
+def stored(node) -> set:
+    """Names of the variables a fragment may store to: assignment targets
+    (an indexed target's variable), appended lists and loop variables,
+    inside every alternative of a choice site (a node with
+    ``alternatives``) too."""
+    names = set()
+
+    def target(node):
+        while type(node) is Index:
+            node = node.base
+        if type(node) is Var:
+            names.add(node.name)
+        for alt in getattr(node, "alternatives", ()):
+            target(alt.payload)
+
+    def visit(node):
+        cls = type(node)
+        if cls is Assign or cls is AugAssign:
+            target(node.target)
+        elif cls is MethodCall:
+            names.add(node.obj)
+        elif not isinstance(node, Expr):  # an expression stores nothing
+            if cls is ForIn:
+                names.add(node.var)
+            for alt in getattr(node, "alternatives", ()):
+                visit(alt.payload)
+            for child in children(node):
+                visit(child)
+
+    visit(node)
+    return names
+
+
 def size(node) -> int:
     """Number of syntax-tree nodes in a fragment (statements included).  A
     loop variable counts as a node; a program or a list is not one."""

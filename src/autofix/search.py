@@ -12,10 +12,10 @@ Verification runs in two stages.  A survivor first runs as its pick tuple
 on the choice-site program over the first `ALONE_AFTER` inputs, where
 failing survivors fail.  When at least four times as many inputs remain,
 one that still passes is built as a program, compiled on its own and run
-on the rest, which costs about a millisecond and runs each input faster.
-Both runners give the same values and faults, so the first mismatch, and
-with it every counterexample, is the same.  With fewer inputs the
-choice-site program verifies them all.
+on the rest, which costs about half a millisecond and runs each input
+faster.  Both runners give the same values and faults, so the first
+mismatch, and with it every counterexample, is the same.  With fewer
+inputs the choice-site program verifies them all.
 
 The budget (`SearchBudget`) is charged once per chunk of `CHUNK` inputs,
 and once per candidate screened, not once per run.  It still stops the
@@ -44,7 +44,7 @@ from .tilde import TildeProgram, enumerate_candidates, instantiate
 
 # Inputs a survivor is verified on as its pick tuple before it is compiled
 # alone for the rest, when at least four times as many remain: a compile
-# costs about 1 ms, and each input then runs about 0.6 us faster.
+# costs about 0.5 ms, and each input then runs about 0.6 us faster.
 ALONE_AFTER = 512
 # Inputs run per charge of the budget in full verification.
 CHUNK = 256

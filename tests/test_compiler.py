@@ -932,6 +932,279 @@ def test_a_program_that_can_exhaust_its_fuel_keeps_every_charge_and_check(name):
     assert tick_bound(parse_imp(source)) > fuel
 
 
+# -- the runner where no run can exhaust its fuel -----------------------------
+#
+# There the entry's own `def` is the runner: it checks the arity, unpacks
+# the arguments and the picks into its locals and runs the body under one
+# `try`, which turns a read before assignment into a TypeMismatch.
+
+
+def test_the_runner_checks_its_arity_and_reads_before_assignment():
+    program = parse_imp(
+        "def f_int(x_int, y_int):\n    if x_int > 0:\n        z = y_int\n    return z + 1\n"
+    )
+    for signature in (None, parse_signature(program.entry_func())):
+        run = COMPILERS[300].compile(program, signature=signature)
+        assert fuel_free(run) and run.__code__.co_varnames[:2] == ("_args", "_picks")
+        for args in [(), (1,), (1, 2, 3)]:
+            with pytest.raises(Fault) as wrong:
+                run(args)
+            assert wrong.value.kind == "TypeMismatch"
+        assert run((1, 2)) == 3
+        with pytest.raises(Fault) as unbound:
+            run((0, 2))  # `z` read before any assignment
+        assert unbound.value.kind == "TypeMismatch"
+        assert run.returns == "int" and run.exact is False  # the reference's type is unknown
+        exact = COMPILERS[300].compile(program, signature=signature, reference_type="int")
+        assert exact.returns == "int" and exact.exact is True
+
+
+def test_consecutive_runs_with_different_picks_return_their_own_values(deriv_student, deriv_model):
+    tilde = rewrite(deriv_student, deriv_model)
+    compiler = Compiler(Bounds(4, 3))  # its fuel is above the program's 1,111 ticks
+    signature = parse_signature(deriv_student.entry_func())
+    runs = [compiler.compile(tilde, signature=signature), compiler.compile(tilde)]
+    assert all(map(fuel_free, runs))
+    candidates = [picks for picks, _ in enumerate_candidates(tilde, 1)]
+    args = ((1, -2, 3),)
+    want = {picks: evaluate(instantiate(tilde, picks).program, args, compiler.bounds)
+            for picks in candidates}
+    assert len({repr(result) for result in want.values()}) > 3
+    default = tilde.defaults()
+    for picks in candidates:  # each candidate between two runs of the unchanged program
+        for each in (default, picks, default):
+            for run in runs:
+                assert_agree(None, args, compiler, run=run, picks=each, want=want[each])
+
+
+def test_the_deepest_parsed_program_compiles_with_no_fuel_code():
+    # 16 nested loops, the parser's limit, inside the runner's `try`: 17 of
+    # the 20 blocks Python's compiler nests statically
+    source = "def f_int(x_int):\n"
+    for depth in range(16):
+        source += "    " * (depth + 1) + f"for k{depth} in range(x_int):\n"
+    source += "    " * 17 + "return x_int + 1\n    return 0\n"
+    program = parse_imp(source)
+    tilde = rewrite(program, parse_eml("rule LitF: 1 -> {2, 0}\n"))
+    assert len(tilde.sites) == 1
+    compiler = Compiler(Bounds(4, 0, fuel=10**30))
+    signature = parse_signature(program.entry_func())
+    run, sites = (compiler.compile(p, signature=signature) for p in (program, tilde))
+    assert fuel_free(run) and fuel_free(sites)
+    for x in (-3, 0, 1, 3):
+        assert_agree(program, (x,), compiler, run=run)
+        assert sites((x,), (1,)) == (0 if x < 1 else x + 2)  # `1` picked as `2`
+
+
+# -- facts the analysis proves ------------------------------------------------
+#
+# Where no run can exhaust its fuel, two checks go: `v[i]` in the body of
+# `for i in range([k,] len(v))` is in range when `v` is a proven list, `k` a
+# constant of at least 0 and nothing in the body (in any alternative) stores
+# `i` or `v`; and `len` of an entry list parameter that the function never
+# stores needs no wrap while no input list is longer than the largest int.
+
+LOOP = ("def f_int(xs_list_int, n_int):\n    s = 0\n    ys = xs_list_int + [1]\n"
+        "    for i in {iterable}:\n        s += {read}\n{body}    return s\n")
+
+
+def emitted(source: str, bounds=Bounds(4, 3, fuel=10**6), signed=True, site=None) -> str:
+    """The emitted source of `source`, with its signature if `signed`;
+    `site` may turn the program's root into a choice-site program."""
+    program = parse_imp(source)
+    sites = 0
+    if site is not None:
+        program, sites = site(program), 1
+    signature = parse_signature(program.entry_func()) if signed else None
+    return compiler_module._Emitter(program, {}, bounds, sites, signature).source()
+
+
+def store_in_one_alternative(store: str):
+    """Puts a statement site before the loop body's last statement, whose
+    alternatives are `pass` and `store`."""
+    def site(program):
+        loop = next(s for s in program.functions[0].body if type(s) is lang.ForIn)
+        other = parse_imp(f"def g(xs_list_int):\n    {store}\n    return 0\n").functions[0].body[0]
+        loop.body.insert(0, mixed_site("stmt", lang.Pass(), [other]))
+        number_sites(TildeProgram(program))
+        return program
+    return site
+
+
+PLAIN_INDEX = "v_xs_list_int[v_i]"
+IN_RANGE = [  # iterable, the read, further statements of the body, kwargs of `emitted`
+    ("range(len(xs_list_int))", "xs_list_int[i]", "", {}),
+    ("range(0, len(xs_list_int))", "xs_list_int[i]", "", {}),
+    ("range(2, len(xs_list_int))", "xs_list_int[i]", "", {}),
+    ("range(len(ys))", "ys[i]", "", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "        n_int = xs_list_int[i]\n", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "",
+     {"site": store_in_one_alternative("n_int = 2")}),
+]
+CHECKED_INDEX = [
+    ("range(9, len(xs_list_int))", "xs_list_int[i]", "", {}),  # 9 wraps to -7 at 4 bits
+    ("range(0 - 1, len(xs_list_int))", "xs_list_int[i]", "", {}),
+    ("range(1 - 1, len(xs_list_int))", "xs_list_int[i]", "", {}),  # a literal only
+    ("range(len(ys))", "xs_list_int[i]", "", {}),
+    ("range(len(xs_list_int) - 1)", "xs_list_int[i]", "", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "        xs_list_int.append(1)\n", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "        xs_list_int[0] = 1\n", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "        xs_list_int = [1, 2, 3, 4]\n", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "        i = 0\n", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "        i += 1\n", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]",
+     "        for i in range(2):\n            pass\n", {}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "",
+     {"site": store_in_one_alternative("xs_list_int = []")}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "",
+     {"site": store_in_one_alternative("xs_list_int.append(1)")}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "",
+     {"site": store_in_one_alternative("i = 3")}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "", {"signed": False}),  # not a proven list
+    ("range(len(xs_list_int))", "xs_list_int[i]", "", {"bounds": Bounds(4, 3, fuel=10)}),
+]
+
+
+@pytest.mark.parametrize("iterable,read,body,kwargs", IN_RANGE + CHECKED_INDEX)
+def test_an_index_check_goes_exactly_where_the_loop_proves_it(iterable, read, body, kwargs):
+    source = LOOP.format(iterable=iterable, read=read, body=body)
+    code = emitted(source, **kwargs)
+    base, index = read[:-1].split("[")
+    plain = f"v_{base}[v_{index}]"
+    checked = f"({plain} if 0 <= v_{index} < len(v_{base}) else _out_of_range())"
+    if (iterable, read, body, kwargs) in IN_RANGE:
+        assert plain in code and "_out_of_range" not in code and "_index" not in code
+    else:
+        assert checked in code or f"_index(_seq(v_{base}), v_{index})" in code
+    # after the loop the index is checked again
+    after = emitted(source.replace("return s\n", f"return {read}\n"), **kwargs)
+    assert "_out_of_range" in after or "_index(" in after
+
+
+LENGTH = "def f_int(xs_list_int, n_int):\n{body}    return len(xs_list_int)\n"
+SHORT = [  # the body, kwargs of `emitted`
+    ("", {}),
+    ("    n_int = len(xs_list_int + xs_list_int)\n", {}),
+    ("    ys = xs_list_int\n    ys.append(1)\n", {}),
+    ("", {"bounds": Bounds(4, 7, fuel=10**6)}),
+    ("", {"bounds": Bounds(3, 3, fuel=10**6)}),
+]
+WRAPPED = [
+    ("    xs_list_int = xs_list_int + xs_list_int\n", {}),
+    ("    xs_list_int.append(1)\n", {}),
+    ("    xs_list_int[0] = 1\n", {}),
+    ("    for n_int in range(2):\n        xs_list_int = [n_int]\n", {}),
+    ("    for n_int in range(2):\n        pass\n",
+     {"site": store_in_one_alternative("xs_list_int = [1]")}),
+    ("", {"bounds": Bounds(4, 8, fuel=10**6)}),  # a list of 8 is longer than 7
+    ("", {"bounds": Bounds(3, 4, fuel=10**6)}),
+    ("", {"bounds": Bounds(4, 3, fuel=1)}),  # where the fuel may run out
+]
+
+
+@pytest.mark.parametrize("body,kwargs", SHORT + WRAPPED)
+def test_a_length_wrap_goes_exactly_where_the_parameter_is_never_stored(body, kwargs):
+    code = emitted(LENGTH.format(body=body), **kwargs)
+    wrapped = "((len(v_xs_list_int) + "
+    assert (wrapped not in code) == ((body, kwargs) in SHORT)
+    assert "return len(v_xs_list_int)" in code or f"return {wrapped}" in code
+    assert "_len(" in emitted(LENGTH.format(body=body), **{**kwargs, "signed": False})
+
+
+@st.composite
+def length_loops(draw):
+    """``for i in range([k,] len(v))`` whose body reads ``v[i]`` and may
+    append to `v`, store into it, rebind it or rebind `i`, directly, under an
+    ``if`` or in one alternative of a site."""
+    v, i = draw(st.sampled_from(LIST_VARS)), draw(st.sampled_from(INT_VARS))
+    # no start, starts that wrap to at least 0 and to less (9 is -7 at 4 bits)
+    minus_one = lang.BinOp(lang.IntLit(0), "-", lang.IntLit(1))
+    start = draw(st.sampled_from([[], *([lang.IntLit(k)] for k in (0, 1, 2, 9)), [minus_one]]))
+    length = lang.Call("len", [lang.Var(v)])
+    read = lang.Index(lang.Var(v), lang.Var(i))
+    other = next(name for name in INT_VARS if name != i)
+    reads = st.sampled_from([
+        lang.Assign(lang.Var(ANY_VAR), read),
+        lang.AugAssign(lang.Var(other), "+", read),
+        lang.Return(read),
+    ])
+    ints, lists = exprs("int", 1, False), exprs("list", 1, False)
+    ints |= st.sampled_from([-1, 3, 7]).map(lang.IntLit)  # out of range of every input list
+    stores = st.one_of(
+        ints.map(lambda x: lang.MethodCall(v, "append", [x])),
+        st.builds(lambda k, x: lang.Assign(lang.Index(lang.Var(v), k), x), ints, ints),
+        st.builds(lambda k, x: lang.AugAssign(lang.Index(lang.Var(v), k), "+", x), ints, ints),
+        (lists | st.just(lang.Slice(lang.Var(v), lang.IntLit(1), None))).map(
+            lambda x: lang.Assign(lang.Var(v), x)),
+        ints.map(lambda x: lang.Assign(lang.Var(i), x)),
+        ints.map(lambda x: lang.AugAssign(lang.Var(i), "-", x)),
+        st.just(lang.ForIn(i, lang.Call("range", [lang.IntLit(2)]), [lang.Pass()])),
+        lists.map(lambda x: lang.Assign(mixed_site("expr", lang.Var(ANY_VAR), [lang.Var(v)]), x)),
+    )
+    placed = st.one_of(
+        stores,
+        stores.map(lambda s: mixed_site("stmt", lang.Pass(), [s])),
+        st.builds(lambda c, s: lang.If(c, [s], []), exprs("bool", 1, False), stores),
+    )
+    body = draw(st.lists(reads | placed, max_size=3)) + [draw(reads)]
+    loop = lang.ForIn(i, lang.Call("range", start + [length]), body)
+    tail = draw(exprs("any", 1, False))
+    return lang.Program([lang.FuncDef("f", ["xs", "n"], F_PRELUDE + [loop, lang.Return(tail)])],
+                        entry="f")
+
+
+def assert_agrees_where_no_run_can_exhaust_its_fuel(program, bits=4):
+    tilde = TildeProgram(program)
+    number_sites(tilde)
+    bound = compiler_module._survey(tilde.root, {}, Bounds(bits, 3, fuel=10**9))[1]
+    compiler = Compiler(Bounds(bits, 3, fuel=bound))
+    assert fuel_free(compiler.compile(tilde, signature=SIGNATURE))
+    _, fuel_only, _ = assert_candidates_agree(tilde, INPUTS, None, compilers={bound: compiler},
+                                              signatures=(None, SIGNATURE))
+    assert fuel_only == 0
+
+
+@given(length_loops())
+@settings(max_examples=150, deadline=None)
+def test_an_index_in_a_loop_over_a_length_agrees_whatever_the_body_stores(program):
+    assert_agrees_where_no_run_can_exhaust_its_fuel(program)
+
+
+@st.composite
+def long_lists(draw):
+    """Programs that may make a list longer than the largest int, from the
+    entry's list parameter `xs` or into another variable, directly, in a
+    loop or in one alternative of a site, and take lengths before and
+    after."""
+    xs, ys, n = lang.Var("xs"), lang.Var("ys"), lang.Var("n")
+    target = draw(st.sampled_from(["xs", "ys"]))
+    tripled = lang.BinOp(lang.BinOp(xs, "+", xs), "+", xs)
+    grow = st.sampled_from([
+        lang.Assign(lang.Var(target), tripled),
+        lang.ForIn("a", lang.Call("range", [lang.IntLit(5)]), [lang.MethodCall(target, "append", [n])]),
+        lang.AugAssign(lang.Var(target), "+", lang.BinOp(xs, "+", ys)),
+        lang.Assign(lang.Index(lang.Var(target), lang.IntLit(0)), n),
+    ])
+    placed = st.one_of(grow, grow.map(lambda s: mixed_site("stmt", lang.Pass(), [s])))
+    lengths = st.sampled_from([
+        lang.Assign(n, lang.Call("len", [xs])),
+        lang.Assign(lang.Var("b"), lang.Call("len", [ys])),
+        lang.ForIn("a", lang.Call("range", [lang.Call("len", [xs])]), [lang.Assign(n, lang.Var("a"))]),
+    ])
+    body = draw(st.lists(placed | lengths, min_size=1, max_size=4))
+    ret = draw(st.sampled_from([lang.Call("len", [xs]), lang.Call("len", [ys]),
+                                lang.BinOp(n, "+", lang.Call("len", [xs])), lang.Var("b")]))
+    return lang.Program([lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)])],
+                        entry="f")
+
+
+@given(long_lists(), st.sampled_from([3, 4]))
+@settings(max_examples=150, deadline=None)
+def test_lengths_of_lists_longer_than_the_largest_int_agree(program, bits):
+    # inputs hold at most 3 elements, no more than the largest int at 3 or 4 bits
+    assert_agrees_where_no_run_can_exhaust_its_fuel(program, bits)
+
+
 # -- the oracle on compiled code ---------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from autofix import eml, lang
 from autofix.parser import parse_imp
+from autofix.tilde import Alternative, ChoiceSite
 
 # attributes that only locate a node in its text, with their defaults;
 # every other attribute is structural
@@ -138,3 +139,22 @@ def test_size_counts_statements_loop_variables_and_present_slice_ends():
     # def, for + its variable, slice, xs, 1, pass, return, x_int
     assert lang.size(program) == 9
     assert lang.size(program.functions[0].body) == 8
+
+
+def test_stored_names_every_variable_a_fragment_may_store_to():
+    body = parse_imp(
+        "def f(xs, n):\n    a = xs[n]\n    xs[0] = a\n    b += 1\n    ys.append(n)\n"
+        "    for k in range(n):\n        if k > 0:\n            c = k\n    return a\n"
+    ).functions[0].body
+    assert lang.stored(body) == {"a", "xs", "b", "ys", "k", "c"}
+    assert lang.stored(body[4]) == {"k", "c"} and lang.stored(body[0].value) == set()
+    # inside every alternative of a choice site: a statement site, a target
+    # site and a site at an indexed target's variable
+    def site(*payloads):
+        return ChoiceSite("stmt", lang.NO_SPAN, lang.NO_SPAN, [Alternative(p) for p in payloads])
+
+    one = lang.IntLit(1)
+    assert lang.stored(site(lang.Pass(), [lang.Assign(lang.Var("d"), one)])) == {"d"}
+    assert lang.stored(lang.Assign(site(lang.Var("e"), lang.Var("f")), one)) == {"e", "f"}
+    indexed = lang.Index(site(lang.Var("g"), lang.Var("h")), lang.Var("i"))
+    assert lang.stored(lang.AugAssign(indexed, "+", one)) == {"g", "h"}
