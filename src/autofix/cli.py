@@ -349,6 +349,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
+    if cfg.budget_seconds != cfg.budget_seconds:  # NaN: no elapsed time is past it
+        print(f"autofix: --budget-seconds {cfg.budget_seconds} is not a number", file=sys.stderr)
+        return EXIT_ERROR
     if cfg.corpus:
         return run_corpus(cfg)
     return run_single(cfg)

@@ -12,16 +12,22 @@ Verification runs in two stages.  A survivor first runs as its pick tuple
 on the choice-site program over the first `ALONE_AFTER` inputs, where
 failing survivors fail.  When at least four times as many inputs remain,
 one that still passes is built as a program, compiled on its own and run
-on the rest, which costs about half a millisecond and runs each input
-faster.  Both runners give the same values and faults, so the first
+on the rest, which costs about a third of a millisecond and runs each
+input faster.  Both runners give the same values and faults, so the first
 mismatch, and with it every counterexample, is the same.  With fewer
 inputs the choice-site program verifies them all.
 
-The budget (`SearchBudget`) is charged once per chunk of `CHUNK` inputs,
-and once per candidate screened, not once per run.  It still stops the
-search at the same run as a check before every run would: a chunk is cut
-to the runs the budget has left, so the run past `max_evals` is the one
-refused.  The clock is read once per chunk and once per candidate.
+Screening runs in `cegis_min` itself, a candidate over the counterexamples
+in a plain loop.  The budget (`SearchBudget`) is charged once per chunk of
+`CHUNK` inputs, and once per candidate screened, not once per run.  It
+still stops the search at the same run as a check before every run would.
+Where the budget has no clock and room for a candidate's whole
+counterexample set, the search charges the runs the candidate made and
+asks nothing.  Otherwise the candidate is screened by
+`ReferenceOracle.scan`, which also runs every verification: it asks the
+budget once per chunk and cuts a chunk to the runs the budget has left, so
+the run past `max_evals` is the one refused.  With `max_seconds`, the
+clock is read once per chunk and once per candidate.
 
 Values are compared with the language's type-exact ``same`` unless the
 static return types of the candidate program and the reference prove that
@@ -43,8 +49,9 @@ from .tilde import TildeProgram, enumerate_candidates, instantiate
 
 
 # Inputs a survivor is verified on as its pick tuple before it is compiled
-# alone for the rest, when at least four times as many remain: a compile
-# costs about 0.5 ms, and each input then runs about 0.6 us faster.
+# alone for the rest, when at least four times as many remain: compiling
+# the computeDeriv fix costs about 0.33 ms, and each input then runs about
+# 0.3 us (40%) faster.
 ALONE_AFTER = 512
 # Inputs run per charge of the budget in full verification.
 CHUNK = 256
@@ -102,11 +109,13 @@ class ReferenceOracle:
     Construction verifies the reference is fault-free on every input.
 
     Programs run compiled (``compiler``): `compile` turns a program or a
-    choice-site program into a runner once, and `scan` (on the
-    counterexamples) and `first_mismatch` (full verification, or a range
-    of it) run a candidate as that runner and its pick tuple.  They compare
-    values with ``same``, or with Python's ``!=`` where the runner's
-    ``exact`` says so."""
+    choice-site program into a runner once, and `scan` runs a candidate,
+    as that runner and its pick tuple, over a sequence of input indices.
+    `first_mismatch` is a `scan` over a range (full verification, or a
+    part of it); `cegis_min` screens with `scan` only where the budget
+    must be asked, and otherwise in its own loop.  Values are compared with
+    ``same``, or with Python's ``!=`` where the runner's ``exact`` says
+    so."""
 
     def __init__(self, reference: lang.Program, bounds: Bounds, signature: Signature | None = None):
         self.reference = reference
@@ -202,9 +211,14 @@ def cegis_min(
     run = oracle.compile(tilde, callees)
     scan = oracle.scan
     first_mismatch = oracle.first_mismatch
+    inputs = oracle.inputs
+    values = oracle.values
+    exact = run.exact
+    max_evals = budget.max_evals
+    clocked = budget.max_seconds is not None
     # inputs verified on the choice-site program; a survivor passing them
     # all is compiled alone for the rest, when enough remain to pay for it
-    head = len(oracle.inputs)
+    head = len(inputs)
     if head - ALONE_AFTER >= 4 * ALONE_AFTER:
         head = ALONE_AFTER
     cex_indices: list = []
@@ -216,15 +230,33 @@ def cegis_min(
     try:
         for picks, cost in enumerate_candidates(tilde, max_cost):
             tested += 1
-            if scan(run, picks, cex_indices, budget) is not None:
-                continue
+            n = len(cex_indices)
+            if clocked or n > CHUNK or budget.evals + n > max_evals:
+                if scan(run, picks, cex_indices, budget) is not None:
+                    continue
+            else:
+                # the whole set is affordable: run it here, and charge the
+                # runs made as `scan` would
+                for i in cex_indices:
+                    try:
+                        value = run(inputs[i], picks)
+                    except Fault:
+                        break
+                    if (value != values[i]) if exact else not same(value, values[i]):
+                        break
+                else:
+                    budget.evals += n
+                    i = None
+                if i is not None:
+                    budget.evals += cex_indices.index(i) + 1  # no index repeats
+                    continue
             winner = None
             if texts:
                 winner = instantiate(tilde, picks)
                 if pretty_program(winner.program) in texts:
                     continue  # a text twin of a fix
             mismatch = first_mismatch(run, picks, budget, stop=head)
-            if mismatch is None and head < len(oracle.inputs):
+            if mismatch is None and head < len(inputs):
                 winner = winner or instantiate(tilde, picks)
                 alone = oracle.compile(winner.program, callees)
                 mismatch = first_mismatch(alone, (), budget, start=head)

@@ -139,35 +139,39 @@ def enumerate_candidates(tilde: TildeProgram, max_cost=None):
     sites = tilde.sites
     n = len(sites)
     picks = [0] * n
+    parents = [site.parent for site in sites]  # (site_id, alt_index) or None
+    options = [[(idx, alt.weight) for idx, alt in enumerate(site.alternatives) if idx]
+               for site in sites]  # each site's non-default (index, weight)
 
-    def is_active(site) -> bool:
-        parent = site.parent
+    def is_active(i) -> bool:
+        parent = parents[i]
         while parent is not None:
             pid, pidx = parent
             if picks[pid] != pidx:
                 return False
-            parent = sites[pid].parent
+            parent = parents[pid]
         return True
 
-    def rec(start, remaining):
-        # extend the current pick set with sites >= start, ascending
-        if remaining == 0:
-            yield tuple(picks)
-            return
+    def rec(start, remaining, cost):
+        # extend the current pick set with sites >= start, ascending, to
+        # spend exactly `remaining` more
         for i in range(start, n):
-            site = sites[i]
-            if not is_active(site):
+            if parents[i] is not None and not is_active(i):
                 continue
-            for idx, alt in enumerate(site.alternatives):
-                if idx == 0 or alt.weight > remaining:
+            for idx, weight in options[i]:
+                if weight > remaining:
                     continue
                 picks[i] = idx
-                yield from rec(i + 1, remaining - alt.weight)
+                if weight < remaining:
+                    yield from rec(i + 1, remaining - weight, cost)
+                else:
+                    yield tuple(picks), cost
                 picks[i] = 0
 
-    for target in range(max_cost + 1):
-        for candidate in rec(0, target):
-            yield candidate, target
+    if max_cost >= 0:
+        yield tuple(picks), 0
+    for target in range(1, max_cost + 1):
+        yield from rec(0, target, target)
 
 
 # --------------------------------------------------------------------------

@@ -248,6 +248,22 @@ def test_budget_candidates_flag():
     assert json.loads(proc.stdout)["verdict"] == "budget"
 
 
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_a_nan_time_budget_exits_3_with_one_line(mode):
+    # `elapsed > nan` is never true, so a NaN would silently turn the limit off
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    for value in ("nan", "NaN"):
+        code, out, err = main_in_process(args + ["--budget-seconds", value])
+        assert code == 3 and out == ""
+        assert err == "autofix: --budget-seconds nan is not a number\n"
+
+
+def test_negative_and_infinite_time_budgets_keep_their_meaning():
+    student = asset("computederiv", "student.imp")
+    assert main_in_process(deriv_args(student, "--budget-seconds", "-1"))[0] == 2  # budget
+    assert main_in_process(deriv_args(student, "--budget-seconds", "inf"))[0] == 1  # fixed
+
+
 def test_renamed_parameters_are_accepted(tmp_path):
     renamed = tmp_path / "renamed.imp"
     renamed.write_text(

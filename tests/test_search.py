@@ -554,6 +554,38 @@ def bundled_searches():
     yield (*reverse_search(Bounds(4, 3)), 1)
 
 
+def test_a_time_budget_never_reached_changes_no_bundled_search():
+    # a clock budget sends every candidate's screening through `scan`,
+    # which reads the clock; screening without one runs in `cegis_min`
+    for tilde, oracle, alternates in bundled_searches():
+        outcomes = []
+        for budget in (SearchBudget(), SearchBudget(max_seconds=3600.0)):
+            result = cegis_min(tilde, oracle, 5, budget, alternates=alternates)
+            outcomes.append(outcome(result, budget))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_a_time_budget_reads_the_clock_once_per_candidate_screened(deriv_ref, deriv_student,
+                                                                  deriv_model):
+    oracle = ReferenceOracle(deriv_ref, Bounds(4, 3))
+    tilde = rewrite(deriv_student, deriv_model)
+
+    class Counted(SearchBudget):
+        asked = 0
+
+        def allow(self, runs):
+            self.asked += 1
+            return super().allow(runs)
+
+    plain, clocked = Counted(), Counted(max_seconds=3600.0)
+    result = cegis_min(tilde, oracle, 5, plain)
+    cegis_min(tilde, oracle, 5, clocked)
+    # only the unchanged program is screened against no counterexample; the
+    # rest ask the budget once each, where an affordable screening without a
+    # clock asks nothing
+    assert clocked.asked == plain.asked + result.candidates_tested - 1
+
+
 def reverse_search(bounds):
     """Array-reverse's student rewritten, and the reference's oracle."""
     oracle = ReferenceOracle(parse_imp(read("arrayreverse", "reference.imp")), bounds)

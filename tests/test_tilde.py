@@ -94,6 +94,65 @@ def test_stream_is_cost_sorted_with_lexicographic_ties(reverse_student, reverse_
     assert len(set(seen)) == len(seen)
 
 
+# a small program and rule forms whose sites nest: a block rule puts every
+# other site inside its default, and primed or scoped subterms put sites
+# inside a non-default alternative
+ORDER_STUDENT = (
+    "def f_int(x_int, y_int):\n"
+    "    a = 1\n"
+    "    if a < y_int:\n"
+    "        a = x_int + 2\n"
+    "    return a\n"
+)
+ORDER_FORMS = (
+    "def f(a0, a1): s -> def f(a0, a1): {if a1 <= 0: {return 1}; s}",
+    "a0 cop a1 -> {{a0' - 1, ?a0} ~cop {a1' - 1, 0, ?a1}, True}",
+    "a0 cop a1 -> a0' ~cop {a1 + 1, 0}",
+    "v = n -> v = {n + 1, 0}",
+    "a0 aop a1 -> a0 ~aop a1",
+    "return a -> {return ?a, pass}",
+    "v = a -> v = a'",
+    "a0 + a1 -> {a0' - 1, a1}",
+)
+
+
+def canonical_pick_tuples(tilde) -> list:
+    """Every pick tuple whose inactive sites are at the default, built site
+    by site: an enclosing site always has the lower id."""
+    tuples = [()]
+    for site in tilde.sites:
+        grown = []
+        for picks in tuples:
+            parent, active = site.parent, True
+            while active and parent is not None:
+                active = picks[parent[0]] == parent[1]
+                parent = tilde.site(parent[0]).parent
+            grown += [picks + (idx,) for idx in (range(site.arity()) if active else (0,))]
+        tuples = grown
+    return tuples
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    forms=st.lists(st.sampled_from(ORDER_FORMS), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    max_cost=st.integers(0, 4),
+)
+def test_enumeration_is_every_canonical_pick_tuple_by_cost_then_active_picks(forms, weights,
+                                                                              max_cost):
+    model = parse_eml("".join(
+        f"rule R{i} weight {w}: {form}\n" for i, (form, w) in enumerate(zip(forms, weights))
+    ))
+    tilde = rewrite(parse_imp(ORDER_STUDENT), model)
+    ranked = []
+    for picks in canonical_pick_tuples(tilde):
+        cost = sum(tilde.site(i).alternatives[idx].weight for i, idx in active_of(picks))
+        ranked.append((cost, sorted(active_of(picks)), picks))
+    want = [(picks, cost) for cost, _, picks in sorted(ranked)]
+    assert list(enumerate_candidates(tilde)) == want
+    assert list(enumerate_candidates(tilde, max_cost)) == [c for c in want if c[1] <= max_cost]
+
+
 def test_cost_additivity_for_sibling_sites(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
     s_a = find_site(tilde, 5)
