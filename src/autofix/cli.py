@@ -12,7 +12,7 @@ import sys
 import time
 
 from .eml import IllFormedModel, parse_eml
-from .feedback import build_report, correction_fields, render_feedback
+from .feedback import build_report, render_corpus, render_feedback, report_doc
 from .inputs import UnknownTypeSuffix, count_inputs, parse_signature
 from .interp import MAX_INT_BITS, Bounds
 from .lexer import MAX_INT_DIGITS, SourceError
@@ -65,6 +65,8 @@ def make_parser() -> argparse.ArgumentParser:
         prog="autofix",
         description="Minimal-correction feedback for mini-language submissions.",
     )
+    # a bad flag is one line, as every other error is (-h keeps the full help)
+    p.error = lambda message: p.exit(2, f"{p.prog}: error: {message}\n")
     p.add_argument("--ref", required=True, help="reference implementation (.imp)")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--student", help="one student submission (.imp)")
@@ -204,31 +206,22 @@ def _set_context(cfg, ref, model, oracle):
     _WORKER_CTX.update(cfg=cfg, ref=ref, model=model, oracle=oracle)
 
 
-def _corpus_entry(path: str) -> dict:
+def _corpus_entry(path: str) -> tuple:
+    """One file's corpus entry, and the seconds it took."""
     cfg = _WORKER_CTX["cfg"]
     name = os.path.basename(path)
     started = time.monotonic()
     try:
-        source = _load(path)
         report, _ = repair_one(
-            source, _WORKER_CTX["ref"], _WORKER_CTX["model"], _WORKER_CTX["oracle"], cfg
+            _load(path), _WORKER_CTX["ref"], _WORKER_CTX["model"], _WORKER_CTX["oracle"], cfg
         )
+        entry = {"name": name, **report_doc(report, cfg.level)}
     except (OSError, SourceError, UnknownTypeSuffix) as err:
-        return {"name": name, "verdict": "parse-error", "error": str(err),
-                "seconds": time.monotonic() - started}
+        entry = {"name": name, "verdict": "parse-error", "error": str(err)}
     except Exception as err:  # a defect must not abort the rest of the batch
         error = f"{type(err).__name__}: {err}".splitlines()[0]
-        return {"name": name, "verdict": "internal-error", "error": error,
-                "seconds": time.monotonic() - started}
-    entry = {
-        "name": name,
-        "verdict": report.verdict,
-        "cost": report.cost,
-        "corrections": [correction_fields(c, 4) for c in report.corrections],
-        "stats": report.stats,
-        "seconds": time.monotonic() - started,
-    }
-    return entry
+        entry = {"name": name, "verdict": "internal-error", "error": error}
+    return entry, time.monotonic() - started
 
 
 def _workers(cfg: RunConfig, paths: list) -> int:
@@ -264,67 +257,21 @@ def run_corpus(cfg: RunConfig) -> int:
                 initializer=_init_worker,
                 initargs=(ref_source, model_source, cfg),
             ) as pool:
-                entries = list(pool.map(_corpus_entry, paths))
+                results = list(pool.map(_corpus_entry, paths))
         except BrokenProcessPool:
             print("autofix: a corpus worker process died", file=sys.stderr)
             return EXIT_ERROR
     else:
         _set_context(cfg, ref, model, oracle)  # the table validated above
-        entries = [_corpus_entry(p) for p in paths]
+        results = [_corpus_entry(p) for p in paths]
 
-    entries.sort(key=lambda e: e["name"])
-    timings = [e.pop("seconds") for e in entries]
-    total = len(entries)
-    correct = sum(1 for e in entries if e["verdict"] == "correct")
-    fixed = sum(1 for e in entries if e["verdict"] == "fixed")
-    parse_error = sum(1 for e in entries if e["verdict"] == "parse-error")
-    internal_error = sum(1 for e in entries if e["verdict"] == "internal-error")
-    incorrect = total - correct - parse_error - internal_error
-    summary = {
-        "total": total,
-        "correct": correct,
-        "fixed": fixed,
-        "no_fix": incorrect - fixed,
-        "parse_error": parse_error,
-        "fixed_pct": round(100.0 * fixed / incorrect, 1) if incorrect else 0.0,
-    }
-    if internal_error:  # only then, so that the summary of a sound run keeps its form
-        summary["internal_error"] = internal_error
-    if cfg.timing and timings:
-        import statistics
-
-        summary["avg_s"] = round(statistics.mean(timings), 3)
-        summary["median_s"] = round(statistics.median(timings), 3)
-    if not cfg.timing:
-        for e in entries:
-            e.get("stats", {}).pop("millis", None)
-
-    if cfg.format == "json":
-        import json  # only here: text is the default output
-
-        sys.stdout.write(json.dumps({"files": entries, "summary": summary},
-                                    indent=2, sort_keys=True) + "\n")
-    else:
-        for e in entries:
-            line = f"{e['name']}: {e['verdict']}"
-            if e["verdict"] == "fixed":
-                line += f" (cost {e['cost']})"
-            sys.stdout.write(line + "\n")
-        line = ("summary: total={total} correct={correct} fixed={fixed} "
-                "no_fix={no_fix} parse_error={parse_error}").format(**summary)
-        if internal_error:
-            line += f" internal_error={internal_error}"
-        sys.stdout.write(f"{line} fixed_pct={summary['fixed_pct']}\n")
-        if "avg_s" in summary:
-            sys.stdout.write(
-                f"timing: avg_s={summary['avg_s']} median_s={summary['median_s']}\n"
-            )
-    if internal_error:  # a defect of the program: say where, and fail the batch
-        for e in entries:
-            if e["verdict"] == "internal-error":
-                print(f"autofix: {e['name']}: {e['error']}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_CORRECT
+    entries = [entry for entry, _ in results]
+    seconds = [took for _, took in results] if cfg.timing else None
+    sys.stdout.write(render_corpus(entries, cfg.format, seconds))
+    failed = [e for e in entries if e["verdict"] == "internal-error"]
+    for e in failed:  # a defect of the program: say where, and fail the batch
+        print(f"autofix: {e['name']}: {e['error']}", file=sys.stderr)
+    return EXIT_ERROR if failed else EXIT_CORRECT
 
 
 def main(argv=None) -> int:

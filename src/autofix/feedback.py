@@ -1,10 +1,12 @@
-"""Turns a winning pick tuple into line-anchored corrections.
+"""Turns a search result into a report, and reports into the output documents.
 
 Each active non-default selection becomes one correction carrying the four
 feedback facets: the line, the enclosing statement text (sliced from the
 original source via spans recorded at rewrite time), the default fragment
 and its replacement.  A cumulative level parameter controls how many facets
-are rendered.
+are rendered.  `report_doc` is a report's JSON document; a corpus entry is
+that document plus the file's `name`, and `render_corpus` renders the
+entries with the batch's summary.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def correction_fields(c: Correction, level: int) -> dict:
     return out
 
 
+def report_doc(report: FeedbackReport, level: int) -> dict:
+    """The JSON document of a report, its corrections at `level`."""
+    return {
+        "verdict": report.verdict,
+        "cost": report.cost,
+        "corrections": [correction_fields(c, level) for c in report.corrections],
+        "alternates": [[correction_fields(c, level) for c in alt] for alt in report.alternates],
+        "stats": report.stats,
+    }
+
+
 def render_feedback(report: FeedbackReport, level: int = 4, format: str = "text") -> str:
     """Render a report.  Levels are cumulative: 1 line, 2 +statement,
     3 +sub-expression, 4 +replacement and message."""
@@ -127,16 +140,7 @@ def render_feedback(report: FeedbackReport, level: int = 4, format: str = "text"
     if format == "json":
         import json  # only here: text is the default output
 
-        doc = {
-            "verdict": report.verdict,
-            "cost": report.cost,
-            "corrections": [correction_fields(c, level) for c in report.corrections],
-            "alternates": [
-                [correction_fields(c, level) for c in alt] for alt in report.alternates
-            ],
-            "stats": report.stats,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report_doc(report, level), indent=2, sort_keys=True) + "\n"
 
     if report.verdict == "correct":
         return "No corrections needed. cost = 0.\n"
@@ -162,3 +166,37 @@ def _bullet(c: Correction, level: int) -> str:
     if level == 3:
         return f"line {c.line}: {c.orig_stmt} | change: {c.sub_expr}"
     return c.message
+
+
+def render_corpus(entries: list, format: str, seconds: list | None) -> str:
+    """Render a corpus run: its entries, in name order, and a summary of
+    their verdicts.  Each file's `seconds` (with ``--timing``) adds the
+    mean and median time; text lists each file's verdict and cost only."""
+    verdicts = [e["verdict"] for e in entries]
+    correct, fixed = verdicts.count("correct"), verdicts.count("fixed")
+    parse_error, internal_error = verdicts.count("parse-error"), verdicts.count("internal-error")
+    incorrect = len(verdicts) - correct - parse_error - internal_error
+    summary = {"total": len(verdicts), "correct": correct, "fixed": fixed,
+               "no_fix": incorrect - fixed, "parse_error": parse_error}
+    if internal_error:  # only then, so that the summary of a sound run keeps its form
+        summary["internal_error"] = internal_error
+    summary["fixed_pct"] = round(100.0 * fixed / incorrect, 1) if incorrect else 0.0
+    timing = {}
+    if seconds:
+        import statistics  # only here: timing is off by default
+
+        timing = {"avg_s": round(statistics.mean(seconds), 3),
+                  "median_s": round(statistics.median(seconds), 3)}
+    if format == "json":
+        import json  # only here: text is the default output
+
+        doc = {"files": entries, "summary": {**summary, **timing}}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = []
+    for e in entries:
+        cost = f" (cost {e['cost']})" if e["verdict"] == "fixed" else ""
+        lines.append(f"{e['name']}: {e['verdict']}{cost}")
+    lines.append("summary: " + " ".join(f"{k}={v}" for k, v in summary.items()))
+    if timing:
+        lines.append("timing: " + " ".join(f"{k}={v}" for k, v in timing.items()))
+    return "".join(line + "\n" for line in lines)

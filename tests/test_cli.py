@@ -184,6 +184,40 @@ def test_corpus_text_mode_lists_files():
     assert "summary: total=15" in proc.stdout
 
 
+CORPUS_FILES = sorted(n for n in os.listdir(asset("computederiv", "corpus")) if n.endswith(".imp"))
+
+
+@pytest.mark.parametrize("alternates", ["0", "1"])
+@pytest.mark.parametrize("level", ["1", "2", "3", "4"])
+def test_a_corpus_entry_is_the_single_mode_document(level, alternates):
+    flags = ["--level", level, "--alternates", alternates, "--format", "json"]
+    code, out, _ = main_in_process(corpus_args(*flags))
+    assert code == 0
+    entries = json.loads(out)["files"]
+    assert [e["name"] for e in entries] == CORPUS_FILES
+    for entry in entries:
+        name = entry.pop("name")
+        code, out, err = main_in_process(deriv_args(asset("computederiv", "corpus", name), *flags))
+        if entry["verdict"] == "parse-error":
+            assert entry.keys() == {"verdict", "error"}
+            assert (code, out, err) == (3, "", f"autofix: {entry['error']}\n")
+        else:
+            assert entry == json.loads(out), name
+
+
+def test_a_corpus_entry_carries_its_alternates(tmp_path):
+    shutil.copy(asset("arrayreverse", "student.imp"), tmp_path)
+    args = ["--ref", asset("arrayreverse", "reference.imp"), "--corpus", str(tmp_path),
+            "--model", asset("arrayreverse", "model.eml"), *FAST, "--alternates", "1",
+            "--format", "json"]
+    code, out, _ = main_in_process(args)
+    assert code == 0
+    (entry,) = json.loads(out)["files"]
+    assert entry["cost"] == 2 and [c["new"] for c in entry["corrections"]] == ["i - 1", "i - 1"]
+    # the next fix, also of cost 2: IndF's `a - ?a` on line 6, its `?a` left at `i`
+    assert [[c["new"] for c in alt] for alt in entry["alternates"]] == [["i - 1", "i - i"]]
+
+
 def test_empty_corpus(tmp_path):
     proc = run_cli(
         "--ref", asset("computederiv", "reference.imp"),
@@ -256,6 +290,26 @@ def test_a_nan_time_budget_exits_3_with_one_line(mode):
         code, out, err = main_in_process(args + ["--budget-seconds", value])
         assert code == 3 and out == ""
         assert err == "autofix: --budget-seconds nan is not a number\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--int-bits", "x"],
+    ["--budget-seconds", "-inf"],  # argparse reads "-inf" as a flag, not as its value
+    ["--level", "7"],
+    ["--format", "xml"],
+    "no --ref",
+])
+def test_an_unreadable_flag_exits_3_with_one_line(args):
+    full = deriv_args(asset("computederiv", "student.imp"))
+    full = full[2:] if args == "no --ref" else full + args
+    code, out, err = main_in_process(full)
+    assert code == 3 and out == ""
+    assert err.startswith("autofix: error: ") and err.count("\n") == 1, err
+
+
+def test_help_keeps_its_full_text():
+    code, out, _ = main_in_process(["-h"])
+    assert code == 0 and "usage: autofix" in out and "--budget-seconds" in out
 
 
 def test_negative_and_infinite_time_budgets_keep_their_meaning():
@@ -569,6 +623,11 @@ def tick_bounds(problem: str, bits: int) -> list:
     return [t for t in ticks if t <= 10**6]
 
 
+# the integer flags the flag property passes, any of which it may make unreadable
+INT_FLAGS = ["--max-inputs", "--int-bits", "--fuel", "--max-list", "--max-cost",
+             "--budget-candidates", "--alternates", "--level"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_factory, data):
@@ -576,7 +635,8 @@ def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_facto
     # values a run goes through with; a space past 300 inputs ends at the
     # --max-inputs guard and never runs
     odd = data.draw(st.sampled_from([None, "source", "--int-bits", "--max-list", "--fuel",
-                                     "--max-cost", "--budget-candidates"]))
+                                     "--max-cost", "--budget-candidates", "--budget-seconds",
+                                     "--alternates", "--level", "not an integer"]))
 
     def value(name, plain, wild):
         return data.draw(wild if name == odd else plain)
@@ -588,6 +648,9 @@ def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_facto
     bits = value("--int-bits", st.integers(2, 4),
                  st.integers(-1, 70) | st.integers(71, 10**5) | st.just(MAX_INT_BITS + 1))
     near = [t + d for t in tick_bounds(problem, bits) for d in (-1, 0)]
+    seconds = value("--budget-seconds", st.none() | st.floats(10, 10**3),
+                    st.sampled_from([float("nan"), float("inf"), float("-inf")])
+                    | st.floats(-10**3, 0) | st.floats(5e-324, 1e-3) | st.floats(1e-3, 10**3))
     args = [
         "--ref", asset(problem, "reference.imp"), "--student", str(path),
         "--model", asset(problem, "model.eml"), "--max-inputs", "300", "--int-bits", str(bits),
@@ -597,9 +660,15 @@ def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_facto
         "--max-cost", str(value("--max-cost", st.integers(1, 4), st.integers(-1, 4))),
         "--budget-candidates", str(value("--budget-candidates", st.integers(10**3, 10**5),
                                          st.integers(-1, 10**3))),
-        "--alternates", str(data.draw(st.integers(-1, 2))),
+        "--alternates", str(value("--alternates", st.integers(-1, 2), st.integers(-1, 10**3))),
+        "--level", str(value("--level", st.integers(1, 4), st.integers(-2, 10))),
         "--format", data.draw(st.sampled_from(["text", "json"])),
-    ]
+    ] + ([] if seconds is None else [f"--budget-seconds={seconds!r}"])
+    if odd == "not an integer":
+        flag = data.draw(st.sampled_from(INT_FLAGS))
+        args[args.index(flag) + 1] = data.draw(st.sampled_from(["x", "1.5", ""]))
+    if data.draw(st.booleans()):  # a corpus of the one file, rendered by render_corpus
+        args[args.index("--student"):args.index("--student") + 2] = ["--corpus", str(path.parent)]
     code, _, err = main_in_process(args)
     assert code in (0, 1, 2, 3)
     assert err.count("\n") <= 1 and "Traceback" not in err, err
