@@ -299,6 +299,12 @@ def main(argv=None) -> int:
     if cfg.budget_seconds != cfg.budget_seconds:  # NaN: no elapsed time is past it
         print(f"autofix: --budget-seconds {cfg.budget_seconds} is not a number", file=sys.stderr)
         return EXIT_ERROR
+    for flag, value, least in (("--max-cost", cfg.max_cost, 0), ("--alternates", cfg.alternates, 0),
+                               ("--budget-candidates", cfg.budget_candidates, 0),
+                               ("--jobs", cfg.jobs, 1)):
+        if value < least:  # else a typo reads as a verdict about the submission
+            print(f"autofix: {flag} {value} is below {least}, its least value", file=sys.stderr)
+            return EXIT_ERROR
     if cfg.corpus:
         return run_corpus(cfg)
     return run_single(cfg)

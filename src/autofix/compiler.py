@@ -25,11 +25,12 @@ values of one exact type are Python's own, a proven bool is not tested, a
 proven list or tuple not checked, a list is sliced by Python with its int
 ends clamped at 0, ``for`` iterates a ``range`` of one or two ints directly,
 and constants fold.  What can fail on proven types stays checked: index
-bounds, division by zero, negative exponents, ``range``'s step, fuel.
-Where no run can exhaust its fuel, two more go: the bounds check of
-``v[i]`` in a loop ``for i in range([k,] len(v))`` (`_Emitter.in_range`),
-and the wrap of ``len`` of an entry list parameter that is never stored,
-while no input list is longer than the largest int.  Operands are still
+bounds, division by zero, negative exponents, ``range``'s step, fuel.  In
+every program, fueled or not, two more go, on facts `_survey` finds: the
+bounds check of ``v[i]`` in a loop ``for i in range([k,] len(v))`` over a
+proven list (`_in_range`), and the wrap of ``len`` of an entry list
+parameter that the entry never stores, while no input list is longer than
+the largest int.  Operands are still
 evaluated once, left to right.  The entry's return type, the join over its
 ``return`` statements in every alternative, comes with the runner
 (``run.returns``); where it and the reference's join to an exact type
@@ -207,31 +208,57 @@ def _slice_end(code: str) -> str:
 
 
 def _survey(program: lang.Program, callees: dict, bounds: Bounds):
-    """Whether a function of `program` or `callees` calls the entry, in any
-    alternative, and a bound, capped at ``bounds.fuel + 1``, on the ticks one
-    run of the entry spends for any pick tuple: a node ticks at most once, a
-    choice site as much as all its alternatives, an augmented assignment's
-    target twice (read, then stored), and a ``for`` over ``range`` runs its
-    body at most ``2 ** int_bits`` times.  A ``while``, a call of anything
-    but the builtins ``len`` and ``range``, or a ``for`` over anything else
-    reaches the cap."""
+    """The compiler's one static walk of `program` and `callees`, through
+    every alternative of every choice site.  It returns four facts:
+
+    - whether a function of `program` or `callees` calls the entry;
+    - a bound, capped at ``bounds.fuel + 1``, on the ticks one run of the
+      entry spends for any pick tuple: a node ticks at most once, a choice
+      site as much as all its alternatives, an augmented assignment's
+      target twice (read, then stored), and a ``for`` over ``range`` runs
+      its body at most ``2 ** int_bits`` times.  A ``while``, a call of
+      anything but the builtins ``len`` and ``range``, or a ``for`` over
+      anything else reaches the cap;
+    - the names the entry's body stores: assignment targets (an indexed
+      target's variable), appended lists and loop variables;
+    - by the ``id`` of each loop that puts ``v[i]`` in range in its body,
+      the name `v` (`_in_range`)."""
     cap = bounds.fuel + 1
     loops = 1 << bounds.int_bits  # more than a range of wrapped ints holds
     builtins = {name for name in BUILTIN_FUNCS if program.func(name) is None}
     called = set()
+    ranged = {}
+    stores = set()  # the names the fragment being walked stores
+
+    def target(node):
+        while type(node) is lang.Index:
+            node = node.base
+        if type(node) is lang.Var:
+            stores.add(node.name)
+        for alt in getattr(node, "alternatives", ()):
+            target(alt.payload)
 
     def ticks(node) -> int:
+        nonlocal stores
         cls = type(node)
         if cls is ChoiceSite:
             total = sum(ticks(alt.payload) for alt in node.alternatives)
         elif cls is lang.ForIn:  # a call of a `range` the program defines reaches the cap
+            outer, stores = stores, set()
             total = 1 + ticks(node.iterable) + loops * (1 + ticks(node.body))
             if type(node.iterable) is not lang.Call or node.iterable.func != "range":
                 total = cap
+            elif (v := _in_range(node, stores, builtins, bounds)) is not None:
+                ranged[id(node)] = v
+            stores = outer | stores | {node.var}
         else:
             total = sum(map(ticks, lang.children(node))) + isinstance(node, (lang.Expr, lang.Stmt))
-            if cls is lang.AugAssign:
-                total += ticks(node.target)
+            if cls is lang.Assign or cls is lang.AugAssign:
+                target(node.target)
+                if cls is lang.AugAssign:
+                    total += ticks(node.target)
+            elif cls is lang.MethodCall:
+                stores.add(node.obj)
             elif cls is lang.Call and node.func not in builtins:
                 called.add(node.func)
                 total = cap
@@ -241,10 +268,28 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
 
     entry = program.entry_func()
     bound = ticks(entry.body)
+    entry_stores, stores = stores, set()
     for func in program.functions + list(callees.values()):
         if func is not entry:
             ticks(func.body)
-    return program.entry in called, bound
+    return program.entry in called, bound, entry_stores, ranged
+
+
+def _in_range(loop: lang.ForIn, stores: set, builtins: set, bounds: Bounds):
+    """The name `v` if `loop` is ``for i in range([k,] len(v))``, with
+    ``range`` and ``len`` the builtins, `k` a literal that wraps to at
+    least 0, `v` not `i`, and neither name in `stores`, the names the body
+    stores: then, where `v` is a list, ``v[i]`` is in range in the body, as
+    a wrapped length is never more than the true one."""
+    *start, n = loop.iterable.args or [None]
+    if (len(start) > 1 or not {"range", "len"} <= builtins or type(n) is not lang.Call
+            or n.func != "len" or [type(a) for a in n.args] != [lang.Var]):
+        return None
+    if start and (type(start[0]) is not lang.IntLit
+                  or (start[0].value + bounds.half) & bounds.mask < bounds.half):
+        return None
+    v = n.args[0].name
+    return None if v == loop.var or {v, loop.var} & stores else v
 
 
 class _Emitter:
@@ -262,7 +307,8 @@ class _Emitter:
         self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
         self.pending = []  # reachable functions not yet emitted
-        calls_entry, ticks = _survey(program, callees, bounds)
+        # the names the entry stores, and id of a loop -> the list it keeps `v[i]` in
+        calls_entry, ticks, self.entry_stores, self.loop_lists = _survey(program, callees, bounds)
         self.fueled = ticks > bounds.fuel  # else no run can exhaust its fuel
         # the entry's parameters take the types its inputs are drawn from,
         # unless a call may give it other arguments
@@ -271,13 +317,7 @@ class _Emitter:
             self.entry_types = None
         else:
             self.entry_types = [_SEM_TYPES[sem] for _, sem in signature.params]
-        # an input list is no longer than the largest int, so the length of
-        # an entry list parameter that is never stored needs no wrap
-        self.short_lists = set()
-        if self.entry_types and not self.fueled and bounds.max_list_len <= bounds.int_hi:
-            stored = lang.stored(entry.body)
-            self.short_lists = {f"v_{p}" for p, t in zip(entry.params, self.entry_types)
-                                if t[0] == "[" and p not in stored}
+        self.short_lists = set()  # codes of the function's lists whose length needs no wrap
         self.vars = {}  # variable of the function being emitted -> type
         self.changed = False  # whether a store widened a variable's type
         self.func_returns = ""  # join of the types the function being emitted returns
@@ -347,6 +387,11 @@ class _Emitter:
         entry = func is self.program.entry_func()
         types = self.entry_types if entry else None
         runner = entry and not self.fueled
+        # an input list is no longer than the largest int, so the length of
+        # an entry list parameter that the entry never stores needs no wrap
+        short = types and self.bounds.max_list_len <= self.bounds.int_hi
+        self.short_lists = {f"v_{p}" for p, t in zip(func.params, types or ())
+                            if short and t[0] == "[" and p not in self.entry_stores}
         self.vars = dict(zip(func.params, types or ["?"] * len(params)))
         start = len(self.lines)
         self.changed = True
@@ -518,7 +563,8 @@ class _Emitter:
             self.bind(stmt.var, _element(t))
             self.charge(depth + 1, 1)
             self.check_fuel(depth + 1)
-            pair = self.in_range(stmt)
+            v = self.loop_lists.get(id(stmt))
+            pair = (f"v_{v}", f"v_{stmt.var}") if self.vars.get(v, "")[:1] == "[" else None
             self.ranged.add(pair)
             self.block(stmt.body, depth + 1)
             self.ranged.discard(pair)
@@ -533,29 +579,6 @@ class _Emitter:
                 self.emit(depth, "pass")
         else:
             raise TypeError(f"cannot compile {stmt!r}")
-
-    def in_range(self, loop: lang.ForIn):
-        """The codes of `v` and `i` if `loop` is ``for i in range([k,]
-        len(v))``, `v` a proven list, `k` a constant of at least 0, and no
-        alternative in the body stores `i` or `v`: then ``v[i]`` is in range
-        there, as a wrapped length is never more than the true one.  Where
-        no run can exhaust its fuel, ``range`` and ``len`` are builtins."""
-        it = loop.iterable
-        args = it.args if type(it) is lang.Call and it.func == "range" and not self.fueled else ()
-        if len(args) not in (1, 2):
-            return None
-        *start, n = args
-        if start and (type(start[0]) is not lang.IntLit
-                      or _constant(self.constant(start[0].value)) < 0):
-            return None
-        if type(n) is not lang.Call or n.func != "len" or [type(a) for a in n.args] != [lang.Var]:
-            return None
-        v = n.args[0].name
-        if v == loop.var or self.vars.get(v, "")[:1] != "[":
-            return None
-        if {v, loop.var} & lang.stored(loop.body):
-            return None
-        return f"v_{v}", f"v_{loop.var}"
 
     def store(self, target, value: str, t: str):
         """Lines that store `value`, of type `t`, into `target`, and the

@@ -53,8 +53,8 @@ class Node:
     ``fields`` names a class's structural fields in order, and ``locators``
     the attributes that only locate the node in its text (``span``, an
     operator's ``op_span``, a program's ``source``).  The two lists are the
-    whole declaration: the constructor takes ``fields + locators``,
-    positionally or by keyword, every field required and every locator
+    whole declaration: the constructor takes ``fields + locators``
+    positionally, every field required and every trailing locator left out
     defaulting to `NO_SPAN` (``""`` for ``source``); equality compares the
     class and all of them, spans included; nodes are mutable and so
     unhashable.  Every generic traversal below reads ``fields``."""
@@ -67,34 +67,16 @@ class Node:
         cls._attrs = cls.fields + cls.locators
         cls._defaults = tuple(_LOCATOR_DEFAULTS[name] for name in cls.locators)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         attrs = self._attrs
         missing = len(attrs) - len(args)
-        if kwargs or not 0 <= missing <= len(self._defaults):
-            args = self._complete(args, kwargs)
-        elif missing:  # trailing locators left out
+        if not 0 <= missing <= len(self._defaults):
+            raise TypeError(f"{type(self).__name__}() takes {len(self.fields)} to"
+                            f" {len(attrs)} arguments, got {len(args)}")
+        if missing:  # trailing locators left out
             args += self._defaults[-missing:]
         for name, value in zip(attrs, args):
             setattr(self, name, value)
-
-    @classmethod
-    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
-        """All of a constructor's arguments in attribute order, keywords and
-        defaults filled in."""
-        attrs = cls._attrs
-        if len(args) > len(attrs):
-            raise TypeError(f"{cls.__name__}() takes {len(attrs)} arguments, got {len(args)}")
-        values = list(args)
-        for name in attrs[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in cls.locators:
-                values.append(_LOCATOR_DEFAULTS[name])
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got unexpected or repeated {sorted(kwargs)}")
-        return tuple(values)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -206,39 +188,6 @@ def walk(node):
         yield node
     for child in children(node):
         yield from walk(child)
-
-
-def stored(node) -> set:
-    """Names of the variables a fragment may store to: assignment targets
-    (an indexed target's variable), appended lists and loop variables,
-    inside every alternative of a choice site (a node with
-    ``alternatives``) too."""
-    names = set()
-
-    def target(node):
-        while type(node) is Index:
-            node = node.base
-        if type(node) is Var:
-            names.add(node.name)
-        for alt in getattr(node, "alternatives", ()):
-            target(alt.payload)
-
-    def visit(node):
-        cls = type(node)
-        if cls is Assign or cls is AugAssign:
-            target(node.target)
-        elif cls is MethodCall:
-            names.add(node.obj)
-        elif not isinstance(node, Expr):  # an expression stores nothing
-            if cls is ForIn:
-                names.add(node.var)
-            for alt in getattr(node, "alternatives", ()):
-                visit(alt.payload)
-            for child in children(node):
-                visit(child)
-
-    visit(node)
-    return names
 
 
 def size(node) -> int:

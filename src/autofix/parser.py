@@ -96,7 +96,7 @@ class Parser:
             functions.append(self.parse_funcdef())
         if not functions:
             raise self.error("expected a function definition")
-        program = lang.Program(functions, entry=functions[0].name, source=self.source)
+        program = lang.Program(functions, functions[0].name, self.source)
         _check_calls(program)
         return program
 

@@ -369,6 +369,19 @@ def test_bad_bounds_exit_3_with_one_line(flag, value, mode):
     assert proc.stderr.count("\n") == 1 and f"{flag} {value} " in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value,least", [
+    ("--max-cost", "-1", 0), ("--alternates", "-4", 0), ("--budget-candidates", "-1", 0),
+    ("--jobs", "0", 1), ("--jobs", "-3", 1),
+])
+@pytest.mark.parametrize("mode", ["single", "corpus"])
+def test_a_count_below_its_least_value_exits_3_with_one_line(flag, value, least, mode):
+    # not "no fix within the cost cap", "search budget exhausted" or a run as 0 or 1
+    args = deriv_args(asset("computederiv", "student.imp")) if mode == "single" else corpus_args()
+    code, out, err = main_in_process(args + [flag, value])
+    assert code == 3 and out == ""
+    assert err == f"autofix: {flag} {value} is below {least}, its least value\n"
+
+
 @pytest.mark.parametrize("mode", ["single", "corpus"])
 def test_lists_longer_than_the_largest_int_exit_3_with_one_line(mode):
     # at 3 bits len() of a 4-element list would read -4
@@ -651,7 +664,7 @@ def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_facto
         "--max-cost", str(value("--max-cost", st.integers(1, 4), st.integers(-1, 4))),
         "--budget-candidates", str(value("--budget-candidates", st.integers(10**3, 10**5),
                                          st.integers(-1, 10**3))),
-        "--alternates", str(value("--alternates", st.integers(-1, 2), st.integers(-1, 10**3))),
+        "--alternates", str(value("--alternates", st.integers(0, 2), st.integers(-1, 10**3))),
         "--level", str(value("--level", st.integers(1, 4), st.integers(-2, 10))),
         "--format", data.draw(st.sampled_from(["text", "json"])),
     ] + ([] if seconds is None else [f"--budget-seconds={seconds!r}"])

@@ -410,7 +410,7 @@ programs = st.builds(
     lambda body, ret, helper, helper_ret: lang.Program(
         [lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)]),
          lang.FuncDef("g", ["n", "a"], G_PRELUDE + helper + [lang.Return(helper_ret)])],
-        entry="f",
+        "f",
     ),
     blocks(2), exprs("any", 2), blocks(1), exprs("int", 2),
 )
@@ -691,7 +691,7 @@ ill_typed_programs = st.builds(
     lambda body, ret, helper, helper_ret: lang.Program(
         [lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)]),
          lang.FuncDef("g", ["n", "a"], G_PRELUDE + helper + [lang.Return(helper_ret)])],
-        entry="f",
+        "f",
     ),
     st.builds(lambda body, ill, at: body[:at] + ill + body[at:], blocks(2),
               st.one_of(*map(ill_typed_steps, INT_VARS + LIST_VARS)), st.integers(0, 3)),
@@ -791,7 +791,7 @@ def fuel_free(run) -> bool:
 
 bounded_programs = st.builds(
     lambda body, ret: lang.Program(
-        [lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)])], entry="f"
+        [lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)])], "f"
     ),
     blocks(2, bounded=True), exprs("any", 2, calls=False),
 )
@@ -998,11 +998,147 @@ def test_the_deepest_parsed_program_compiles_with_no_fuel_code():
 
 # -- facts the analysis proves ------------------------------------------------
 #
-# Where no run can exhaust its fuel, two checks go: `v[i]` in the body of
-# `for i in range([k,] len(v))` is in range when `v` is a proven list, `k` a
-# constant of at least 0 and nothing in the body (in any alternative) stores
-# `i` or `v`; and `len` of an entry list parameter that the function never
-# stores needs no wrap while no input list is longer than the largest int.
+# `_survey` walks a program once, through every alternative of every site,
+# and finds the names the entry stores and the loops that range over a
+# length.  In every program, fueled or not, two checks go: `v[i]` in the
+# body of `for i in range([k,] len(v))` is in range when `range` and `len`
+# are the builtins, `v` is a proven list, `k` a constant of at least 0 and
+# nothing in the body (in any alternative) stores `i` or `v`; and `len` of
+# an entry list parameter that the entry never stores needs no wrap while
+# no input list is longer than the largest int.
+
+
+def survey(program, bounds=Bounds(4, 3)):
+    return compiler_module._survey(program, {}, bounds)
+
+
+def entry_stores(*body):
+    return survey(lang.Program([lang.FuncDef("f", ["xs", "n"], list(body))], "f"))[2]
+
+
+def test_the_survey_names_every_variable_the_entry_may_store_to():
+    program = parse_imp(
+        "def f(xs, n):\n    a = xs[n]\n    xs[0] = a\n    b += 1\n    ys.append(n)\n"
+        "    for k in range(n):\n        if k > 0:\n            c = k\n    return a\n\n"
+        "def g(n):\n    z = n\n    return z\n"
+    )
+    body = program.functions[0].body
+    assert survey(program)[2] == {"a", "xs", "b", "ys", "k", "c"}  # not `g`'s `z`
+    assert entry_stores(body[4]) == {"k", "c"} and entry_stores(lang.Return(body[0].value)) == set()
+    # inside every alternative of a choice site: a statement site, a target
+    # site and a site at an indexed target's variable
+    one = lang.IntLit(1)
+    assert entry_stores(mixed_site("stmt", lang.Pass(), [[lang.Assign(lang.Var("d"), one)]])) == {"d"}
+    assert entry_stores(lang.Assign(mixed_site("expr", lang.Var("e"), [lang.Var("f")]), one)) == {"e", "f"}
+    indexed = lang.Index(mixed_site("expr", lang.Var("g"), [lang.Var("h")]), lang.Var("i"))
+    assert entry_stores(lang.AugAssign(indexed, "+", one)) == {"g", "h"}
+
+
+def every_node(fragment):
+    """`lang.walk` of `fragment` and of every alternative of every choice
+    site in it."""
+    top = fragment if type(fragment) is list else [fragment]
+    sites = [c for c in top if type(c) is ChoiceSite]
+    for node in lang.walk(fragment):
+        yield node
+        sites += [c for c in lang.children(node) if type(c) is ChoiceSite]
+    for site in sites:
+        for alt in site.alternatives:
+            yield from every_node(alt.payload)
+
+
+def target_names(target) -> set:
+    if type(target) is ChoiceSite:
+        return set().union(*(target_names(alt.payload) for alt in target.alternatives))
+    if type(target) is lang.Index:
+        return target_names(target.base)
+    return {target.name} if type(target) is lang.Var else set()
+
+
+def stored_names(fragment) -> set:
+    """The recount of the names a fragment may store to."""
+    names = set()
+    for node in every_node(fragment):
+        if type(node) in (lang.Assign, lang.AugAssign):
+            names |= target_names(node.target)
+        elif type(node) is lang.MethodCall:
+            names.add(node.obj)
+        elif type(node) is lang.ForIn:
+            names.add(node.var)
+    return names
+
+
+def ranged_loops(program, bounds) -> dict:
+    """The recount of the loops that put `v[i]` in range, by id, with `v`."""
+    out = {}
+    if {"len", "range"} & {f.name for f in program.functions}:
+        return out
+    for loop in (n for f in program.functions for n in every_node(f.body)):
+        it = loop.iterable if type(loop) is lang.ForIn else None
+        if type(it) is not lang.Call or it.func != "range" or len(it.args) not in (1, 2):
+            continue
+        *start, n = it.args
+        starts = [((k.value + bounds.half) & bounds.mask) - bounds.half
+                  if type(k) is lang.IntLit else -1 for k in start]
+        if min(starts, default=0) < 0 or type(n) is not lang.Call or n.func != "len":
+            continue
+        if len(n.args) == 1 and type(n.args[0]) is lang.Var:
+            v = n.args[0].name
+            if v != loop.var and not {v, loop.var} & stored_names(loop.body):
+                out[id(loop)] = v
+    return out
+
+
+@st.composite
+def surveyed_programs(draw):
+    """Choice-site programs with `for` loops over ranges of lengths and over
+    other iterables, index stores, appends, and statement and target sites,
+    in the entry and in a helper; the program may define `len` or `range`."""
+    var = st.sampled_from(INT_VARS + LIST_VARS + ("c", "d", "e"))
+    small = var.map(lang.Var) | st.integers(-9, 9).map(lang.IntLit)
+    either = st.builds(lambda d, o: mixed_site("expr", lang.Var(d), [lang.Var(o)]), var, var)
+    target = st.one_of(var.map(lang.Var), either, st.builds(lang.Index, var.map(lang.Var) | either, small))
+    length = st.one_of(var.map(lang.Var), var.map(lang.Var), either).map(lambda v: lang.Call("len", [v]))
+    start = st.integers(-9, 9).map(lang.IntLit) | st.just(lang.BinOp(lang.IntLit(0), "-", lang.IntLit(1)))
+    ranges = length.map(lambda n: lang.Call("range", [n])) | st.builds(
+        lambda k, n: lang.Call("range", [k, n]), start, length)
+    iterable = st.one_of(
+        ranges, ranges, ranges,
+        st.builds(lambda k, n: lang.Call("range", [k, n, lang.IntLit(1)]), start, length),
+        length.map(lambda n: lang.Call("range", [lang.BinOp(n, "-", lang.IntLit(1))])),
+        var.map(lang.Var),
+    )
+    simple = st.one_of(
+        st.builds(lang.Assign, target, small),
+        st.builds(lang.AugAssign, target, st.just("+"), small),
+        st.builds(lambda v, x: lang.MethodCall(v, "append", [x]), var, small),
+        st.just(lang.Pass()),
+    )
+
+    def nest(inner):
+        block = st.lists(inner, min_size=1, max_size=3)
+        return st.one_of(
+            st.builds(lang.ForIn, var, iterable, block),
+            st.builds(lang.If, st.just(lang.BoolLit(True)), block, st.just([])),
+            st.builds(lang.While, st.just(lang.BoolLit(False)), block),
+            st.builds(lambda d, o: mixed_site("stmt", d, o), inner,
+                      st.lists(inner | block, min_size=1, max_size=2)),
+        )
+
+    stmts = st.lists(st.recursive(simple, nest, max_leaves=10), min_size=1, max_size=4)
+    functions = [lang.FuncDef("f", ["xs", "n"], draw(stmts)), lang.FuncDef("g", ["xs"], draw(stmts))]
+    for name in draw(st.sampled_from([(), (), (), ("len",), ("range",)])):
+        functions.append(lang.FuncDef(name, ["n"], [lang.Return(lang.Var("n"))]))
+    return lang.Program(functions, "f")
+
+
+@given(surveyed_programs(), st.sampled_from([3, 4]))
+@settings(max_examples=200, deadline=None)
+def test_the_survey_finds_every_store_and_every_loop_over_a_length(program, bits):
+    bounds = Bounds(bits, 3)
+    _, _, stores, ranged = survey(program, bounds)
+    assert stores == stored_names(program.entry_func().body)
+    assert ranged == ranged_loops(program, bounds)
 
 LOOP = ("def f_int(xs_list_int, n_int):\n    s = 0\n    ys = xs_list_int + [1]\n"
         "    for i in {iterable}:\n        s += {read}\n{body}    return s\n")
@@ -1040,6 +1176,7 @@ IN_RANGE = [  # iterable, the read, further statements of the body, kwargs of `e
     ("range(len(xs_list_int))", "xs_list_int[i]", "        n_int = xs_list_int[i]\n", {}),
     ("range(len(xs_list_int))", "xs_list_int[i]", "",
      {"site": store_in_one_alternative("n_int = 2")}),
+    ("range(len(xs_list_int))", "xs_list_int[i]", "", {"bounds": Bounds(4, 3, fuel=10)}),  # fueled
 ]
 CHECKED_INDEX = [
     ("range(9, len(xs_list_int))", "xs_list_int[i]", "", {}),  # 9 wraps to -7 at 4 bits
@@ -1061,7 +1198,6 @@ CHECKED_INDEX = [
     ("range(len(xs_list_int))", "xs_list_int[i]", "",
      {"site": store_in_one_alternative("i = 3")}),
     ("range(len(xs_list_int))", "xs_list_int[i]", "", {"signed": False}),  # not a proven list
-    ("range(len(xs_list_int))", "xs_list_int[i]", "", {"bounds": Bounds(4, 3, fuel=10)}),
 ]
 
 
@@ -1088,6 +1224,7 @@ SHORT = [  # the body, kwargs of `emitted`
     ("    ys = xs_list_int\n    ys.append(1)\n", {}),
     ("", {"bounds": Bounds(4, 7, fuel=10**6)}),
     ("", {"bounds": Bounds(3, 3, fuel=10**6)}),
+    ("", {"bounds": Bounds(4, 3, fuel=1)}),  # fueled
 ]
 WRAPPED = [
     ("    xs_list_int = xs_list_int + xs_list_int\n", {}),
@@ -1098,7 +1235,6 @@ WRAPPED = [
      {"site": store_in_one_alternative("xs_list_int = [1]")}),
     ("", {"bounds": Bounds(4, 8, fuel=10**6)}),  # a list of 8 is longer than 7
     ("", {"bounds": Bounds(3, 4, fuel=10**6)}),
-    ("", {"bounds": Bounds(4, 3, fuel=1)}),  # where the fuel may run out
 ]
 
 
@@ -1109,6 +1245,44 @@ def test_a_length_wrap_goes_exactly_where_the_parameter_is_never_stored(body, kw
     assert (wrapped not in code) == ((body, kwargs) in SHORT)
     assert "return len(v_xs_list_int)" in code or f"return {wrapped}" in code
     assert "_len(" in emitted(LENGTH.format(body=body), **{**kwargs, "signed": False})
+
+
+# fueled programs in which a function breaks a proof: it defines `len` or
+# `range`, or it calls the entry, whose parameters may then hold anything;
+# (the function, whether the entry's `len` is still the builtin's unwrapped)
+BREAKERS = [
+    ("def len(xs):\n    return 7\n", False),
+    ("def range(n):\n    return [0, 1, 2, 3, 4, 5, 6, 7]\n", True),
+    ("def g(xs):\n    return f_int(xs, 0)\n", False),
+]
+
+
+@pytest.mark.parametrize("function,short", BREAKERS)
+def test_a_fueled_program_keeps_the_checks_its_functions_break(function, short):
+    fueled = Bounds(4, 3, fuel=10)
+    loop = LOOP.format(iterable="range(len(xs_list_int))", read="xs_list_int[i]", body="")
+    code = emitted(f"{loop}\n{function}", fueled)
+    assert "_fuel" in code and ("_out_of_range" in code or "_index(" in code)
+    assert ("return len(v_xs_list_int)" in emitted(f"{LENGTH.format(body='')}\n{function}",
+                                                  fueled)) == short
+    program = parse_imp(f"{loop}\n{function}")
+    compiler = Compiler(Bounds(4, 3, fuel=300))
+    run = compiler.compile(program, signature=SIGNATURE)
+    for args in INPUTS:
+        assert_agree(program, args, compiler, run=run)
+
+
+def test_only_the_entry_s_own_parameter_keeps_its_length_unwrapped():
+    # `g`'s list of the same name is longer than the largest int
+    program = parse_imp(
+        "def f_int(xs_list_int, n_int):\n    return g(n_int) + len(xs_list_int)\n\n"
+        "def g(n):\n    xs_list_int = [1, 2, 3, 4, 5, 6, 7, 8]\n    return len(xs_list_int)\n"
+    )
+    compiler = Compiler(Bounds(4, 3, fuel=300))
+    run = compiler.compile(program, signature=SIGNATURE)
+    assert not fuel_free(run)
+    for args in INPUTS:
+        assert_agree(program, args, compiler, run=run)
 
 
 @st.composite
@@ -1150,16 +1324,20 @@ def length_loops(draw):
     loop = lang.ForIn(i, lang.Call("range", start + [length]), body)
     tail = draw(exprs("any", 1, False))
     return lang.Program([lang.FuncDef("f", ["xs", "n"], F_PRELUDE + [loop, lang.Return(tail)])],
-                        entry="f")
+                        "f")
 
 
-def assert_agrees_where_no_run_can_exhaust_its_fuel(program, bits=4):
+def assert_agrees_with_and_without_fuel_code(program, bits=4):
+    """At a fuel of the tick bound no run can exhaust the fuel, and the code
+    has no fuel code; one less, the code has it, and still no run ends
+    short of its fuel."""
     tilde = TildeProgram(program)
     number_sites(tilde)
     bound = compiler_module._survey(tilde.root, {}, Bounds(bits, 3, fuel=10**9))[1]
-    compiler = Compiler(Bounds(bits, 3, fuel=bound))
-    assert fuel_free(compiler.compile(tilde, signature=SIGNATURE))
-    _, fuel_only, _ = assert_candidates_agree(tilde, INPUTS, None, compilers={bound: compiler},
+    compilers = {fuel: Compiler(Bounds(bits, 3, fuel=fuel)) for fuel in (bound, bound - 1)}
+    assert fuel_free(compilers[bound].compile(tilde, signature=SIGNATURE))
+    assert not fuel_free(compilers[bound - 1].compile(tilde, signature=SIGNATURE))
+    _, fuel_only, _ = assert_candidates_agree(tilde, INPUTS, None, compilers=compilers,
                                               signatures=(None, SIGNATURE))
     assert fuel_only == 0
 
@@ -1167,7 +1345,7 @@ def assert_agrees_where_no_run_can_exhaust_its_fuel(program, bits=4):
 @given(length_loops())
 @settings(max_examples=150, deadline=None)
 def test_an_index_in_a_loop_over_a_length_agrees_whatever_the_body_stores(program):
-    assert_agrees_where_no_run_can_exhaust_its_fuel(program)
+    assert_agrees_with_and_without_fuel_code(program)
 
 
 @st.composite
@@ -1195,14 +1373,14 @@ def long_lists(draw):
     ret = draw(st.sampled_from([lang.Call("len", [xs]), lang.Call("len", [ys]),
                                 lang.BinOp(n, "+", lang.Call("len", [xs])), lang.Var("b")]))
     return lang.Program([lang.FuncDef("f", ["xs", "n"], F_PRELUDE + body + [lang.Return(ret)])],
-                        entry="f")
+                        "f")
 
 
 @given(long_lists(), st.sampled_from([3, 4]))
 @settings(max_examples=150, deadline=None)
 def test_lengths_of_lists_longer_than_the_largest_int_agree(program, bits):
     # inputs hold at most 3 elements, no more than the largest int at 3 or 4 bits
-    assert_agrees_where_no_run_can_exhaust_its_fuel(program, bits)
+    assert_agrees_with_and_without_fuel_code(program, bits)
 
 
 # -- the oracle on compiled code ---------------------------------------------

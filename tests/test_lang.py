@@ -5,7 +5,6 @@ import pytest
 
 from autofix import eml, lang
 from autofix.parser import parse_imp
-from autofix.tilde import Alternative, ChoiceSite
 
 # attributes that only locate a node in its text, with their defaults;
 # every other attribute is structural
@@ -26,7 +25,7 @@ def test_every_node_class_is_checked():
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_declared_fields_are_the_dataclass_fields(cls):
     # `fields` then `locators` is a node class's one declaration: its
-    # constructor, positional or keyword, and what equality compares
+    # positional constructor, and what equality compares
     assert cls.locators and set(cls.locators) <= LOCATION_FIELDS.keys()
     assert not LOCATION_FIELDS.keys() & set(cls.fields)
     assert "key" not in vars(cls)  # the one structural key is the base class's
@@ -35,32 +34,31 @@ def test_declared_fields_are_the_dataclass_fields(cls):
         spans["source"] = "def f_int():\n    return 0\n"
     values = {name: [f"v{i}"] for i, name in enumerate(cls.fields)}
     values.update(spans)
-    by_position = cls(*values.values())
-    by_keyword = cls(**values)
+    node = cls(*values.values())
     for name, value in values.items():
-        assert getattr(by_position, name) is value and getattr(by_keyword, name) is value
-    assert by_position == by_keyword and not by_position != by_keyword
-    assert repr(by_position) == repr(by_keyword)
-    assert repr(by_position).startswith(f"{cls.__name__}(")
-    for name in cls.locators:  # locators default; spans are part of equality
-        bare = cls(*values.values())
-        assert bare == by_position
-        setattr(bare, name, LOCATION_FIELDS[name])
-        assert bare != by_position
-        assert cls(**{k: v for k, v in values.items() if k != name}) == bare
+        assert getattr(node, name) is value
+    assert node == cls(*values.values()) and not node != cls(*values.values())
+    assert repr(node).startswith(f"{cls.__name__}(")
+    fields = [values[name] for name in cls.fields]
+    for kept in range(len(cls.locators)):  # left-out trailing locators default
+        bare = cls(*fields, *list(spans.values())[:kept])
+        left_out = cls.locators[kept:]
+        assert [getattr(bare, n) for n in left_out] == [LOCATION_FIELDS[n] for n in left_out]
+        assert bare != node  # spans are part of equality
+        for name in left_out:
+            setattr(bare, name, values[name])
+        assert bare == node
     with pytest.raises(TypeError):
-        hash(by_position)
-    with pytest.raises(TypeError):
+        hash(node)
+    with pytest.raises(TypeError, match="arguments, got"):  # a wrong argument count
         cls(*values.values(), None)
     with pytest.raises(TypeError):
-        cls(**values, unknown=1)
+        cls(*values.values(), unknown=1)
     if cls.fields:
-        with pytest.raises(TypeError):
-            cls(*list(values.values())[: len(cls.fields) - 1])
-        with pytest.raises(TypeError):
-            cls(*values.values(), **{cls.fields[0]: 1})
-        copy = lang.with_field(by_position, cls.fields[-1], ["new"])
-        assert getattr(copy, cls.fields[-1]) == ["new"] and copy != by_position
+        with pytest.raises(TypeError, match="arguments, got"):
+            cls(*fields[:-1])
+        copy = lang.with_field(node, cls.fields[-1], ["new"])
+        assert getattr(copy, cls.fields[-1]) == ["new"] and copy != node
         assert [getattr(copy, n) for n in cls.locators] == [values[n] for n in cls.locators]
 
 
@@ -139,22 +137,3 @@ def test_size_counts_statements_loop_variables_and_present_slice_ends():
     # def, for + its variable, slice, xs, 1, pass, return, x_int
     assert lang.size(program) == 9
     assert lang.size(program.functions[0].body) == 8
-
-
-def test_stored_names_every_variable_a_fragment_may_store_to():
-    body = parse_imp(
-        "def f(xs, n):\n    a = xs[n]\n    xs[0] = a\n    b += 1\n    ys.append(n)\n"
-        "    for k in range(n):\n        if k > 0:\n            c = k\n    return a\n"
-    ).functions[0].body
-    assert lang.stored(body) == {"a", "xs", "b", "ys", "k", "c"}
-    assert lang.stored(body[4]) == {"k", "c"} and lang.stored(body[0].value) == set()
-    # inside every alternative of a choice site: a statement site, a target
-    # site and a site at an indexed target's variable
-    def site(*payloads):
-        return ChoiceSite("stmt", lang.NO_SPAN, lang.NO_SPAN, [Alternative(p) for p in payloads])
-
-    one = lang.IntLit(1)
-    assert lang.stored(site(lang.Pass(), [lang.Assign(lang.Var("d"), one)])) == {"d"}
-    assert lang.stored(lang.Assign(site(lang.Var("e"), lang.Var("f")), one)) == {"e", "f"}
-    indexed = lang.Index(site(lang.Var("g"), lang.Var("h")), lang.Var("i"))
-    assert lang.stored(lang.AugAssign(indexed, "+", one)) == {"g", "h"}
