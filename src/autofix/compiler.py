@@ -50,7 +50,13 @@ and an assignment target site a chain of stores of the value computed
 once.  Code for every alternative is emitted, also inside alternatives the
 pick leaves unused, so a variable assigned in any alternative is a local of
 its ``def``; reading it before any assignment raises ``NameError``, a
-``TypeMismatch`` as in the spec.
+``TypeMismatch`` as in the spec.  Compiled code reads a pick only as
+``_sK == i`` or ``_oK[_sK]``, and only where the code of site K runs.  So a
+run given picks that note each ``==`` and ``__index__`` learns the sites
+its path depends on (`sites_read`), and any pick tuple that agrees with it
+on those sites runs the same way on that input: the search's learned facts
+rest on this contract, and code that reads a pick any other way breaks
+them.
 
 Fuel.  A statement is charged its static tick count when it starts: its own
 tick plus one per expression node that always runs.  The right operand of
@@ -78,7 +84,7 @@ from __future__ import annotations
 import functools
 
 from . import lang
-from .interp import MAX_CALL_DEPTH, Bounds, helpers
+from .interp import MAX_CALL_DEPTH, Bounds, Fault, helpers
 from .lexer import SourceError
 from .parser import BUILTIN_FUNCS
 from .tilde import ChoiceSite, TildeProgram
@@ -137,6 +143,39 @@ class Compiler:
         run.returns = emitter.returns
         run.exact = _exact(_join(emitter.returns, reference_type))
         return run
+
+
+class _ReadPick:
+    """A pick that notes its site in a shared mask whenever compiled code
+    reads it, as ``_sK == i`` or ``_oK[_sK]``."""
+
+    __slots__ = ("value", "bit", "read")
+
+    def __init__(self, value: int, bit: int, read: list):
+        self.value = value
+        self.bit = bit
+        self.read = read
+
+    def __eq__(self, other):
+        self.read[0] |= self.bit
+        return self.value == other
+
+    def __index__(self):
+        self.read[0] |= self.bit
+        return self.value
+
+
+def sites_read(run, args, picks: tuple) -> int:
+    """The sites whose picks one run of the compiled choice-site program
+    `run` on `args` with `picks` reads, as a bitmask of site ids, whether
+    the run returns or faults.  A run with any other picks on the sites
+    outside the mask takes the same path and ends the same way."""
+    read = [0]
+    try:
+        run(args, tuple(_ReadPick(pick, 1 << k, read) for k, pick in enumerate(picks)))
+    except Fault:
+        pass
+    return read[0]
 
 
 # -- static types --------------------------------------------------------------

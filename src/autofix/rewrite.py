@@ -15,11 +15,13 @@ whose pattern matches then contributes weighted alternatives:
   nested set is left empty is left out).
 
 Every site that offers one rule's options beside a default is built by
-`_choice`.  A function rule offers its bodies at one block site, built in
-the function's context.  Primed subterms are rewritten recursively (their
-sites cost extra); unprimed metavariables are frozen copies of what they
-matched.  Scope sets expand to the variables assigned before the enclosing
-statement (for a function rule, the parameters).
+`_choice`, which leaves out an option that is the same literal, variable or
+operator as the default or an earlier option.  A function rule offers its
+bodies at one block site, built in the function's context.  Primed
+subterms are rewritten recursively (their sites cost extra); unprimed
+metavariables are frozen copies of what they matched.  Scope sets expand to
+the variables assigned before the enclosing statement (for a function rule,
+the parameters).
 """
 
 from __future__ import annotations
@@ -171,14 +173,21 @@ class _Engine:
                 default = _with_slot(default, slot, self._choice(kind, span, current, options, rule))
         return default
 
-    def _choice(self, kind, span, default, options, rule) -> ChoiceSite:
-        """A site offering `rule`'s `options` beside `default`."""
-        return self._site(
-            kind,
-            span,
-            self.stmt_header,
-            [Alternative(default)] + [Alternative(p, rule.rule_id, rule.weight) for p in options],
-        )
+    def _choice(self, kind, span, default, options, rule):
+        """A site offering `rule`'s `options` beside `default`, less every
+        literal twin: an option that is the same literal, variable or
+        operator as the default or an earlier option, which would only
+        repeat a cheaper candidate.  With no option left, `default`."""
+        seen = {_literal(default)}
+        alternatives = [Alternative(default)]
+        for payload in options:
+            key = _literal(payload)
+            if key is None or key not in seen:
+                seen.add(key)
+                alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
+        if len(alternatives) == 1:
+            return default
+        return self._site(kind, span, self.stmt_header, alternatives)
 
     def _variants(self, tpl, binding, rule, anchor) -> list:
         """The payloads a template offers: one per element of a set
@@ -319,6 +328,18 @@ def _aligned(rhs, lhs) -> bool:
 
 def _strip_prime(node):
     return node.inner if isinstance(node, Primed) else node
+
+
+def _literal(payload):
+    """What makes `payload` the same alternative as another: its class and
+    value for a literal, its class and name for a variable, the operator
+    itself; None for any other payload."""
+    cls = type(payload)
+    if cls is lang.IntLit or cls is lang.BoolLit:
+        return cls, payload.value
+    if cls is lang.Var:
+        return cls, payload.name
+    return payload if cls is str else None
 
 
 def _other_ops(op: str) -> list:

@@ -29,6 +29,17 @@ budget once per chunk and cuts a chunk to the runs the budget has left, so
 the run past `max_evals` is the one refused.  With `max_seconds`, the
 clock is read once per chunk and once per candidate.
 
+The search learns from failures, as Sketch's CEGIS does from each
+counterexample.  A failed candidate with at most one non-default pick (the
+unchanged program, or one pick (k, a)) runs once more on the input it
+failed on, with picks that note each site the run reads
+(`compiler.sites_read`).  Every candidate with the same picks on those
+sites runs the same way there, so it fails on an input already among the
+counterexamples, and `enumerate_candidates` never yields it.  These reruns
+happen as the next cost level starts, the first that can use them, and the
+budget does not count them.  Every other candidate keeps its place, so the
+fixes and the counterexamples are those of screening them all.
+
 Values are compared with the language's type-exact ``same`` unless the
 static return types of the candidate program and the reference prove that
 Python's ``!=`` tells the same: then screening and verification compare with
@@ -41,7 +52,7 @@ from __future__ import annotations
 import time
 
 from . import lang
-from .compiler import Compiler
+from .compiler import Compiler, sites_read
 from .inputs import Signature, enumerate_inputs, parse_signature
 from .interp import Bounds, Fault, same
 from .printer import pretty_program
@@ -226,14 +237,22 @@ def cegis_min(
     fixes: list = []  # cheapest first
     texts = set()  # the fixes' printed programs
     kind = None  # why the budget stopped the search, if it did
+    # (picks, input index) of each failed candidate with at most one pick,
+    # that is with at least `zeros` default picks, not yet learned from
+    failed = []
+    zeros = len(tilde.sites) - 1
+
+    def learn():
+        facts = [(picks, sites_read(run, inputs[i], picks)) for picks, i in failed]
+        failed.clear()
+        return facts
 
     try:
-        for picks, cost in enumerate_candidates(tilde, max_cost):
+        for picks, cost in enumerate_candidates(tilde, max_cost, learn):
             tested += 1
             n = len(cex_indices)
             if clocked or n > CHUNK or budget.evals + n > max_evals:
-                if scan(run, picks, cex_indices, budget) is not None:
-                    continue
+                i = scan(run, picks, cex_indices, budget)
             else:
                 # the whole set is affordable: run it here, and charge the
                 # runs made as `scan` would
@@ -249,34 +268,36 @@ def cegis_min(
                     i = None
                 if i is not None:
                     budget.evals += cex_indices.index(i) + 1  # no index repeats
+            if i is None:
+                winner = None
+                if texts:
+                    winner = instantiate(tilde, picks)
+                    if pretty_program(winner.program) in texts:
+                        continue  # a text twin of a fix
+                i = first_mismatch(run, picks, budget, stop=head)
+                if i is None and head < len(inputs):
+                    winner = winner or instantiate(tilde, picks)
+                    alone = oracle.compile(winner.program, callees)
+                    i = first_mismatch(alone, (), budget, start=head)
+                if i is None:
+                    winner = winner or instantiate(tilde, picks)
+                    fixes.append(RepairResult(
+                        status="correct" if cost == 0 else "fixed",
+                        picks=picks,
+                        cost=cost,
+                        active=winner.active,
+                        program=winner.program,
+                        cexs_used=len(cex_indices),
+                        candidates_tested=tested,
+                        max_cost=max_cost,
+                    ))
+                    if cost == 0 or len(fixes) > alternates:
+                        break
+                    texts.add(pretty_program(winner.program))
                     continue
-            winner = None
-            if texts:
-                winner = instantiate(tilde, picks)
-                if pretty_program(winner.program) in texts:
-                    continue  # a text twin of a fix
-            mismatch = first_mismatch(run, picks, budget, stop=head)
-            if mismatch is None and head < len(inputs):
-                winner = winner or instantiate(tilde, picks)
-                alone = oracle.compile(winner.program, callees)
-                mismatch = first_mismatch(alone, (), budget, start=head)
-            if mismatch is not None:
-                cex_indices.append(mismatch)
-                continue
-            winner = winner or instantiate(tilde, picks)
-            fixes.append(RepairResult(
-                status="correct" if cost == 0 else "fixed",
-                picks=picks,
-                cost=cost,
-                active=winner.active,
-                program=winner.program,
-                cexs_used=len(cex_indices),
-                candidates_tested=tested,
-                max_cost=max_cost,
-            ))
-            if cost == 0 or len(fixes) > alternates:
-                break
-            texts.add(pretty_program(winner.program))
+                cex_indices.append(i)
+            if picks.count(0) >= zeros:
+                failed.append((picks, i))
     except _BudgetStop as stop:
         kind = stop.kind
     if not fixes:

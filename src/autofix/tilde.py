@@ -126,22 +126,39 @@ def max_cost_bound(tilde: TildeProgram) -> int:
     )
 
 
-def enumerate_candidates(tilde: TildeProgram, max_cost=None):
+def enumerate_candidates(tilde: TildeProgram, max_cost=None, learn=None):
     """Yield (picks, cost) for every canonical candidate with cost up to
-    `max_cost`, in non-decreasing cost order; within one cost the sorted
-    sequences of active (site_id, alternative index) picks are emitted in
-    lexicographic order.  `picks` holds one alternative index per site, and
-    inactive sites stay pinned at the default 0, so a candidate's picks and
-    its active picks (the non-zero ones) determine each other and each
-    active-selection pattern appears exactly once."""
-    if max_cost is None:
-        max_cost = max_cost_bound(tilde)
+    `max_cost` (at most `max_cost_bound`), in non-decreasing cost order;
+    within one cost the sorted sequences of active (site_id, alternative
+    index) picks are emitted in lexicographic order.  `picks` holds one
+    alternative index per site, and inactive sites stay pinned at the
+    default 0, so a candidate's picks and its active picks (the non-zero
+    ones) determine each other and each active-selection pattern appears
+    exactly once.
+
+    `learn`, if given, is called as each cost level from 1 starts, and
+    returns the facts learned since its last call: pairs (picks, sites) of
+    a candidate with at most one non-default pick that failed on some
+    input, and the bitmask of the sites whose picks that failing run read.
+    A candidate with the same picks on those sites runs the same way on
+    that input, so it fails too, and it is not yielded.  For the unchanged
+    program (or a pick its run never read), that is every candidate that
+    picks no site of the mask.  For the pick (k, a), it is every candidate
+    that picks (k, a) and no other site of the mask, so after choosing
+    (k, a) with no earlier pick in the mask a later site of it must be
+    picked, and with none later the subtree is skipped.  The facts are
+    checked as masks at each pick, so a skipped subtree is never walked,
+    and every other candidate keeps its place in the order."""
+    bound = max_cost_bound(tilde)
+    max_cost = bound if max_cost is None else min(max_cost, bound)
     sites = tilde.sites
     n = len(sites)
     picks = [0] * n
     parents = [site.parent for site in sites]  # (site_id, alt_index) or None
     options = [[(idx, alt.weight) for idx, alt in enumerate(site.alternatives) if idx]
                for site in sites]  # each site's non-default (index, weight)
+    needs = []  # masks of sites of which every candidate must pick one
+    after = {}  # (site_id, index) -> [(mask, its sites after site_id)] of a pick's facts
 
     def is_active(i) -> bool:
         parent = parents[i]
@@ -152,26 +169,46 @@ def enumerate_candidates(tilde: TildeProgram, max_cost=None):
             parent = parents[pid]
         return True
 
-    def rec(start, remaining, cost):
-        # extend the current pick set with sites >= start, ascending, to
-        # spend exactly `remaining` more
-        for i in range(start, n):
+    def rec(start, remaining, cost, picked, needs):
+        # extend the current pick set, the sites in mask `picked`, with
+        # sites >= start, ascending, to spend exactly `remaining` more and
+        # pick a site of every mask in `needs`
+        stop = n
+        for need in needs:  # no pick past a need's last site can meet it
+            if need.bit_length() < stop:
+                stop = need.bit_length()
+        for i in range(start, stop):
             if parents[i] is not None and not is_active(i):
                 continue
+            bit = 1 << i
+            rest = [need for need in needs if not need & bit] if needs else needs
             for idx, weight in options[i]:
                 if weight > remaining:
                     continue
+                left = rest
+                facts = after.get((i, idx))
+                if facts:
+                    left = [later for mask, later in facts if not picked & mask]
+                    if not all(left):
+                        continue  # a fact of this pick with no site after it
+                    left += rest
                 picks[i] = idx
                 if weight < remaining:
-                    yield from rec(i + 1, remaining - weight, cost)
-                else:
+                    yield from rec(i + 1, remaining - weight, cost, picked | bit, left)
+                elif not left:
                     yield tuple(picks), cost
                 picks[i] = 0
 
     if max_cost >= 0:
         yield tuple(picks), 0
     for target in range(1, max_cost + 1):
-        yield from rec(0, target, target)
+        for failed, mask in learn() if learn else ():
+            k = next((k for k, idx in enumerate(failed) if idx), None)
+            if k is None or not mask >> k & 1:
+                needs.append(mask)
+            else:
+                after.setdefault((k, failed[k]), []).append((mask, mask >> (k + 1) << (k + 1)))
+        yield from rec(0, target, target, 0, needs)
 
 
 # --------------------------------------------------------------------------

@@ -67,6 +67,22 @@ def test_no_fix_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("corpus", [False, True])
+def test_a_huge_cost_cap_ends_a_search_with_no_fix_at_once(tmp_path, corpus):
+    # the search stops at the costliest candidate, not at --max-cost
+    student = asset("computederiv", "corpus", "s14_far_off.imp")
+    args = deriv_args(student, "--max-cost", str(10**12))
+    if corpus:  # a batch reports the verdict and exits 0
+        shutil.copy(student, tmp_path)
+        args[args.index("--student"):args.index("--student") + 2] = ["--corpus", str(tmp_path)]
+    started = time.monotonic()
+    code, out, err = main_in_process(args)
+    assert time.monotonic() - started < 1
+    assert err == ""
+    assert (code, out.splitlines()[0]) == ((0, "s14_far_off.imp: no-fix") if corpus
+                                          else (2, "No fix found: no fix within the cost cap."))
+
+
 def test_missing_model_exits_3(tmp_path):
     proc = run_cli(
         "--ref", asset("computederiv", "reference.imp"),
@@ -661,7 +677,8 @@ def test_any_flag_values_end_in_an_exit_code_and_at_most_one_line(tmp_path_facto
         "--fuel", str(value("--fuel", st.sampled_from(near or [10**5]), st.integers(1, 10**6))),
         "--max-list", str(value("--max-list", st.integers(0, 2 if bits > 2 else 1),
                                 st.integers(-1, 4) | st.integers(5, 10**6))),
-        "--max-cost", str(value("--max-cost", st.integers(1, 4), st.integers(-1, 4))),
+        "--max-cost", str(value("--max-cost", st.integers(1, 4),
+                                st.integers(-1, 4) | st.integers(5, 10**12))),
         "--budget-candidates", str(value("--budget-candidates", st.integers(10**3, 10**5),
                                          st.integers(-1, 10**3))),
         "--alternates", str(value("--alternates", st.integers(0, 2), st.integers(-1, 10**3))),

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from autofix import compiler as compiler_module
 from autofix import lang
-from autofix.compiler import Compiler
+from autofix.compiler import Compiler, sites_read
 from autofix.eml import parse_eml
 from autofix.inputs import Signature, parse_signature
 from autofix.interp import MAX_CALL_DEPTH, Bounds, TupleVal
@@ -812,6 +812,72 @@ def test_no_run_spends_more_ticks_than_the_bound(program):
     _, fuel_only, _ = assert_candidates_agree(tilde, INPUTS, 2, compilers={bound: compiler},
                                               signatures=(None, SIGNATURE))
     assert fuel_only == 0
+
+
+# -- the picks a run reads ---------------------------------------------------
+#
+# Compiled code reads a pick only as `_sK == i` or `_oK[_sK]`, and only
+# where site K's code runs (`sites_read`).  So a candidate that moves any
+# pick its run did not read to another alternative runs the same way on
+# that input: the same value or fault kind, compiled and under the spec.
+
+
+def with_operator_site(program, left, right, ops, at):
+    """`program` with ``lambda = left op right`` put at `at` after its
+    entry's prelude, where the operator is a site over `ops`."""
+    entry = program.functions[0]
+    node = (lang.BinOp if ops is lang.ARITH_OPS else lang.Compare)(
+        left, mixed_site("op", ops[0], list(ops[1:])), right)
+    at += len(F_PRELUDE)
+    body = entry.body[:at] + [lang.Assign(lang.Var(ANY_VAR), node)] + entry.body[at:]
+    return lang.with_field(program, "functions",
+                           [lang.with_field(entry, "body", body)] + program.functions[1:])
+
+
+# choice-site programs with expression, statement, nested and operator
+# sites, bounded ones (fuel-free at the higher fuel) and fueled ones
+sited_programs = st.builds(
+    with_operator_site, bounded_programs | ill_typed_programs, exprs("int", 1, False),
+    exprs("int", 1, False), st.sampled_from([lang.ARITH_OPS, lang.COMPARE_OPS]),
+    st.integers(0, 3),
+)
+
+
+def canonical(tilde, picks) -> tuple:
+    """`picks` with every site inside an unpicked alternative at its default."""
+    picks = list(picks)
+    for site in tilde.sites:  # an enclosing site has the lower id
+        if site.parent is not None and picks[site.parent[0]] != site.parent[1]:
+            picks[site.site_id] = 0
+    return tuple(picks)
+
+
+def same_outcome(a, b) -> bool:
+    """Whether two (value, fault kind) outcomes are the same."""
+    return a[1] == b[1] and (a[1] is not None or values_equal(a[0], b[0]))
+
+
+@given(sited_programs, st.sampled_from(INPUTS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_picks_a_run_did_not_read_leave_its_outcome_alone(program, args, data):
+    tilde = TildeProgram(program)
+    number_sites(tilde)
+    sites = tilde.sites
+    picks = canonical(tilde, data.draw(st.tuples(*(st.integers(0, s.arity() - 1)
+                                                     for s in sites))))
+    for compiler in COMPILERS.values():
+        run = compiler.compile(tilde)
+        read = sites_read(run, args, picks)
+        moved = canonical(tilde, tuple(
+            pick if read >> k & 1 or sites[k].arity() == 1
+            else (pick + data.draw(st.integers(1, sites[k].arity() - 1))) % sites[k].arity()
+            for k, pick in enumerate(picks)
+        ))
+        assert all(moved[k] == picks[k] for k in range(len(sites)) if read >> k & 1)
+        assert same_outcome(outcome(run, args, moved), outcome(run, args, picks)), (picks, moved)
+        want, got = (evaluate(instantiate(tilde, p).program, args, compiler.bounds)
+                     for p in (picks, moved))
+        assert same_outcome((got.value, got.fault), (want.value, want.fault)), (picks, moved)
 
 
 # ticks: 6 for the `for`, 7 per iteration (the index of the augmented

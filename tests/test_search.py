@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autofix import lang
+from autofix import lang, search
+from autofix.compiler import sites_read
 from autofix.eml import parse_eml
 from autofix.interp import Bounds
 from autofix.lexer import SourceError
@@ -31,7 +32,8 @@ from autofix.tilde import (
     number_sites,
 )
 
-from conftest import ASSETS, find_counterexample, read
+from conftest import ASSETS, active_of, find_counterexample, read
+from spec_interp import evaluate, values_equal
 
 
 def test_oracle_rejects_faulting_reference():
@@ -109,6 +111,22 @@ def test_single_fix_then_alternates_exhaust():
     first = cegis_min(tilde, oracle, max_cost=5, alternates=1)
     assert first.status == "fixed" and first.cost == 1
     assert first.alternates == []
+
+
+def test_the_search_learns_nothing_from_a_fix():
+    # no run of the one-pick fix reads site 0, in a branch no input takes:
+    # a fact learned from the fix would skip the alternate that also
+    # rewrites that branch
+    ref = parse_imp("def f_int(x_int):\n    return x_int + 1\n")
+    student = parse_imp("def f_int(x_int):\n    if x_int != x_int:\n        return 0\n"
+                        "    return x_int - 1\n")
+    model = parse_eml("rule OpF: a0 - a1 -> a0 + a1\n"
+                      "rule RetF weight 2: return a -> return {a + 1}\n")
+    tilde = rewrite(student, model)
+    first = cegis_min(tilde, ReferenceOracle(ref, Bounds(3, 0)), alternates=1)
+    assert (first.cost, first.picks) == (1, (0, 0, 1))
+    [second] = first.alternates
+    assert (second.cost, second.picks) == (3, (1, 0, 1))
 
 
 def test_alternates_skip_text_twins_of_prior_fixes():
@@ -391,7 +409,9 @@ def per_input_search(tilde, oracle, max_cost=5, max_evals=None, alternates=0):
     every run: ((status, budget kind, cost, candidates tested,
     counterexamples, evaluations, (cost, pick tuple) per fix), [(pick
     tuple, evaluations before) per verification]).  It goes on after a fix
-    until `alternates` more are found, skipping text twins of the fixes."""
+    until `alternates` more are found, skipping text twins of the fixes.
+    Like `cegis_min`, it learns from each failed candidate with at most one
+    pick, unbilled, so both skip the same candidates."""
     run = oracle.compile(tilde)
     evals = 0
     cexs = []
@@ -400,6 +420,12 @@ def per_input_search(tilde, oracle, max_cost=5, max_evals=None, alternates=0):
     fixes = []  # (status, cost, pick tuple, candidates tested, counterexamples)
     texts = set()
     kind = None
+    failed = []  # (pick tuple, input index) not yet learned from
+
+    def learn():
+        facts = [(picks, sites_read(run, oracle.inputs[i], picks)) for picks, i in failed]
+        failed.clear()
+        return facts
 
     def first_failure(picks, indices):
         nonlocal evals
@@ -416,22 +442,25 @@ def per_input_search(tilde, oracle, max_cost=5, max_evals=None, alternates=0):
         return None
 
     try:
-        for picks, cost in enumerate_candidates(tilde, max_cost):
+        for picks, cost in enumerate_candidates(tilde, max_cost, learn):
             tested += 1
-            if first_failure(picks, cexs) is not None:
-                continue
-            text = pretty_program(instantiate(tilde, picks).program)
-            if text in texts:
-                continue
-            verified.append((picks, evals))
-            mismatch = first_failure(picks, range(len(oracle.inputs)))
-            if mismatch is not None:
-                cexs.append(mismatch)
-                continue
-            fixes.append(("correct" if cost == 0 else "fixed", cost, picks, tested, len(cexs)))
-            if cost == 0 or len(fixes) > alternates:
-                break
-            texts.add(text)
+            i = first_failure(picks, cexs)
+            if i is None:
+                text = pretty_program(instantiate(tilde, picks).program)
+                if text in texts:
+                    continue
+                verified.append((picks, evals))
+                i = first_failure(picks, range(len(oracle.inputs)))
+                if i is None:
+                    fixes.append(("correct" if cost == 0 else "fixed", cost, picks, tested,
+                                  len(cexs)))
+                    if cost == 0 or len(fixes) > alternates:
+                        break
+                    texts.add(text)
+                    continue
+                cexs.append(i)
+            if len(active_of(picks)) <= 1:
+                failed.append((picks, i))
     except Refused:
         kind = "evals"
     found = tuple((cost, picks) for _, cost, picks, _, _ in fixes)
@@ -616,6 +645,49 @@ def test_bundled_survivors_fail_first_at_the_same_input_on_both_runners():
             assert_runners_agree(tilde, oracle, run, picks, (0, min(ALONE_AFTER, len(oracle.inputs))))
         survivors += len(verified)
     assert survivors >= 40
+
+
+def test_every_candidate_the_search_skips_fails_on_its_final_counterexamples(monkeypatch):
+    # the counterexamples certify the verdict: each candidate that the
+    # plain enumeration reaches before it and that the learned facts skip
+    # fails, under the spec, on some input of the final set
+    yielded, cexs = [], []
+
+    def recording(*args, **kwargs):
+        for candidate in enumerate_candidates(*args, **kwargs):
+            yielded.append(candidate[0])
+            yield candidate
+
+    first_mismatch = ReferenceOracle.first_mismatch
+
+    def recorded(*args, **kwargs):
+        i = first_mismatch(*args, **kwargs)
+        if i is not None:
+            cexs.append(i)
+        return i
+
+    def fails(program, x, want, bounds):
+        got = evaluate(program, x, bounds)
+        return not got.is_ok or not values_equal(got.value, want.value)
+
+    monkeypatch.setattr(search, "enumerate_candidates", recording)
+    monkeypatch.setattr(ReferenceOracle, "first_mismatch", recorded)
+    skipped = 0
+    for tilde, oracle, alternates in bundled_searches():
+        yielded.clear()
+        cexs.clear()
+        result = cegis_min(tilde, oracle, 5, alternates=alternates)
+        plain = [picks for picks, _ in enumerate_candidates(tilde, 5)]
+        if result.status != "no_fix":
+            plain = plain[:plain.index(yielded[-1])]
+        inputs = [oracle.inputs[i] for i in cexs]
+        wants = [evaluate(oracle.reference, x, oracle.bounds) for x in inputs]
+        for picks in set(plain) - set(yielded):
+            program = instantiate(tilde, picks).program
+            assert any(fails(program, x, want, oracle.bounds)
+                       for x, want in zip(inputs, wants)), picks
+            skipped += 1
+    assert skipped >= 2000
 
 
 @given(returned(), returned(), st.lists(returned(), min_size=1, max_size=3), st.booleans(),

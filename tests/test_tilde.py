@@ -153,6 +153,43 @@ def test_enumeration_is_every_canonical_pick_tuple_by_cost_then_active_picks(for
     assert list(enumerate_candidates(tilde, max_cost)) == [c for c in want if c[1] <= max_cost]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    forms=st.lists(st.sampled_from(ORDER_FORMS), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    data=st.data(),
+)
+def test_learned_facts_skip_exactly_the_candidates_that_agree_with_them(forms, weights, data):
+    # facts over any masks, from any candidate with at most one pick, each
+    # given as some cost level starts: from that level on, a candidate is
+    # left out exactly when it has the fact's picks on every site of the
+    # mask, and the others keep their order
+    model = parse_eml("".join(
+        f"rule R{i} weight {w}: {form}\n" for i, (form, w) in enumerate(zip(forms, weights))
+    ))
+    tilde = rewrite(parse_imp(ORDER_STUDENT), model)
+    plain = list(enumerate_candidates(tilde))
+    few = [picks for picks, _ in plain if len(active_of(picks)) <= 1]
+    fact = st.tuples(st.sampled_from(few), st.integers(0, 2 ** len(tilde.sites) - 1))
+    given_at = []  # (cost level, picks, mask) per fact
+    levels = []
+
+    def learn():
+        levels.append(len(levels) + 1)
+        facts = data.draw(st.lists(fact, max_size=2))
+        given_at.extend((levels[-1], picks, mask) for picks, mask in facts)
+        return facts
+
+    learned = list(enumerate_candidates(tilde, learn=learn))
+
+    def agrees(picks, cost):
+        return any(at <= cost and all(picks[k] == known[k] for k in range(len(picks))
+                                      if mask >> k & 1)
+                   for at, known, mask in given_at)
+
+    assert learned == [(p, c) for p, c in plain if not agrees(p, c)]
+
+
 def test_cost_additivity_for_sibling_sites(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
     s_a = find_site(tilde, 5)
