@@ -14,14 +14,13 @@ whose pattern matches then contributes weighted alternatives:
   default (a set of one element is that element, and an element whose
   nested set is left empty is left out).
 
-Every site that offers one rule's options beside a default is built by
-`_choice`, which leaves out an option that is the same literal, variable or
-operator as the default or an earlier option.  A function rule offers its
-bodies at one block site, built in the function's context.  Primed
-subterms are rewritten recursively (their sites cost extra); unprimed
-metavariables are frozen copies of what they matched.  Scope sets expand to
-the variables assigned before the enclosing statement (for a function rule,
-the parameters).
+Every site is built by `_choice`, which leaves out an option that is the
+same literal, variable or operator as the default or as an earlier option
+of no greater weight.  A function rule offers its bodies at one block
+site, built in the function's context.  Primed subterms are rewritten
+recursively (their sites cost extra); unprimed metavariables are frozen
+copies of what they matched.  Scope sets expand to the variables assigned
+before the enclosing statement (for a function rule, the parameters).
 """
 
 from __future__ import annotations
@@ -102,14 +101,12 @@ class _Engine:
     def rewrite_func(self, func: lang.FuncDef):
         body = lang.map_children(func.body, self.rewrite_node)
         self._enter(func)  # the function's own context, not its last statement's
-        alternatives = []
+        options = []
         for rule in self.func_rules:
             binding = match_pattern(rule.lhs, func)
             if binding is not None:
-                for payload in self._variants(rule.rhs.body, binding, rule, func.span):
-                    alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
-        if alternatives:
-            body = self._site("block", func.span, self.stmt_header, [Alternative(body)] + alternatives)
+                options += _offered(self._variants(rule.rhs.body, binding, rule, func.span), rule)
+        body = self._choice("block", func.span, body, options)
         return lang.FuncDef(func.name, func.params, body, func.span)
 
     # -- statements and expressions -------------------------------------------
@@ -123,7 +120,7 @@ class _Engine:
         if stmt:
             self._enter(node)
         default = lang.map_children(node, self.rewrite_node)
-        alternatives = []
+        options = []
         for rule in self.stmt_rules if stmt else self.expr_rules:
             binding = match_pattern(rule.lhs, node)
             if binding is None:
@@ -131,12 +128,8 @@ class _Engine:
             if _aligned(rule.rhs, rule.lhs):
                 default = self._graft(default, rule, binding)
                 continue
-            for payload in self._variants(rule.rhs, binding, rule, node.span):
-                alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
-        if alternatives:
-            kind = "stmt" if stmt else "expr"
-            return self._site(kind, node.span, self.stmt_header, [Alternative(default)] + alternatives)
-        return default
+            options += _offered(self._variants(rule.rhs, binding, rule, node.span), rule)
+        return self._choice("stmt" if stmt else "expr", node.span, default, options)
 
     def _enter(self, node) -> None:
         """Make `node` (a statement or the function) the one whose header
@@ -149,7 +142,8 @@ class _Engine:
     def _graft(self, default, rule, binding):
         """`default` with a choice site at each child position where the
         aligned template differs from the pattern; a position that already
-        holds a site (grafted by an earlier rule) gains the options."""
+        holds a site (grafted by an earlier rule, or made by the child's own
+        rewrite) gains the options."""
         for slot, lhs_child, rhs_child in _child_slots(rule.lhs, _strip_prime(rule.rhs)):
             if _template_key(rhs_child) == _template_key(lhs_child):
                 continue
@@ -167,26 +161,33 @@ class _Engine:
                     options = [binding[rhs_child.name]]
                 else:
                     options = [rhs_child]  # a literal operator
-            if isinstance(current, ChoiceSite):
-                current.alternatives += [Alternative(p, rule.rule_id, rule.weight) for p in options]
-            elif options:  # none, e.g., for a scope set with nothing in scope
-                default = _with_slot(default, slot, self._choice(kind, span, current, options, rule))
+            site = current if isinstance(current, ChoiceSite) else None
+            chosen = self._choice(kind, span, current, _offered(options, rule), site)
+            if chosen is not current:
+                default = _with_slot(default, slot, chosen)
         return default
 
-    def _choice(self, kind, span, default, options, rule):
-        """A site offering `rule`'s `options` beside `default`, less every
-        literal twin: an option that is the same literal, variable or
-        operator as the default or an earlier option, which would only
-        repeat a cheaper candidate.  With no option left, `default`."""
-        seen = {_literal(default)}
-        alternatives = [Alternative(default)]
-        for payload in options:
-            key = _literal(payload)
-            if key is None or key not in seen:
-                seen.add(key)
-                alternatives.append(Alternative(payload, rule.rule_id, rule.weight))
-        if len(alternatives) == 1:
-            return default
+    def _choice(self, kind, span, default, options, site=None):
+        """A site offering the alternatives `options` beside `default`, or
+        `site`, one already in its place, gaining them.  An option is left
+        out if it is a literal twin, the same literal, variable or operator
+        as the default or as an earlier option of no greater weight: a
+        change that changes nothing, or repeats a candidate at no lower
+        cost.  With no option left and no `site`, `default`."""
+        if not options:
+            return site or default
+        alternatives = site.alternatives if site else [Alternative(default)]
+        lightest = {}
+        for alt in alternatives:
+            key = _literal(alt.payload)
+            lightest[key] = min(alt.weight, lightest.get(key, alt.weight))
+        for alt in options:
+            key = _literal(alt.payload)
+            if key is None or alt.weight < lightest.get(key, alt.weight + 1):
+                lightest[key] = alt.weight
+                alternatives.append(alt)
+        if site or len(alternatives) == 1:
+            return site or default
         return self._site(kind, span, self.stmt_header, alternatives)
 
     def _variants(self, tpl, binding, rule, anchor) -> list:
@@ -235,15 +236,15 @@ class _Engine:
                 raise _NoElements
             if len(variants) == 1:
                 return variants[0]
-            return self._choice("expr", anchor, variants[0], variants[1:], rule)
+            return self._choice("expr", anchor, variants[0], _offered(variants[1:], rule))
         if isinstance(tpl, ScopeSet):
             bound = binding.get(tpl.of)
             default = bound if bound is not None else lang.Var(tpl.of)
             options = [lang.Var(n) for n in self._scope_options(tpl, binding)]
-            return self._choice("expr", anchor, default, options, rule) if options else default
+            return self._choice("expr", anchor, default, _offered(options, rule))
         if isinstance(tpl, OpSet):
             original = binding[tpl.of]
-            return self._choice("op", anchor, original, _other_ops(original), rule)
+            return self._choice("op", anchor, original, _offered(_other_ops(original), rule))
         if isinstance(tpl, lang.Call) and tpl.func not in BUILTIN_FUNCS:
             if self.program.func(tpl.func) is None:  # as `parse_imp` checks a program's calls
                 raise SourceError(f"rule {rule.rule_id} calls {tpl.func}(), which the program"
@@ -340,6 +341,11 @@ def _literal(payload):
     if cls is lang.Var:
         return cls, payload.name
     return payload if cls is str else None
+
+
+def _offered(payloads, rule) -> list:
+    """`rule`'s alternatives offering `payloads`."""
+    return [Alternative(p, rule.rule_id, rule.weight) for p in payloads]
 
 
 def _other_ops(op: str) -> list:

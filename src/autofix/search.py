@@ -18,16 +18,14 @@ mismatch, and with it every counterexample, is the same.  With fewer
 inputs the choice-site program verifies them all.
 
 Screening runs in `cegis_min` itself, a candidate over the counterexamples
-in a plain loop.  The budget (`SearchBudget`) is charged once per chunk of
-`CHUNK` inputs, and once per candidate screened, not once per run.  It
-still stops the search at the same run as a check before every run would.
-Where the budget has no clock and room for a candidate's whole
-counterexample set, the search charges the runs the candidate made and
-asks nothing.  Otherwise the candidate is screened by
-`ReferenceOracle.scan`, which also runs every verification: it asks the
-budget once per chunk and cuts a chunk to the runs the budget has left, so
-the run past `max_evals` is the one refused.  With `max_seconds`, the
-clock is read once per chunk and once per candidate.
+in a plain loop; verification runs in `ReferenceOracle.first_mismatch`, in
+chunks of `CHUNK` inputs.  The budget (`SearchBudget.charge`) is charged
+the runs made once per candidate screened and once per chunk, not once per
+run.  Runs are deterministic, so a charge that passes `max_evals` stops the
+search with the verdict, counts and evaluations of a check before every
+run; only the runs of that chunk or screening past the ceiling were made
+too, and are not counted.  With `max_seconds`, the clock is read at each
+charge.
 
 The search learns from failures, as Sketch's CEGIS does from each
 counterexample.  A failed candidate with at most one non-default pick (the
@@ -79,23 +77,19 @@ class SearchBudget:
         self.evals = 0
         self.started = time.monotonic()
 
-    def allow(self, n: int) -> int:
-        """How many of the next `n` candidate runs may start (at least one),
-        checked once: the runs left before `max_evals`, if the clock is
-        within `max_seconds`.  The caller adds the runs it made to `evals`.
-        If none may start, the refused run is counted and `_BudgetStop`
-        says why."""
-        left = self.max_evals - self.evals
-        if left < 1:
-            kind = "evals"
-        elif self.max_seconds is not None and (
+    def charge(self, runs: int) -> None:
+        """Count `runs` candidate runs made.  Past `max_evals`, the count is
+        what a check before every run would have stopped at (the first
+        refused run counted) and `_BudgetStop` says "evals"; past
+        `max_seconds`, it says "timeout"."""
+        if self.evals + runs > self.max_evals:
+            self.evals = max(self.evals, self.max_evals) + 1
+            raise _BudgetStop("evals")
+        self.evals += runs
+        if self.max_seconds is not None and (
             time.monotonic() - self.started
         ) > self.max_seconds:
-            kind = "timeout"
-        else:
-            return n if n < left else left
-        self.evals += 1
-        raise _BudgetStop(kind)
+            raise _BudgetStop("timeout")
 
 
 class RepairResult:
@@ -120,13 +114,11 @@ class ReferenceOracle:
     Construction verifies the reference is fault-free on every input.
 
     Programs run compiled (``compiler``): `compile` turns a program or a
-    choice-site program into a runner once, and `scan` runs a candidate,
-    as that runner and its pick tuple, over a sequence of input indices.
-    `first_mismatch` is a `scan` over a range (full verification, or a
-    part of it); `cegis_min` screens with `scan` only where the budget
-    must be asked, and otherwise in its own loop.  Values are compared with
-    ``same``, or with Python's ``!=`` where the runner's ``exact`` says
-    so."""
+    choice-site program into a runner once, and `first_mismatch` runs a
+    candidate, as that runner and its pick tuple, over a range of inputs
+    (full verification, or a part of it); `cegis_min` screens in its own
+    loop.  Values are compared with ``same``, or with Python's ``!=``
+    where the runner's ``exact`` says so."""
 
     def __init__(self, reference: lang.Program, bounds: Bounds, signature: Signature | None = None):
         self.reference = reference
@@ -151,27 +143,16 @@ class ReferenceOracle:
 
     def first_mismatch(self, run, picks=(), budget=None, start=0, stop=None):
         """Index of the first input of ``inputs[start:stop]`` where the
-        candidate `picks` of the compiled `run` disagrees, or None: `scan`
-        over that range."""
-        stop = len(self.inputs) if stop is None else stop
-        return self.scan(run, picks, range(start, stop), budget)
-
-    def scan(self, run, picks, indices, budget=None):
-        """The first input index of `indices`, tried in their order, where
-        the candidate `picks` of `run` disagrees with the reference (any
-        fault counts as disagreement), or None.  With a `budget`, the
-        indices run in chunks of at most `CHUNK`, each allowed and charged
-        once; where the budget ends within a chunk, the chunk is cut to the
-        runs it has left, so the run past it is refused."""
+        candidate `picks` of the compiled `run` disagrees with the reference
+        (any fault counts as disagreement), or None.  The inputs run in
+        chunks of `CHUNK`, and a `budget` is charged the runs of each."""
         inputs = self.inputs
         values = self.values
         exact = run.exact
-        n = len(indices)
-        lo = 0
-        while lo < n:
-            hi = n if budget is None else lo + budget.allow(min(CHUNK, n - lo))
-            chunk = indices[lo:hi]
-            for i in chunk:
+        stop = len(inputs) if stop is None else stop
+        for lo in range(start, stop, CHUNK):
+            hi = min(lo + CHUNK, stop)
+            for i in range(lo, hi):
                 try:
                     value = run(inputs[i], picks)
                 except Fault:
@@ -180,12 +161,10 @@ class ReferenceOracle:
                     break
             else:
                 if budget is not None:
-                    budget.evals += hi - lo
-                lo = hi
+                    budget.charge(hi - lo)
                 continue
             if budget is not None:
-                # runs are deterministic, so a repeated index fails at its first
-                budget.evals += chunk.index(i) + 1
+                budget.charge(i + 1 - lo)
             return i
         return None
 
@@ -220,13 +199,10 @@ def cegis_min(
     result."""
     budget = budget or SearchBudget()
     run = oracle.compile(tilde, callees)
-    scan = oracle.scan
     first_mismatch = oracle.first_mismatch
     inputs = oracle.inputs
     values = oracle.values
     exact = run.exact
-    max_evals = budget.max_evals
-    clocked = budget.max_seconds is not None
     # inputs verified on the choice-site program; a survivor passing them
     # all is compiled alone for the rest, when enough remain to pay for it
     head = len(inputs)
@@ -250,24 +226,17 @@ def cegis_min(
     try:
         for picks, cost in enumerate_candidates(tilde, max_cost, learn):
             tested += 1
-            n = len(cex_indices)
-            if clocked or n > CHUNK or budget.evals + n > max_evals:
-                i = scan(run, picks, cex_indices, budget)
+            for i in cex_indices:
+                try:
+                    value = run(inputs[i], picks)
+                except Fault:
+                    break
+                if (value != values[i]) if exact else not same(value, values[i]):
+                    break
             else:
-                # the whole set is affordable: run it here, and charge the
-                # runs made as `scan` would
-                for i in cex_indices:
-                    try:
-                        value = run(inputs[i], picks)
-                    except Fault:
-                        break
-                    if (value != values[i]) if exact else not same(value, values[i]):
-                        break
-                else:
-                    budget.evals += n
-                    i = None
-                if i is not None:
-                    budget.evals += cex_indices.index(i) + 1  # no index repeats
+                i = None
+            # the counterexamples are distinct, so `i`'s place counts the runs
+            budget.charge(len(cex_indices) if i is None else cex_indices.index(i) + 1)
             if i is None:
                 winner = None
                 if texts:

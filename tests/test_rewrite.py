@@ -231,3 +231,27 @@ def test_a_template_calls_only_functions_the_program_defines():
     (site,) = rewrite(program, model).sites
     assert [pretty_expr(alt.payload) for alt in site.alternatives[1:]] == [
         "g_int(g_int(x_int))", "len(range(g_int(x_int)))"]
+
+
+@pytest.mark.parametrize("rule", ["v = n -> v = 0", "a0 + a1 -> 0"])
+@pytest.mark.parametrize("weights,kept", [((1, 2), ["A"]), ((1, 1), ["A"]),
+                                          ((2, 1), ["A", "B"])])
+def test_a_literal_twin_from_a_second_rule_stays_only_if_lighter(rule, weights, kept):
+    # two rules offer the literal 0 at one site, grafted at the assigned
+    # value or whole for the sum: the later one goes unless it costs less
+    source = "def f_int(x_int):\n    y_int = 5\n    return y_int + x_int\n"
+    model = parse_eml(f"rule A weight {weights[0]}: {rule}\nrule B weight {weights[1]}: {rule}\n")
+    (site,) = rewrite(parse_imp(source), model).sites
+    assert [alt.rule_id for alt in site.alternatives[1:]] == kept
+    assert all(pretty_expr(alt.payload) == "0" for alt in site.alternatives[1:])
+
+
+def test_an_aligned_rule_offers_no_twin_of_the_site_a_child_rewrite_made():
+    # the returned `y_int` is rewritten to a site offering `x_int` (IdF);
+    # the aligned RetF grafts its options onto that site, less the same
+    # variable
+    source = "def f_int(x_int):\n    y_int = 5\n    return y_int\n"
+    model = parse_eml("rule IdF: y_int -> x_int\nrule RetF: return a -> return {x_int, 0}\n")
+    _, site = rewrite(parse_imp(source), model).sites
+    assert [(alt.rule_id, pretty_expr(alt.payload)) for alt in site.alternatives] == [
+        (None, "y_int"), ("IdF", "x_int"), ("RetF", "0")]

@@ -1,3 +1,4 @@
+import functools
 import glob
 import os
 import random
@@ -301,8 +302,8 @@ def assert_comparison_agrees_with_same(tilde, oracle, max_cost=None):
         want = first_mismatch_by_same(oracle, run, picks)
         assert oracle.first_mismatch(run, picks) == want
         if want is not None:
-            assert oracle.scan(run, picks, [want]) == want
-            assert oracle.scan(run, picks, range(want)) is None
+            assert oracle.first_mismatch(run, picks, start=want, stop=want + 1) == want
+            assert oracle.first_mismatch(run, picks, stop=want) is None
     return run.exact
 
 
@@ -499,31 +500,32 @@ def test_budget_stops_at_the_same_run_as_a_check_before_every_run(deriv_ref, der
         assert outcome(result, budget) == want, max_evals
 
 
-def test_scan_allows_and_charges_the_budget_once_per_chunk():
+def test_verification_charges_the_budget_once_per_chunk():
     reference = parse_imp("def f_int(x_int, y_int, z_int):\n    return 0\n")
     oracle = ReferenceOracle(reference, Bounds(4, 0))
     run = oracle.compile(reference)
     n = len(oracle.inputs)
-    asked = []
+    charged = []
 
     class Counted(SearchBudget):
-        def allow(self, runs):
-            asked.append(runs)
-            return super().allow(runs)
+        def charge(self, runs):
+            charged.append(runs)
+            return super().charge(runs)
 
     budget = Counted()
     assert oracle.first_mismatch(run, budget=budget, start=1) is None
     chunks = -(-(n - 1) // CHUNK)
-    assert asked == [CHUNK] * (chunks - 1) + [(n - 1) - CHUNK * (chunks - 1)]
+    assert charged == [CHUNK] * (chunks - 1) + [(n - 1) - CHUNK * (chunks - 1)]
     assert budget.evals == n - 1
-    # a budget that ends inside a chunk cuts it to the 5 runs left, and
-    # refuses (and counts) the next
-    asked.clear()
+    # a budget that ends inside the second chunk stops after it, counting
+    # the 5 runs it had left and the first refused, as a check before every
+    # run would
+    charged.clear()
     budget = Counted(max_evals=CHUNK + 5)
     with pytest.raises(Exception) as stop:
-        oracle.scan(run, (), range(n), budget)
+        oracle.first_mismatch(run, budget=budget)
     assert stop.value.kind == "evals" and budget.evals == CHUNK + 5 + 1
-    assert asked == [CHUNK] * 3
+    assert charged == [CHUNK] * 2
 
 
 def test_a_survivor_failing_first_at_any_input_yields_that_counterexample():
@@ -565,6 +567,31 @@ def test_budget_stops_the_alternates_search_at_the_same_run_as_a_check_before_ev
         assert outcome(result, budget) == want, max_evals
 
 
+@functools.cache
+def budget_searches():
+    """(choice-site program, oracle, alternates, evaluations of the whole
+    search) for computeDeriv's student at 4 bits, lists <= 3, and for
+    array-reverse's with three alternates."""
+    deriv = ReferenceOracle(parse_imp(read("computederiv", "reference.imp")), Bounds(4, 3))
+    searches = [(rewrite(parse_imp(read("computederiv", "student.imp")),
+                         parse_eml(read("computederiv", "model.eml"))), deriv, 0),
+                (*reverse_search(Bounds(4, 3)), 3)]
+    return [(tilde, oracle, alternates,
+             per_input_search(tilde, oracle, alternates=alternates)[0][5])
+            for tilde, oracle, alternates in searches]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_any_evaluation_budget_stops_at_the_same_run_as_a_check_before_every_run(data):
+    for tilde, oracle, alternates, total in budget_searches():
+        max_evals = data.draw(st.integers(-2, total + 2), label="max_evals")
+        budget = SearchBudget(max_evals=max_evals)
+        result = cegis_min(tilde, oracle, 5, budget, alternates=alternates)
+        want, _ = per_input_search(tilde, oracle, max_evals=max_evals, alternates=alternates)
+        assert outcome(result, budget) == want
+
+
 def bundled_searches():
     """(choice-site program, oracle, alternates) for every search the
     bundled workloads make: computeDeriv's student and corpus, and
@@ -584,8 +611,8 @@ def bundled_searches():
 
 
 def test_a_time_budget_never_reached_changes_no_bundled_search():
-    # a clock budget sends every candidate's screening through `scan`,
-    # which reads the clock; screening without one runs in `cegis_min`
+    # a clock budget reads the clock at every charge, and stops nothing
+    # that it does not reach
     for tilde, oracle, alternates in bundled_searches():
         outcomes = []
         for budget in (SearchBudget(), SearchBudget(max_seconds=3600.0)):
@@ -594,25 +621,24 @@ def test_a_time_budget_never_reached_changes_no_bundled_search():
         assert outcomes[0] == outcomes[1]
 
 
-def test_a_time_budget_reads_the_clock_once_per_candidate_screened(deriv_ref, deriv_student,
-                                                                  deriv_model):
+def test_a_clocked_and_an_unclocked_search_charge_the_budget_equally_often(
+        deriv_ref, deriv_student, deriv_model):
     oracle = ReferenceOracle(deriv_ref, Bounds(4, 3))
     tilde = rewrite(deriv_student, deriv_model)
 
     class Counted(SearchBudget):
-        asked = 0
+        charges = 0
 
-        def allow(self, runs):
-            self.asked += 1
-            return super().allow(runs)
+        def charge(self, runs):
+            self.charges += 1
+            return super().charge(runs)
 
     plain, clocked = Counted(), Counted(max_seconds=3600.0)
     result = cegis_min(tilde, oracle, 5, plain)
     cegis_min(tilde, oracle, 5, clocked)
-    # only the unchanged program is screened against no counterexample; the
-    # rest ask the budget once each, where an affordable screening without a
-    # clock asks nothing
-    assert clocked.asked == plain.asked + result.candidates_tested - 1
+    # once per candidate screened and once per chunk verified, with a clock
+    # or without
+    assert clocked.charges == plain.charges > result.candidates_tested
 
 
 def reverse_search(bounds):
