@@ -14,9 +14,16 @@ proven, so it could not fail.  Each function's variables are typed
 flow-insensitively: a variable's type is the union of the types of every
 value stored to it anywhere in the function, in every alternative of every
 choice site, so one type holds for every pick tuple, and a read before any
-store still raises ``NameError``.  Types are ``int``, ``bool`` (never merged
-with ``int``: ``True + 1`` and ``True == 1`` are Python's, not the
-language's), lists of one element type, tuples, and unknown.  The entry's
+store still raises ``NameError``.  A function is emitted again until no
+store widens a type.  The entry's variables start from `_survey`'s seeds,
+the types of the stores that no variable's type decides, so most programs
+take one pass.  Seeds change no emitted byte unless the code reads a
+variable before every store to it, or ``+`` meets a tuple and an int: only
+there are the emitter's types not monotone, and seeds may narrow a type
+(soundly: types that no store widens hold for every run).  Types are
+``int``, ``bool`` (never merged with ``int``: ``True + 1`` and
+``True == 1`` are Python's, not the language's), lists of one element
+type, tuples, and unknown.  The entry's
 parameters take the signature's types when the caller promises inputs of
 that signature (``ReferenceOracle.compile``) and nothing calls the entry;
 every other parameter and every call result is unknown.  On proven operands
@@ -186,6 +193,9 @@ def sites_read(run, args, picks: tuple) -> int:
 # them differ from the language's (`True == 1`) no operand is proven.
 
 _SEM_TYPES = {"int": "int", "bool": "bool", "list_int": "[int]", "tuple_int": "tuple"}
+# the type of each node of these classes, whatever the types of the variables
+_KNOWN = {lang.IntLit: "int", lang.BoolLit: "bool", lang.Compare: "bool", lang.Not: "bool",
+          lang.BoolOp: "bool"}
 
 
 def _join(a: str, b: str) -> str:
@@ -248,7 +258,7 @@ def _slice_end(code: str) -> str:
 
 def _survey(program: lang.Program, callees: dict, bounds: Bounds):
     """The compiler's one static walk of `program` and `callees`, through
-    every alternative of every choice site.  It returns four facts:
+    every alternative of every choice site.  It returns five facts:
 
     - whether a function of `program` or `callees` calls the entry;
     - a bound, capped at ``bounds.fuel + 1``, on the ticks one run of the
@@ -261,21 +271,44 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
     - the names the entry's body stores: assignment targets (an indexed
       target's variable), appended lists and loop variables;
     - by the ``id`` of each loop that puts ``v[i]`` in range in its body,
-      the name `v` (`_in_range`)."""
+      the name `v` (`_in_range`);
+    - the seeds: for each name the entry stores, the join of the types of
+      the stores to it whose type the emitter gives whatever the variables'
+      types are (``typed``), so at or below the type it ends with."""
     cap = bounds.fuel + 1
     loops = 1 << bounds.int_bits  # more than a range of wrapped ints holds
     builtins = {name for name in BUILTIN_FUNCS if program.func(name) is None}
     called = set()
     ranged = {}
     stores = set()  # the names the fragment being walked stores
+    seeds = {}
 
-    def target(node):
+    def target(node, t):  # a store of a value of type `t`, "" if not known
         while type(node) is lang.Index:
-            node = node.base
+            node, t = node.base, ""
         if type(node) is lang.Var:
             stores.add(node.name)
+            seeds[node.name] = _join(seeds.get(node.name, ""), t)
         for alt in getattr(node, "alternatives", ()):
-            target(alt.payload)
+            target(alt.payload, t)
+
+    def typed(node) -> str:
+        # the type of `node` (an expression or an augmented assignment's
+        # value) if the variables' types cannot change it, else ""
+        cls = type(node)
+        if cls is lang.BinOp or cls is lang.AugAssign:  # an operator, not a site
+            operands = (node.left, node.right) if cls is lang.BinOp else (node.target, node.value)
+            plus_int = node.op != "+" or "int" in map(typed, operands)
+            return "int" if node.op in _ARITH and plus_int else ""
+        if cls is lang.Call:
+            return {"len": "int", "range": "[int]"}.get(node.func, "") if node.func in builtins else ""
+        if cls is lang.ListLit or cls is ChoiceSite:
+            parts = node.elements if cls is lang.ListLit else [a.payload for a in node.alternatives]
+            types = list(map(typed, parts))
+            if not all(types):
+                return ""
+            return _list_of(_join_all(types)) if cls is lang.ListLit else _join_all(types)
+        return _KNOWN.get(cls, "")
 
     def ticks(node) -> int:
         nonlocal stores
@@ -283,21 +316,24 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
         if cls is ChoiceSite:
             total = sum(ticks(alt.payload) for alt in node.alternatives)
         elif cls is lang.ForIn:  # a call of a `range` the program defines reaches the cap
+            t = typed(node.iterable)
+            target(lang.Var(node.var), t and _element(t))
             outer, stores = stores, set()
             total = 1 + ticks(node.iterable) + loops * (1 + ticks(node.body))
             if type(node.iterable) is not lang.Call or node.iterable.func != "range":
                 total = cap
             elif (v := _in_range(node, stores, builtins, bounds)) is not None:
                 ranged[id(node)] = v
-            stores = outer | stores | {node.var}
+            stores = outer | stores
         else:
             total = sum(map(ticks, lang.children(node))) + isinstance(node, (lang.Expr, lang.Stmt))
             if cls is lang.Assign or cls is lang.AugAssign:
-                target(node.target)
+                target(node.target, typed(node.value if cls is lang.Assign else node))
                 if cls is lang.AugAssign:
                     total += ticks(node.target)
             elif cls is lang.MethodCall:
-                stores.add(node.obj)
+                t = typed(node.args[0]) if len(node.args) == 1 else ""
+                target(lang.Var(node.obj), t and _list_of(t))
             elif cls is lang.Call and node.func not in builtins:
                 called.add(node.func)
                 total = cap
@@ -307,11 +343,11 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
 
     entry = program.entry_func()
     bound = ticks(entry.body)
-    entry_stores, stores = stores, set()
+    entry_stores, stores, entry_seeds, seeds = stores, set(), seeds, {}
     for func in program.functions + list(callees.values()):
         if func is not entry:
             ticks(func.body)
-    return program.entry in called, bound, entry_stores, ranged
+    return program.entry in called, bound, entry_stores, ranged, entry_seeds
 
 
 def _in_range(loop: lang.ForIn, stores: set, builtins: set, bounds: Bounds):
@@ -346,8 +382,9 @@ class _Emitter:
         self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
         self.pending = []  # reachable functions not yet emitted
-        # the names the entry stores, and id of a loop -> the list it keeps `v[i]` in
-        calls_entry, ticks, self.entry_stores, self.loop_lists = _survey(program, callees, bounds)
+        # the names the entry stores, id of a loop -> the list it keeps `v[i]` in
+        calls_entry, ticks, self.entry_stores, self.loop_lists, self.seeds = _survey(
+            program, callees, bounds)
         self.fueled = ticks > bounds.fuel  # else no run can exhaust its fuel
         # the entry's parameters take the types its inputs are drawn from,
         # unless a call may give it other arguments
@@ -416,8 +453,9 @@ class _Emitter:
     def function(self, func: lang.FuncDef):
         """One ``def``, emitted until no store widens a variable's type: the
         code kept, and the entry's return type, come from the pass with
-        every variable's final type.  Where no run can exhaust its fuel,
-        nothing calls a function, and the entry is the runner."""
+        every variable's final type; the entry's variables start from the
+        seeds.  Where no run can exhaust its fuel, nothing calls a
+        function, and the entry is the runner."""
         # like dict(zip(params, args)): a repeated parameter takes the last argument
         params = [
             f"v_{p}" if p not in func.params[i + 1 :] else f"_unused{i}"
@@ -432,6 +470,8 @@ class _Emitter:
         self.short_lists = {f"v_{p}" for p, t in zip(func.params, types or ())
                             if short and t[0] == "[" and p not in self.entry_stores}
         self.vars = dict(zip(func.params, types or ["?"] * len(params)))
+        for name, t in self.seeds.items() if entry else ():
+            self.bind(name, t)
         start = len(self.lines)
         self.changed = True
         while self.changed:

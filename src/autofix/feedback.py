@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import lang
 from .printer import Printer
 from .search import RepairResult
-from .tilde import TildeProgram, instantiate
+from .tilde import TildeProgram, active_picks
 
 GENERIC_MESSAGE = "In line {line}, change {sub} to {new}."
 
@@ -51,10 +51,8 @@ def diff_corrections(tilde: TildeProgram, picks: tuple) -> list:
     position."""
     source = tilde.origin.source if tilde.origin else ""
     rules = {r.rule_id: r for r in tilde.model} if tilde.model else {}
-    active = instantiate(tilde, picks).active
     corrections = []
-    for site_id, alt_idx in sorted(active):
-        site = tilde.site(site_id)
+    for site, alt_idx in active_picks(tilde, picks):
         alt = site.alternatives[alt_idx]
         sub = fragment(tilde.resolve(site.alternatives[0].payload, tilde.defaults()))
         new = fragment(tilde.resolve(alt.payload, picks))

@@ -49,6 +49,7 @@ class Parser:
         self.block_depth = -1  # a function body is depth 0
         self.expr_depth = -1  # a statement's expression is depth 0
         self.reach = 0  # see `deepen`
+        self.calls = []  # every call built, for `_check_calls`
 
     # -- token plumbing ----------------------------------------------------
     # `tokens` ends in EOF, and `advance` never moves past it
@@ -97,7 +98,7 @@ class Parser:
         if not functions:
             raise self.error("expected a function definition")
         program = lang.Program(functions, functions[0].name, self.source)
-        _check_calls(program)
+        _check_calls(program, self.calls)
         return program
 
     def parse_funcdef(self) -> lang.FuncDef:
@@ -394,7 +395,8 @@ class Parser:
                 args = self.parse_args()
                 close = self.expect("OP", ")")
                 span = Span(tok.span.line, tok.span.col, tok.span.start, close.span.end)
-                return lang.Call(tok.value, args, span)
+                self.calls.append(lang.Call(tok.value, args, span))
+                return self.calls[-1]
             return lang.Var(tok.value, tok.span)
         if kind == "INT":
             self.pos += 1
@@ -422,21 +424,17 @@ class Parser:
         raise self.error(f"unexpected token {tok.value or tok.kind!r}")
 
 
-def _check_calls(program: lang.Program) -> None:
+def _check_calls(program: lang.Program, calls: list) -> None:
+    """Check `calls`, the program's ``Call`` nodes, in the order of the
+    text, which is the order of a walk of the tree."""
     defined = {f.name for f in program.functions}
-    for node in lang.walk(program):
-        if isinstance(node, lang.Call) and node.func not in defined:
+    for node in sorted(calls, key=lambda node: node.span.start):
+        if node.func not in defined:
             if node.func not in BUILTIN_FUNCS:
-                raise SourceError(
-                    f"unknown function {node.func!r}", node.span.line, node.span.col
-                )
+                raise SourceError(f"unknown function {node.func!r}", *node.span[:2])
             lo, hi = BUILTIN_FUNCS[node.func]
             if not lo <= len(node.args) <= hi:
-                raise SourceError(
-                    f"{node.func}() takes {lo}..{hi} arguments",
-                    node.span.line,
-                    node.span.col,
-                )
+                raise SourceError(f"{node.func}() takes {lo}..{hi} arguments", *node.span[:2])
 
 
 def parse_imp(source: str) -> lang.Program:

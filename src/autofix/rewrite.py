@@ -7,7 +7,8 @@ whose pattern matches then contributes weighted alternatives:
 
 * a rule whose template keeps the matched node's shape ("aligned", e.g.
   ``v[a] -> v[{a + 1, a - 1}]``) grafts a choice site onto the default at
-  each changed child position, defaulting to the original child;
+  each changed child position, defaulting to the original child (the
+  positions, found once per rule, are kept on it: `_graft_slots`);
 * any other template adds whole-node alternatives to one site for the node:
   one per element of a set at its top (`_variants`), while sets nested
   inside a replacement become nested sites whose first element is the local
@@ -73,7 +74,7 @@ class _Engine:
         self.anchor = 0
         self.rule_depth = 0
         self.max_rule_depth = 0
-        self.depth_limit = max(lang.size(program), 1)
+        self.depth_limit = 0  # the program's size, found once a rule nests
         self.sites = 0
         entry = program.entry_func()
         self.params = list(entry.params)
@@ -125,8 +126,9 @@ class _Engine:
             binding = match_pattern(rule.lhs, node)
             if binding is None:
                 continue
-            if _aligned(rule.rhs, rule.lhs):
-                default = self._graft(default, rule, binding)
+            slots = _graft_slots(rule)
+            if slots is not None:
+                default = self._graft(default, slots, rule, binding)
                 continue
             options += _offered(self._variants(rule.rhs, binding, rule, node.span), rule)
         return self._choice("stmt" if stmt else "expr", node.span, default, options)
@@ -139,14 +141,12 @@ class _Engine:
 
     # -- grafting and sites --------------------------------------------------------
 
-    def _graft(self, default, rule, binding):
-        """`default` with a choice site at each child position where the
-        aligned template differs from the pattern; a position that already
-        holds a site (grafted by an earlier rule, or made by the child's own
-        rewrite) gains the options."""
-        for slot, lhs_child, rhs_child in _child_slots(rule.lhs, _strip_prime(rule.rhs)):
-            if _template_key(rhs_child) == _template_key(lhs_child):
-                continue
+    def _graft(self, default, slots, rule, binding):
+        """`default` with a choice site at each of the `slots` of `rule`'s
+        aligned template; a position that already holds a site (grafted by
+        an earlier rule, or made by the child's own rewrite) gains the
+        options."""
+        for slot, rhs_child in slots:
             current = _get_slot(default, slot)
             if slot != "op":
                 kind, span = "expr", current.span
@@ -224,8 +224,10 @@ class _Engine:
         if isinstance(tpl, Primed):  # a plain expression (`parse_eml` checked), rewritten
             self.rule_depth += 1
             self.max_rule_depth = max(self.max_rule_depth, self.rule_depth)
-            if self.rule_depth > self.depth_limit:
-                raise IllFormedModel("rewrite recursion exceeded the termination bound")
+            if self.rule_depth > 1:  # the limit is at least 1
+                self.depth_limit = self.depth_limit or max(lang.size(self.program), 1)
+                if self.rule_depth > self.depth_limit:
+                    raise IllFormedModel("rewrite recursion exceeded the termination bound")
             try:
                 return self.rewrite_node(self._instantiate(tpl.inner, binding, rule, anchor))
             finally:
@@ -306,29 +308,29 @@ _ALIGNABLE = (
 )
 
 
-def _aligned(rhs, lhs) -> bool:
-    """Whether template `rhs` keeps the shape of pattern `lhs`: the same
-    class, among `_ALIGNABLE`, with the same names (a call's function, a
-    method call's list and method), lists of the same lengths and the same
-    slice ends absent."""
-    rhs = _strip_prime(rhs)
-    if type(rhs) is not type(lhs) or not isinstance(lhs, _ALIGNABLE):
-        return False
-    for name in lhs.fields:
-        left, right = getattr(lhs, name), getattr(rhs, name)
-        if type(left) is list:
-            if len(left) != len(right):
-                return False
-        elif type(left) is str and name != "op":
-            if left != right:
-                return False
-        elif (left is None) != (right is None):
-            return False
-    return True
-
-
-def _strip_prime(node):
-    return node.inner if isinstance(node, Primed) else node
+def _graft_slots(rule):
+    """If `rule`'s template keeps the shape of its pattern ("aligned": the
+    same class, among `_ALIGNABLE`, with the same names (a call's function,
+    a method call's list and method), lists of the same lengths and the
+    same slice ends absent), the child positions where the two differ, each
+    with the template's child there: a field name, or (field name, index)
+    inside a list field.  Else None.  Found once per rule, and kept on it."""
+    if not hasattr(rule, "graft_slots"):
+        lhs, rhs = rule.lhs, rule.rhs.inner if isinstance(rule.rhs, Primed) else rule.rhs
+        slots = [] if type(rhs) is type(lhs) and isinstance(lhs, _ALIGNABLE) else None
+        for name in lhs.fields if slots is not None else ():
+            left, right = getattr(lhs, name), getattr(rhs, name)
+            if type(left) is list and len(left) == len(right):
+                slots += [((name, i), r) for i, (l, r) in enumerate(zip(left, right))
+                          if _template_key(r) != _template_key(l)]
+            elif (type(left) is list or type(left) is str and name != "op" and left != right
+                  or (left is None) != (right is None)):
+                slots = None
+                break
+            elif _template_key(right) != _template_key(left):
+                slots.append((name, right))
+        rule.graft_slots = slots
+    return rule.graft_slots
 
 
 def _literal(payload):
@@ -351,18 +353,6 @@ def _offered(payloads, rule) -> list:
 def _other_ops(op: str) -> list:
     family = _COMPARE_FAMILY if op in _COMPARE_FAMILY else _ARITH_FAMILY
     return [o for o in family if o != op]
-
-
-def _child_slots(lhs, rhs):
-    """Paired child positions of an aligned pattern/template: a field name,
-    or (field name, index) inside a list field."""
-    for name in lhs.fields:
-        left, right = getattr(lhs, name), getattr(rhs, name)
-        if isinstance(left, list):
-            for i, pair in enumerate(zip(left, right)):
-                yield ((name, i),) + pair
-        else:
-            yield name, left, right
 
 
 def _get_slot(node, slot):

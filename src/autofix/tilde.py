@@ -116,6 +116,18 @@ def instantiate(tilde: TildeProgram, picks: tuple) -> WeightedCandidate:
     return WeightedCandidate(program, cost, active)
 
 
+def active_picks(tilde: TildeProgram, picks: tuple) -> list:
+    """The (site, index) of each non-default pick of `picks` at an active
+    site, in site order: the non-default picks `instantiate` finds."""
+    live, active = [], []  # whether each site is active; its active picks
+    for site, index in zip(tilde.sites, picks):  # an enclosing site comes first
+        parent = site.parent
+        live.append(parent is None or live[parent[0]] and picks[parent[0]] == parent[1])
+        if index and live[-1]:
+            active.append((site, index))
+    return active
+
+
 # --------------------------------------------------------------------------
 # enumeration
 

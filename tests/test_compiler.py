@@ -34,7 +34,7 @@ from autofix.parser import MAX_EXPR_DEPTH, parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.interp import Fault, same
-from autofix.search import ReferenceFault, ReferenceOracle
+from autofix.search import ReferenceFault, ReferenceOracle, cegis_min
 from autofix.tilde import (
     Alternative,
     ChoiceSite,
@@ -1202,9 +1202,86 @@ def surveyed_programs(draw):
 @settings(max_examples=200, deadline=None)
 def test_the_survey_finds_every_store_and_every_loop_over_a_length(program, bits):
     bounds = Bounds(bits, 3)
-    _, _, stores, ranged = survey(program, bounds)
+    _, _, stores, ranged, _ = survey(program, bounds)
     assert stores == stored_names(program.entry_func().body)
     assert ranged == ranged_loops(program, bounds)
+
+
+# `_survey` also seeds the entry's variables: each starts from the join of
+# the types of the stores to it that no variable's type decides, a type at
+# or below the one it ends with.  Where the code reads no variable before
+# every store to it (the generated programs store each one first, in
+# `F_PRELUDE`), the code emitted and every variable's final type are those
+# without seeds, and a program whose every other store adds nothing to
+# those types is emitted in one pass.  Each store of `+` on ints, bools and
+# lists mixed, to a variable of its own, makes a seed that would be wrong if
+# it took an operand's type for the result's.
+
+mixed = st.one_of(exprs("int", 0), exprs("bool", 0), exprs("list", 0))
+mixed_programs = st.builds(
+    lambda sums, ret: lang.Program([lang.FuncDef("f", ["xs", "n"], F_PRELUDE + [
+        lang.Assign(lang.Var(f"p{i}"), value) for i, value in enumerate(sums)
+    ] + [lang.Return(ret)])], "f"),
+    st.lists(st.builds(lang.BinOp, mixed, st.just("+"), mixed), min_size=1, max_size=4),
+    exprs("any", 1, False),
+)
+
+
+@given(programs | sited_programs | mixed_programs, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_seeds_change_no_emitted_code_and_no_type(program, signed):
+    tilde = TildeProgram(program)
+    number_sites(tilde)
+    signature = SIGNATURE if signed else None
+    seeded, function = compiler_module._survey, compiler_module._Emitter.function
+    for compiler in COMPILERS.values():
+        def emitted():
+            types = []  # each function's variables, with their final types
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(compiler_module._Emitter, "function",
+                              lambda self, func: (function(self, func), types.append(self.vars)))
+                source = compiler_module._Emitter(
+                    program, {}, compiler.bounds, len(tilde.sites), signature).source()
+            return source, types
+
+        want = emitted()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compiler_module, "_survey", lambda *args: seeded(*args)[:4] + ({},))
+            assert emitted() == want
+
+
+def test_bundled_programs_emit_once(monkeypatch, deriv_ref, deriv_student, deriv_model,
+                                    deriv_oracle_w3):
+    """The corpus's choice-site programs, computeDeriv's student, alone and
+    as a choice-site program, and its fix each emit their entry's ``def``
+    once: no second pass."""
+    headers = [0]
+    emit = compiler_module._Emitter.emit
+
+    def counted(self, depth, line):
+        headers[0] += line.startswith("def _f0(")
+        return emit(self, depth, line)
+
+    monkeypatch.setattr(compiler_module._Emitter, "emit", counted)
+    tilde = rewrite(deriv_student, deriv_model)
+    result = cegis_min(tilde, deriv_oracle_w3, max_cost=5)
+    programs = [tilde, deriv_student, instantiate(tilde, result.picks).program]
+    for path in sorted(glob.glob(os.path.join(ASSETS, "computederiv", "corpus", "*.imp"))):
+        try:
+            programs.append(rewrite(parse_imp(read(path)), deriv_model))
+        except SourceError:
+            continue  # the corpus holds one unparseable submission
+    assert len(programs) == 3 + 14
+    for program in programs:
+        headers[0] = 0
+        deriv_oracle_w3.compile(program)
+        assert headers[0] == 1, pretty_program(getattr(program, "origin", None) or program)
+    # the reference takes two passes (`result += [...]` reads `result`), so
+    # the count sees a second pass where one is made
+    headers[0] = 0
+    deriv_oracle_w3.compile(deriv_ref)
+    assert headers[0] == 2
+
 
 LOOP = ("def f_int(xs_list_int, n_int):\n    s = 0\n    ys = xs_list_int + [1]\n"
         "    for i in {iterable}:\n        s += {read}\n{body}    return s\n")

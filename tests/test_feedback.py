@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autofix.eml import parse_eml
 from autofix.feedback import build_report, diff_corrections, render_feedback
@@ -9,9 +11,9 @@ from autofix.parser import parse_imp
 from autofix.printer import pretty_program
 from autofix.rewrite import rewrite
 from autofix.search import ReferenceOracle, cegis_min
-from autofix.tilde import instantiate
+from autofix.tilde import active_picks, instantiate
 
-from conftest import picks_for
+from conftest import SITE_KINDS_MODELS, SITE_KINDS_STUDENT, picks_for, read
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +179,27 @@ def test_alternates_render_in_report(reverse_student, reverse_model, reverse_ref
     assert "Alternate fix 1" in text
     doc = json.loads(render_feedback(report, 4, "json"))
     assert len(doc["alternates"]) == 1 and doc["alternates"][0]
+
+
+def _tildes():
+    """Choice-site programs with nested sites and sites of every kind."""
+    pairs = [(read("computederiv", "student.imp"), read("computederiv", "model.eml")),
+             (read("arrayreverse", "student.imp"), read("arrayreverse", "model.eml"))]
+    pairs += [(SITE_KINDS_STUDENT, model) for model in SITE_KINDS_MODELS.values()]
+    return [rewrite(parse_imp(source), parse_eml(model)) for source, model in pairs]
+
+
+TILDES = _tildes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_active_picks_are_those_instantiate_finds(data):
+    # random picks often pick a site inside an alternative left unpicked,
+    # and so does a nested site's pick alone
+    tilde = data.draw(st.sampled_from(TILDES))
+    picks = data.draw(st.tuples(*(st.integers(0, site.arity() - 1) for site in tilde.sites)))
+    alone = [picks_for(tilde, {k: pick}) for k, pick in enumerate(picks) if pick]
+    for each in [picks] + alone:
+        got = [(site.site_id, index) for site, index in active_picks(tilde, each)]
+        assert got == sorted(instantiate(tilde, each).active)

@@ -47,6 +47,33 @@ def test_builtin_arity_checked():
         parse_imp("def f_int(x_int):\n    return len(x_int, x_int)\n")
 
 
+# of several bad calls, the one reported is the first in the text: an outer
+# call before the calls in its arguments, the left operand before the right,
+# a conditional's body before its condition, the first function first
+FIRST_BAD_CALL = [
+    ("    return h(k(x))\n", "line 2, col 12: unknown function 'h'"),
+    ("    return len(x, k(x))\n", "line 2, col 12: len() takes 1..1 arguments"),
+    ("    return len(k(x))\n", "line 2, col 16: unknown function 'k'"),
+    ("    return h() + k()\n", "line 2, col 12: unknown function 'h'"),
+    ("    return range() + k()\n", "line 2, col 12: range() takes 1..3 arguments"),
+    ("    return x if h() else k()\n", "line 2, col 17: unknown function 'h'"),
+    ("    return k() if h() else len()\n", "line 2, col 12: unknown function 'k'"),
+    ("    return h(x)\n\ndef g(y):\n    return k(y)\n", "line 2, col 12: unknown function 'h'"),
+    ("    return len(x, x)\n\ndef g(y):\n    return h(y)\n",
+     "line 2, col 12: len() takes 1..1 arguments"),
+    ("    if h(x):\n        y = k(x)\n    return x[k(0):h(1)]\n", "line 2, col 8: unknown function 'h'"),
+    ("    for i in range(h(x)):\n        x.append(len())\n    return x\n",
+     "line 2, col 20: unknown function 'h'"),
+]
+
+
+@pytest.mark.parametrize("body,error", FIRST_BAD_CALL)
+def test_the_first_bad_call_in_the_text_is_reported(body, error):
+    with pytest.raises(SourceError) as err:
+        parse_imp(f"def f(x):\n{body}")
+    assert str(err.value) == error
+
+
 @pytest.mark.parametrize("call", ["y.append()", "y.append(1, 2)"])
 def test_append_arity_checked(call):
     with pytest.raises(SourceError) as err:
