@@ -11,19 +11,17 @@ program nested too deeply for Python's compiler is a ``SourceError``.
 
 Static types.  A check is left out only where its operands' types are
 proven, so it could not fail.  Each function's variables are typed
-flow-insensitively: a variable's type is the union of the types of every
-value stored to it anywhere in the function, in every alternative of every
-choice site, so one type holds for every pick tuple, and a read before any
-store still raises ``NameError``.  A function is emitted again until no
-store widens a type.  The entry's variables start from `_survey`'s seeds,
-the types of the stores that no variable's type decides, so most programs
-take one pass.  Seeds change no emitted byte unless the code reads a
-variable before every store to it, or ``+`` meets a tuple and an int: only
-there are the emitter's types not monotone, and seeds may narrow a type
-(soundly: types that no store widens hold for every run).  Types are
-``int``, ``bool`` (never merged with ``int``: ``True + 1`` and
-``True == 1`` are Python's, not the language's), lists of one element
-type, tuples, and unknown.  The entry's
+flow-insensitively before its code is emitted, once: a variable's type is
+the least that holds every value stored to it anywhere in the function, in
+every alternative of every choice site (the stores `_survey` lists), so one
+type holds for every pick tuple, and a read before any store still raises
+``NameError``.  `_Emitter.typeof` holds every expression rule.  A read
+that no store has reached yet has no value, and stays so through an index,
+a slice, ``+`` and a loop, so every rule but ``+`` of an int and a tuple
+grows with its operands' types: the types are the least that hold every
+store, in any order of the code.  Types are ``int``, ``bool`` (never
+merged with ``int``: ``True + 1`` and ``True == 1`` are Python's, not the
+language's), lists of one element type, tuples, and unknown.  The entry's
 parameters take the signature's types when the caller promises inputs of
 that signature (``ReferenceOracle.compile``) and nothing calls the entry;
 every other parameter and every call result is unknown.  On proven operands
@@ -193,7 +191,7 @@ def sites_read(run, args, picks: tuple) -> int:
 # them differ from the language's (`True == 1`) no operand is proven.
 
 _SEM_TYPES = {"int": "int", "bool": "bool", "list_int": "[int]", "tuple_int": "tuple"}
-# the type of each node of these classes, whatever the types of the variables
+# the type of each node of these classes, whatever the types of its operands
 _KNOWN = {lang.IntLit: "int", lang.BoolLit: "bool", lang.Compare: "bool", lang.Not: "bool",
           lang.BoolOp: "bool"}
 
@@ -219,7 +217,7 @@ def _list_of(t: str) -> str:
 
 
 def _element(t: str) -> str:
-    return t[1:-1] if t[:1] == "[" else "?"
+    return t[1:-1] if t[:1] == "[" else t and "?"
 
 
 def _is_seq(t: str) -> bool:
@@ -234,11 +232,11 @@ def _exact(t: str) -> bool:
 
 def _arith_type(op: str, left: str, right: str) -> str:
     """The type of ``left op right`` when it does not fault."""
-    if op == "+" and left[:1] == right[:1] == "[":
-        return _join(left, right)
     if op != "+" or "int" in (left, right):
         return "int"
-    return "tuple" if "tuple" in (left, right) else "?"
+    if left[:1] == right[:1] == "[":
+        return _join(left, right)
+    return left and right and ("tuple" if "tuple" in (left, right) else "?")
 
 
 def _constant(code: str):
@@ -272,43 +270,30 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
       target's variable), appended lists and loop variables;
     - by the ``id`` of each loop that puts ``v[i]`` in range in its body,
       the name `v` (`_in_range`);
-    - the seeds: for each name the entry stores, the join of the types of
-      the stores to it whose type the emitter gives whatever the variables'
-      types are (``typed``), so at or below the type it ends with."""
+    - by the ``id`` of each function walked, the stores of its body, in
+      every alternative: (name, value, wrap) where the variable's type
+      holds `wrap` of the type of expression `value` (``target op value``
+      for an augmented assignment), and `wrap` is ``str`` (the identity),
+      `_list_of` for an indexed store or an ``append``, or `_element` for
+      a loop's variable.  A store through two indices faults, and is left
+      out."""
     cap = bounds.fuel + 1
     loops = 1 << bounds.int_bits  # more than a range of wrapped ints holds
     builtins = {name for name in BUILTIN_FUNCS if program.func(name) is None}
     called = set()
     ranged = {}
     stores = set()  # the names the fragment being walked stores
-    seeds = {}
+    typed = []  # the stores of the function being walked, with their values
 
-    def target(node, t):  # a store of a value of type `t`, "" if not known
+    def target(node, value, wrap=str):
         while type(node) is lang.Index:
-            node, t = node.base, ""
+            node, wrap = node.base, wrap is str and _list_of
         if type(node) is lang.Var:
             stores.add(node.name)
-            seeds[node.name] = _join(seeds.get(node.name, ""), t)
+            if wrap:
+                typed.append((node.name, value, wrap))
         for alt in getattr(node, "alternatives", ()):
-            target(alt.payload, t)
-
-    def typed(node) -> str:
-        # the type of `node` (an expression or an augmented assignment's
-        # value) if the variables' types cannot change it, else ""
-        cls = type(node)
-        if cls is lang.BinOp or cls is lang.AugAssign:  # an operator, not a site
-            operands = (node.left, node.right) if cls is lang.BinOp else (node.target, node.value)
-            plus_int = node.op != "+" or "int" in map(typed, operands)
-            return "int" if node.op in _ARITH and plus_int else ""
-        if cls is lang.Call:
-            return {"len": "int", "range": "[int]"}.get(node.func, "") if node.func in builtins else ""
-        if cls is lang.ListLit or cls is ChoiceSite:
-            parts = node.elements if cls is lang.ListLit else [a.payload for a in node.alternatives]
-            types = list(map(typed, parts))
-            if not all(types):
-                return ""
-            return _list_of(_join_all(types)) if cls is lang.ListLit else _join_all(types)
-        return _KNOWN.get(cls, "")
+            target(alt.payload, value, wrap)
 
     def ticks(node) -> int:
         nonlocal stores
@@ -316,8 +301,7 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
         if cls is ChoiceSite:
             total = sum(ticks(alt.payload) for alt in node.alternatives)
         elif cls is lang.ForIn:  # a call of a `range` the program defines reaches the cap
-            t = typed(node.iterable)
-            target(lang.Var(node.var), t and _element(t))
+            target(lang.Var(node.var), node.iterable, _element)
             outer, stores = stores, set()
             total = 1 + ticks(node.iterable) + loops * (1 + ticks(node.body))
             if type(node.iterable) is not lang.Call or node.iterable.func != "range":
@@ -327,13 +311,13 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
             stores = outer | stores
         else:
             total = sum(map(ticks, lang.children(node))) + isinstance(node, (lang.Expr, lang.Stmt))
-            if cls is lang.Assign or cls is lang.AugAssign:
-                target(node.target, typed(node.value if cls is lang.Assign else node))
-                if cls is lang.AugAssign:
-                    total += ticks(node.target)
-            elif cls is lang.MethodCall:
-                t = typed(node.args[0]) if len(node.args) == 1 else ""
-                target(lang.Var(node.obj), t and _list_of(t))
+            if cls is lang.Assign:
+                target(node.target, node.value)
+            elif cls is lang.AugAssign:  # it stores ``target op value``
+                target(node.target, lang.BinOp(node.target, node.op, node.value))
+                total += ticks(node.target)
+            elif cls is lang.MethodCall:  # an `append` of one value, or the emitter refuses it
+                target(lang.Var(node.obj), node.args[0], _list_of)
             elif cls is lang.Call and node.func not in builtins:
                 called.add(node.func)
                 total = cap
@@ -342,12 +326,14 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
         return min(total, cap)
 
     entry = program.entry_func()
+    functions = {id(entry): typed}
     bound = ticks(entry.body)
-    entry_stores, stores, entry_seeds, seeds = stores, set(), seeds, {}
+    entry_stores, stores = stores, set()
     for func in program.functions + list(callees.values()):
         if func is not entry:
+            typed = functions[id(func)] = []
             ticks(func.body)
-    return program.entry in called, bound, entry_stores, ranged, entry_seeds
+    return program.entry in called, bound, entry_stores, ranged, functions
 
 
 def _in_range(loop: lang.ForIn, stores: set, builtins: set, bounds: Bounds):
@@ -369,8 +355,8 @@ def _in_range(loop: lang.ForIn, stores: set, builtins: set, bounds: Bounds):
 
 class _Emitter:
     """Python source for one program, which may hold choice sites.  An
-    expression compiles to its code, the static ticks the code is charged
-    and the code's static type."""
+    expression compiles to its code and the static ticks the code is
+    charged; `typeof` gives its static type."""
 
     def __init__(self, program: lang.Program, callees: dict, bounds: Bounds, sites: int,
                  signature=None):
@@ -382,8 +368,9 @@ class _Emitter:
         self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
         self.pending = []  # reachable functions not yet emitted
-        # the names the entry stores, id of a loop -> the list it keeps `v[i]` in
-        calls_entry, ticks, self.entry_stores, self.loop_lists, self.seeds = _survey(
+        # the names the entry stores, id of a loop -> the list it keeps `v[i]`
+        # in, id of a function -> its stores
+        calls_entry, ticks, self.entry_stores, self.loop_lists, self.stores = _survey(
             program, callees, bounds)
         self.fueled = ticks > bounds.fuel  # else no run can exhaust its fuel
         # the entry's parameters take the types its inputs are drawn from,
@@ -395,7 +382,8 @@ class _Emitter:
             self.entry_types = [_SEM_TYPES[sem] for _, sem in signature.params]
         self.short_lists = set()  # codes of the function's lists whose length needs no wrap
         self.vars = {}  # variable of the function being emitted -> type
-        self.changed = False  # whether a store widened a variable's type
+        self.types = {}  # id of an expression node -> its type, under `vars`
+        self.read = set()  # the variables `typeof` has read
         self.func_returns = ""  # join of the types the function being emitted returns
         self.returns = ""  # the entry's return type
         self.ranged = set()  # (list, index) codes of variables whose index is in range
@@ -451,10 +439,8 @@ class _Emitter:
         return program.func(name)
 
     def function(self, func: lang.FuncDef):
-        """One ``def``, emitted until no store widens a variable's type: the
-        code kept, and the entry's return type, come from the pass with
-        every variable's final type; the entry's variables start from the
-        seeds.  Where no run can exhaust its fuel, nothing calls a
+        """One ``def``, emitted once its variables have their types
+        (`settle`).  Where no run can exhaust its fuel, nothing calls a
         function, and the entry is the runner."""
         # like dict(zip(params, args)): a repeated parameter takes the last argument
         params = [
@@ -470,43 +456,77 @@ class _Emitter:
         self.short_lists = {f"v_{p}" for p, t in zip(func.params, types or ())
                             if short and t[0] == "[" and p not in self.entry_stores}
         self.vars = dict(zip(func.params, types or ["?"] * len(params)))
-        for name, t in self.seeds.items() if entry else ():
-            self.bind(name, t)
-        start = len(self.lines)
-        self.changed = True
-        while self.changed:
-            del self.lines[start:]
-            self.changed = False
-            self.func_returns = ""
-            if runner:  # its arguments and the picks are its locals
-                self.emit(1, f"def {self.func_name(func)}(_args, _picks=()):")
-                self.emit(2, f"if len(_args) != {len(params)}:")
-                self.emit(3, "raise Fault('TypeMismatch')")
-                picks = [f"_s{i}" for i in range(self.sites)]
-                for names, values in ((params, "_args"), (picks, "_picks")):
-                    if names:
-                        self.emit(2, f"{', '.join(names)}, = {values}")
-                self.emit(2, "try:")
-            else:
-                self.emit(1, f"def {self.func_name(func)}({', '.join(params + ['_d'])}):")
-                self.emit(2, "nonlocal _fuel")
-                self.emit(2, f"if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
-                self.emit(3, "raise Fault('FuelExhausted')")
-            self.block(func.body, 2 + runner)
-            self.emit(2 + runner, "raise Fault('NoReturn')")
-            if runner:
-                self.emit(2, "except NameError:")  # a variable read before any assignment
-                self.emit(3, "raise Fault('TypeMismatch') from None")
+        self.settle(self.stores[id(func)])
+        self.func_returns = ""
+        if runner:  # its arguments and the picks are its locals
+            self.emit(1, f"def {self.func_name(func)}(_args, _picks=()):")
+            self.emit(2, f"if len(_args) != {len(params)}:")
+            self.emit(3, "raise Fault('TypeMismatch')")
+            picks = [f"_s{i}" for i in range(self.sites)]
+            for names, values in ((params, "_args"), (picks, "_picks")):
+                if names:
+                    self.emit(2, f"{', '.join(names)}, = {values}")
+            self.emit(2, "try:")
+        else:
+            self.emit(1, f"def {self.func_name(func)}({', '.join(params + ['_d'])}):")
+            self.emit(2, "nonlocal _fuel")
+            self.emit(2, f"if _d > {MAX_CALL_DEPTH} or _fuel < 0:")
+            self.emit(3, "raise Fault('FuelExhausted')")
+        self.block(func.body, 2 + runner)
+        self.emit(2 + runner, "raise Fault('NoReturn')")
+        if runner:
+            self.emit(2, "except NameError:")  # a variable read before any assignment
+            self.emit(3, "raise Fault('TypeMismatch') from None")
         if entry:
             self.returns = self.func_returns
 
-    def bind(self, name: str, t: str):
-        """Widen variable `name`'s type to hold a stored value of type `t`."""
-        old = self.vars.get(name, "")
-        new = _join(old, t)
-        if new != old:
-            self.vars[name] = new
-            self.changed = True
+    def settle(self, stores: list):
+        """Widen the variables' types until every store of a function, its
+        (name, value, wrap) from `_survey`, holds.  A round types each store
+        in turn, and runs again only if it widened a variable it had read."""
+        again = True
+        while again:
+            again, self.types, self.read = False, {}, set()
+            for name, value, wrap in stores:
+                old = self.vars.get(name, "")
+                new = _join(old, wrap(self.typeof(value)))
+                if new != old:
+                    self.vars[name] = new
+                    again = again or name in self.read
+
+    def typeof(self, node) -> str:
+        """The static type of expression `node` under the variables' types."""
+        cls = type(node)
+        if cls in _KNOWN:
+            return _KNOWN[cls]
+        if cls is lang.Var:
+            self.read.add(node.name)
+            return self.vars.get(node.name, "")
+        t = self.types.get(id(node))
+        if t is not None:
+            return t
+        if cls is ChoiceSite:
+            t = _join_all(self.typeof(alt.payload) for alt in node.alternatives)
+        elif cls is lang.ListLit:
+            t = _list_of(_join_all(map(self.typeof, node.elements)))
+        elif cls is lang.Index:
+            t = _element(self.typeof(node.base))
+        elif cls is lang.Slice:
+            t = self.typeof(node.base)
+            t = t if _is_seq(t) else t and "?"
+        elif cls is lang.BinOp:
+            left, right = self.typeof(node.left), self.typeof(node.right)
+            ops = [alt.payload for alt in getattr(node.op, "alternatives", ())] or [node.op]
+            t = _join_all(_arith_type(op, left, right) for op in ops)
+        elif cls is lang.CondExpr:
+            t = _join(self.typeof(node.body), self.typeof(node.orelse))
+        elif cls is lang.Call:
+            callee = self.resolve(node.func)
+            t = "int" if callee == "len" else "[int]" if callee == "range" else "?"
+        else:
+            raise TypeError(f"cannot compile {node!r}")
+        self.types[id(node)] = t
+        return t
 
     # -- checks the static types leave out -------------------------------------
 
@@ -519,13 +539,11 @@ class _Emitter:
         half = self.bounds.half
         return f"({((value + half) & self.bounds.mask) - half})"
 
-    @staticmethod
-    def test(code: str, t: str) -> str:
-        return code if t == "bool" else f"_bool({code})"
+    def test(self, code: str, node) -> str:
+        return code if self.typeof(node) == "bool" else f"_bool({code})"
 
-    @staticmethod
-    def seq(code: str, t: str) -> str:
-        return code if _is_seq(t) else f"_seq({code})"
+    def seq(self, code: str, node) -> str:
+        return code if _is_seq(self.typeof(node)) else f"_seq({code})"
 
     def lst(self, name: str) -> str:
         code = f"v_{name}"
@@ -543,14 +561,14 @@ class _Emitter:
 
     def choose(self, site: ChoiceSite, compiled: list):
         """An expression site as a conditional expression over its
-        alternatives' (code, ticks, type); the least ticks are static, each
+        alternatives' (code, ticks); the least ticks are static, each
         alternative charges the rest when it runs."""
-        low = min(ticks for _, ticks, _ in compiled)
+        low = min(ticks for _, ticks in compiled)
         pick = f"_s{site.site_id}"
-        chain = self.charged(*compiled[-1][:2], low)
+        chain = self.charged(*compiled[-1], low)
         for i in reversed(range(len(compiled) - 1)):
-            chain = f"{self.charged(*compiled[i][:2], low)} if {pick} == {i} else {chain}"
-        return f"({chain})", low, _join_all(t for _, _, t in compiled)
+            chain = f"{self.charged(*compiled[i], low)} if {pick} == {i} else {chain}"
+        return f"({chain})", low
 
     def charged(self, code: str, ticks: int, static: int = 0) -> str:
         """`code`, charged its ticks beyond `static` when it runs."""
@@ -599,47 +617,45 @@ class _Emitter:
                 self.block(alt.payload, depth + 1)
         elif cls is lang.Assign or cls is lang.AugAssign:
             if cls is lang.AugAssign:
-                current, rhs = self.expr(stmt.target), self.expr(stmt.value)
-                value, t = self.arith(stmt.op, current, rhs)
-                ticks = current[1] + rhs[1]
+                (current, ticks), (rhs, rhs_ticks) = self.expr(stmt.target), self.expr(stmt.value)
+                value = self.arith(lang.BinOp(stmt.target, stmt.op, stmt.value), current, rhs)
+                ticks += rhs_ticks
             else:
-                value, ticks, t = self.expr(stmt.value)
-            lines, store_ticks = self.store(stmt.target, value, t)
+                value, ticks = self.expr(stmt.value)
+            lines, store_ticks = self.store(stmt.target, value)
             self.charge(depth, 1 + ticks + store_ticks)
             for line in lines:
                 self.emit(depth, line)
         elif cls is lang.MethodCall:
             if stmt.method != "append" or len(stmt.args) != 1:
                 raise ValueError(f"cannot compile method call {stmt!r}")
-            arg, ticks, t = self.expr(stmt.args[0])
+            arg, ticks = self.expr(stmt.args[0])
             self.charge(depth, 1 + ticks)
             self.emit(depth, f"v_{stmt.obj} = {self.lst(stmt.obj)} + ({arg},)")
-            self.bind(stmt.obj, _list_of(t))
         elif cls is lang.If:
-            cond, ticks, t = self.expr(stmt.cond)
+            cond, ticks = self.expr(stmt.cond)
             self.charge(depth, 1 + ticks)
-            self.emit(depth, f"if {self.test(cond, t)}:")
+            self.emit(depth, f"if {self.test(cond, stmt.cond)}:")
             self.block(stmt.then_body, depth + 1)
             if stmt.else_body:
                 self.emit(depth, "else:")
                 self.block(stmt.else_body, depth + 1)
         elif cls is lang.While:
-            cond, ticks, t = self.expr(stmt.cond)
+            cond, ticks = self.expr(stmt.cond)
             self.charge(depth, 1)
             self.emit(depth, "while True:")
             self.charge(depth + 1, 1 + ticks)
             self.check_fuel(depth + 1)
-            self.emit(depth + 1, f"if not {self.test(cond, t)}:")
+            self.emit(depth + 1, f"if not {self.test(cond, stmt.cond)}:")
             self.emit(depth + 2, "break")
             self.block(stmt.body, depth + 1)
         elif cls is lang.ForIn:
-            iterable, ticks, t = self.expr(stmt.iterable)
+            iterable, ticks = self.expr(stmt.iterable)
             self.charge(depth, 1 + ticks)
             if type(stmt.iterable) is lang.Call and iterable.startswith("tuple(range("):
                 # iterate the range itself
                 iterable = iterable[len("tuple(") : -1]
-            self.emit(depth, f"for v_{stmt.var} in {self.seq(iterable, t)}:")
-            self.bind(stmt.var, _element(t))
+            self.emit(depth, f"for v_{stmt.var} in {self.seq(iterable, stmt.iterable)}:")
             self.charge(depth + 1, 1)
             self.check_fuel(depth + 1)
             v = self.loop_lists.get(id(stmt))
@@ -648,8 +664,8 @@ class _Emitter:
             self.block(stmt.body, depth + 1)
             self.ranged.discard(pair)
         elif cls is lang.Return:
-            value, ticks, t = self.expr(stmt.value)
-            self.func_returns = _join(self.func_returns, t)
+            value, ticks = self.expr(stmt.value)
+            self.func_returns = _join(self.func_returns, self.typeof(stmt.value))
             self.charge(depth, 1 + ticks)
             self.emit(depth, f"return {value}")
         elif cls is lang.Pass:
@@ -659,11 +675,11 @@ class _Emitter:
         else:
             raise TypeError(f"cannot compile {stmt!r}")
 
-    def store(self, target, value: str, t: str):
-        """Lines that store `value`, of type `t`, into `target`, and the
-        ticks they add.  An indexed store rebinds the variable to an updated
-        copy.  Where a site picks the variable stored to, `value` is
-        computed once and each alternative stores it."""
+    def store(self, target, value: str):
+        """Lines that store `value` into `target`, and the ticks they add.
+        An indexed store rebinds the variable to an updated copy.  Where a
+        site picks the variable stored to, `value` is computed once and
+        each alternative stores it."""
         site = None
         if type(target) is ChoiceSite:
             site, targets = target, [alt.payload for alt in target.alternatives]
@@ -671,7 +687,7 @@ class _Emitter:
             site = target.base
             targets = [lang.Index(alt.payload, target.index) for alt in site.alternatives]
         if site is not None:
-            stores = [self.store(each, "_v", t) for each in targets]
+            stores = [self.store(each, "_v") for each in targets]
             low = min(ticks for _, ticks in stores)
             lines = [f"_v = {value}"]
             for (header, _), (alt_lines, ticks) in zip(self.branches(site), stores):
@@ -681,14 +697,11 @@ class _Emitter:
                 lines += ["    " + line for line in alt_lines]
             return lines, low
         if type(target) is lang.Var:
-            self.bind(target.name, t)
             return [f"v_{target.name} = {value}"], 0
         if type(target) is lang.Index and type(target.base) is lang.Var:
-            index, ticks, _ = self.expr(target.index)
+            index, ticks = self.expr(target.index)
             name = target.base.name
-            lines = [f"_t = {value}", f"v_{name} = _store({self.lst(name)}, {index}, _t)"]
-            self.bind(name, _list_of(t))
-            return lines, ticks
+            return [f"_t = {value}", f"v_{name} = _store({self.lst(name)}, {index}, _t)"], ticks
         return [f"_mismatch({value})"], 0
 
     # -- expressions ---------------------------------------------------------
@@ -698,125 +711,109 @@ class _Emitter:
         if cls is ChoiceSite:
             return self.choose(node, [self.expr(alt.payload) for alt in node.alternatives])
         if cls is lang.IntLit:
-            return self.constant(node.value), 1, "int"
+            return self.constant(node.value), 1
         if cls is lang.BoolLit:
-            return ("True" if node.value else "False"), 1, "bool"
+            return ("True" if node.value else "False"), 1
         if cls is lang.Var:
-            return f"v_{node.name}", 1, self.vars.get(node.name, "")
+            return f"v_{node.name}", 1
         if cls is lang.ListLit:
-            code, ticks, types = self.exprs(node.elements)
+            code, ticks = self.exprs(node.elements)
             comma = "," if len(node.elements) == 1 else ""
-            return f"({code}{comma})", 1 + ticks, _list_of(_join_all(types))
+            return f"({code}{comma})", 1 + ticks
         if cls is lang.Index:
-            base, base_ticks, t = self.expr(node.base)
-            index, ticks, index_type = self.expr(node.index)
+            (base, base_ticks), (index, ticks) = self.expr(node.base), self.expr(node.index)
             ticks += 1 + base_ticks
-            if not _is_seq(t):
-                return f"_index(_seq({base}), {index})", ticks, "?"
-            if (base, index) in self.ranged:
-                code = f"{base}[{index}]"
-            elif index_type == "int" and all(c.isidentifier() or _constant(c) is not None
-                                             for c in (base, index)):
-                code = f"({base}[{index}] if 0 <= {index} < len({base}) else _out_of_range())"
-            else:
-                code = f"_index({base}, {index})"
-            return code, ticks, _element(t)
+            if (base, index) in self.ranged:  # a proven list
+                return f"{base}[{index}]", ticks
+            if _is_seq(self.typeof(node.base)) and self.typeof(node.index) == "int" and all(
+                    c.isidentifier() or _constant(c) is not None for c in (base, index)):
+                return f"({base}[{index}] if 0 <= {index} < len({base}) else _out_of_range())", ticks
+            return f"_index({self.seq(base, node.base)}, {index})", ticks
         if cls is lang.Slice:
-            base, ticks, t = self.expr(node.base)
-            ends, end_types = [], []
-            for end in (node.lo, node.hi):
-                code, end_ticks, end_type = ("None", 0, "int") if end is None else self.expr(end)
-                ends.append(code)
-                end_types.append(end_type)
-                ticks += end_ticks
-            if t[:1] == "[" and end_types == ["int", "int"]:
+            base, ticks = self.expr(node.base)
+            ends = [("None", 0) if end is None else self.expr(end) for end in (node.lo, node.hi)]
+            ticks += 1 + sum(end_ticks for _, end_ticks in ends)
+            (lo, _), (hi, _) = ends
+            if self.typeof(node.base)[:1] == "[" and all(
+                    end is None or self.typeof(end) == "int" for end in (node.lo, node.hi)):
                 # Python's slice of a list, once negative ends are clamped to 0
-                lo, hi = map(_slice_end, ends)
-                return f"{base}[{lo}:{hi}]", 1 + ticks, t
-            code = f"_slice({self.seq(base, t)}, {ends[0]}, {ends[1]})"
-            return code, 1 + ticks, t if _is_seq(t) else "?"
+                return f"{base}[{_slice_end(lo)}:{_slice_end(hi)}]", ticks
+            return f"_slice({self.seq(base, node.base)}, {lo}, {hi})", ticks
         if cls is lang.BinOp or cls is lang.Compare:
-            left, right = self.expr(node.left), self.expr(node.right)
-            code, t = (self.arith if cls is lang.BinOp else self.compare)(node.op, left, right)
-            return code, 1 + left[1] + right[1], t
+            (left, left_ticks), (right, right_ticks) = self.expr(node.left), self.expr(node.right)
+            code = (self.arith if cls is lang.BinOp else self.compare)(node, left, right)
+            return code, 1 + left_ticks + right_ticks
         if cls is lang.BoolOp:
-            left, ticks, t = self.expr(node.left)
-            left = self.test(left, t)
-            right = self.test(*self.lazy(node.right))
+            left, ticks = self.expr(node.left)
+            left = self.test(left, node.left)
+            right = self.test(self.lazy(node.right), node.right)
             if type(node.op) is not ChoiceSite:
-                return f"({left} {node.op} {right})", 1 + ticks, "bool"
+                return f"({left} {node.op} {right})", 1 + ticks
             # one conditional expression per operator; `left` runs once
-            code, _, _ = self.choose(
-                node.op, [(f"({left} {alt.payload} {right})", 0, "bool")
-                          for alt in node.op.alternatives]
+            code, _ = self.choose(
+                node.op, [(f"({left} {alt.payload} {right})", 0) for alt in node.op.alternatives]
             )
-            return code, 1 + ticks, "bool"
+            return code, 1 + ticks
         if cls is lang.Not:
-            operand, ticks, t = self.expr(node.operand)
-            return f"(not {self.test(operand, t)})", 1 + ticks, "bool"
+            operand, ticks = self.expr(node.operand)
+            return f"(not {self.test(operand, node.operand)})", 1 + ticks
         if cls is lang.CondExpr:
-            cond, ticks, t = self.expr(node.cond)
-            (body, body_type), (orelse, orelse_type) = self.lazy(node.body), self.lazy(node.orelse)
-            code = f"({body} if {self.test(cond, t)} else {orelse})"
-            return code, 1 + ticks, _join(body_type, orelse_type)
+            cond, ticks = self.expr(node.cond)
+            body, orelse = self.lazy(node.body), self.lazy(node.orelse)
+            return f"({body} if {self.test(cond, node.cond)} else {orelse})", 1 + ticks
         if cls is lang.Call:
             return self.call(node)
         raise TypeError(f"cannot compile {node!r}")
 
     def exprs(self, nodes: list):
-        """Comma-separated code, summed ticks and the types of `nodes`."""
+        """Comma-separated code and summed ticks of `nodes`."""
         compiled = [self.expr(n) for n in nodes]
-        return (", ".join(c for c, _, _ in compiled), sum(t for _, t, _ in compiled),
-                [t for _, _, t in compiled])
+        return ", ".join(c for c, _ in compiled), sum(t for _, t in compiled)
 
-    def lazy(self, node):
-        """`node`, charged its ticks only when it runs, and its type."""
-        code, ticks, t = self.expr(node)
-        return self.charged(code, ticks), t
+    def lazy(self, node) -> str:
+        """The code of `node`, charged its ticks only when it runs."""
+        return self.charged(*self.expr(node))
 
-    def arith(self, op, left, right):
-        """Code and type of ``left op right``; inline where the operands'
+    def arith(self, node: lang.BinOp, a: str, b: str) -> str:
+        """The code of `node` from its operands' code; inline where their
         types make the helper's checks pass, constants folded."""
-        (a, _, left_type), (b, _, right_type) = left, right
-        if type(op) is ChoiceSite:
-            t = _join_all(_arith_type(alt.payload, left_type, right_type)
-                          for alt in op.alternatives)
-            return f"{self.operator(op, _ARITH)}({a}, {b})", t
-        if op in ("+", "-", "*"):
-            x, y = _constant(a), _constant(b)
-            if x is not None and y is not None:
-                value = x + y if op == "+" else x - y if op == "-" else x * y
-                return self.constant(value), "int"
-            if left_type == right_type == "int":
-                return self.wrap(f"{a} {op} {b}"), "int"
-        if op == "+" and left_type[:1] == right_type[:1] == "[":
-            return f"({a} + {b})", _join(left_type, right_type)
-        return f"{_ARITH[op]}({a}, {b})", _arith_type(op, left_type, right_type)
+        op = node.op
+        if type(op) is ChoiceSite or op not in ("+", "-", "*"):
+            return f"{self.operator(op, _ARITH)}({a}, {b})"
+        x, y = _constant(a), _constant(b)
+        if x is not None and y is not None:
+            return self.constant(x + y if op == "+" else x - y if op == "-" else x * y)
+        left, right = self.typeof(node.left), self.typeof(node.right)
+        if left == right == "int":
+            return self.wrap(f"{a} {op} {b}")
+        if op == "+" and left[:1] == right[:1] == "[":
+            return f"({a} + {b})"
+        return f"{_ARITH[op]}({a}, {b})"
 
-    def compare(self, op, left, right):
-        """Code and type of ``left op right``: plain Python on two ints, and
-        ``==``/``!=`` on two values of one exact type."""
-        (a, _, left_type), (b, _, right_type) = left, right
-        if type(op) is not ChoiceSite and left_type == right_type and (
-            left_type == "int" or op in ("==", "!=") and _exact(left_type)
+    def compare(self, node: lang.Compare, a: str, b: str) -> str:
+        """The code of `node` from its operands' code: plain Python on two
+        ints, and ``==``/``!=`` on two values of one exact type."""
+        left, right = self.typeof(node.left), self.typeof(node.right)
+        if type(node.op) is not ChoiceSite and left == right and (
+            left == "int" or node.op in ("==", "!=") and _exact(left)
         ):
-            return f"({a} {op} {b})", "bool"
-        return f"{self.operator(op, _COMPARE)}({a}, {b})", "bool"
+            return f"({a} {node.op} {b})"
+        return f"{self.operator(node.op, _COMPARE)}({a}, {b})"
 
     def call(self, node: lang.Call):
-        args, ticks, types = self.exprs(node.args)
+        args, ticks = self.exprs(node.args)
         ticks += 1
         callee = self.resolve(node.func)
         if callee == "len":
-            if len(types) == 1 and _is_seq(types[0]):
+            if len(node.args) == 1 and _is_seq(self.typeof(node.args[0])):
                 code = f"len({args})"
-                return code if args in self.short_lists else self.wrap(code), ticks, "int"
-            return f"_len({args})", ticks, "int"
+                return code if args in self.short_lists else self.wrap(code), ticks
+            return f"_len({args})", ticks
         if callee == "range":  # the 3-argument form checks its step
-            if len(types) in (1, 2) and all(t == "int" for t in types):
-                return f"tuple(range({args}))", ticks, "[int]"
-            return f"_range({args})", ticks, "[int]"
+            if len(node.args) in (1, 2) and all(self.typeof(arg) == "int" for arg in node.args):
+                return f"tuple(range({args}))", ticks
+            return f"_range({args})", ticks
         if callee is None or len(node.args) != len(callee.params):
-            return f"_mismatch({args})", ticks, "?"
+            return f"_mismatch({args})", ticks
         sep = ", " if args else ""
-        return f"{self.func_name(callee)}({args}{sep}_d + 1)", ticks, "?"
+        return f"{self.func_name(callee)}({args}{sep}_d + 1)", ticks

@@ -14,6 +14,7 @@ their inputs are drawn from: with it, the entry's parameters have known
 types and the compiler leaves out the checks those types make redundant.
 """
 
+import collections
 import functools
 import glob
 import os
@@ -127,6 +128,13 @@ CASES = [
     # a slice of a range is iterated as the sliced tuple
     ("def f_int(x_int):\n    s = 0\n    for k in range(x_int)[1:]:\n        s += k\n    return s\n",
      [(4,), (0,)]),
+    # a copy made in a loop sees, on the next iteration, a store of another
+    # type that comes after it: directly, and through an append of an
+    # element that an index store changes
+    ("def f_int(n_int):\n    x = 0\n    for k in range(2):\n        y = x\n        x = True\n"
+     "    return y + 1\n", [(0,)]),
+    ("def f_int(n_int):\n    xs = [0]\n    ys = [0]\n    for k in range(3):\n        y = ys[k]\n"
+     "        ys.append(xs[0])\n        xs[0] = True\n    return y + 1\n", [(0,)]),
 ]
 
 
@@ -641,7 +649,9 @@ def ill_typed(depth: int):
 def ill_typed_steps(name: str):
     """Statements that break the type variable `name`'s own name suggests
     (an int for INT_VARS, a list of ints for LIST_VARS), each followed by a
-    read of `name` whose checks a proven type would leave out."""
+    read of `name` whose checks a proven type would leave out.  Or the
+    statements run in a loop, twice, after a copy of `name` that the read
+    after the loop reads: its second value comes from a later store."""
     var = lang.Var(name)
     i, l = exprs("int", 0), exprs("list", 0)
     b = st.booleans().map(lang.BoolLit) | exprs("bool", 1)
@@ -656,14 +666,15 @@ def ill_typed_steps(name: str):
             mixed.map(lambda alts: mixed_site("stmt", lang.Assign(var, alts[0]),
                                               [lang.Assign(var, a) for a in alts[1:]])),
         )
-        read = st.one_of(
-            st.builds(lang.BinOp, st.just(var), st.sampled_from(("+", "-", "*")), i),
-            st.builds(lang.BinOp, mixed.map(lambda alts: mixed_site("expr", alts[0], alts[1:])),
-                      st.sampled_from(("+", "-", "*")), st.just(var)),
-            st.builds(lang.Compare, st.just(var), st.sampled_from(lang.COMPARE_OPS), i),
-            st.builds(lang.Index, st.just(lang.Var("xs")), st.just(var)),
-            st.builds(lambda y: lang.Call("range", [var, y]), i),
-        )
+        def reads(var):
+            return st.one_of(
+                st.builds(lang.BinOp, st.just(var), st.sampled_from(("+", "-", "*")), i),
+                st.builds(lang.BinOp, mixed.map(lambda alts: mixed_site("expr", alts[0], alts[1:])),
+                          st.sampled_from(("+", "-", "*")), st.just(var)),
+                st.builds(lang.Compare, st.just(var), st.sampled_from(lang.COMPARE_OPS), i),
+                st.builds(lang.Index, st.just(lang.Var("xs")), st.just(var)),
+                st.builds(lambda y: lang.Call("range", [var, y]), i),
+            )
     else:
         ill = st.one_of(
             st.builds(lang.Assign, st.just(var),
@@ -671,18 +682,26 @@ def ill_typed_steps(name: str):
             st.builds(lang.Assign, st.builds(lang.Index, st.just(var), i), b),
             st.builds(lang.MethodCall, st.just(name), st.just("append"), b.map(lambda x: [x])),
         )
-        read = st.one_of(
-            st.builds(lang.BinOp, st.builds(lang.Index, st.just(var), i), st.just("+"), i),
-            st.builds(lang.Compare, st.just(var), st.sampled_from(["==", "!="]), l),
-            st.just(lang.Call("len", [var])),
-        )
+        def reads(var):
+            return st.one_of(
+                st.builds(lang.BinOp, st.builds(lang.Index, st.just(var), i), st.just("+"), i),
+                st.builds(lang.Compare, st.just(var), st.sampled_from(["==", "!="]), l),
+                st.just(lang.Call("len", [var])),
+            )
     # the entry called with arguments outside its signature, or a helper
     # that a reference may redirect to the entry
     leaf = i | b | l
     call = st.builds(lambda f, x, y: lang.Assign(lang.Var(ANY_VAR), lang.Call(f, [x, y])),
                      st.sampled_from("fg"), leaf, leaf)
-    return st.builds(lambda stmts, r: stmts + [lang.Assign(lang.Var(ANY_VAR), r)],
-                     st.lists(ill | call, min_size=1, max_size=2), read)
+    stmts = st.lists(ill | call, min_size=1, max_size=2)
+    copy = lang.Var("copy")
+    looped = lambda stmts: [lang.ForIn("k", lang.Call("range", [lang.IntLit(2)]),
+                                       [lang.Assign(copy, var)] + stmts)]
+    return st.one_of(
+        st.builds(lambda stmts, r: stmts + [lang.Assign(lang.Var(ANY_VAR), r)], stmts, reads(var)),
+        st.builds(lambda stmts, r: looped(stmts) + [lang.Assign(lang.Var(ANY_VAR), r)],
+                  stmts, reads(copy)),
+    )
 
 
 # a well-typed body into which ill-typed statements are spliced, so that
@@ -1134,6 +1153,36 @@ def stored_names(fragment) -> set:
     return names
 
 
+def target_wraps(target, wrap=str):
+    """(name, wrap) for each variable a store to `target` binds: an indexed
+    target's variable holds a list, and a store through two indices none."""
+    if type(target) is ChoiceSite:
+        for alt in target.alternatives:
+            yield from target_wraps(alt.payload, wrap)
+    elif type(target) is lang.Index and wrap is str:
+        yield from target_wraps(target.base, compiler_module._list_of)
+    elif type(target) is lang.Var:
+        yield target.name, wrap
+
+
+def typed_stores(fragment) -> collections.Counter:
+    """The recount of the stores of a fragment: (name, value, wrap), with
+    the value's id, or an augmented assignment's operands' ids and
+    operator for the ``target op value`` it stores."""
+    out = collections.Counter()
+    for node in every_node(fragment):
+        cls = type(node)
+        if cls is lang.Assign or cls is lang.AugAssign:
+            value = id(node.value) if cls is lang.Assign else (id(node.target), node.op, id(node.value))
+            for name, wrap in target_wraps(node.target):
+                out[name, value, wrap] += 1
+        elif cls is lang.MethodCall:
+            out[node.obj, id(node.args[0]), compiler_module._list_of] += 1
+        elif cls is lang.ForIn:
+            out[node.var, id(node.iterable), compiler_module._element] += 1
+    return out
+
+
 def ranged_loops(program, bounds) -> dict:
     """The recount of the loops that put `v[i]` in range, by id, with `v`."""
     out = {}
@@ -1202,20 +1251,24 @@ def surveyed_programs(draw):
 @settings(max_examples=200, deadline=None)
 def test_the_survey_finds_every_store_and_every_loop_over_a_length(program, bits):
     bounds = Bounds(bits, 3)
-    _, _, stores, ranged, _ = survey(program, bounds)
+    _, _, stores, ranged, typed = survey(program, bounds)
     assert stores == stored_names(program.entry_func().body)
     assert ranged == ranged_loops(program, bounds)
+    nodes = {id(node) for func in program.functions for node in every_node(func.body)}
+    for func in program.functions:  # a value the survey built is an augmented assignment's
+        assert collections.Counter(
+            (name, id(value) if id(value) in nodes else (id(value.left), value.op, id(value.right)),
+             wrap) for name, value, wrap in typed[id(func)]) == typed_stores(func.body)
 
 
-# `_survey` also seeds the entry's variables: each starts from the join of
-# the types of the stores to it that no variable's type decides, a type at
-# or below the one it ends with.  Where the code reads no variable before
-# every store to it (the generated programs store each one first, in
-# `F_PRELUDE`), the code emitted and every variable's final type are those
-# without seeds, and a program whose every other store adds nothing to
-# those types is emitted in one pass.  Each store of `+` on ints, bools and
-# lists mixed, to a variable of its own, makes a seed that would be wrong if
-# it took an operand's type for the result's.
+# Each function's variables take the least types that hold every store
+# (`_Emitter.settle`), in any order of the code: with each function's
+# top-level statements reversed, every variable's type is the same, and
+# under the final types no store widens one.  `F_PRELUDE` stores every
+# variable first, and a read in a loop or of a reversed body comes before a
+# store.  Each store of `+` on ints, bools and lists mixed, to a variable of
+# its own, has a type that would be wrong if it took an operand's type for
+# the result's.
 
 mixed = st.one_of(exprs("int", 0), exprs("bool", 0), exprs("list", 0))
 mixed_programs = st.builds(
@@ -1227,34 +1280,67 @@ mixed_programs = st.builds(
 )
 
 
+def final_types(program, sites: int, signature) -> dict:
+    """Each emitted function's name -> its variables' final types, once
+    every store has been typed again under them and widened none."""
+    types = {}
+    function = compiler_module._Emitter.function
+
+    def typed(self, func):
+        function(self, func)
+        types[func.name] = dict(self.vars)
+        self.types = {}  # nothing typed before
+        for name, value, wrap in self.stores[id(func)]:
+            t = self.vars.get(name, "")
+            assert compiler_module._join(t, wrap(self.typeof(value))) == t, (func.name, name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiler_module._Emitter, "function", typed)
+        compiler_module._Emitter(program, {}, Bounds(4, 3), sites, signature).source()
+    return types
+
+
 @given(programs | sited_programs | mixed_programs, st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_seeds_change_no_emitted_code_and_no_type(program, signed):
+def test_types_hold_every_store_and_do_not_depend_on_the_order_of_the_code(program, signed):
     tilde = TildeProgram(program)
     number_sites(tilde)
     signature = SIGNATURE if signed else None
-    seeded, function = compiler_module._survey, compiler_module._Emitter.function
-    for compiler in COMPILERS.values():
-        def emitted():
-            types = []  # each function's variables, with their final types
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(compiler_module._Emitter, "function",
-                              lambda self, func: (function(self, func), types.append(self.vars)))
-                source = compiler_module._Emitter(
-                    program, {}, compiler.bounds, len(tilde.sites), signature).source()
-            return source, types
+    reversed_program = lang.with_field(program, "functions", [
+        lang.with_field(func, "body", func.body[::-1]) for func in program.functions])
+    want = final_types(program, len(tilde.sites), signature)
+    assert final_types(reversed_program, len(tilde.sites), signature) == want
 
-        want = emitted()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(compiler_module, "_survey", lambda *args: seeded(*args)[:4] + ({},))
-            assert emitted() == want
+
+# A read of a variable that no store has reached yet has no value, and
+# stays so through an index, a slice and a loop's element: the store after
+# it gives the variable its type, and the comparison of what the read
+# stored is proven.
+
+@pytest.mark.parametrize("read,compared", [
+    ("a = ys[0]", "a == 1"),
+    ("a = ys[1:]", "a == [1]"),
+    ("for a in ys:\n            n_int = a", "n_int == 1"),
+])
+def test_a_read_before_every_store_to_its_variable_leaves_its_type_alone(read, compared):
+    source = (f"def f_int(xs_list_int, n_int):\n    for k in range(3):\n        {read}\n"
+              f"        ys = xs_list_int\n    return {compared}\n")
+    code = emitted(source)
+    assert f"(v_{compared.split()[0]} == " in code and "_eq(" not in code, code
+    program = parse_imp(source)
+    signature = parse_signature(program.entry_func())
+    for compiler in COMPILERS.values():
+        run = compiler.compile(program, signature=signature)
+        for args in [((), 0), ((1,), 1), ((1, 2), -1)]:
+            assert_agree(program, args, compiler, run=run)
 
 
 def test_bundled_programs_emit_once(monkeypatch, deriv_ref, deriv_student, deriv_model,
-                                    deriv_oracle_w3):
-    """The corpus's choice-site programs, computeDeriv's student, alone and
-    as a choice-site program, and its fix each emit their entry's ``def``
-    once: no second pass."""
+                                    deriv_oracle_w3, reverse_ref, reverse_student, reverse_model,
+                                    reverse_oracle_w4):
+    """Every bundled program emits its entry's ``def`` once: both problems'
+    references and students, alone and as choice-site programs, the
+    corpus's choice-site programs and computeDeriv's fix."""
     headers = [0]
     emit = compiler_module._Emitter.emit
 
@@ -1265,22 +1351,21 @@ def test_bundled_programs_emit_once(monkeypatch, deriv_ref, deriv_student, deriv
     monkeypatch.setattr(compiler_module._Emitter, "emit", counted)
     tilde = rewrite(deriv_student, deriv_model)
     result = cegis_min(tilde, deriv_oracle_w3, max_cost=5)
-    programs = [tilde, deriv_student, instantiate(tilde, result.picks).program]
+    deriv = [tilde, deriv_student, rewrite(deriv_ref, deriv_model), deriv_ref,
+             instantiate(tilde, result.picks).program]
     for path in sorted(glob.glob(os.path.join(ASSETS, "computederiv", "corpus", "*.imp"))):
         try:
-            programs.append(rewrite(parse_imp(read(path)), deriv_model))
+            deriv.append(rewrite(parse_imp(read(path)), deriv_model))
         except SourceError:
             continue  # the corpus holds one unparseable submission
-    assert len(programs) == 3 + 14
-    for program in programs:
-        headers[0] = 0
-        deriv_oracle_w3.compile(program)
-        assert headers[0] == 1, pretty_program(getattr(program, "origin", None) or program)
-    # the reference takes two passes (`result += [...]` reads `result`), so
-    # the count sees a second pass where one is made
-    headers[0] = 0
-    deriv_oracle_w3.compile(deriv_ref)
-    assert headers[0] == 2
+    assert len(deriv) == 5 + 14
+    reverse = [rewrite(reverse_student, reverse_model), reverse_student,
+               rewrite(reverse_ref, reverse_model), reverse_ref]
+    for oracle, programs in ((deriv_oracle_w3, deriv), (reverse_oracle_w4, reverse)):
+        for program in programs:
+            headers[0] = 0
+            oracle.compile(program)
+            assert headers[0] == 1, pretty_program(getattr(program, "origin", None) or program)
 
 
 LOOP = ("def f_int(xs_list_int, n_int):\n    s = 0\n    ys = xs_list_int + [1]\n"
