@@ -17,9 +17,9 @@ every alternative of every choice site (the stores `_survey` lists), so one
 type holds for every pick tuple, and a read before any store still raises
 ``NameError``.  `_Emitter.typeof` holds every expression rule.  A read
 that no store has reached yet has no value, and stays so through an index,
-a slice, ``+`` and a loop, so every rule but ``+`` of an int and a tuple
-grows with its operands' types: the types are the least that hold every
-store, in any order of the code.  Types are ``int``, ``bool`` (never
+a slice, arithmetic and a loop, and only two tuples add to a tuple, so every
+rule grows with its operands' types: the types are the least that hold
+every store, in any order of the code.  Types are ``int``, ``bool`` (never
 merged with ``int``: ``True + 1`` and ``True == 1`` are Python's, not the
 language's), lists of one element type, tuples, and unknown.  The entry's
 parameters take the signature's types when the caller promises inputs of
@@ -232,11 +232,13 @@ def _exact(t: str) -> bool:
 
 def _arith_type(op: str, left: str, right: str) -> str:
     """The type of ``left op right`` when it does not fault."""
+    if not (left and right):
+        return ""
     if op != "+" or "int" in (left, right):
         return "int"
     if left[:1] == right[:1] == "[":
         return _join(left, right)
-    return left and right and ("tuple" if "tuple" in (left, right) else "?")
+    return "tuple" if left == right == "tuple" else "?"
 
 
 def _constant(code: str):
@@ -256,7 +258,7 @@ def _slice_end(code: str) -> str:
 
 def _survey(program: lang.Program, callees: dict, bounds: Bounds):
     """The compiler's one static walk of `program` and `callees`, through
-    every alternative of every choice site.  It returns five facts:
+    every alternative of every choice site.  It returns four facts:
 
     - whether a function of `program` or `callees` calls the entry;
     - a bound, capped at ``bounds.fuel + 1``, on the ticks one run of the
@@ -266,8 +268,6 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
       its body at most ``2 ** int_bits`` times.  A ``while``, a call of
       anything but the builtins ``len`` and ``range``, or a ``for`` over
       anything else reaches the cap;
-    - the names the entry's body stores: assignment targets (an indexed
-      target's variable), appended lists and loop variables;
     - by the ``id`` of each loop that puts ``v[i]`` in range in its body,
       the name `v` (`_in_range`);
     - by the ``id`` of each function walked, the stores of its body, in
@@ -282,33 +282,28 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
     builtins = {name for name in BUILTIN_FUNCS if program.func(name) is None}
     called = set()
     ranged = {}
-    stores = set()  # the names the fragment being walked stores
     typed = []  # the stores of the function being walked, with their values
 
     def target(node, value, wrap=str):
         while type(node) is lang.Index:
             node, wrap = node.base, wrap is str and _list_of
-        if type(node) is lang.Var:
-            stores.add(node.name)
-            if wrap:
-                typed.append((node.name, value, wrap))
+        if type(node) is lang.Var and wrap:
+            typed.append((node.name, value, wrap))
         for alt in getattr(node, "alternatives", ()):
             target(alt.payload, value, wrap)
 
     def ticks(node) -> int:
-        nonlocal stores
         cls = type(node)
         if cls is ChoiceSite:
             total = sum(ticks(alt.payload) for alt in node.alternatives)
         elif cls is lang.ForIn:  # a call of a `range` the program defines reaches the cap
             target(lang.Var(node.var), node.iterable, _element)
-            outer, stores = stores, set()
+            first = len(typed)  # the body's stores come from here on
             total = 1 + ticks(node.iterable) + loops * (1 + ticks(node.body))
             if type(node.iterable) is not lang.Call or node.iterable.func != "range":
                 total = cap
-            elif (v := _in_range(node, stores, builtins, bounds)) is not None:
+            elif (v := _in_range(node, typed[first:], builtins, bounds)) is not None:
                 ranged[id(node)] = v
-            stores = outer | stores
         else:
             total = sum(map(ticks, lang.children(node))) + isinstance(node, (lang.Expr, lang.Stmt))
             if cls is lang.Assign:
@@ -328,20 +323,20 @@ def _survey(program: lang.Program, callees: dict, bounds: Bounds):
     entry = program.entry_func()
     functions = {id(entry): typed}
     bound = ticks(entry.body)
-    entry_stores, stores = stores, set()
     for func in program.functions + list(callees.values()):
         if func is not entry:
             typed = functions[id(func)] = []
             ticks(func.body)
-    return program.entry in called, bound, entry_stores, ranged, functions
+    return program.entry in called, bound, ranged, functions
 
 
-def _in_range(loop: lang.ForIn, stores: set, builtins: set, bounds: Bounds):
+def _in_range(loop: lang.ForIn, stores: list, builtins: set, bounds: Bounds):
     """The name `v` if `loop` is ``for i in range([k,] len(v))``, with
     ``range`` and ``len`` the builtins, `k` a literal that wraps to at
-    least 0, `v` not `i`, and neither name in `stores`, the names the body
-    stores: then, where `v` is a list, ``v[i]`` is in range in the body, as
-    a wrapped length is never more than the true one."""
+    least 0, `v` not `i`, and neither name stored by `stores`, the body's
+    stores from `_survey` (a store through two indices faults, and is left
+    out): then, where `v` is a list, ``v[i]`` is in range in the body, as a
+    wrapped length is never more than the true one."""
     *start, n = loop.iterable.args or [None]
     if (len(start) > 1 or not {"range", "len"} <= builtins or type(n) is not lang.Call
             or n.func != "len" or [type(a) for a in n.args] != [lang.Var]):
@@ -350,7 +345,7 @@ def _in_range(loop: lang.ForIn, stores: set, builtins: set, bounds: Bounds):
                   or (start[0].value + bounds.half) & bounds.mask < bounds.half):
         return None
     v = n.args[0].name
-    return None if v == loop.var or {v, loop.var} & stores else v
+    return None if v == loop.var or {v, loop.var} & {name for name, _, _ in stores} else v
 
 
 class _Emitter:
@@ -368,10 +363,8 @@ class _Emitter:
         self.preamble = {}  # site id -> line of `_make` before the functions
         self.names = {}  # id(FuncDef) -> Python name
         self.pending = []  # reachable functions not yet emitted
-        # the names the entry stores, id of a loop -> the list it keeps `v[i]`
-        # in, id of a function -> its stores
-        calls_entry, ticks, self.entry_stores, self.loop_lists, self.stores = _survey(
-            program, callees, bounds)
+        # id of a loop -> the list it keeps `v[i]` in, id of a function -> its stores
+        calls_entry, ticks, self.loop_lists, self.stores = _survey(program, callees, bounds)
         self.fueled = ticks > bounds.fuel  # else no run can exhaust its fuel
         # the entry's parameters take the types its inputs are drawn from,
         # unless a call may give it other arguments
@@ -453,10 +446,12 @@ class _Emitter:
         # an input list is no longer than the largest int, so the length of
         # an entry list parameter that the entry never stores needs no wrap
         short = types and self.bounds.max_list_len <= self.bounds.int_hi
+        stores = self.stores[id(func)]
+        stored = {name for name, _, _ in stores}
         self.short_lists = {f"v_{p}" for p, t in zip(func.params, types or ())
-                            if short and t[0] == "[" and p not in self.entry_stores}
+                            if short and t[0] == "[" and p not in stored}
         self.vars = dict(zip(func.params, types or ["?"] * len(params)))
-        self.settle(self.stores[id(func)])
+        self.settle(stores)
         self.func_returns = ""
         if runner:  # its arguments and the picks are its locals
             self.emit(1, f"def {self.func_name(func)}(_args, _picks=()):")

@@ -83,12 +83,12 @@ def diff_corrections(tilde: TildeProgram, picks: tuple) -> list:
     return corrections
 
 
-def build_report(tilde: TildeProgram | None, result: RepairResult,
+def build_report(tilde: TildeProgram, result: RepairResult,
                  millis: int | None = None) -> FeedbackReport:
-    """The report of `result` and its alternates."""
+    """The report of `result`, a search of `tilde`, and its alternates."""
     verdict = VERDICTS[result.status]
     corrections = []
-    if result.status == "fixed" and tilde is not None:
+    if result.status == "fixed":
         corrections = diff_corrections(tilde, result.picks)
     alt_corrections = [diff_corrections(tilde, alt.picks) for alt in result.alternates]
     stats = {

@@ -41,7 +41,7 @@ from .eml import (
 )
 from .lexer import SourceError
 from .parser import BUILTIN_FUNCS
-from .tilde import Alternative, ChoiceSite, TildeProgram, number_sites
+from .tilde import Alternative, ChoiceSite, TildeProgram
 
 _COMPARE_FAMILY = ("<", ">", "<=", ">=", "==", "!=")
 _ARITH_FAMILY = ("+", "-", "*", "/")
@@ -60,7 +60,6 @@ def rewrite(program: lang.Program, model: ErrorModel) -> TildeProgram:
     root = engine.run()
     tilde = TildeProgram(root, origin=program, model=model)
     tilde.max_rewrite_depth = engine.max_rule_depth
-    number_sites(tilde)
     return tilde
 
 

@@ -5,8 +5,9 @@ compiled choice-site program.  A growing counterexample set screens them
 cheaply; survivors face full bounded verification against the reference,
 and every verification failure contributes a fresh counterexample.  The
 first candidate that survives full verification is the minimal repair, and
-the total order makes the result deterministic.  Alternate fixes are the
-next survivors of the same search.
+the total order makes the result deterministic.  A `RepairResult` holds its
+pick tuple, the cost the enumerator gave it and its program (`instantiate`).
+Alternate fixes are the next survivors of the same search.
 
 Verification runs in two stages.  A survivor first runs as its pick tuple
 on the choice-site program over the first `ALONE_AFTER` inputs, where
@@ -94,17 +95,14 @@ class SearchBudget:
 
 class RepairResult:
     def __init__(self, status: str, picks: tuple | None = None, cost: int = 0,
-                 active: frozenset = frozenset(), program: lang.Program | None = None,
-                 cexs_used: int = 0, candidates_tested: int = 0, max_cost: int = 0,
-                 budget_kind: str | None = None):
+                 program: lang.Program | None = None, cexs_used: int = 0,
+                 candidates_tested: int = 0, budget_kind: str | None = None):
         self.status = status  # correct | fixed | no_fix | budget
         self.picks = picks  # the winner's pick tuple
-        self.cost = cost
-        self.active = active
-        self.program = program
+        self.cost = cost  # its cost, as `enumerate_candidates` gave it
+        self.program = program  # its program (`instantiate`)
         self.cexs_used = cexs_used
         self.candidates_tested = candidates_tested
-        self.max_cost = max_cost
         self.budget_kind = budget_kind
         self.alternates: list = []  # further fixes, cheapest first (`cegis_min`)
 
@@ -141,11 +139,11 @@ class ReferenceOracle:
         compared with the reference's (``run.exact``)."""
         return self._compiler.compile(program, callees, self.signature, self.returns)
 
-    def first_mismatch(self, run, picks=(), budget=None, start=0, stop=None):
+    def first_mismatch(self, run, picks, budget, start=0, stop=None):
         """Index of the first input of ``inputs[start:stop]`` where the
         candidate `picks` of the compiled `run` disagrees with the reference
         (any fault counts as disagreement), or None.  The inputs run in
-        chunks of `CHUNK`, and a `budget` is charged the runs of each."""
+        chunks of `CHUNK`, and `budget` is charged the runs of each."""
         inputs = self.inputs
         values = self.values
         exact = run.exact
@@ -160,11 +158,9 @@ class ReferenceOracle:
                 if (value != values[i]) if exact else not same(value, values[i]):
                     break
             else:
-                if budget is not None:
-                    budget.charge(hi - lo)
+                budget.charge(hi - lo)
                 continue
-            if budget is not None:
-                budget.charge(i + 1 - lo)
+            budget.charge(i + 1 - lo)
             return i
         return None
 
@@ -238,31 +234,28 @@ def cegis_min(
             # the counterexamples are distinct, so `i`'s place counts the runs
             budget.charge(len(cex_indices) if i is None else cex_indices.index(i) + 1)
             if i is None:
-                winner = None
+                program = None
                 if texts:
-                    winner = instantiate(tilde, picks)
-                    if pretty_program(winner.program) in texts:
+                    program = instantiate(tilde, picks)
+                    if pretty_program(program) in texts:
                         continue  # a text twin of a fix
                 i = first_mismatch(run, picks, budget, stop=head)
                 if i is None and head < len(inputs):
-                    winner = winner or instantiate(tilde, picks)
-                    alone = oracle.compile(winner.program, callees)
-                    i = first_mismatch(alone, (), budget, start=head)
+                    program = program or instantiate(tilde, picks)
+                    i = first_mismatch(oracle.compile(program, callees), (), budget, start=head)
                 if i is None:
-                    winner = winner or instantiate(tilde, picks)
+                    program = program or instantiate(tilde, picks)
                     fixes.append(RepairResult(
                         status="correct" if cost == 0 else "fixed",
                         picks=picks,
                         cost=cost,
-                        active=winner.active,
-                        program=winner.program,
+                        program=program,
                         cexs_used=len(cex_indices),
                         candidates_tested=tested,
-                        max_cost=max_cost,
                     ))
                     if cost == 0 or len(fixes) > alternates:
                         break
-                    texts.add(pretty_program(winner.program))
+                    texts.add(pretty_program(program))
                     continue
                 cex_indices.append(i)
             if picks.count(0) >= zeros:
@@ -271,7 +264,7 @@ def cegis_min(
         kind = stop.kind
     if not fixes:
         return RepairResult("budget" if kind else "no_fix", cexs_used=len(cex_indices),
-                            candidates_tested=tested, max_cost=max_cost, budget_kind=kind)
+                            candidates_tested=tested, budget_kind=kind)
     first = fixes[0]
     first.budget_kind = kind
     first.alternates = fixes[1:]

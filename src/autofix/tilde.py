@@ -1,10 +1,13 @@
 """Weighted program sets: a program plus choice sites.
 
 A choice site holds a zero-weight default (the original code) and weighted
-alternatives contributed by correction rules.  A candidate is a pick tuple,
-one alternative index per site; instantiating it yields a concrete program
-whose cost is the summed weight of every *active* non-default pick (a site
-is active only when every enclosing alternative is itself selected).
+alternatives contributed by correction rules.  A `TildeProgram` numbers its
+sites in pre-order when it is built, each with a link to the alternative
+that encloses it.  A candidate is a pick tuple, one alternative index per
+site, and nothing else: `enumerate_candidates` yields each with its cost,
+the summed weight of its active picks; `active_picks` finds those picks (a
+site is active only when every enclosing alternative is itself selected);
+and `instantiate` builds its program.
 """
 
 from __future__ import annotations
@@ -26,41 +29,44 @@ class Alternative:
 
 
 class ChoiceSite:
-    def __init__(self, kind: str, span: Span, stmt_span: Span, alternatives: list,
-                 site_id: int = -1, parent: tuple | None = None):
+    def __init__(self, kind: str, span: Span, stmt_span: Span, alternatives: list):
         self.kind = kind  # expr | op | stmt | block
         self.span = span
         self.stmt_span = stmt_span
         self.alternatives = alternatives
-        self.site_id = site_id
-        self.parent = parent  # (site_id, alt_index) enclosing alternative
-
-    def arity(self) -> int:
-        return len(self.alternatives)
+        self.site_id = -1  # set by the TildeProgram that holds the site
+        self.parent = None  # (site_id, alt_index) enclosing alternative
 
 
 class TildeProgram:
-    def __init__(self, root, sites: list | None = None, origin: lang.Program | None = None,
-                 model=None, max_rewrite_depth: int = 0):
+    def __init__(self, root, origin: lang.Program | None = None, model=None):
         self.root = root  # Program-shaped tree containing ChoiceSite nodes
-        self.sites = [] if sites is None else sites
         self.origin = origin
         self.model = model  # the ErrorModel the sites came from
-        self.max_rewrite_depth = max_rewrite_depth
+        self.max_rewrite_depth = 0
+        self.sites = []  # in pre-order, so an enclosing site comes first
 
-    def site(self, site_id: int) -> ChoiceSite:
-        return self.sites[site_id]
+        def walk(node, parent):
+            if type(node) is ChoiceSite:
+                node.site_id, node.parent = len(self.sites), parent
+                self.sites.append(node)
+                for idx, alt in enumerate(node.alternatives):
+                    walk(alt.payload, (node.site_id, idx))
+            else:
+                for child in lang.children(node):
+                    walk(child, parent)
+
+        walk(root, None)
 
     def defaults(self) -> tuple:
         """The pick tuple of the unchanged program."""
         return (0,) * len(self.sites)
 
-    def resolve(self, node, picks: tuple, picked=None):
+    def resolve(self, node, picks: tuple):
         """`node` (a fragment of this tree, a list of them or an operator)
         with every choice site replaced by its alternative in `picks`.  A
         site picked as a list of statements is spliced into its block, and
-        subtrees without sites are shared.  Each non-default pick on the way
-        is appended to `picked` as (site, index); sites inside unpicked
+        subtrees without sites are shared; sites inside unpicked
         alternatives are never visited."""
 
         def visit(node):
@@ -69,56 +75,20 @@ class TildeProgram:
             idx = picks[node.site_id]
             if not 0 <= idx < len(node.alternatives):
                 raise BadIndex(f"site {node.site_id}: alternative {idx}")
-            if idx and picked is not None:
-                picked.append((node, idx))
             return visit(node.alternatives[idx].payload)
 
         return visit(node)
 
 
-class WeightedCandidate:
-    def __init__(self, program: lang.Program, cost: int, active: frozenset):
-        self.program = program
-        self.cost = cost
-        self.active = active  # canonical (site_id, alt_index) non-default picks
-
-
-def number_sites(tilde: TildeProgram) -> None:
-    """Assign dense pre-order site ids and parent links."""
-    sites = []
-
-    def walk(node, parent):
-        if isinstance(node, ChoiceSite):
-            node.site_id = len(sites)
-            node.parent = parent
-            sites.append(node)
-            for idx, alt in enumerate(node.alternatives):
-                walk(alt.payload, (node.site_id, idx))
-            return
-        for child in lang.children(node):
-            walk(child, parent)
-
-    walk(tilde.root, None)
-    tilde.sites = sites
-
-
-# --------------------------------------------------------------------------
-# instantiation
-
-
-def instantiate(tilde: TildeProgram, picks: tuple) -> WeightedCandidate:
-    """Resolve every site to its alternative in `picks`; picks at inactive
-    sites contribute neither code nor cost."""
-    picked = []
-    program = tilde.resolve(tilde.root, picks, picked)
-    cost = sum(site.alternatives[idx].weight for site, idx in picked)
-    active = frozenset((site.site_id, idx) for site, idx in picked)
-    return WeightedCandidate(program, cost, active)
+def instantiate(tilde: TildeProgram, picks: tuple) -> lang.Program:
+    """The program of the candidate `picks`: every site resolved to its
+    alternative; picks at inactive sites contribute no code."""
+    return tilde.resolve(tilde.root, picks)
 
 
 def active_picks(tilde: TildeProgram, picks: tuple) -> list:
     """The (site, index) of each non-default pick of `picks` at an active
-    site, in site order: the non-default picks `instantiate` finds."""
+    site, in site order."""
     live, active = [], []  # whether each site is active; its active picks
     for site, index in zip(tilde.sites, picks):  # an enclosing site comes first
         parent = site.parent

@@ -7,7 +7,7 @@ from autofix.eml import parse_eml
 from autofix.interp import Bounds
 from autofix.parser import parse_imp
 from autofix.interp import Fault
-from autofix.search import ReferenceOracle
+from autofix.search import ReferenceOracle, SearchBudget
 from spec_interp import EvalResult
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
@@ -35,7 +35,7 @@ def run_compiled(program, args, bounds: Bounds, callees=None) -> EvalResult:
 def find_counterexample(candidate, oracle: ReferenceOracle, callees=None):
     """The first bounded input where `candidate` and the reference disagree,
     or None."""
-    i = oracle.first_mismatch(oracle.compile(candidate, callees))
+    i = oracle.first_mismatch(oracle.compile(candidate, callees), (), SearchBudget())
     return None if i is None else oracle.inputs[i]
 
 

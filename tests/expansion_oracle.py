@@ -3,7 +3,8 @@
 This walks the rewritten tree directly, unioning site alternatives (default
 at weight zero, the rest at their weights) and cross-multiplying child sets
 while summing costs.  It shares no code with the canonical enumerator, so the
-two can check each other.
+two can check each other.  `visited_picks` likewise finds a pick tuple's
+active picks by walking the tree, apart from `tilde.active_picks`.
 """
 
 import itertools
@@ -135,3 +136,23 @@ def expand_program(tilde):
     return [
         (pretty_program(lang.Program(fs, root.entry)), c) for fs, c in out
     ]
+
+
+def visited_picks(tilde, picks) -> list:
+    """The (site_id, index) of each non-default pick that resolving `picks`
+    visits, sorted: the tree is walked from its root into the picked
+    alternative of each site reached, without the sites' parent links."""
+    found = []
+
+    def walk(node):
+        if isinstance(node, ChoiceSite):
+            index = picks[node.site_id]
+            if index:
+                found.append((node.site_id, index))
+            walk(node.alternatives[index].payload)
+        else:
+            for child in lang.children(node):
+                walk(child)
+
+    walk(tilde.root)
+    return sorted(found)

@@ -132,7 +132,7 @@ def test_criterion_2_array_reverse_alternate(reverse_run):
     loop_repair = [line for line, _, _ in facts].count(4) == 1
     distinct = (
         fixed
-        and second.active != first.active
+        and second.picks != first.picks
         and second.program.key() != first.program.key()
     )
     verified = fixed and find_counterexample(second.program, oracle) is None
@@ -141,7 +141,7 @@ def test_criterion_2_array_reverse_alternate(reverse_run):
     nominal = parse_imp(_REVERSE_NOMINAL_ALTERNATE)
     candidate_costs = {}
     for candidate, cost in enumerate_candidates(tilde, 3):
-        candidate_costs.setdefault(instantiate(tilde, candidate).program.key(), cost)
+        candidate_costs.setdefault(instantiate(tilde, candidate).key(), cost)
     nominal_cost = candidate_costs.get(nominal.key())
     empty = ((),)
     empty_fault = evaluate(nominal, empty, oracle.bounds).fault
@@ -244,8 +244,7 @@ def test_criterion_3_minimality_oracle():
         for candidate, cost in candidates:
             if best is not None and cost > best:
                 break
-            cand = instantiate(tilde, candidate)
-            if find_counterexample(cand.program, oracle) is None:
+            if find_counterexample(instantiate(tilde, candidate), oracle) is None:
                 best = cost
         if best is None:
             agreements += result.status == "no_fix"
@@ -277,7 +276,7 @@ def test_criterion_4_weighted_set_agreement():
             expanded[(text, cost)] = expanded.get((text, cost), 0) + 1
         enumerated = {}
         for candidate, cost in enumerate_candidates(tilde):
-            text = pretty_program(instantiate(tilde, candidate).program)
+            text = pretty_program(instantiate(tilde, candidate))
             enumerated[(text, cost)] = enumerated.get((text, cost), 0) + 1
         agreements += enumerated == expanded
     report("4 weighted-set agreement", agreements == 50, f"{agreements}/50 multisets equal")
@@ -329,7 +328,7 @@ def test_criterion_5_default_identity_and_termination():
     for program_file, model_file in _BUNDLED:
         source = read(*program_file)
         tilde = rewrite(parse_imp(source), parse_eml(read(*model_file)))
-        if pretty_program(instantiate(tilde, tilde.defaults()).program) != source:
+        if pretty_program(instantiate(tilde, tilde.defaults())) != source:
             report("5 default identity / termination", False, f"{program_file} not byte-identical")
 
     # the model is checked when it is parsed: an ill-formed rule is rejected
@@ -350,7 +349,7 @@ def test_criterion_5_default_identity_and_termination():
         program = parse_imp(source)
         tilde = rewrite(program, model)
         within_bound = tilde.max_rewrite_depth <= lang.size(program)
-        identity = pretty_program(instantiate(tilde, tilde.defaults()).program) == source
+        identity = pretty_program(instantiate(tilde, tilde.defaults())) == source
         terminated += within_bound and identity
     report(
         "5 default identity / termination",

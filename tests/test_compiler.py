@@ -40,9 +40,9 @@ from autofix.tilde import (
     Alternative,
     ChoiceSite,
     TildeProgram,
+    active_picks,
     enumerate_candidates,
     instantiate,
-    number_sites,
 )
 
 from conftest import ASSETS, SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
@@ -468,8 +468,8 @@ def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compiler
     """Every candidate of `tilde` up to `max_cost`, run as its pick tuple
     of the choice-site program compiled once per fuel and per signature in
     `signatures`, agrees with its instantiated program on the tree-walker.
-    The search's `active` and `cost` (the non-default picks and the
-    enumerated cost) equal `instantiate`'s.  Returns (cases, fuel-only
+    Its non-default picks are its active picks (`active_picks`), and its
+    enumerated cost is their summed weight.  Returns (cases, fuel-only
     disagreements, candidates); a case is a candidate, fuel and input, run
     once per signature."""
     runs = {fuel: [compiler.compile(tilde, callees, sig) for sig in signatures]
@@ -478,18 +478,20 @@ def assert_candidates_agree(tilde, inputs, max_cost=None, callees=None, compiler
     cases = fuel_disagreements = candidates = 0
     for picks, cost in enumerate_candidates(tilde, max_cost):
         candidate = instantiate(tilde, picks)
-        assert active_of(picks) == candidate.active and cost == candidate.cost
-        key = candidate.program.key()
+        active = active_picks(tilde, picks)
+        assert active_of(picks) == {(site.site_id, index) for site, index in active}
+        assert cost == sum(site.alternatives[index].weight for site, index in active)
+        key = candidate.key()
         candidates += 1
         for fuel, compiler in compilers.items():
             for args in inputs:
                 want = spec.get((key, fuel, args))
                 if want is None:
                     want = spec[key, fuel, args] = evaluate(
-                        candidate.program, args, compiler.bounds, callees)
+                        candidate, args, compiler.bounds, callees)
                 cases += 1
                 fuel_disagreements += max([
-                    assert_agree(candidate.program, args, compiler, run=run, picks=picks, want=want)
+                    assert_agree(candidate, args, compiler, run=run, picks=picks, want=want)
                     for run in runs[fuel]
                 ])
     return cases, fuel_disagreements, candidates
@@ -506,7 +508,7 @@ def test_bundled_candidates_up_to_cost_2_agree():
         fuel_disagreements += fuel_only
         texts = {}  # printed text -> structural key
         for picks, _ in enumerate_candidates(tilde, 2):
-            candidate = instantiate(tilde, picks).program
+            candidate = instantiate(tilde, picks)
             key = candidate.key()
             assert texts.setdefault(pretty_program(candidate), key) == key
         # each text has one key: the text fingerprint by which `cegis_min`
@@ -587,7 +589,6 @@ def test_spliced_statement_lists_agree():
     ]
     root = lang.Program([lang.FuncDef("f_int", ["x_int"], body)], "f_int")
     tilde = TildeProgram(root)
-    number_sites(tilde)
     inputs = [(x,) for x in range(-8, 8)]
     _, _, candidates = assert_candidates_agree(tilde, inputs, compilers=FUEL_SWEEP)
     assert candidates == 3 * 2 * 2
@@ -728,7 +729,6 @@ REFERENCE_G = lang.FuncDef(
 @settings(max_examples=150, deadline=None)
 def test_ill_typed_programs_agree(program, reference_callees):
     tilde = TildeProgram(program)
-    number_sites(tilde)
     callees = {"g": REFERENCE_G} if reference_callees else None
     assert_candidates_agree(tilde, INPUTS, 1, callees, signatures=(None, SIGNATURE))
 
@@ -823,7 +823,6 @@ def test_no_run_spends_more_ticks_than_the_bound(program):
     # at a fuel of exactly the bound: the spec never exhausts it, so the
     # compiled code, which charges no fuel, agrees with it on every run
     tilde = TildeProgram(program)
-    number_sites(tilde)
     bound = tick_bound(tilde.root)
     assert bound <= 10**9
     compiler = Compiler(Bounds(4, 3, fuel=bound))
@@ -880,21 +879,20 @@ def same_outcome(a, b) -> bool:
 @settings(max_examples=150, deadline=None)
 def test_picks_a_run_did_not_read_leave_its_outcome_alone(program, args, data):
     tilde = TildeProgram(program)
-    number_sites(tilde)
     sites = tilde.sites
-    picks = canonical(tilde, data.draw(st.tuples(*(st.integers(0, s.arity() - 1)
-                                                     for s in sites))))
+    arity = [len(site.alternatives) for site in sites]
+    picks = canonical(tilde, data.draw(st.tuples(*(st.integers(0, n - 1) for n in arity))))
     for compiler in COMPILERS.values():
         run = compiler.compile(tilde)
         read = sites_read(run, args, picks)
         moved = canonical(tilde, tuple(
-            pick if read >> k & 1 or sites[k].arity() == 1
-            else (pick + data.draw(st.integers(1, sites[k].arity() - 1))) % sites[k].arity()
+            pick if read >> k & 1 or arity[k] == 1
+            else (pick + data.draw(st.integers(1, arity[k] - 1))) % arity[k]
             for k, pick in enumerate(picks)
         ))
         assert all(moved[k] == picks[k] for k in range(len(sites)) if read >> k & 1)
         assert same_outcome(outcome(run, args, moved), outcome(run, args, picks)), (picks, moved)
-        want, got = (evaluate(instantiate(tilde, p).program, args, compiler.bounds)
+        want, got = (evaluate(instantiate(tilde, p), args, compiler.bounds)
                      for p in (picks, moved))
         assert same_outcome((got.value, got.fault), (want.value, want.fault)), (picks, moved)
 
@@ -1052,7 +1050,7 @@ def test_consecutive_runs_with_different_picks_return_their_own_values(deriv_stu
     assert all(map(fuel_free, runs))
     candidates = [picks for picks, _ in enumerate_candidates(tilde, 1)]
     args = ((1, -2, 3),)
-    want = {picks: evaluate(instantiate(tilde, picks).program, args, compiler.bounds)
+    want = {picks: evaluate(instantiate(tilde, picks), args, compiler.bounds)
             for picks in candidates}
     assert len({repr(result) for result in want.values()}) > 3
     default = tilde.defaults()
@@ -1084,7 +1082,7 @@ def test_the_deepest_parsed_program_compiles_with_no_fuel_code():
 # -- facts the analysis proves ------------------------------------------------
 #
 # `_survey` walks a program once, through every alternative of every site,
-# and finds the names the entry stores and the loops that range over a
+# and finds each function's stores and the loops that range over a
 # length.  In every program, fueled or not, two checks go: `v[i]` in the
 # body of `for i in range([k,] len(v))` is in range when `range` and `len`
 # are the builtins, `v` is a proven list, `k` a constant of at least 0 and
@@ -1097,8 +1095,13 @@ def survey(program, bounds=Bounds(4, 3)):
     return compiler_module._survey(program, {}, bounds)
 
 
+def stored(program) -> set:
+    """The names the survey finds that the entry of `program` stores."""
+    return {name for name, _, _ in survey(program)[3][id(program.entry_func())]}
+
+
 def entry_stores(*body):
-    return survey(lang.Program([lang.FuncDef("f", ["xs", "n"], list(body))], "f"))[2]
+    return stored(lang.Program([lang.FuncDef("f", ["xs", "n"], list(body))], "f"))
 
 
 def test_the_survey_names_every_variable_the_entry_may_store_to():
@@ -1108,7 +1111,7 @@ def test_the_survey_names_every_variable_the_entry_may_store_to():
         "def g(n):\n    z = n\n    return z\n"
     )
     body = program.functions[0].body
-    assert survey(program)[2] == {"a", "xs", "b", "ys", "k", "c"}  # not `g`'s `z`
+    assert stored(program) == {"a", "xs", "b", "ys", "k", "c"}  # not `g`'s `z`
     assert entry_stores(body[4]) == {"k", "c"} and entry_stores(lang.Return(body[0].value)) == set()
     # inside every alternative of a choice site: a statement site, a target
     # site and a site at an indexed target's variable
@@ -1251,8 +1254,8 @@ def surveyed_programs(draw):
 @settings(max_examples=200, deadline=None)
 def test_the_survey_finds_every_store_and_every_loop_over_a_length(program, bits):
     bounds = Bounds(bits, 3)
-    _, _, stores, ranged, typed = survey(program, bounds)
-    assert stores == stored_names(program.entry_func().body)
+    _, _, ranged, typed = survey(program, bounds)
+    assert stored(program) == stored_names(program.entry_func().body)
     assert ranged == ranged_loops(program, bounds)
     nodes = {id(node) for func in program.functions for node in every_node(func.body)}
     for func in program.functions:  # a value the survey built is an augmented assignment's
@@ -1268,7 +1271,9 @@ def test_the_survey_finds_every_store_and_every_loop_over_a_length(program, bits
 # variable first, and a read in a loop or of a reversed body comes before a
 # store.  Each store of `+` on ints, bools and lists mixed, to a variable of
 # its own, has a type that would be wrong if it took an operand's type for
-# the result's.
+# the result's.  In `tuple_programs`, `x` stores ints, bools and the entry's
+# `tuple_int` parameter `t`, and `y` stores sums of `x` and `t`; every such
+# program stores an int and a bool to `x` and ``x + t`` to `y`, in any order.
 
 mixed = st.one_of(exprs("int", 0), exprs("bool", 0), exprs("list", 0))
 mixed_programs = st.builds(
@@ -1278,6 +1283,22 @@ mixed_programs = st.builds(
     st.lists(st.builds(lang.BinOp, mixed, st.just("+"), mixed), min_size=1, max_size=4),
     exprs("any", 1, False),
 )
+summed = st.sampled_from(["x", "t"]).map(lang.Var)
+tuple_stores = st.one_of(
+    st.sampled_from([lang.IntLit(1), lang.BoolLit(True), lang.Var("t")]).map(
+        lambda value: lang.Assign(lang.Var("x"), value)),
+    st.builds(lambda left, right: lang.Assign(lang.Var("y"), lang.BinOp(left, "+", right)),
+              summed, summed),
+)
+tuple_programs = st.builds(
+    lambda stores, ret: lang.Program([
+        lang.FuncDef("f", ["xs", "n", "t"], F_PRELUDE + stores + [lang.Return(ret)])], "f"),
+    st.lists(tuple_stores, max_size=3).flatmap(lambda more: st.permutations(
+        prelude("    x = 1\n    x = True\n    y = x + t\n") + more)),
+    st.sampled_from(["x", "y"]).map(lambda v: lang.Call("len", [lang.Var(v)])),
+)
+# the types the parameters of the generated entries are drawn from
+PARAM_TYPES = {"xs": "list_int", "n": "int", "t": "tuple_int"}
 
 
 def final_types(program, sites: int, signature) -> dict:
@@ -1300,12 +1321,12 @@ def final_types(program, sites: int, signature) -> dict:
     return types
 
 
-@given(programs | sited_programs | mixed_programs, st.booleans())
+@given(programs | sited_programs | mixed_programs | tuple_programs, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_types_hold_every_store_and_do_not_depend_on_the_order_of_the_code(program, signed):
     tilde = TildeProgram(program)
-    number_sites(tilde)
-    signature = SIGNATURE if signed else None
+    params = tuple((p, PARAM_TYPES[p]) for p in program.entry_func().params)
+    signature = Signature("f", params, "int") if signed else None
     reversed_program = lang.with_field(program, "functions", [
         lang.with_field(func, "body", func.body[::-1]) for func in program.functions])
     want = final_types(program, len(tilde.sites), signature)
@@ -1335,6 +1356,19 @@ def test_a_read_before_every_store_to_its_variable_leaves_its_type_alone(read, c
             assert_agree(program, args, compiler, run=run)
 
 
+def test_adding_a_tuple_gives_one_type_in_any_order_of_the_code():
+    # `x` holds an int and a bool, so it is unknown; `y = x + t_tuple_int`
+    # is then unknown too, whichever store to `x` is typed first
+    for body in ("x = 1; y = x + t_tuple_int; x = n_int > 0",
+                 "x = n_int > 0; y = x + t_tuple_int; x = 1"):
+        source = ("def f_int(t_tuple_int, n_int):\n"
+                  + "".join(f"    {stmt}\n" for stmt in body.split("; ")) + "    return len(y)\n")
+        assert "_len(v_y)" in emitted(source), body
+        program = parse_imp(source)
+        run = COMPILERS[300].compile(program, signature=parse_signature(program.entry_func()))
+        assert_agree(program, (TupleVal((1, 2)), 1), COMPILERS[300], run=run)
+
+
 def test_bundled_programs_emit_once(monkeypatch, deriv_ref, deriv_student, deriv_model,
                                     deriv_oracle_w3, reverse_ref, reverse_student, reverse_model,
                                     reverse_oracle_w4):
@@ -1352,7 +1386,7 @@ def test_bundled_programs_emit_once(monkeypatch, deriv_ref, deriv_student, deriv
     tilde = rewrite(deriv_student, deriv_model)
     result = cegis_min(tilde, deriv_oracle_w3, max_cost=5)
     deriv = [tilde, deriv_student, rewrite(deriv_ref, deriv_model), deriv_ref,
-             instantiate(tilde, result.picks).program]
+             instantiate(tilde, result.picks)]
     for path in sorted(glob.glob(os.path.join(ASSETS, "computederiv", "corpus", "*.imp"))):
         try:
             deriv.append(rewrite(parse_imp(read(path)), deriv_model))
@@ -1390,7 +1424,7 @@ def store_in_one_alternative(store: str):
         loop = next(s for s in program.functions[0].body if type(s) is lang.ForIn)
         other = parse_imp(f"def g(xs_list_int):\n    {store}\n    return 0\n").functions[0].body[0]
         loop.body.insert(0, mixed_site("stmt", lang.Pass(), [other]))
-        number_sites(TildeProgram(program))
+        TildeProgram(program)  # numbers the site
         return program
     return site
 
@@ -1560,7 +1594,6 @@ def assert_agrees_with_and_without_fuel_code(program, bits=4):
     has no fuel code; one less, the code has it, and still no run ends
     short of its fuel."""
     tilde = TildeProgram(program)
-    number_sites(tilde)
     bound = compiler_module._survey(tilde.root, {}, Bounds(bits, 3, fuel=10**9))[1]
     compilers = {fuel: Compiler(Bounds(bits, 3, fuel=fuel)) for fuel in (bound, bound - 1)}
     assert fuel_free(compilers[bound].compile(tilde, signature=SIGNATURE))

@@ -14,18 +14,16 @@ from conftest import read
 def candidate_texts(tilde, max_cost=None):
     out = {}
     for candidate, cost in enumerate_candidates(tilde, max_cost):
-        cand = instantiate(tilde, candidate)
-        out.setdefault((pretty_program(cand.program), cost), 0)
-        out[(pretty_program(cand.program), cost)] += 1
+        text = pretty_program(instantiate(tilde, candidate))
+        out[text, cost] = out.get((text, cost), 0) + 1
     return out
 
 
 def test_empty_model_rewrites_to_zero_sites(deriv_student, deriv_student_source):
     tilde = rewrite(deriv_student, ErrorModel([]))
     assert tilde.sites == []
-    cand = instantiate(tilde, tilde.defaults())
-    assert pretty_program(cand.program) == deriv_student_source
-    assert cand.cost == 0
+    assert pretty_program(instantiate(tilde, tilde.defaults())) == deriv_student_source
+    assert list(enumerate_candidates(tilde)) == [((), 0)]
 
 
 @pytest.mark.parametrize(
@@ -42,7 +40,7 @@ def test_empty_model_rewrites_to_zero_sites(deriv_student, deriv_student_source)
 def test_default_assignment_reproduces_input(program_file, model_file):
     source = read(*program_file)
     tilde = rewrite(parse_imp(source), parse_eml(read(*model_file)))
-    assert pretty_program(instantiate(tilde, tilde.defaults()).program) == source
+    assert pretty_program(instantiate(tilde, tilde.defaults())) == source
 
 
 def test_ill_formed_model_rejected():

@@ -30,7 +30,6 @@ from autofix.tilde import (
     TildeProgram,
     enumerate_candidates,
     instantiate,
-    number_sites,
 )
 
 from conftest import ASSETS, active_of, find_counterexample, read
@@ -100,7 +99,8 @@ def test_no_fix_when_out_of_model(deriv_oracle_w3, deriv_model):
     )
     tilde = rewrite(hopeless, deriv_model)
     result = cegis_min(tilde, deriv_oracle_w3, max_cost=5)
-    assert result.status == "no_fix" and result.max_cost == 5
+    assert result.status == "no_fix"
+    assert result.candidates_tested == len(list(enumerate_candidates(tilde, 5)))
 
 
 def test_single_fix_then_alternates_exhaust():
@@ -146,11 +146,9 @@ def test_alternates_skip_text_twins_of_prior_fixes():
     first = cegis_min(tilde, oracle, alternates=2)
     assert first.status == "fixed" and first.cost == 1
     text = pretty_program(first.program)
-    twins = [
-        candidate for candidate in (instantiate(tilde, p) for p, _ in enumerate_candidates(tilde))
-        if candidate.active != first.active and pretty_program(candidate.program) == text
-    ]
-    assert len(twins) == 1 and find_counterexample(twins[0].program, oracle) is None
+    others = (instantiate(tilde, p) for p, _ in enumerate_candidates(tilde) if p != first.picks)
+    twins = [program for program in others if pretty_program(program) == text]
+    assert len(twins) == 1 and find_counterexample(twins[0], oracle) is None
     [second] = first.alternates  # and no third
     assert second.status == "fixed" and second.cost == 2
     assert pretty_program(second.program) != text
@@ -163,7 +161,7 @@ def test_alternates_are_distinct(reverse_student, reverse_model, reverse_ref):
     fixes = [first, *first.alternates]
     assert len(fixes) == 3 and [f.cost for f in fixes] == sorted(f.cost for f in fixes)
     assert all(f.status == "fixed" for f in fixes)
-    assert len({f.active for f in fixes}) == 3
+    assert len({f.picks for f in fixes}) == 3
     assert len({pretty_program(f.program) for f in fixes}) == 3
     for f in fixes:
         assert find_counterexample(f.program, oracle) is None
@@ -214,8 +212,7 @@ def brute_force_minimum(tilde, oracle, max_cost):
     for candidate, cost in enumerate_candidates(tilde, max_cost):
         if best is not None and cost > best:
             break
-        cand = instantiate(tilde, candidate)
-        if find_counterexample(cand.program, oracle) is None:
+        if find_counterexample(instantiate(tilde, candidate), oracle) is None:
             best = cost if best is None else min(best, cost)
     return best
 
@@ -300,10 +297,10 @@ def assert_comparison_agrees_with_same(tilde, oracle, max_cost=None):
     run = oracle.compile(tilde)
     for picks, _ in enumerate_candidates(tilde, max_cost):
         want = first_mismatch_by_same(oracle, run, picks)
-        assert oracle.first_mismatch(run, picks) == want
+        assert oracle.first_mismatch(run, picks, SearchBudget()) == want
         if want is not None:
-            assert oracle.first_mismatch(run, picks, start=want, stop=want + 1) == want
-            assert oracle.first_mismatch(run, picks, stop=want) is None
+            assert oracle.first_mismatch(run, picks, SearchBudget(), start=want, stop=want + 1) == want
+            assert oracle.first_mismatch(run, picks, SearchBudget(), stop=want) is None
     return run.exact
 
 
@@ -363,7 +360,6 @@ def generated_search(reference, default, others, through_variable):
     else:
         body = [lang.Return(value)]
     tilde = TildeProgram(entry(body))
-    number_sites(tilde)
     return tilde, oracle
 
 
@@ -447,7 +443,7 @@ def per_input_search(tilde, oracle, max_cost=5, max_evals=None, alternates=0):
             tested += 1
             i = first_failure(picks, cexs)
             if i is None:
-                text = pretty_program(instantiate(tilde, picks).program)
+                text = pretty_program(instantiate(tilde, picks))
                 if text in texts:
                     continue
                 verified.append((picks, evals))
@@ -513,7 +509,7 @@ def test_verification_charges_the_budget_once_per_chunk():
             return super().charge(runs)
 
     budget = Counted()
-    assert oracle.first_mismatch(run, budget=budget, start=1) is None
+    assert oracle.first_mismatch(run, (), budget, start=1) is None
     chunks = -(-(n - 1) // CHUNK)
     assert charged == [CHUNK] * (chunks - 1) + [(n - 1) - CHUNK * (chunks - 1)]
     assert budget.evals == n - 1
@@ -523,7 +519,7 @@ def test_verification_charges_the_budget_once_per_chunk():
     charged.clear()
     budget = Counted(max_evals=CHUNK + 5)
     with pytest.raises(Exception) as stop:
-        oracle.first_mismatch(run, budget=budget)
+        oracle.first_mismatch(run, (), budget)
     assert stop.value.kind == "evals" and budget.evals == CHUNK + 5 + 1
     assert charged == [CHUNK] * 2
 
@@ -653,10 +649,10 @@ def assert_runners_agree(tilde, oracle, run, picks, starts):
     """The candidate `picks` fails first at the same input, from each of
     `starts` on, as its pick tuple on `run` (`tilde` compiled) and compiled
     alone."""
-    alone = oracle.compile(instantiate(tilde, picks).program)
+    alone = oracle.compile(instantiate(tilde, picks))
     for start in starts:
-        want = oracle.first_mismatch(run, picks, start=start)
-        assert oracle.first_mismatch(alone, start=start) == want, (picks, start)
+        want = oracle.first_mismatch(run, picks, SearchBudget(), start=start)
+        assert oracle.first_mismatch(alone, (), SearchBudget(), start=start) == want, (picks, start)
 
 
 def test_bundled_survivors_fail_first_at_the_same_input_on_both_runners():
@@ -709,7 +705,7 @@ def test_every_candidate_the_search_skips_fails_on_its_final_counterexamples(mon
         inputs = [oracle.inputs[i] for i in cexs]
         wants = [evaluate(oracle.reference, x, oracle.bounds) for x in inputs]
         for picks in set(plain) - set(yielded):
-            program = instantiate(tilde, picks).program
+            program = instantiate(tilde, picks)
             assert any(fails(program, x, want, oracle.bounds)
                        for x, want in zip(inputs, wants)), picks
             skipped += 1

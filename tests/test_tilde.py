@@ -17,6 +17,7 @@ from autofix.rewrite import rewrite
 from autofix.tilde import (
     BadIndex,
     ChoiceSite,
+    active_picks,
     dump,
     enumerate_candidates,
     instantiate,
@@ -24,7 +25,7 @@ from autofix.tilde import (
 )
 
 from conftest import RULE_FORMS, SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
-from expansion_oracle import expand_program
+from expansion_oracle import expand_program, visited_picks
 
 
 def find_site(tilde, line, kind="expr"):
@@ -33,8 +34,8 @@ def find_site(tilde, line, kind="expr"):
 
 def test_default_assignment_is_empty_and_free(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
-    cand = instantiate(tilde, tilde.defaults())
-    assert cand.cost == 0 and cand.active == frozenset()
+    assert next(enumerate_candidates(tilde)) == (tilde.defaults(), 0)
+    assert active_picks(tilde, tilde.defaults()) == [] == visited_picks(tilde, tilde.defaults())
 
 
 def test_zero_site_tilde(deriv_student):
@@ -50,9 +51,9 @@ def test_walkthrough_selection_costs_three(deriv_student, deriv_model_simple, de
     ret5 = find_site(tilde, 5)
     lower6 = find_site(tilde, 6)
     cmp7 = find_site(tilde, 7)
-    cand = instantiate(tilde, picks_for(tilde, {ret5.site_id: 1, cmp7.site_id: 1, lower6.site_id: 1}))
-    assert cand.cost == 3
-    text = pretty_program(cand.program)
+    picks = picks_for(tilde, {ret5.site_id: 1, cmp7.site_id: 1, lower6.site_id: 1})
+    assert (picks, 3) in enumerate_candidates(tilde, 3)
+    text = pretty_program(instantiate(tilde, picks))
     assert "return [0]" in text
     assert "if False:" in text
     assert "range(0 + 1, len(poly_list_int))" in text
@@ -73,17 +74,17 @@ def test_inactive_selection_is_masked(deriv_student, deriv_model):
     op_site = next(
         s for s in tilde.sites if s.kind == "op" and s.parent and s.parent[0] == cmp4.site_id
     )
-    plain = instantiate(tilde, tilde.defaults())
-    masked = instantiate(tilde, picks_for(tilde, {op_site.site_id: 2}))
-    assert pretty_program(masked.program) == pretty_program(plain.program)
-    assert masked.cost == 0 and masked.active == frozenset()
+    masked = picks_for(tilde, {op_site.site_id: 2})
+    plain = pretty_program(instantiate(tilde, tilde.defaults()))
+    assert pretty_program(instantiate(tilde, masked)) == plain
+    assert active_picks(tilde, masked) == [] == visited_picks(tilde, masked)
 
 
 def test_overview_model_induces_32_candidates(reverse_student, reverse_model_overview):
     tilde = rewrite(reverse_student, reverse_model_overview)
     candidates = list(enumerate_candidates(tilde))
     assert len(candidates) == 32
-    distinct = {pretty_program(instantiate(tilde, p).program) for p, _ in candidates}
+    distinct = {pretty_program(instantiate(tilde, p)) for p, _ in candidates}
     assert len(distinct) == 32
 
 
@@ -126,8 +127,8 @@ def canonical_pick_tuples(tilde) -> list:
             parent, active = site.parent, True
             while active and parent is not None:
                 active = picks[parent[0]] == parent[1]
-                parent = tilde.site(parent[0]).parent
-            grown += [picks + (idx,) for idx in (range(site.arity()) if active else (0,))]
+                parent = tilde.sites[parent[0]].parent
+            grown += [picks + (idx,) for idx in (range(len(site.alternatives)) if active else (0,))]
         tuples = grown
     return tuples
 
@@ -146,7 +147,7 @@ def test_enumeration_is_every_canonical_pick_tuple_by_cost_then_active_picks(for
     tilde = rewrite(parse_imp(ORDER_STUDENT), model)
     ranked = []
     for picks in canonical_pick_tuples(tilde):
-        cost = sum(tilde.site(i).alternatives[idx].weight for i, idx in active_of(picks))
+        cost = sum(tilde.sites[i].alternatives[idx].weight for i, idx in active_of(picks))
         ranked.append((cost, sorted(active_of(picks)), picks))
     want = [(picks, cost) for cost, _, picks in sorted(ranked)]
     assert list(enumerate_candidates(tilde)) == want
@@ -194,17 +195,18 @@ def test_cost_additivity_for_sibling_sites(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
     s_a = find_site(tilde, 5)
     s_b = find_site(tilde, 6)
-    both = instantiate(tilde, picks_for(tilde, {s_a.site_id: 1, s_b.site_id: 1}))
-    only_a = instantiate(tilde, picks_for(tilde, {s_a.site_id: 1}))
-    only_b = instantiate(tilde, picks_for(tilde, {s_b.site_id: 1}))
-    assert both.cost == only_a.cost + only_b.cost == 2
+    cost = dict(enumerate_candidates(tilde, 2))
+    both = cost[picks_for(tilde, {s_a.site_id: 1, s_b.site_id: 1})]
+    only_a = cost[picks_for(tilde, {s_a.site_id: 1})]
+    only_b = cost[picks_for(tilde, {s_b.site_id: 1})]
+    assert both == only_a + only_b == 2
 
 
 def test_canonical_enumeration_no_duplicate_patterns(deriv_student, deriv_model):
     tilde = rewrite(deriv_student, deriv_model)
     seen = set()
     for candidate, cost in enumerate_candidates(tilde, 2):
-        active = instantiate(tilde, candidate).active
+        active = frozenset(visited_picks(tilde, candidate))
         assert active not in seen
         seen.add(active)
         # inactive sites stay at the default: the picks are the active set
@@ -249,7 +251,7 @@ def test_enumeration_agrees_with_direct_expansion():
             expanded[(text, cost)] = expanded.get((text, cost), 0) + 1
         enumerated = {}
         for candidate, cost in enumerate_candidates(tilde):
-            text = pretty_program(instantiate(tilde, candidate).program)
+            text = pretty_program(instantiate(tilde, candidate))
             enumerated[(text, cost)] = enumerated.get((text, cost), 0) + 1
         assert enumerated == expanded
 
@@ -388,7 +390,7 @@ def test_dump_and_feedback_print_every_generated_choice(student, forms, weights)
         if site.kind != "expr" or any(has_site(alt.payload) for alt in site.alternatives):
             continue
         texts = line.split(": {", 1)[1][:-1].split(" | ")
-        assert len(texts) == site.arity()
+        assert len(texts) == len(site.alternatives)
         for alt, text in zip(site.alternatives, texts):
             text = text.rsplit(" @", 1)[0] if alt.rule_id else text
             assert parse_expression(text).key() == alt.payload.key()
@@ -396,11 +398,11 @@ def test_dump_and_feedback_print_every_generated_choice(student, forms, weights)
     defaults = tilde.defaults()
     for picks, _ in enumerate_candidates(tilde, 2):
         corrections = diff_corrections(tilde, picks)
-        active = sorted(instantiate(tilde, picks).active)
-        active.sort(key=lambda pick: (tilde.site(pick[0]).span.line, tilde.site(pick[0]).span.col))
+        active = visited_picks(tilde, picks)
+        active.sort(key=lambda pick: (tilde.sites[pick[0]].span.line, tilde.sites[pick[0]].span.col))
         assert len(corrections) == len(active)
         for c, (site_id, idx) in zip(corrections, active):
-            site = tilde.site(site_id)
+            site = tilde.sites[site_id]
             assert c.span == site.span and c.rule_id == site.alternatives[idx].rule_id
             if site.kind == "expr":
                 new = tilde.resolve(site.alternatives[idx].payload, picks)
