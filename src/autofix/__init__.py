@@ -6,7 +6,7 @@ the submission agree with the reference on every input within configured
 bounds, and render the result as line-anchored feedback.
 """
 
-from .eml import ErrorModel, match_pattern, parse_eml
+from .eml import match_pattern, parse_eml
 from .feedback import FeedbackReport, build_report, diff_corrections, render_feedback
 from .inputs import Signature, count_inputs, enumerate_inputs, parse_signature
 from .interp import Bounds
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bounds",
-    "ErrorModel",
     "FeedbackReport",
     "ReferenceOracle",
     "RepairResult",

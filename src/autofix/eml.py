@@ -11,6 +11,8 @@ over the same metavariables extended with choice sets ``{e1, e2}``, scope
 sets ``?a`` (every variable in scope), operator sets ``~cop`` and a trailing
 prime mark on subterms that are rewritten recursively.
 
+A model is the list of its rules, in file order (`parse_eml`).  Template
+syntax belongs to right sides only: the parser refuses it on a left side.
 A left side matches a node of its own class field by field (`match_pattern`);
 metavariables bind what they stand for, and a metavariable that occurs twice
 must bind structurally equal fragments.
@@ -46,6 +48,9 @@ class Primed(lang.Expr):
 
 
 class ChoiceSet(lang.Expr):
+    """``{e1, e2}`` of expressions, or of statements at the top of a rule's
+    right side."""
+
     fields = ("options",)
 
 
@@ -61,10 +66,6 @@ class OpSet(lang.Expr):
     fields = ("of",)
 
 
-class StmtChoice(lang.Stmt):
-    fields = ("options",)
-
-
 class FuncPattern(lang.Node):
     """Pattern/template over a whole function definition.  ``params`` are
     MetaVars; in ``body`` a bare s-metavar stands for the whole block."""
@@ -73,7 +74,7 @@ class FuncPattern(lang.Node):
 
 
 # the forms only a rule's right side may use
-TEMPLATE_FORMS = (ChoiceSet, ScopeSet, OpSet, Primed, StmtChoice)
+TEMPLATE_FORMS = (ChoiceSet, ScopeSet, OpSet, Primed)
 
 
 def meta_kind(name: str):
@@ -94,19 +95,6 @@ class CorrectionRule:
         self.weight = weight
         self.message = message
         self.lhs_kind = lhs_kind  # expr | stmt | func
-
-
-class ErrorModel:
-    def __init__(self, rules: list | None = None):
-        self.rules = [] if rules is None else rules
-
-    def __eq__(self, other):
-        if type(other) is not ErrorModel:
-            return NotImplemented
-        return self.rules == other.rules
-
-    def __iter__(self):
-        return iter(self.rules)
 
 
 def collect_metavars(node) -> dict:
@@ -347,7 +335,7 @@ class RuleParser(Parser):
         start = self.expect("OP", "{").span
         options = self.parse_stmt_seq(",")
         self.expect("OP", "}")
-        return StmtChoice(options, self.span_from(start))
+        return ChoiceSet(options, self.span_from(start))
 
     def parse_func_fragment(self):
         start = self.expect("KEYWORD", "def").span
@@ -394,13 +382,14 @@ class RuleParser(Parser):
         return self.parse_simple_stmt()
 
 
-def parse_eml(source: str) -> ErrorModel:
-    """Parse rule text into an ErrorModel, checking each rule once: a model
-    that parses is well-formed, and rewriting under it terminates.  Raises
-    SourceError on malformed input or a rule that is not a rule of the
-    language (see `_validate_rule`), naming its line, and IllFormedModel on
-    an ill-formed prime or a `msg` that is not a template over the
-    correction's fields."""
+def parse_eml(source: str) -> list[CorrectionRule]:
+    """Parse rule text into its model, the list of its rules in order,
+    checking each rule once: a model that parses is well-formed, and
+    rewriting under it terminates.  Raises SourceError on malformed input
+    (template syntax on a left side among it) or a rule that is not a rule
+    of the language (see `_validate_rule`), naming its line, and
+    IllFormedModel on an ill-formed prime or a `msg` that is not a template
+    over the correction's fields."""
     parser = RuleParser(tokenize(source, rule_mode=True), source)
     try:
         return _parse_rules(parser)
@@ -408,7 +397,7 @@ def parse_eml(source: str) -> ErrorModel:
         raise parser.error("nested too deeply") from None
 
 
-def _parse_rules(parser: RuleParser) -> ErrorModel:
+def _parse_rules(parser: RuleParser) -> list[CorrectionRule]:
     rules = []
     seen = set()
     while not parser.at("EOF"):
@@ -443,7 +432,7 @@ def _parse_rules(parser: RuleParser) -> ErrorModel:
         rule = CorrectionRule(rule_id, lhs, rhs, weight, message, lhs_kind)
         _validate_rule(rule, rhs_kind, tok.span.line, tok.span.col)
         rules.append(rule)
-    return ErrorModel(rules)
+    return rules
 
 
 def _check_message(rule_id: str, message: str) -> None:
@@ -464,25 +453,22 @@ _KIND_NAMES = {"expr": "an expression", "stmt": "a statement", "func": "a functi
 
 def _validate_rule(rule: CorrectionRule, rhs_kind: str, line: int, col: int) -> None:
     """Reject a rule, at `line` and `col` where it starts, whose right side
-    uses a metavariable the left side does not bind, whose left side uses
-    template syntax, whose two sides are of different kinds, whose function
-    template renames the function or its parameters, that calls ``len`` or
-    ``range`` with a wrong number of arguments, or that appends to a list
-    named by a metavariable that may bind more than a variable (only
-    statements append).  Then, as IllFormedModel, a rule with a primed
-    subterm that is not a strictly smaller tree than the pattern, repeats a
-    metavariable more often than the pattern or holds a template form: every
-    recursive rewrite is of a smaller plain fragment, so rewriting ends."""
+    uses a metavariable the left side does not bind (the parser has refused
+    template syntax on the left side), whose two sides are of different
+    kinds, whose function template renames the function or its parameters,
+    that calls ``len`` or ``range`` with a wrong number of arguments, or
+    that appends to a list named by a metavariable that may bind more than
+    a variable (only statements append).  Then, as IllFormedModel, a rule
+    with a primed subterm that is not a strictly smaller tree than the
+    pattern, repeats a metavariable more often than the pattern or holds a
+    template form: every recursive rewrite is of a smaller plain fragment,
+    so rewriting ends."""
     lhs_counts = collect_metavars(rule.lhs)
     for name in collect_metavars(rule.rhs):
         if name not in lhs_counts:
             raise SourceError(
                 f"unbound metavariable {name!r} in rule {rule.rule_id}", line, col
             )
-    if any(isinstance(sub, TEMPLATE_FORMS) for sub in lang.walk(rule.lhs)):
-        raise SourceError(
-            f"rule {rule.rule_id}: template syntax on the left side", line, col
-        )
     if rhs_kind != rule.lhs_kind:
         raise SourceError(
             f"rule {rule.rule_id}: the left side is {_KIND_NAMES[rule.lhs_kind]},"

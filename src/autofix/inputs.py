@@ -15,8 +15,6 @@ from .interp import MAX_INT_BITS, Bounds, TupleVal
 from .lang import FuncDef
 from .lexer import MAX_INT_DIGITS
 
-SEM_TYPES = ("int", "bool", "list_int", "tuple_int")
-
 # longest suffix first so list_int wins over int
 _SUFFIXES = [
     ("_list_int", "list_int"),

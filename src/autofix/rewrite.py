@@ -10,18 +10,22 @@ whose pattern matches then contributes weighted alternatives:
   each changed child position, defaulting to the original child (the
   positions, found once per rule, are kept on it: `_graft_slots`);
 * any other template adds whole-node alternatives to one site for the node:
-  one per element of a set at its top (`_variants`), while sets nested
-  inside a replacement become nested sites whose first element is the local
-  default (a set of one element is that element, and an element whose
-  nested set is left empty is left out).
+  one per element of a set at its top, while a set nested inside a
+  replacement becomes one nested site whose default is its first element
+  (a set of one element is that element, and an element whose nested set
+  is left empty is left out) or, for ``?a`` and ``~op``, what the
+  metavariable bound.
 
-Every site is built by `_choice`, which leaves out an option that is the
-same literal, variable or operator as the default or as an earlier option
-of no greater weight.  A function rule offers its bodies at one block
-site, built in the function's context.  Primed subterms are rewritten
-recursively (their sites cost extra); unprimed metavariables are frozen
-copies of what they matched.  Scope sets expand to the variables assigned
-before the enclosing statement (for a function rule, the parameters).
+`_variants` alone expands a set: ``{...}`` into its elements, a scope set
+``?a`` into the variables assigned before the enclosing statement (for a
+function rule, the parameters) and an operator set ``~op`` into the other
+operators of the bound operator's family.  Every site is built by
+`_choice`, which leaves out an option that is the same literal, variable
+or operator as the default or as an earlier option of no greater weight;
+a site's kind follows from its default (`_site`).  A function rule offers
+its bodies at one block site, built in the function's context.  Primed
+subterms are rewritten recursively (their sites cost extra); unprimed
+metavariables are frozen copies of what they matched.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from __future__ import annotations
 from . import lang
 from .eml import (
     ChoiceSet,
-    ErrorModel,
+    CorrectionRule,
     IllFormedModel,
     MetaVar,
     OpSet,
     Primed,
     ScopeSet,
-    StmtChoice,
     match_pattern,
     meta_kind,
 )
@@ -51,8 +54,8 @@ _ARITH_FAMILY = ("+", "-", "*", "/")
 MAX_SITES = 10_000
 
 
-def rewrite(program: lang.Program, model: ErrorModel) -> TildeProgram:
-    """Rewrite the entry function of `program` under `model`, which
+def rewrite(program: lang.Program, model: list[CorrectionRule]) -> TildeProgram:
+    """Rewrite the entry function of `program` under `model`, the rules
     `parse_eml` has checked: every primed subterm is a smaller plain
     fragment than its pattern.  A model built by hand is not checked; the
     recursion is cut at the program's size (`IllFormedModel`)."""
@@ -64,7 +67,7 @@ def rewrite(program: lang.Program, model: ErrorModel) -> TildeProgram:
 
 
 class _Engine:
-    def __init__(self, program: lang.Program, model: ErrorModel):
+    def __init__(self, program: lang.Program, model: list[CorrectionRule]):
         self.program = program
         self.expr_rules = [r for r in model if r.lhs_kind == "expr"]
         self.stmt_rules = [r for r in model if r.lhs_kind == "stmt"]
@@ -79,12 +82,17 @@ class _Engine:
         self.params = list(entry.params)
         self.first_def = _first_definitions(entry)
 
-    def _site(self, kind, span, header, alternatives) -> ChoiceSite:
-        """A new choice site, counted against ``MAX_SITES``."""
+    def _site(self, span, header, alternatives) -> ChoiceSite:
+        """A new choice site, counted against ``MAX_SITES``, of its
+        default's kind: an operator string is ``op``, a statement list
+        ``block``, a statement ``stmt`` and anything else ``expr``."""
         self.sites += 1
         if self.sites > MAX_SITES:
             raise SourceError(f"too many choice sites (more than {MAX_SITES:,})",
                               span.line, span.col)
+        default = alternatives[0].payload
+        kind = ("op" if isinstance(default, str) else "block" if isinstance(default, list)
+                else "stmt" if isinstance(default, lang.Stmt) else "expr")
         return ChoiceSite(kind, span, header, alternatives)
 
     # -- top level -----------------------------------------------------------
@@ -106,7 +114,7 @@ class _Engine:
             binding = match_pattern(rule.lhs, func)
             if binding is not None:
                 options += _offered(self._variants(rule.rhs.body, binding, rule, func.span), rule)
-        body = self._choice("block", func.span, body, options)
+        body = self._choice(func.span, body, options)
         return lang.FuncDef(func.name, func.params, body, func.span)
 
     # -- statements and expressions -------------------------------------------
@@ -130,7 +138,7 @@ class _Engine:
                 default = self._graft(default, slots, rule, binding)
                 continue
             options += _offered(self._variants(rule.rhs, binding, rule, node.span), rule)
-        return self._choice("stmt" if stmt else "expr", node.span, default, options)
+        return self._choice(node.span, default, options)
 
     def _enter(self, node) -> None:
         """Make `node` (a statement or the function) the one whose header
@@ -148,25 +156,19 @@ class _Engine:
         for slot, rhs_child in slots:
             current = _get_slot(default, slot)
             if slot != "op":
-                kind, span = "expr", current.span
-                options = self._variants(rhs_child, binding, rule, span)
+                span = current.span
             else:
-                kind, span = "op", getattr(default, "op_span", lang.NO_SPAN)
+                span = getattr(default, "op_span", lang.NO_SPAN)
                 if span.end == 0:
                     span = default.span
-                if isinstance(rhs_child, OpSet):
-                    options = _other_ops(binding[rhs_child.of])
-                elif isinstance(rhs_child, MetaVar):
-                    options = [binding[rhs_child.name]]
-                else:
-                    options = [rhs_child]  # a literal operator
+            options = self._variants(rhs_child, binding, rule, span)
             site = current if isinstance(current, ChoiceSite) else None
-            chosen = self._choice(kind, span, current, _offered(options, rule), site)
+            chosen = self._choice(span, current, _offered(options, rule), site)
             if chosen is not current:
                 default = _with_slot(default, slot, chosen)
         return default
 
-    def _choice(self, kind, span, default, options, site=None):
+    def _choice(self, span, default, options, site=None):
         """A site offering the alternatives `options` beside `default`, or
         `site`, one already in its place, gaining them.  An option is left
         out if it is a literal twin, the same literal, variable or operator
@@ -187,39 +189,37 @@ class _Engine:
                 alternatives.append(alt)
         if site or len(alternatives) == 1:
             return site or default
-        return self._site(kind, span, self.stmt_header, alternatives)
+        return self._site(span, self.stmt_header, alternatives)
 
     def _variants(self, tpl, binding, rule, anchor) -> list:
         """The payloads a template offers: one per element of a set
         ``{...}`` (or the template itself), where a scope set ``?a`` gives
-        one variable per name in scope and an element holding a nested set
-        left with no elements gives none."""
+        one variable per name in scope (the parameters and the variables
+        first assigned before the current statement) but the one it is
+        anchored to, an operator set ``~op`` every other operator of the
+        bound operator's family, and an element holding a nested set left
+        with no elements gives none."""
         payloads = []
-        for elem in tpl.options if isinstance(tpl, (ChoiceSet, StmtChoice)) else [tpl]:
+        for elem in tpl.options if isinstance(tpl, ChoiceSet) else [tpl]:
             if isinstance(elem, ScopeSet):
-                payloads += [lang.Var(name) for name in self._scope_options(elem, binding)]
-                continue
-            try:
-                payloads.append(self._instantiate(elem, binding, rule, anchor))
-            except _NoElements:
-                pass
+                bound = binding[elem.of]
+                exclude = bound.name if isinstance(bound, lang.Var) else None
+                names = self.params + [n for n, offset in self.first_def if offset < self.anchor]
+                payloads += [lang.Var(n) for n in names if n != exclude]
+            elif isinstance(elem, OpSet):
+                payloads += _other_ops(binding[elem.of])
+            else:
+                try:
+                    payloads.append(self._instantiate(elem, binding, rule, anchor))
+                except _NoElements:
+                    pass
         return payloads
-
-    def _scope_options(self, tpl: ScopeSet, binding) -> list:
-        """The names `tpl` offers: the parameters and the variables first
-        assigned before the current statement, except the one it is
-        anchored to."""
-        bound = binding.get(tpl.of)
-        exclude = bound.name if isinstance(bound, lang.Var) else None
-        names = self.params + [name for name, offset in self.first_def if offset < self.anchor]
-        return [name for name in names if name != exclude]
 
     # -- template instantiation ---------------------------------------------------
 
     def _instantiate(self, tpl, binding, rule, anchor=lang.NO_SPAN):
         if isinstance(tpl, MetaVar):
-            bound = binding[tpl.name]
-            return bound  # frozen: shared original fragment
+            return binding[tpl.name]  # frozen: shared original fragment
         if isinstance(tpl, Primed):  # a plain expression (`parse_eml` checked), rewritten
             self.rule_depth += 1
             self.max_rule_depth = max(self.max_rule_depth, self.rule_depth)
@@ -231,21 +231,15 @@ class _Engine:
                 return self.rewrite_node(self._instantiate(tpl.inner, binding, rule, anchor))
             finally:
                 self.rule_depth -= 1
-        if isinstance(tpl, ChoiceSet):  # nested: its first element is the default
+        if isinstance(tpl, (ChoiceSet, ScopeSet, OpSet)):  # a nested set: one site
             variants = self._variants(tpl, binding, rule, anchor)
-            if not variants:
-                raise _NoElements
-            if len(variants) == 1:
-                return variants[0]
-            return self._choice("expr", anchor, variants[0], _offered(variants[1:], rule))
-        if isinstance(tpl, ScopeSet):
-            bound = binding.get(tpl.of)
-            default = bound if bound is not None else lang.Var(tpl.of)
-            options = [lang.Var(n) for n in self._scope_options(tpl, binding)]
-            return self._choice("expr", anchor, default, _offered(options, rule))
-        if isinstance(tpl, OpSet):
-            original = binding[tpl.of]
-            return self._choice("op", anchor, original, _offered(_other_ops(original), rule))
+            if isinstance(tpl, ChoiceSet):  # its first element is the default
+                if not variants:
+                    raise _NoElements
+                default, variants = variants[0], variants[1:]
+            else:  # the bound original is the default
+                default = binding[tpl.of]
+            return self._choice(anchor, default, _offered(variants, rule))
         if isinstance(tpl, lang.Call) and tpl.func not in BUILTIN_FUNCS:
             if self.program.func(tpl.func) is None:  # as `parse_imp` checks a program's calls
                 raise SourceError(f"rule {rule.rule_id} calls {tpl.func}(), which the program"

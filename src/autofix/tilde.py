@@ -42,7 +42,7 @@ class TildeProgram:
     def __init__(self, root, origin: lang.Program | None = None, model=None):
         self.root = root  # Program-shaped tree containing ChoiceSite nodes
         self.origin = origin
-        self.model = model  # the ErrorModel the sites came from
+        self.model = model  # the rules (`parse_eml`'s list) the sites came from
         self.max_rewrite_depth = 0
         self.sites = []  # in pre-order, so an enclosing site comes first
 

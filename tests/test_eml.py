@@ -3,7 +3,6 @@ import pytest
 from autofix import lang
 from autofix.eml import (
     ChoiceSet,
-    ErrorModel,
     IllFormedModel,
     MetaVar,
     Primed,
@@ -14,6 +13,8 @@ from autofix.eml import (
 )
 from autofix.lexer import MAX_INT_DIGITS, SourceError
 from autofix.parser import MAX_TREE_DEPTH, Parser, tokenize
+
+from conftest import RULE_FORMS
 
 
 def expr(text):
@@ -32,13 +33,13 @@ def test_rule_order_preserved_and_weights_parse():
         'rule B: return a -> return [0]\n'
     )
     assert [r.rule_id for r in model] == ["A", "B"]
-    assert model.rules[0].weight == 3
-    assert model.rules[1].weight == 1
+    assert model[0].weight == 3
+    assert model[1].weight == 1
 
 
 def test_empty_file_gives_empty_model():
-    assert parse_eml("") == ErrorModel([])
-    assert parse_eml("# only a comment\n") == ErrorModel([])
+    assert parse_eml("") == []
+    assert parse_eml("# only a comment\n") == []
 
 
 def test_unbound_metavariable_rejected():
@@ -67,7 +68,7 @@ def test_a_rule_may_match_an_append():
     binding = match_pattern(rule.lhs, stmt)
     assert binding["v"].key() == lang.Var("xs").key() and binding["a"].key() == expr("x + 1").key()
     assert collect_metavars(rule.lhs) == {"v": 1, "a": 1}
-    assert parse_eml("rule L: deriv.append(a) -> pass\n").rules[0].lhs.obj == "deriv"
+    assert parse_eml("rule L: deriv.append(a) -> pass\n")[0].lhs.obj == "deriv"
     with pytest.raises(SourceError, match="unbound metavariable 'v1' in rule B"):
         parse_eml("rule B: v.append(a) -> v1.append(a)\n")
     # only a variable can be appended to
@@ -98,7 +99,7 @@ def test_an_assignment_target_is_a_variable_or_an_index_everywhere(rule):
 def test_msg_templates_are_checked_against_the_correction_fields():
     rule = "rule X: return a -> return [0] msg "
     model = parse_eml(rule + '"{line}: {orig} has {sub}, not {new} {{sic}}"\n')
-    assert model.rules[0].message == "{line}: {orig} has {sub}, not {new} {{sic}}"
+    assert model[0].message == "{line}: {orig} has {sub}, not {new} {{sic}}"
     for bad in ("{neww}", "{", "}", "{0}", "{}", "{sub.x}", "{sub[0]}", "{line:q}"):
         with pytest.raises(IllFormedModel, match=r"^rule X: msg "):
             parse_eml(rule + f'"{bad}"\n')
@@ -118,16 +119,16 @@ def test_names_and_digits_are_ascii_in_models(text, col, char):
 
 def test_strings_and_comments_may_hold_any_character():
     model = parse_eml('# ﬁx ² ٣\nrule R: return a -> return [0] msg "ﬁx ² ٣ in {line}"  # é\n')
-    assert model.rules[0].message == "ﬁx ² ٣ in {line}"
+    assert model[0].message == "ﬁx ² ٣ in {line}"
 
 
 def test_an_escaped_quote_does_not_end_a_msg_string():
     rule = "rule R: return a -> return [0] msg "
     model = parse_eml(rule + r'"say \"#1\" at {line}"  # a comment' + "\n")
-    assert model.rules[0].message == 'say "#1" at {line}'
-    assert parse_eml(rule + r'"a \\" # b' + "\n").rules[0].message == "a \\"
+    assert model[0].message == 'say "#1" at {line}'
+    assert parse_eml(rule + r'"a \\" # b' + "\n")[0].message == "a \\"
     # a string still ends at its first unescaped quote, or is unterminated
-    assert parse_eml(rule + r'"a" # b"' + "\n").rules[0].message == "a"
+    assert parse_eml(rule + r'"a" # b"' + "\n")[0].message == "a"
     for text, col in ((r'"a \" # b', 36), (r'"a \\"" # b', 42)):
         with pytest.raises(SourceError) as err:
             parse_eml(rule + text + "\n")
@@ -135,7 +136,7 @@ def test_an_escaped_quote_does_not_end_a_msg_string():
 
 
 def test_weights_have_at_most_640_digits():
-    assert parse_eml(f"rule R weight {'9' * MAX_INT_DIGITS}: a -> a\n").rules[0].weight == int(
+    assert parse_eml(f"rule R weight {'9' * MAX_INT_DIGITS}: a -> a\n")[0].weight == int(
         "9" * MAX_INT_DIGITS
     )
     with pytest.raises(SourceError) as err:
@@ -158,9 +159,29 @@ def test_duplicate_rule_id_rejected():
     assert str(err.value) == "line 2, col 6: duplicate rule id 'X'"
 
 
-def test_template_syntax_not_allowed_in_pattern():
-    with pytest.raises(SourceError):
-        parse_eml("rule X: v[{a}] -> v[a]\n")
+@pytest.mark.parametrize("lhs,col,message", [
+    ("{a, b}", 9, "unexpected token '{'"),
+    ("?a", 9, "unexpected token '?'"),
+    ("a'", 10, "prime marks are only allowed in templates"),
+    ("a ~cop b", 11, "expected '->', found '~'"),
+    ("{x = 1, pass}", 9, "unexpected token '{'"),
+    ("def f(a): {s}", 19, "unexpected token '{'"),
+])
+def test_template_syntax_not_allowed_in_pattern(lhs, col, message):
+    # the parser refuses each template form on a left side, where it meets it
+    with pytest.raises(SourceError) as err:
+        parse_eml(f"rule X: {lhs} -> {lhs}\n")
+    assert str(err.value) == f"line 1, col {col}: {message}"
+
+
+@pytest.mark.parametrize("rhs", [form.split(" -> ")[1] for form in RULE_FORMS
+                                 if any(mark in form.split(" -> ")[1] for mark in "{?~'")])
+def test_no_template_side_parses_as_a_left_side(rhs):
+    # a set, a ?a, a ~op, a prime or a braced block
+    with pytest.raises(SourceError) as err:
+        parse_eml(f"rule R: {rhs} -> {rhs}\n")
+    # refused inside the left side, which starts at column 9
+    assert err.value.line == 1 and 9 <= err.value.col < 9 + len(rhs)
 
 
 # -- well-formedness ---------------------------------------------------------
@@ -181,7 +202,7 @@ def test_primed_parts_are_well_formed():
 
 
 def test_empty_model_is_well_formed():
-    assert parse_eml("# no rules\n") == ErrorModel([])
+    assert parse_eml("# no rules\n") == []
 
 
 def test_duplicating_primed_metavariable_is_ill_formed():
@@ -231,7 +252,7 @@ def test_a_function_rule_keeps_the_function_and_its_parameters(rhs):
 
 def pattern(text, kind="expr"):
     model = parse_eml(f"rule T: {text} -> 0\n" if kind == "expr" else f"rule T: {text} -> pass\n")
-    return model.rules[0].lhs
+    return model[0].lhs
 
 
 def test_match_comparison():
@@ -251,7 +272,7 @@ def test_match_shape_mismatch():
 def test_match_assignment():
     model = parse_eml("rule T: v = n -> v = 0\n")
     stmt = Parser(tokenize("zero = 0\n"), "").parse_stmt()
-    binding = match_pattern(model.rules[0].lhs, stmt)
+    binding = match_pattern(model[0].lhs, stmt)
     assert binding["v"].key() == lang.Var("zero").key()
     assert binding["n"].key() == lang.IntLit(0).key()
 
@@ -312,13 +333,13 @@ def test_match_soundness(pat_text, node_text):
 
 def test_collect_metavars_counts_occurrences():
     model = parse_eml("rule T: v[a] -> v[{a + 1, a - 1, ?a}]\n")
-    assert collect_metavars(model.rules[0].lhs) == {"v": 1, "a": 1}
-    rhs_counts = collect_metavars(model.rules[0].rhs)
+    assert collect_metavars(model[0].lhs) == {"v": 1, "a": 1}
+    rhs_counts = collect_metavars(model[0].rhs)
     assert rhs_counts["a"] >= 2
 
 
 def test_template_forms_parse(deriv_model):
-    condf = deriv_model.rules[3]
+    condf = deriv_model[3]
     assert isinstance(condf.rhs, ChoiceSet)
     compform = condf.rhs.options[0]
     assert isinstance(compform, lang.Compare)

@@ -8,9 +8,13 @@ and the feedback text at every level.  A mismatch means user-visible output
 changed.  ``emitted.sha256`` holds one short digest of the Python source the
 compiler emits for each program of a grid over the bundled programs, alone
 and under each of their problem's models, bounds, fuel and signature, so a
-change to the emitter shows which programs' code moved.  Regenerate the
-files only for a change that is meant to alter the output or the emitted
-code, and say so where the change is described:
+change to the emitter shows which programs' code moved.
+``rewritten.sha256`` holds one short digest of the rewrite (its `dump` and
+its sites' kinds) for each bundled program under each model of a grid of
+rule forms and bundled models, so a change to rule rewriting shows which
+programs' weighted sets moved.  Regenerate the files only for a change that
+is meant to alter the output, the emitted code or the rewrites, and say so
+where the change is described:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -31,6 +35,8 @@ from autofix.interp import Bounds
 from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.rewrite import rewrite
+from autofix.tilde import dump
+from conftest import RULE_FORMS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -98,41 +104,90 @@ def _text(*parts) -> str:
         return fh.read()
 
 
-def emissions():
-    """(name, emitted source) of every emission of the grid."""
-    for problem, models in sorted(PROBLEMS.items()):
-        parsed = [parse_eml(_text(problem, m)) for m in models]
+def bundled_programs():
+    """(problem, name, program) of every parsable bundled program."""
+    for problem in sorted(PROBLEMS):
         names = ["reference.imp", "student.imp"]
         if os.path.isdir(asset(problem, "corpus")):
             names += [f"corpus/{n}" for n in sorted(os.listdir(asset(problem, "corpus")))]
         for name in names:
             try:
-                program = parse_imp(_text(problem, name))
+                yield problem, name, parse_imp(_text(problem, name))
             except SourceError:  # the corpus's file that does not parse
                 continue
-            signature = parse_signature(program.entry_func())
-            variants = [("-", program, 0)]
-            for model, eml in zip(models, parsed):
-                tilde = rewrite(program, eml)
-                variants.append((model, tilde.root, len(tilde.sites)))
-            grid = itertools.product(variants, GRID_BOUNDS, GRID_FUELS, (signature, None))
-            for (model, root, sites), (bits, lists), fuel, sig in grid:
-                key = (f"{problem}/{name} {model} {bits}/{lists}"
-                       f" fuel={fuel} {'signed' if sig else 'unsigned'}")
-                emitter = compiler._Emitter(root, {}, Bounds(bits, lists, fuel), sites, sig)
-                yield key, emitter.source()
+
+
+def emissions():
+    """(name, emitted source) of every emission of the grid."""
+    parsed = {problem: [parse_eml(_text(problem, m)) for m in models]
+              for problem, models in PROBLEMS.items()}
+    for problem, name, program in bundled_programs():
+        signature = parse_signature(program.entry_func())
+        variants = [("-", program, 0)]
+        for model, eml in zip(PROBLEMS[problem], parsed[problem]):
+            tilde = rewrite(program, eml)
+            variants.append((model, tilde.root, len(tilde.sites)))
+        grid = itertools.product(variants, GRID_BOUNDS, GRID_FUELS, (signature, None))
+        for (model, root, sites), (bits, lists), fuel, sig in grid:
+            key = (f"{problem}/{name} {model} {bits}/{lists}"
+                   f" fuel={fuel} {'signed' if sig else 'unsigned'}")
+            emitter = compiler._Emitter(root, {}, Bounds(bits, lists, fuel), sites, sig)
+            yield key, emitter.source()
+
+
+def _digest_lines(named) -> str:
+    """One line per (name, text): a short digest of the text, then the name."""
+    return "".join(f"{hashlib.sha256(text.encode()).hexdigest()[:16]}  {name}\n"
+                   for name, text in named)
 
 
 def emitted_digests() -> str:
-    """One line per emission: a short digest of its source, then its name."""
-    return "".join(f"{hashlib.sha256(source.encode()).hexdigest()[:16]}  {key}\n"
-                   for key, source in emissions())
+    return _digest_lines(emissions())
 
 
 def test_emitted_code_matches_golden_digests():
     with open(EMITTED, "r", encoding="utf-8", newline="") as fh:
         expected = fh.read()
     assert emitted_digests() == expected
+
+
+# the rewrite grid: every parsable bundled program under each rule form
+# alone, each ordered pair of distinct forms with one left side (weights 1
+# and 2) and each bundled model
+REWRITTEN = os.path.join(GOLDEN, "rewritten.sha256")
+
+
+def grid_models():
+    """(name, rule text) of every model of the rewrite grid."""
+    models = [(f"form{i}", f"rule R: {form}\n") for i, form in enumerate(RULE_FORMS)]
+    for (i, first), (j, second) in itertools.permutations(enumerate(RULE_FORMS), 2):
+        if first.split(" -> ")[0] == second.split(" -> ")[0]:
+            models.append((f"form{i}+form{j}",
+                           f"rule A weight 1: {first}\nrule B weight 2: {second}\n"))
+    for problem, names in sorted(PROBLEMS.items()):
+        models += [(f"{problem}/{name}", _text(problem, name)) for name in names]
+    return models
+
+
+def rewrites():
+    """(name, the rewrite's dump and its sites' kinds) of every cell of the
+    rewrite grid."""
+    models = [(name, parse_eml(text)) for name, text in grid_models()]
+    for problem, name, program in bundled_programs():
+        for model_name, model in models:
+            tilde = rewrite(program, model)
+            kinds = " ".join(site.kind for site in tilde.sites)
+            yield f"{problem}/{name} {model_name}", f"{dump(tilde)}{kinds}\n"
+
+
+def rewritten_digests() -> str:
+    return _digest_lines(rewrites())
+
+
+def test_rewrites_match_golden_digests():
+    with open(REWRITTEN, "r", encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert rewritten_digests() == expected
 
 
 def run(args) -> str:
@@ -164,3 +219,6 @@ if __name__ == "__main__":
     with open(EMITTED, "w", encoding="utf-8", newline="") as fh:
         fh.write(emitted_digests())
     print("wrote", EMITTED)
+    with open(REWRITTEN, "w", encoding="utf-8", newline="") as fh:
+        fh.write(rewritten_digests())
+    print("wrote", REWRITTEN)

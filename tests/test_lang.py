@@ -19,7 +19,7 @@ NODE_CLASSES = [
 
 
 def test_every_node_class_is_checked():
-    assert len(NODE_CLASSES) == 22 + 7  # lang's node classes, eml's template forms
+    assert len(NODE_CLASSES) == 22 + 6  # lang's node classes, eml's template forms
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)

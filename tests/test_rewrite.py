@@ -1,7 +1,7 @@
 import pytest
 
 from autofix import lang
-from autofix.eml import ChoiceSet, CorrectionRule, ErrorModel, IllFormedModel, Primed, parse_eml
+from autofix.eml import ChoiceSet, CorrectionRule, IllFormedModel, Primed, parse_eml
 from autofix.lexer import SourceError
 from autofix.parser import parse_imp
 from autofix.printer import pretty_expr, pretty_program
@@ -20,7 +20,7 @@ def candidate_texts(tilde, max_cost=None):
 
 
 def test_empty_model_rewrites_to_zero_sites(deriv_student, deriv_student_source):
-    tilde = rewrite(deriv_student, ErrorModel([]))
+    tilde = rewrite(deriv_student, [])
     assert tilde.sites == []
     assert pretty_program(instantiate(tilde, tilde.defaults())) == deriv_student_source
     assert list(enumerate_candidates(tilde)) == [((), 0)]
@@ -51,7 +51,7 @@ def test_ill_formed_model_rejected():
     whole, zero = rule.rhs.options
     bad = CorrectionRule("Bad", rule.lhs, ChoiceSet([Primed(whole), zero]))
     with pytest.raises(IllFormedModel, match="termination bound"):
-        rewrite(parse_imp("def f_int(x_int):\n    return x_int + 1\n"), ErrorModel([bad]))
+        rewrite(parse_imp("def f_int(x_int):\n    return x_int + 1\n"), [bad])
 
 
 def test_a_nested_set_left_with_no_elements_offers_nothing():
@@ -69,6 +69,23 @@ def test_a_nested_set_left_with_no_elements_offers_nothing():
     for params, want in sites.items():
         tilde = rewrite(parse_imp(f"def f_int({params}):\n    return x_int + 1\n"), model)
         assert dump(tilde).split("\n\n")[1] == want
+
+
+@pytest.mark.parametrize("rule,want,kinds", [
+    ("a0 cop a1 -> a0 > a1",
+     "site 0 (line 2): {< | > @R:1}\nsite 1 (line 2): {== | > @R:1}\n", ["op", "op"]),
+    # an operator metavariable offers the operator it bound
+    ("(a0 cop0 a1) cop1 a2 -> (a0 cop0 a1) cop0 a2",
+     "site 0 (line 2): {== | < @R:1}\n", ["op"]),
+    ("a0 cop a1 -> a0 ~cop a1",
+     "site 0 (line 2): {< | > @R:1 | <= @R:1 | >= @R:1 | == @R:1 | != @R:1}\n"
+     "site 1 (line 2): {== | < @R:1 | > @R:1 | <= @R:1 | >= @R:1 | != @R:1}\n", ["op", "op"]),
+])
+def test_an_aligned_rule_grafts_operator_sites(rule, want, kinds):
+    program = parse_imp("def f_bool(x_int):\n    return (x_int < 1) == True\n")
+    tilde = rewrite(program, parse_eml(f"rule R: {rule}\n"))
+    assert dump(tilde).split("\n\n")[1] == want
+    assert [site.kind for site in tilde.sites] == kinds
 
 
 def test_compute_deriv_site_lines(deriv_student, deriv_model):
