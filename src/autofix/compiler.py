@@ -63,25 +63,27 @@ on those sites runs the same way on that input: the search's learned facts
 rest on this contract, and code that reads a pick any other way breaks
 them.
 
-Fuel.  A statement is charged its static tick count when it starts: its own
-tick plus one per expression node that always runs.  The right operand of
-``and``/``or`` and the chosen branch of a conditional expression are charged
-when they run.  An expression site's static share is the least tick count
-of its alternatives; the alternative that runs is charged the rest when it
-runs, and a statement site's alternatives charge their own statements.  The
-counter is checked at function entry, at every loop iteration and at the
-end of the run.  A run that ends ok is charged exactly the ticks the spec
-spends on it and never more at any check, so it passes every check; a run
-that spends more than its fuel is stopped by a check unless it faults
-first.  So a fault's kind may differ from the spec's only where one of the
-two reports ``FuelExhausted``.  All of this fuel code is emitted only where
-a run can exhaust the fuel: `_survey` bounds the ticks that a run of the
-program spends, for any pick tuple, and where the bound is at most the fuel
-no charge and no check is emitted.  A program with a ``while``, a call of a
-function, or a ``for`` over anything but ``range(...)`` has no bound.  Only
-a program with fuel code has a wrapper around its entry, which sets and
-checks the counter; elsewhere nothing calls the entry, and its ``def`` is
-the runner.
+Fuel.  An expression compiles to its code; `_Emitter.typeof` gives its type
+and `_ticks` its static ticks, one rule over the term: a tick per node that
+always runs, none for an operator, an expression site's least alternative.
+A statement is charged when it starts: its own tick plus its expressions'
+static ticks.  The right operand of ``and``/``or`` and the chosen branch of
+a conditional expression are charged when they run, and so is what the
+alternative of an expression site that runs spends beyond the site's static
+ticks; a statement site's alternatives charge their own statements.  The
+counter is checked at function entry, at every loop iteration and at the end
+of the run.  A run that ends ok is charged exactly the ticks the spec spends
+on it and never more at any check, so it passes every check; a run that
+spends more than its fuel is stopped by a check unless it faults first.  So
+a fault's kind may differ from the spec's only where one of the two reports
+``FuelExhausted``.  All of this fuel code is emitted only where a run can
+exhaust the fuel: `_survey` bounds the ticks that a run of the program
+spends, for any pick tuple, and where the bound is at most the fuel no tick
+is counted, and no charge and no check is emitted.  A program with a
+``while``, a call of a function, or a ``for`` over anything but
+``range(...)`` has no bound.  Only a program with fuel code has a wrapper
+around its entry, which sets and checks the counter; elsewhere nothing calls
+the entry, and its ``def`` is the runner.
 """
 
 from __future__ import annotations
@@ -256,6 +258,21 @@ def _slice_end(code: str) -> str:
     return code if value is not None and value >= 0 else f"max(0, {code})"
 
 
+def _ticks(node) -> int:
+    """The static ticks of expression `node`, charged where its code
+    starts: one for the node, plus those of each child that always runs with
+    it.  An operator costs nothing and an expression site its cheapest
+    alternative; the right operand of ``and``/``or`` and a conditional's
+    branches are charged when they run (`_Emitter.lazy`)."""
+    cls = type(node)
+    if cls is ChoiceSite:
+        return min(_ticks(alt.payload) for alt in node.alternatives)
+    if cls is str:
+        return 0
+    always = [node.left] if cls is lang.BoolOp else [node.cond] if cls is lang.CondExpr else None
+    return 1 + sum(map(_ticks, always or lang.children(node)))
+
+
 def _survey(program: lang.Program, callees: dict, bounds: Bounds):
     """The compiler's one static walk of `program` and `callees`, through
     every alternative of every choice site.  It returns four facts:
@@ -350,8 +367,8 @@ def _in_range(loop: lang.ForIn, stores: list, builtins: set, bounds: Bounds):
 
 class _Emitter:
     """Python source for one program, which may hold choice sites.  An
-    expression compiles to its code and the static ticks the code is
-    charged; `typeof` gives its static type."""
+    expression compiles to its code; `typeof` gives its static type and
+    `_ticks` the static ticks its code is charged."""
 
     def __init__(self, program: lang.Program, callees: dict, bounds: Bounds, sites: int,
                  signature=None):
@@ -554,22 +571,23 @@ class _Emitter:
             test = f"_s{site.site_id} == {i}:"
             yield ("else:" if i == last else f"if {test}" if i == 0 else f"elif {test}"), alt
 
-    def choose(self, site: ChoiceSite, compiled: list):
+    def choose(self, site: ChoiceSite, codes: list) -> str:
         """An expression site as a conditional expression over its
-        alternatives' (code, ticks); the least ticks are static, each
-        alternative charges the rest when it runs."""
-        low = min(ticks for _, ticks in compiled)
+        alternatives' code; the site's ticks are static, each alternative
+        charges the rest when it runs."""
+        low = self.fueled and _ticks(site)
         pick = f"_s{site.site_id}"
-        chain = self.charged(*compiled[-1], low)
-        for i in reversed(range(len(compiled) - 1)):
-            chain = f"{self.charged(*compiled[i], low)} if {pick} == {i} else {chain}"
-        return f"({chain})", low
+        alts = site.alternatives
+        chain = self.charged(codes[-1], alts[-1].payload, low)
+        for i in reversed(range(len(codes) - 1)):
+            chain = f"{self.charged(codes[i], alts[i].payload, low)} if {pick} == {i} else {chain}"
+        return f"({chain})"
 
-    def charged(self, code: str, ticks: int, static: int = 0) -> str:
-        """`code`, charged its ticks beyond `static` when it runs."""
-        if ticks == static or not self.fueled:
-            return code
-        return f"(_fuel := _fuel - {ticks - static}, {code})[1]"
+    def charged(self, code: str, node, static: int = 0) -> str:
+        """`code`, the code of `node`, charged its ticks beyond `static`
+        when it runs."""
+        ticks = self.fueled and _ticks(node) - static
+        return f"(_fuel := _fuel - {ticks}, {code})[1]" if ticks else code
 
     def operator(self, op, table: dict) -> str:
         """The helper for operator `op`; for an operator site, the one its
@@ -595,9 +613,11 @@ class _Emitter:
     def emit(self, depth: int, line: str):
         self.lines.append("    " * depth + line)
 
-    def charge(self, depth: int, ticks: int):
+    def charge(self, depth: int, *nodes, store: int = 0):
+        """A statement's tick, the ticks of the expressions `nodes` that
+        always run with it and the `store`'s."""
         if self.fueled:
-            self.emit(depth, f"_fuel -= {ticks}")
+            self.emit(depth, f"_fuel -= {1 + store + sum(map(_ticks, nodes))}")
 
     def check_fuel(self, depth: int):
         if self.fueled:
@@ -611,47 +631,43 @@ class _Emitter:
                 self.emit(depth, header)
                 self.block(alt.payload, depth + 1)
         elif cls is lang.Assign or cls is lang.AugAssign:
-            if cls is lang.AugAssign:
-                (current, ticks), (rhs, rhs_ticks) = self.expr(stmt.target), self.expr(stmt.value)
+            if cls is lang.AugAssign:  # it reads its target, then stores ``target op value``
+                read, current, rhs = [stmt.target], self.expr(stmt.target), self.expr(stmt.value)
                 value = self.arith(lang.BinOp(stmt.target, stmt.op, stmt.value), current, rhs)
-                ticks += rhs_ticks
             else:
-                value, ticks = self.expr(stmt.value)
+                read, value = [], self.expr(stmt.value)
             lines, store_ticks = self.store(stmt.target, value)
-            self.charge(depth, 1 + ticks + store_ticks)
+            self.charge(depth, *read, stmt.value, store=store_ticks)
             for line in lines:
                 self.emit(depth, line)
         elif cls is lang.MethodCall:
             if stmt.method != "append" or len(stmt.args) != 1:
                 raise ValueError(f"cannot compile method call {stmt!r}")
-            arg, ticks = self.expr(stmt.args[0])
-            self.charge(depth, 1 + ticks)
-            self.emit(depth, f"v_{stmt.obj} = {self.lst(stmt.obj)} + ({arg},)")
+            self.charge(depth, *stmt.args)
+            self.emit(depth, f"v_{stmt.obj} = {self.lst(stmt.obj)} + ({self.expr(stmt.args[0])},)")
         elif cls is lang.If:
-            cond, ticks = self.expr(stmt.cond)
-            self.charge(depth, 1 + ticks)
-            self.emit(depth, f"if {self.test(cond, stmt.cond)}:")
+            self.charge(depth, stmt.cond)
+            self.emit(depth, f"if {self.test(self.expr(stmt.cond), stmt.cond)}:")
             self.block(stmt.then_body, depth + 1)
             if stmt.else_body:
                 self.emit(depth, "else:")
                 self.block(stmt.else_body, depth + 1)
         elif cls is lang.While:
-            cond, ticks = self.expr(stmt.cond)
-            self.charge(depth, 1)
+            self.charge(depth)
             self.emit(depth, "while True:")
-            self.charge(depth + 1, 1 + ticks)
+            self.charge(depth + 1, stmt.cond)
             self.check_fuel(depth + 1)
-            self.emit(depth + 1, f"if not {self.test(cond, stmt.cond)}:")
+            self.emit(depth + 1, f"if not {self.test(self.expr(stmt.cond), stmt.cond)}:")
             self.emit(depth + 2, "break")
             self.block(stmt.body, depth + 1)
         elif cls is lang.ForIn:
-            iterable, ticks = self.expr(stmt.iterable)
-            self.charge(depth, 1 + ticks)
+            iterable = self.expr(stmt.iterable)
+            self.charge(depth, stmt.iterable)
             if type(stmt.iterable) is lang.Call and iterable.startswith("tuple(range("):
                 # iterate the range itself
                 iterable = iterable[len("tuple(") : -1]
             self.emit(depth, f"for v_{stmt.var} in {self.seq(iterable, stmt.iterable)}:")
-            self.charge(depth + 1, 1)
+            self.charge(depth + 1)
             self.check_fuel(depth + 1)
             v = self.loop_lists.get(id(stmt))
             pair = (f"v_{v}", f"v_{stmt.var}") if self.vars.get(v, "")[:1] == "[" else None
@@ -659,12 +675,11 @@ class _Emitter:
             self.block(stmt.body, depth + 1)
             self.ranged.discard(pair)
         elif cls is lang.Return:
-            value, ticks = self.expr(stmt.value)
             self.func_returns = _join(self.func_returns, self.typeof(stmt.value))
-            self.charge(depth, 1 + ticks)
-            self.emit(depth, f"return {value}")
+            self.charge(depth, stmt.value)
+            self.emit(depth, f"return {self.expr(stmt.value)}")
         elif cls is lang.Pass:
-            self.charge(depth, 1)
+            self.charge(depth)
             if not self.fueled:
                 self.emit(depth, "pass")
         else:
@@ -694,80 +709,65 @@ class _Emitter:
         if type(target) is lang.Var:
             return [f"v_{target.name} = {value}"], 0
         if type(target) is lang.Index and type(target.base) is lang.Var:
-            index, ticks = self.expr(target.index)
-            name = target.base.name
-            return [f"_t = {value}", f"v_{name} = _store({self.lst(name)}, {index}, _t)"], ticks
+            name, index = target.base.name, self.expr(target.index)
+            lines = [f"_t = {value}", f"v_{name} = _store({self.lst(name)}, {index}, _t)"]
+            return lines, self.fueled and _ticks(target.index)
         return [f"_mismatch({value})"], 0
 
     # -- expressions ---------------------------------------------------------
 
-    def expr(self, node):
+    def expr(self, node) -> str:
         cls = type(node)
         if cls is ChoiceSite:
             return self.choose(node, [self.expr(alt.payload) for alt in node.alternatives])
         if cls is lang.IntLit:
-            return self.constant(node.value), 1
+            return self.constant(node.value)
         if cls is lang.BoolLit:
-            return ("True" if node.value else "False"), 1
+            return "True" if node.value else "False"
         if cls is lang.Var:
-            return f"v_{node.name}", 1
+            return f"v_{node.name}"
         if cls is lang.ListLit:
-            code, ticks = self.exprs(node.elements)
             comma = "," if len(node.elements) == 1 else ""
-            return f"({code}{comma})", 1 + ticks
+            return f"({', '.join(map(self.expr, node.elements))}{comma})"
         if cls is lang.Index:
-            (base, base_ticks), (index, ticks) = self.expr(node.base), self.expr(node.index)
-            ticks += 1 + base_ticks
+            base, index = self.expr(node.base), self.expr(node.index)
             if (base, index) in self.ranged:  # a proven list
-                return f"{base}[{index}]", ticks
+                return f"{base}[{index}]"
             if _is_seq(self.typeof(node.base)) and self.typeof(node.index) == "int" and all(
                     c.isidentifier() or _constant(c) is not None for c in (base, index)):
-                return f"({base}[{index}] if 0 <= {index} < len({base}) else _out_of_range())", ticks
-            return f"_index({self.seq(base, node.base)}, {index})", ticks
+                return f"({base}[{index}] if 0 <= {index} < len({base}) else _out_of_range())"
+            return f"_index({self.seq(base, node.base)}, {index})"
         if cls is lang.Slice:
-            base, ticks = self.expr(node.base)
-            ends = [("None", 0) if end is None else self.expr(end) for end in (node.lo, node.hi)]
-            ticks += 1 + sum(end_ticks for _, end_ticks in ends)
-            (lo, _), (hi, _) = ends
+            base = self.expr(node.base)
+            lo, hi = ("None" if end is None else self.expr(end) for end in (node.lo, node.hi))
             if self.typeof(node.base)[:1] == "[" and all(
                     end is None or self.typeof(end) == "int" for end in (node.lo, node.hi)):
                 # Python's slice of a list, once negative ends are clamped to 0
-                return f"{base}[{_slice_end(lo)}:{_slice_end(hi)}]", ticks
-            return f"_slice({self.seq(base, node.base)}, {lo}, {hi})", ticks
+                return f"{base}[{_slice_end(lo)}:{_slice_end(hi)}]"
+            return f"_slice({self.seq(base, node.base)}, {lo}, {hi})"
         if cls is lang.BinOp or cls is lang.Compare:
-            (left, left_ticks), (right, right_ticks) = self.expr(node.left), self.expr(node.right)
-            code = (self.arith if cls is lang.BinOp else self.compare)(node, left, right)
-            return code, 1 + left_ticks + right_ticks
+            left, right = self.expr(node.left), self.expr(node.right)
+            return (self.arith if cls is lang.BinOp else self.compare)(node, left, right)
         if cls is lang.BoolOp:
-            left, ticks = self.expr(node.left)
-            left = self.test(left, node.left)
+            left = self.test(self.expr(node.left), node.left)
             right = self.test(self.lazy(node.right), node.right)
             if type(node.op) is not ChoiceSite:
-                return f"({left} {node.op} {right})", 1 + ticks
+                return f"({left} {node.op} {right})"
             # one conditional expression per operator; `left` runs once
-            code, _ = self.choose(
-                node.op, [(f"({left} {alt.payload} {right})", 0) for alt in node.op.alternatives]
-            )
-            return code, 1 + ticks
+            return self.choose(node.op, [f"({left} {alt.payload} {right})"
+                                         for alt in node.op.alternatives])
         if cls is lang.Not:
-            operand, ticks = self.expr(node.operand)
-            return f"(not {self.test(operand, node.operand)})", 1 + ticks
+            return f"(not {self.test(self.expr(node.operand), node.operand)})"
         if cls is lang.CondExpr:
-            cond, ticks = self.expr(node.cond)
-            body, orelse = self.lazy(node.body), self.lazy(node.orelse)
-            return f"({body} if {self.test(cond, node.cond)} else {orelse})", 1 + ticks
+            cond = self.test(self.expr(node.cond), node.cond)
+            return f"({self.lazy(node.body)} if {cond} else {self.lazy(node.orelse)})"
         if cls is lang.Call:
             return self.call(node)
         raise TypeError(f"cannot compile {node!r}")
 
-    def exprs(self, nodes: list):
-        """Comma-separated code and summed ticks of `nodes`."""
-        compiled = [self.expr(n) for n in nodes]
-        return ", ".join(c for c, _ in compiled), sum(t for _, t in compiled)
-
     def lazy(self, node) -> str:
         """The code of `node`, charged its ticks only when it runs."""
-        return self.charged(*self.expr(node))
+        return self.charged(self.expr(node), node)
 
     def arith(self, node: lang.BinOp, a: str, b: str) -> str:
         """The code of `node` from its operands' code; inline where their
@@ -795,20 +795,19 @@ class _Emitter:
             return f"({a} {node.op} {b})"
         return f"{self.operator(node.op, _COMPARE)}({a}, {b})"
 
-    def call(self, node: lang.Call):
-        args, ticks = self.exprs(node.args)
-        ticks += 1
+    def call(self, node: lang.Call) -> str:
+        args = ", ".join(map(self.expr, node.args))
         callee = self.resolve(node.func)
         if callee == "len":
             if len(node.args) == 1 and _is_seq(self.typeof(node.args[0])):
                 code = f"len({args})"
-                return code if args in self.short_lists else self.wrap(code), ticks
-            return f"_len({args})", ticks
+                return code if args in self.short_lists else self.wrap(code)
+            return f"_len({args})"
         if callee == "range":  # the 3-argument form checks its step
             if len(node.args) in (1, 2) and all(self.typeof(arg) == "int" for arg in node.args):
-                return f"tuple(range({args}))", ticks
-            return f"_range({args})", ticks
+                return f"tuple(range({args}))"
+            return f"_range({args})"
         if callee is None or len(node.args) != len(callee.params):
-            return f"_mismatch({args})", ticks
+            return f"_mismatch({args})"
         sep = ", " if args else ""
-        return f"{self.func_name(callee)}({args}{sep}_d + 1)", ticks
+        return f"{self.func_name(callee)}({args}{sep}_d + 1)"

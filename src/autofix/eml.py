@@ -25,7 +25,8 @@ from .lexer import SourceError, tokenize
 from .parser import ARITH, BUILTIN_FUNCS, COMPARE, TERM, Parser
 
 META_KINDS = ("a", "b", "v", "n", "s", "cop", "aop")
-# what follows an expression that starts a statement on a rule side
+# what opens a statement on a rule side, and what follows an expression that does
+_STMT_KEYWORDS = ("return", "pass", "if", "while")
 _STMT_AFTER_EXPR = ("=", ".") + lang.AUG_OPS
 
 
@@ -290,26 +291,32 @@ class RuleParser(Parser):
     # and an assignment target an expression.
 
     def parse_fragment(self, template: bool):
-        """Parse one rule side: a function pattern, a statement, a choice of
-        statements or an expression (decided by lookahead: a set is a
-        statement choice when its first element is a statement)."""
+        """Parse one rule side, once: a function pattern, a statement, a
+        choice of statements (a set whose first element is a statement) or
+        an expression.  A side that opens with a statement keyword or a
+        method call is a statement; any other side opens with an expression,
+        the target of an assignment where one follows."""
         self.allow_template = template
-        tok = self.peek()
+        tok, nxt = self.peek(), self.peek(1)
         if tok.kind == "KEYWORD" and tok.value == "def":
             return self.parse_func_fragment(), "func"
-        if tok.kind == "OP" and tok.value == "{" and template:
-            if self._starts_stmt(1):
-                return self.parse_stmt_choice(), "stmt"
-        elif self._starts_stmt(0):
+        if tok.kind == "OP" and tok.value == "{" and template and self._starts_stmt(1):
+            return self.parse_stmt_choice(), "stmt"
+        if (tok.kind == "KEYWORD" and tok.value in _STMT_KEYWORDS
+                or tok.kind == "NAME" and nxt.kind == "OP" and nxt.value == "."):
             return self.parse_simple_stmt(), "stmt"
-        return self.parse_expr(), "expr"
+        node = self.parse_expr()
+        if self.peek().kind == "OP" and self.peek().value in _STMT_AFTER_EXPR:
+            return self.parse_assignment(self.checked_target(node)), "stmt"
+        return node, "expr"
 
     def _starts_stmt(self, ahead: int) -> bool:
         """Whether a statement starts `ahead` tokens on: a statement keyword,
-        or an expression followed by an assignment or a method call."""
+        or an expression followed by an assignment or a method call.  The
+        expression is parsed, then the parser rewinds."""
         tok = self.peek(ahead)
         if tok.kind == "KEYWORD":
-            return tok.value in ("return", "pass", "if", "while")
+            return tok.value in _STMT_KEYWORDS
         start = self.pos
         self.pos += ahead
         self.parse_expr()
@@ -318,7 +325,11 @@ class RuleParser(Parser):
         return nxt.kind == "OP" and nxt.value in _STMT_AFTER_EXPR
 
     def parse_target(self):
-        target = self.parse_expr()
+        return self.checked_target(self.parse_expr())
+
+    def checked_target(self, target):
+        """`target`, refused unless it is a variable, an index or a
+        metavariable."""
         if not isinstance(target, (lang.Var, lang.Index, MetaVar)):
             raise SourceError("assignment target must be a variable or index",
                               target.span.line, target.span.col)

@@ -1079,6 +1079,120 @@ def test_the_deepest_parsed_program_compiles_with_no_fuel_code():
         assert sites((x,), (1,)) == (0 if x < 1 else x + 2)  # `1` picked as `2`
 
 
+# -- static ticks --------------------------------------------------------------
+#
+# `_ticks` is the one rule for the ticks that an expression's code is charged
+# where it starts: a tick per node that always runs, none for an operator,
+# an expression site's cheapest alternative.  The right operand of
+# `and`/`or` and a conditional's branches are charged when they run.
+
+TICKS_SOURCE = "def f(x, y, xs):\n    return {}\n\ndef g(a, b):\n    return a\n"
+
+
+def expression(text: str):
+    return parse_imp(TICKS_SOURCE.format(text)).functions[0].body[0].value
+
+
+def at_op_site(text: str, *ops):
+    """The operation `text` with its operator at a site over it and `ops`."""
+    node = expression(text)
+    return lang.with_field(node, "op", mixed_site("op", node.op, list(ops)))
+
+
+def expr_site(default, *others):
+    """An expression site over `default` and `others`, texts or nodes."""
+    default, *others = (expression(e) if type(e) is str else e for e in (default, *others))
+    return mixed_site("expr", default, others)
+
+
+TICKS = {
+    "7": (expression("7"), 1),
+    "True": (expression("True"), 1),
+    "x": (expression("x"), 1),
+    "[]": (expression("[]"), 1),
+    "[x, 1, y]": (expression("[x, 1, y]"), 4),
+    "xs[x]": (expression("xs[x]"), 3),
+    "xs[:]": (expression("xs[:]"), 2),
+    "xs[1:]": (expression("xs[1:]"), 3),
+    "xs[:x + 1]": (expression("xs[:x + 1]"), 5),
+    "len(xs)": (expression("len(xs)"), 2),
+    "g(x, 1)": (expression("g(x, 1)"), 3),
+    "not x": (expression("not x"), 2),
+    "x - 1": (expression("x - 1"), 3),
+    "x {- + *} 1": (at_op_site("x - 1", "+", "*"), 3),
+    "x {< == >=} y": (at_op_site("x < y", "==", ">="), 3),
+    "x > 0 and xs[0] > 1": (expression("x > 0 and xs[0] > 1"), 4),
+    "x or not y": (expression("x or not y"), 2),
+    "xs if x > 0 else [x, 1]": (expression("xs if x > 0 else [x, 1]"), 4),
+    "{x + 1, x, [x, y]}": (expr_site("x + 1", "x", "[x, y]"), 1),
+    "len(xs) + {x * y, 1}": (lang.BinOp(expression("len(xs)"), "+", expr_site("x * y", "1")), 4),
+    "{x * y * 2, {xs[0], 7} + 1}": (
+        expr_site("x * y * 2", lang.BinOp(expr_site("xs[0]", "7"), "+", lang.IntLit(1))), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TICKS))
+def test_static_ticks_follow_one_rule(name):
+    node, ticks = TICKS[name]
+    assert compiler_module._ticks(node) == ticks
+
+
+# a loop whose condition holds an expression site and an `and`, and sums at
+# operator sites, run at every fuel up to past the ticks a run spends
+SWEPT_SOURCE = (
+    "def f_int(xs_list_int, n_int):\n"
+    "    s = 0\n"
+    "    i = 0\n"
+    "    while i < len(xs_list_int) and xs_list_int[i] > n_int - 5:\n"
+    "        s = s + xs_list_int[i]\n"
+    "        i += 1\n"
+    "    return s\n"
+)
+SWEPT_MODEL = "rule LenF: len(a) -> {len(a) - 1, 0}\nrule OpF: a0 aop a1 -> a0 ~aop a1\n"
+
+
+def test_static_ticks_agree_with_the_spec_at_every_fuel():
+    tilde = rewrite(parse_imp(SWEPT_SOURCE), parse_eml(SWEPT_MODEL))
+    assert sorted(site.kind for site in tilde.sites) == ["expr", "op", "op"]
+    _, _, candidates = assert_candidates_agree(tilde, SITE_KINDS_INPUTS, compilers=FUEL_SWEEP)
+    assert candidates == 3 * 4 * 4
+
+
+def test_a_fuel_free_program_counts_no_ticks(monkeypatch, deriv_ref, deriv_student, deriv_model,
+                                            deriv_oracle_w3, reverse_student, reverse_model):
+    """Every computeDeriv program compiles at the command line's bounds
+    without counting a tick: the reference, the student alone and as a
+    choice-site program, its fix and the corpus's choice-site programs.
+    The array-reverse choice-site program, which can exhaust its fuel,
+    counts them."""
+    tilde = rewrite(deriv_student, deriv_model)
+    fix = instantiate(tilde, cegis_min(tilde, deriv_oracle_w3, max_cost=5).picks)
+    programs = [deriv_ref, deriv_student, tilde, fix]
+    for path in sorted(glob.glob(os.path.join(ASSETS, "computederiv", "corpus", "*.imp"))):
+        try:
+            programs.append(rewrite(parse_imp(read(path)), deriv_model))
+        except SourceError:
+            continue  # the corpus holds one unparseable submission
+    assert len(programs) == 4 + 14
+    ticks, counted = compiler_module._ticks, []
+
+    def refused(node):
+        raise AssertionError(f"a fuel-free program counts the ticks of {node!r}")
+
+    def counting(node):
+        counted.append(node)
+        return ticks(node)
+
+    compiler = Compiler(Bounds())
+    monkeypatch.setattr(compiler_module, "_ticks", refused)
+    for program in programs:
+        assert fuel_free(compiler.compile(program, signature=parse_signature(deriv_ref.entry_func())))
+    monkeypatch.setattr(compiler_module, "_ticks", counting)
+    reverse = rewrite(reverse_student, reverse_model)
+    assert not fuel_free(compiler.compile(reverse, signature=parse_signature(reverse_student.entry_func())))
+    assert counted
+
+
 # -- facts the analysis proves ------------------------------------------------
 #
 # `_survey` walks a program once, through every alternative of every site,
