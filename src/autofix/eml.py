@@ -11,18 +11,22 @@ over the same metavariables extended with choice sets ``{e1, e2}``, scope
 sets ``?a`` (every variable in scope), operator sets ``~cop`` and a trailing
 prime mark on subterms that are rewritten recursively.
 
-A model is the list of its rules, in file order (`parse_eml`).  Template
-syntax belongs to right sides only: the parser refuses it on a left side.
-A left side matches a node of its own class field by field (`match_pattern`);
-metavariables bind what they stand for, and a metavariable that occurs twice
-must bind structurally equal fragments.
+A model is the list of its rules, in file order (`parse_eml`).  This module
+decides what a rule means, once, as the rule is built: whether the model
+is valid (the parser refuses template syntax on a left side,
+`_validate_rule` the rest), whether a template is aligned and at which
+child positions it grafts sites (`CorrectionRule.slots`), and which
+operators ``~op`` offers (`other_ops`).  A left side matches a node of its
+own class field by field (`match_pattern`); metavariables bind what they
+stand for, and a metavariable that occurs twice must bind structurally
+equal fragments.
 """
 
 from __future__ import annotations
 
 from . import lang
 from .lexer import SourceError, tokenize
-from .parser import ARITH, BUILTIN_FUNCS, COMPARE, TERM, Parser
+from .parser import ARITH, BUILTIN_FUNCS, COMPARE, Parser
 
 META_KINDS = ("a", "b", "v", "n", "s", "cop", "aop")
 # what opens a statement on a rule side, and what follows an expression that does
@@ -96,6 +100,58 @@ class CorrectionRule:
         self.weight = weight
         self.message = message
         self.lhs_kind = lhs_kind  # expr | stmt | func
+        self.slots = _graft_slots(lhs, rhs)
+
+
+# the patterns whose aligned templates graft sites onto their children
+_ALIGNABLE = (
+    lang.Index, lang.Slice, lang.BinOp, lang.Compare, lang.BoolOp, lang.Not, lang.CondExpr,
+    lang.Call, lang.ListLit, lang.Assign, lang.AugAssign, lang.MethodCall, lang.Return,
+)
+
+
+def _graft_slots(lhs, rhs):
+    """If the template `rhs` keeps the shape of the pattern `lhs`
+    ("aligned": the same class, among `_ALIGNABLE`, with the same names,
+    list lengths and absent slice ends), the child positions where the two
+    differ, each with the template's child there: a field name, or (field
+    name, index) in a list field.  Else None (a function rule's too)."""
+    rhs = rhs.inner if isinstance(rhs, Primed) else rhs
+    if type(rhs) is not type(lhs) or not isinstance(lhs, _ALIGNABLE):
+        return None
+    slots = []
+    for name in lhs.fields:
+        left, right = getattr(lhs, name), getattr(rhs, name)
+        if type(left) is list and len(left) == len(right):
+            slots += [((name, i), r) for i, (l, r) in enumerate(zip(left, right))
+                      if _template_key(r) != _template_key(l)]
+        elif (type(left) is list or type(left) is str and name != "op" and left != right
+              or (left is None) != (right is None)):
+            return None
+        elif _template_key(right) != _template_key(left):
+            slots.append((name, right))
+    return slots
+
+
+def _template_key(node):
+    """Structural key with prime marks dropped at every depth."""
+    node = _unprime(node)
+    return node.key() if isinstance(node, lang.Node) else node
+
+
+def _unprime(node):
+    return _unprime(node.inner) if isinstance(node, Primed) else lang.map_children(node, _unprime)
+
+
+# the operator families an operator set ``~op`` ranges over, in offered order
+_COMPARE_FAMILY = ("<", ">", "<=", ">=", "==", "!=")
+_ARITH_FAMILY = ("+", "-", "*", "/")
+
+
+def other_ops(op: str) -> list:
+    """What ``~op`` offers beside the bound operator `op`, in order."""
+    family = _COMPARE_FAMILY if op in _COMPARE_FAMILY else _ARITH_FAMILY
+    return [o for o in family if o != op]
 
 
 def collect_metavars(node) -> dict:
@@ -276,8 +332,7 @@ class RuleParser(Parser):
             return MetaVar(tok.value, meta_kind(tok.value), tok.span), lang.NO_SPAN
         if tok.value == "~":
             return OpSet(self.expect("NAME").value), lang.NO_SPAN
-        # a rule's comparisons and sums keep no operator span
-        return tok.value, tok.span if level == TERM else lang.NO_SPAN
+        return tok.value, tok.span
 
     def _ends_expr(self) -> bool:
         nxt = self.peek(1)

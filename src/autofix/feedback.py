@@ -1,10 +1,11 @@
 """Turns a search result into a report, and reports into the output documents.
 
 Each active non-default selection becomes one correction carrying the four
-feedback facets: the line, the enclosing statement text (sliced from the
-original source via spans recorded at rewrite time), the default fragment
-and its replacement.  A cumulative level parameter controls how many facets
-are rendered.  `report_doc` is a report's JSON document; a corpus entry is
+feedback facets: the line, the statement quoted around it (this module
+decides what: `_header` slices it from the source of the statement, or
+function, that the site records), the default fragment and its
+replacement.  A cumulative level parameter controls how many facets are
+rendered.  `report_doc` is a report's JSON document; a corpus entry is
 that document plus the file's `name`, and `render_corpus` renders the
 entries with the batch's summary.
 """
@@ -61,26 +62,28 @@ def diff_corrections(tilde: TildeProgram, picks: tuple) -> list:
             token = site.span.text(source)
             if token.endswith("=") and token not in ("==", "!=", "<=", ">="):
                 sub, new = sub + "=", new + "="
-        orig = site.stmt_span.text(source).strip() or sub
+        orig = _header(site.stmt, source).strip() or sub
         rule = rules.get(alt.rule_id)
         template = rule.message if rule and rule.message else GENERIC_MESSAGE
-        message = template.format(
-            line=site.span.line, orig=orig, sub=sub, new=new
-        )
-        corrections.append(
-            Correction(
-                line=site.span.line,
-                col=site.span.col,
-                orig_stmt=orig,
-                sub_expr=sub,
-                new_expr=new,
-                rule_id=alt.rule_id,
-                message=message,
-                span=site.span,
-            )
-        )
+        message = template.format(line=site.span.line, orig=orig, sub=sub, new=new)
+        corrections.append(Correction(site.span.line, site.span.col, orig, sub, new,
+                                      alt.rule_id, message, site.span))
     corrections.sort(key=lambda c: (c.line, c.col))
     return corrections
+
+
+def _header(node, source: str) -> str:
+    """What a correction quotes as the statement around its site in `node`:
+    the header of a compound statement up to its condition or iterable, a
+    function's ``def`` line up to its colon, any other statement whole."""
+    start, end = node.span.start, node.span.end
+    if isinstance(node, (lang.If, lang.While)):
+        end = node.cond.span.end
+    elif isinstance(node, lang.ForIn):
+        end = node.iterable.span.end
+    elif isinstance(node, lang.FuncDef):
+        end = source.find(":", start) + 1  # no name or parameter holds one
+    return source[start:end]
 
 
 def build_report(tilde: TildeProgram, result: RepairResult,

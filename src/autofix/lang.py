@@ -122,18 +122,19 @@ def children(node) -> list:
     return out
 
 
-def map_children(node, fn):
+def map_children(node, fn, span=None):
     """`node` with `fn` applied to each of its `children`.  Where a child
     sits in a list, a list that `fn` returns is spliced in its place.  When
     `fn` changes no child, `node` itself comes back; otherwise a copy made by
     the class's constructor, spans kept (a new list for a list).  Trees share
-    unchanged subtrees this way, so no pass may mutate a node once built."""
+    unchanged subtrees this way, so no pass may mutate a node once built.
+    Given a `span`, a node is always copied, to lie at `span`."""
     cls = type(node)
     if cls is list:
         return _map_list(node, fn)
     fields = getattr(cls, "fields", ())
-    if not fields:
-        return node
+    if not fields:  # a value, or a node with nothing below it
+        return cls(span) if span is not None and isinstance(node, Node) else node
     values = list(_read_all(cls)(node))
     changed = False
     for i in range(len(fields)):
@@ -147,6 +148,8 @@ def map_children(node, fn):
         if new is not value:
             values[i] = new
             changed = True
+    if span is not None:  # its other locators left out
+        return cls(*values[:len(fields)], span)
     return cls(*values) if changed else node
 
 

@@ -1,14 +1,17 @@
 """Applies an error model to a program, producing its weighted program set.
 
+This module applies rules and builds sites; what a rule offers is fixed
+when `eml.parse_eml` builds it (`CorrectionRule.slots` and what ``~op``
+ranges over), a site's kind is that of its default (`ChoiceSite.kind`),
+and what a correction quotes is decided by `feedback`.
+
 One pass, `_Engine.rewrite_node`, visits every statement and expression of
 the entry function, children first.  A node's default (alternative 0, cost
 zero) is the node with rewritten children.  Each rule of the node's kind
 whose pattern matches then contributes weighted alternatives:
 
-* a rule whose template keeps the matched node's shape ("aligned", e.g.
-  ``v[a] -> v[{a + 1, a - 1}]``) grafts a choice site onto the default at
-  each changed child position, defaulting to the original child (the
-  positions, found once per rule, are kept on it: `_graft_slots`);
+* an aligned rule (one with `slots`) grafts a choice site onto the default
+  at each of its slots, defaulting to the original child;
 * any other template adds whole-node alternatives to one site for the node:
   one per element of a set at its top, while a set nested inside a
   replacement becomes one nested site whose default is its first element
@@ -18,14 +21,15 @@ whose pattern matches then contributes weighted alternatives:
 
 `_variants` alone expands a set: ``{...}`` into its elements, a scope set
 ``?a`` into the variables assigned before the enclosing statement (for a
-function rule, the parameters) and an operator set ``~op`` into the other
-operators of the bound operator's family.  Every site is built by
-`_choice`, which leaves out an option that is the same literal, variable
-or operator as the default or as an earlier option of no greater weight;
-a site's kind follows from its default (`_site`).  A function rule offers
-its bodies at one block site, built in the function's context.  Primed
-subterms are rewritten recursively (their sites cost extra); unprimed
-metavariables are frozen copies of what they matched.
+function rule, the parameters) and an operator set ``~op`` into
+`eml.other_ops`.  Every site is built by `_choice`, which leaves out an
+option that is the same literal, variable or operator as the default or as
+an earlier option of no greater weight, and records the statement (or the
+function) it sits in.  A function rule offers its bodies at one block
+site, built in the function's context.  Primed subterms are rewritten
+recursively (their sites cost extra); unprimed metavariables are frozen
+copies of what they matched, and a node built from a template (a site made
+in it too) lies where it is offered: at the matched node or grafted child.
 """
 
 from __future__ import annotations
@@ -41,13 +45,11 @@ from .eml import (
     ScopeSet,
     match_pattern,
     meta_kind,
+    other_ops,
 )
 from .lexer import SourceError
 from .parser import BUILTIN_FUNCS
 from .tilde import Alternative, ChoiceSite, TildeProgram
-
-_COMPARE_FAMILY = ("<", ">", "<=", ">=", "==", "!=")
-_ARITH_FAMILY = ("+", "-", "*", "/")
 
 # the most choice sites one rewrite may make (the bundled submissions make at
 # most 16); recursive rules can make exponentially many in the nesting depth
@@ -72,8 +74,7 @@ class _Engine:
         self.expr_rules = [r for r in model if r.lhs_kind == "expr"]
         self.stmt_rules = [r for r in model if r.lhs_kind == "stmt"]
         self.func_rules = [r for r in model if r.lhs_kind == "func"]
-        self.stmt_header = lang.NO_SPAN
-        self.anchor = 0
+        self.stmt = None  # the statement, or the function, being rewritten
         self.rule_depth = 0
         self.max_rule_depth = 0
         self.depth_limit = 0  # the program's size, found once a rule nests
@@ -82,33 +83,25 @@ class _Engine:
         self.params = list(entry.params)
         self.first_def = _first_definitions(entry)
 
-    def _site(self, span, header, alternatives) -> ChoiceSite:
-        """A new choice site, counted against ``MAX_SITES``, of its
-        default's kind: an operator string is ``op``, a statement list
-        ``block``, a statement ``stmt`` and anything else ``expr``."""
+    def _site(self, span, alternatives) -> ChoiceSite:
+        """A new choice site in the current statement, counted against
+        ``MAX_SITES``."""
         self.sites += 1
         if self.sites > MAX_SITES:
             raise SourceError(f"too many choice sites (more than {MAX_SITES:,})",
                               span.line, span.col)
-        default = alternatives[0].payload
-        kind = ("op" if isinstance(default, str) else "block" if isinstance(default, list)
-                else "stmt" if isinstance(default, lang.Stmt) else "expr")
-        return ChoiceSite(kind, span, header, alternatives)
+        return ChoiceSite(span, self.stmt, alternatives)
 
     # -- top level -----------------------------------------------------------
 
     def run(self):
-        functions = []
-        for f in self.program.functions:
-            if f.name == self.program.entry:
-                functions.append(self.rewrite_func(f))
-            else:
-                functions.append(f)
+        functions = [self.rewrite_func(f) if f.name == self.program.entry else f
+                     for f in self.program.functions]
         return lang.Program(functions, self.program.entry, self.program.source)
 
     def rewrite_func(self, func: lang.FuncDef):
         body = lang.map_children(func.body, self.rewrite_node)
-        self._enter(func)  # the function's own context, not its last statement's
+        self.stmt = func  # the function's own context, not its last statement's
         options = []
         for rule in self.func_rules:
             binding = match_pattern(rule.lhs, func)
@@ -124,27 +117,20 @@ class _Engine:
         is the node with rewritten children, each aligned rule grafts sites
         onto that default, and every other matching rule adds whole-node
         alternatives."""
-        stmt = isinstance(node, lang.Stmt)
-        if stmt:
-            self._enter(node)
+        is_stmt = isinstance(node, lang.Stmt)
+        if is_stmt:
+            self.stmt = node
         default = lang.map_children(node, self.rewrite_node)
         options = []
-        for rule in self.stmt_rules if stmt else self.expr_rules:
+        for rule in self.stmt_rules if is_stmt else self.expr_rules:
             binding = match_pattern(rule.lhs, node)
             if binding is None:
                 continue
-            slots = _graft_slots(rule)
-            if slots is not None:
-                default = self._graft(default, slots, rule, binding)
+            if rule.slots is not None:
+                default = self._graft(default, rule.slots, rule, binding)
                 continue
             options += _offered(self._variants(rule.rhs, binding, rule, node.span), rule)
         return self._choice(node.span, default, options)
-
-    def _enter(self, node) -> None:
-        """Make `node` (a statement or the function) the one whose header
-        new sites name and before which scope sets look for variables."""
-        self.stmt_header = _header_span(node, self.program.source)
-        self.anchor = node.span.start
 
     # -- grafting and sites --------------------------------------------------------
 
@@ -189,7 +175,7 @@ class _Engine:
                 alternatives.append(alt)
         if site or len(alternatives) == 1:
             return site or default
-        return self._site(span, self.stmt_header, alternatives)
+        return self._site(span, alternatives)
 
     def _variants(self, tpl, binding, rule, anchor) -> list:
         """The payloads a template offers: one per element of a set
@@ -204,10 +190,11 @@ class _Engine:
             if isinstance(elem, ScopeSet):
                 bound = binding[elem.of]
                 exclude = bound.name if isinstance(bound, lang.Var) else None
-                names = self.params + [n for n, offset in self.first_def if offset < self.anchor]
+                before = self.stmt.span.start
+                names = self.params + [n for n, offset in self.first_def if offset < before]
                 payloads += [lang.Var(n) for n in names if n != exclude]
             elif isinstance(elem, OpSet):
-                payloads += _other_ops(binding[elem.of])
+                payloads += other_ops(binding[elem.of])
             else:
                 try:
                     payloads.append(self._instantiate(elem, binding, rule, anchor))
@@ -217,7 +204,7 @@ class _Engine:
 
     # -- template instantiation ---------------------------------------------------
 
-    def _instantiate(self, tpl, binding, rule, anchor=lang.NO_SPAN):
+    def _instantiate(self, tpl, binding, rule, anchor):
         if isinstance(tpl, MetaVar):
             return binding[tpl.name]  # frozen: shared original fragment
         if isinstance(tpl, Primed):  # a plain expression (`parse_eml` checked), rewritten
@@ -246,9 +233,10 @@ class _Engine:
                                   " does not define", anchor.line, anchor.col)
         if isinstance(tpl, lang.MethodCall) and meta_kind(tpl.obj):
             tpl = lang.with_field(tpl, "obj", binding[tpl.obj].name)
-        # a bare s-metavariable binds a statement list, spliced into its block
+        # a bare s-metavariable binds a statement list, spliced into its block;
+        # a node built from the template lies at the anchor
         return lang.map_children(
-            tpl, lambda child: self._instantiate(child, binding, rule, anchor)
+            tpl, lambda child: self._instantiate(child, binding, rule, anchor), anchor
         )
 
 
@@ -263,9 +251,7 @@ class _NoElements(Exception):
 def _first_definitions(func: lang.FuncDef) -> list:
     defs = []
     for node in lang.walk(func.body):
-        if isinstance(node, (lang.Assign, lang.AugAssign)) and isinstance(
-            node.target, lang.Var
-        ):
+        if isinstance(node, (lang.Assign, lang.AugAssign)) and isinstance(node.target, lang.Var):
             defs.append((node.span.start, node.target.name))
         elif isinstance(node, lang.ForIn):
             defs.append((node.span.start, node.var))
@@ -276,54 +262,6 @@ def _first_definitions(func: lang.FuncDef) -> list:
             seen.add(name)
             first.append((name, offset))
     return first
-
-
-def _header_span(node, source: str) -> lang.Span:
-    """What feedback quotes as the statement around a site in `node`: the
-    header of a compound statement up to its condition or iterable, a
-    function's ``def`` line up to its colon, any other statement whole."""
-    span = node.span
-    if isinstance(node, (lang.If, lang.While)):
-        end = node.cond.span.end
-    elif isinstance(node, lang.ForIn):
-        end = node.iterable.span.end
-    elif isinstance(node, lang.FuncDef):
-        end = source.find(":", span.start) + 1  # no name or parameter holds one
-    else:
-        return span
-    return lang.Span(span.line, span.col, span.start, end)
-
-
-# the patterns whose aligned templates graft sites onto their children
-_ALIGNABLE = (
-    lang.Index, lang.Slice, lang.BinOp, lang.Compare, lang.BoolOp, lang.Not, lang.CondExpr,
-    lang.Call, lang.ListLit, lang.Assign, lang.AugAssign, lang.MethodCall, lang.Return,
-)
-
-
-def _graft_slots(rule):
-    """If `rule`'s template keeps the shape of its pattern ("aligned": the
-    same class, among `_ALIGNABLE`, with the same names (a call's function,
-    a method call's list and method), lists of the same lengths and the
-    same slice ends absent), the child positions where the two differ, each
-    with the template's child there: a field name, or (field name, index)
-    inside a list field.  Else None.  Found once per rule, and kept on it."""
-    if not hasattr(rule, "graft_slots"):
-        lhs, rhs = rule.lhs, rule.rhs.inner if isinstance(rule.rhs, Primed) else rule.rhs
-        slots = [] if type(rhs) is type(lhs) and isinstance(lhs, _ALIGNABLE) else None
-        for name in lhs.fields if slots is not None else ():
-            left, right = getattr(lhs, name), getattr(rhs, name)
-            if type(left) is list and len(left) == len(right):
-                slots += [((name, i), r) for i, (l, r) in enumerate(zip(left, right))
-                          if _template_key(r) != _template_key(l)]
-            elif (type(left) is list or type(left) is str and name != "op" and left != right
-                  or (left is None) != (right is None)):
-                slots = None
-                break
-            elif _template_key(right) != _template_key(left):
-                slots.append((name, right))
-        rule.graft_slots = slots
-    return rule.graft_slots
 
 
 def _literal(payload):
@@ -343,11 +281,6 @@ def _offered(payloads, rule) -> list:
     return [Alternative(p, rule.rule_id, rule.weight) for p in payloads]
 
 
-def _other_ops(op: str) -> list:
-    family = _COMPARE_FAMILY if op in _COMPARE_FAMILY else _ARITH_FAMILY
-    return [o for o in family if o != op]
-
-
 def _get_slot(node, slot):
     if isinstance(slot, tuple):
         name, i = slot
@@ -363,15 +296,3 @@ def _with_slot(node, slot, value):
         items[i] = value
         slot, value = name, items
     return lang.with_field(node, slot, value)
-
-
-def _template_key(node):
-    """Structural key with prime marks dropped at every depth."""
-    node = _unprime(node)
-    return node.key() if isinstance(node, lang.Node) else node
-
-
-def _unprime(node):
-    if isinstance(node, Primed):
-        return _unprime(node.inner)
-    return lang.map_children(node, _unprime)

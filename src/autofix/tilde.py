@@ -1,16 +1,19 @@
 """Weighted program sets: a program plus choice sites.
 
-A choice site holds a zero-weight default (the original code) and weighted
-alternatives contributed by correction rules.  A `TildeProgram` numbers its
-sites in pre-order when it is built, each with a link to the alternative
-that encloses it.  A candidate is a pick tuple, one alternative index per
-site, and nothing else: `enumerate_candidates` yields each with its cost,
-the summed weight of its active picks; `active_picks` finds those picks (a
-site is active only when every enclosing alternative is itself selected);
-and `instantiate` builds its program.
+A choice site holds a zero-weight default (the original code), which gives
+the site its kind, and weighted alternatives contributed by correction
+rules.  A `TildeProgram` numbers its sites in pre-order when it is built,
+each with a link to the alternative that encloses it.  A candidate is a
+pick tuple, one alternative index per site, and nothing else:
+`enumerate_candidates` yields each with its cost, the summed weight of its
+active picks, walking only the costs that candidates reach; `active_picks`
+finds those picks (a site is active only when every enclosing alternative
+is itself selected); and `instantiate` builds its program.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import lang
 from .lang import Span
@@ -29,13 +32,19 @@ class Alternative:
 
 
 class ChoiceSite:
-    def __init__(self, kind: str, span: Span, stmt_span: Span, alternatives: list):
-        self.kind = kind  # expr | op | stmt | block
+    def __init__(self, span: Span, stmt, alternatives: list):
         self.span = span
-        self.stmt_span = stmt_span
+        self.stmt = stmt  # the statement, or the function, the site sits in
         self.alternatives = alternatives
         self.site_id = -1  # set by the TildeProgram that holds the site
         self.parent = None  # (site_id, alt_index) enclosing alternative
+
+    @property
+    def kind(self) -> str:
+        """Its default's kind: ``op``, ``block`` (a list), ``stmt`` or ``expr``."""
+        default = self.alternatives[0].payload
+        return ("op" if isinstance(default, str) else "block" if isinstance(default, list)
+                else "stmt" if isinstance(default, lang.Stmt) else "expr")
 
 
 class TildeProgram:
@@ -102,23 +111,22 @@ def active_picks(tilde: TildeProgram, picks: tuple) -> list:
 # enumeration
 
 
-def max_cost_bound(tilde: TildeProgram) -> int:
-    return sum(
-        max(alt.weight for alt in site.alternatives) for site in tilde.sites
-    )
-
-
 def enumerate_candidates(tilde: TildeProgram, max_cost=None, learn=None):
     """Yield (picks, cost) for every canonical candidate with cost up to
-    `max_cost` (at most `max_cost_bound`), in non-decreasing cost order;
-    within one cost the sorted sequences of active (site_id, alternative
-    index) picks are emitted in lexicographic order.  `picks` holds one
-    alternative index per site, and inactive sites stay pinned at the
-    default 0, so a candidate's picks and its active picks (the non-zero
-    ones) determine each other and each active-selection pattern appears
-    exactly once.
+    `max_cost` (any cost if None), in non-decreasing cost order; within one
+    cost the sorted sequences of active (site_id, alternative index) picks
+    are emitted in lexicographic order.  `picks` holds one alternative index
+    per site, and inactive sites stay pinned at the default 0, so a
+    candidate's picks and its active picks (the non-zero ones) determine
+    each other and each active-selection pattern appears exactly once.
 
-    `learn`, if given, is called as each cost level from 1 starts, and
+    Only the costs that candidates reach are walked.  The walk of a cost
+    level returns the least cost above it that a candidate one pick beyond
+    the walk reaches: a prefix of the level extended by a pick too dear
+    for it, or a candidate of the level extended by a later pick.  That
+    cost is the next level, and with none enumeration ends.
+
+    `learn`, if given, is called as each cost level above 0 starts, and
     returns the facts learned since its last call: pairs (picks, sites) of
     a candidate with at most one non-default pick that failed on some
     input, and the bitmask of the sites whose picks that failing run read.
@@ -131,14 +139,14 @@ def enumerate_candidates(tilde: TildeProgram, max_cost=None, learn=None):
     picked, and with none later the subtree is skipped.  The facts are
     checked as masks at each pick, so a skipped subtree is never walked,
     and every other candidate keeps its place in the order."""
-    bound = max_cost_bound(tilde)
-    max_cost = bound if max_cost is None else min(max_cost, bound)
+    max_cost = math.inf if max_cost is None else max_cost
     sites = tilde.sites
     n = len(sites)
     picks = [0] * n
     parents = [site.parent for site in sites]  # (site_id, alt_index) or None
     options = [[(idx, alt.weight) for idx, alt in enumerate(site.alternatives) if idx]
                for site in sites]  # each site's non-default (index, weight)
+    lightest = min((weight for opts in options for _, weight in opts), default=1)
     needs = []  # masks of sites of which every candidate must pick one
     after = {}  # (site_id, index) -> [(mask, its sites after site_id)] of a pick's facts
 
@@ -151,10 +159,11 @@ def enumerate_candidates(tilde: TildeProgram, max_cost=None, learn=None):
             parent = parents[pid]
         return True
 
-    def rec(start, remaining, cost, picked, needs):
+    def rec(start, remaining, picked, needs, over):
         # extend the current pick set, the sites in mask `picked`, with
         # sites >= start, ascending, to spend exactly `remaining` more and
-        # pick a site of every mask in `needs`
+        # pick a site of every mask in `needs`; return the least of `over`
+        # and the amounts by which the candidates one pick beyond overspend
         stop = n
         for need in needs:  # no pick past a need's last site can meet it
             if need.bit_length() < stop:
@@ -166,6 +175,8 @@ def enumerate_candidates(tilde: TildeProgram, max_cost=None, learn=None):
             rest = [need for need in needs if not need & bit] if needs else needs
             for idx, weight in options[i]:
                 if weight > remaining:
+                    if weight - remaining < over:
+                        over = weight - remaining
                     continue
                 left = rest
                 facts = after.get((i, idx))
@@ -176,21 +187,28 @@ def enumerate_candidates(tilde: TildeProgram, max_cost=None, learn=None):
                     left += rest
                 picks[i] = idx
                 if weight < remaining:
-                    yield from rec(i + 1, remaining - weight, cost, picked | bit, left)
-                elif not left:
-                    yield tuple(picks), cost
+                    over = yield from rec(i + 1, remaining - weight, picked | bit, left, over)
+                else:
+                    if not left:
+                        yield tuple(picks), level
+                    if over > lightest:  # a later pick may overspend by less
+                        over = yield from rec(i + 1, 0, picked | bit, left, over)
                 picks[i] = 0
+        return over
 
     if max_cost >= 0:
         yield tuple(picks), 0
-    for target in range(1, max_cost + 1):
+    level = 0
+    over = yield from rec(0, 0, 0, needs, math.inf)  # the cheapest pick
+    while over < math.inf and level + over <= max_cost:
+        level += over
         for failed, mask in learn() if learn else ():
             k = next((k for k, idx in enumerate(failed) if idx), None)
             if k is None or not mask >> k & 1:
                 needs.append(mask)
             else:
                 after.setdefault((k, failed[k]), []).append((mask, mask >> (k + 1) << (k + 1)))
-        yield from rec(0, target, target, 0, needs)
+        over = yield from rec(0, level, 0, needs, math.inf)
 
 
 # --------------------------------------------------------------------------

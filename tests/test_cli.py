@@ -29,12 +29,12 @@ CLI = [sys.executable, "-m", "autofix.cli"]
 FAST = ["--int-bits", "3", "--max-list", "3"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -81,6 +81,21 @@ def test_a_huge_cost_cap_ends_a_search_with_no_fix_at_once(tmp_path, corpus):
     assert err == ""
     assert (code, out.splitlines()[0]) == ((0, "s14_far_off.imp: no-fix") if corpus
                                           else (2, "No fix found: no fix within the cost cap."))
+
+
+def test_a_weight_gap_is_jumped_not_walked(tmp_path):
+    # the costs between 2 and the dear rule's weight hold no candidate, and
+    # no budget stops a walk of them; the search answers as under a small cap
+    model = tmp_path / "gap.eml"
+    model.write_text("rule A weight 99999999999999999999: v[a] -> v[a - 1]\n"
+                     "rule B: v = n -> v = {n + 1, 0}\n")
+    args = ["--ref", asset("computederiv", "reference.imp"),
+            "--student", asset("computederiv", "student.imp"), "--model", str(model),
+            "--int-bits", "2", "--max-list", "1", "--format", "json"]
+    small = run_cli(*args, "--max-cost", "5", timeout=60)
+    huge = run_cli(*args, "--max-cost", str(10 ** 23), timeout=60)
+    assert (huge.returncode, huge.stdout) == (small.returncode, small.stdout)
+    assert json.loads(huge.stdout)["verdict"] == "no-fix"
 
 
 def test_missing_model_exits_3(tmp_path):

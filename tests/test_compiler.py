@@ -397,8 +397,8 @@ def blocks(depth: int, bounded: bool = False):
         stmt = st.one_of(*simple)
         sites = st.lists(i, min_size=1, max_size=2)
         simple += [
-            st.builds(mixed_site, st.just("stmt"), stmt, st.lists(stmt, min_size=1, max_size=2)),
-            st.builds(lambda v, d, o: lang.Assign(v, mixed_site("expr", d, o)), int_var, i, sites),
+            st.builds(mixed_site, stmt, st.lists(stmt, min_size=1, max_size=2)),
+            st.builds(lambda v, d, o: lang.Assign(v, mixed_site(d, o)), int_var, i, sites),
         ]
     if depth > 0:
         inner, cond = blocks(depth - 1, bounded), exprs("bool", 2, not bounded)
@@ -579,12 +579,12 @@ def test_spliced_statement_lists_agree():
     assign, guard, dec, ret = program.functions[0].body
     spliced = parse_imp("def g(x_int):\n    y = 2\n    x_int += y\n    return 0\n").functions[0].body[:2]
     body = [
-        ChoiceSite("stmt", assign.span, assign.span,
+        ChoiceSite(assign.span, assign,
                    [Alternative(assign), Alternative([], "Del", 1), Alternative(spliced, "Two", 1)]),
-        lang.If(guard.cond, [ChoiceSite("stmt", guard.span, guard.span,
+        lang.If(guard.cond, [ChoiceSite(guard.span, guard,
                                         [Alternative(guard.then_body[0]), Alternative([], "Del", 1)])],
                 []),
-        ChoiceSite("stmt", dec.span, dec.span, [Alternative(dec), Alternative([], "Del", 1)]),
+        ChoiceSite(dec.span, dec, [Alternative(dec), Alternative([], "Del", 1)]),
         ret,
     ]
     root = lang.Program([lang.FuncDef("f_int", ["x_int"], body)], "f_int")
@@ -617,10 +617,10 @@ def test_too_deep_choice_site_program_is_a_source_error():
 # value where the spec faults, or as a Python error.
 
 
-def mixed_site(kind: str, default, others: list) -> ChoiceSite:
-    """A site of `kind` that keeps `default` or picks one of `others`."""
+def mixed_site(default, others: list) -> ChoiceSite:
+    """A site that keeps `default` or picks one of `others`."""
     alternatives = [Alternative(default)] + [Alternative(o, "Mix", 1) for o in others]
-    return ChoiceSite(kind, lang.NO_SPAN, lang.NO_SPAN, alternatives)
+    return ChoiceSite(lang.NO_SPAN, None, alternatives)
 
 
 @functools.lru_cache(maxsize=None)
@@ -643,7 +643,7 @@ def ill_typed(depth: int):
         st.builds(lang.Compare, inner, st.sampled_from(lang.COMPARE_OPS), inner),
         st.builds(lang.Index, inner, inner),
         inner.map(lambda x: lang.Call("len", [x])),
-        st.builds(mixed_site, st.just("expr"), inner, st.lists(inner, min_size=1, max_size=2)),
+        st.builds(mixed_site, inner, st.lists(inner, min_size=1, max_size=2)),
     )
 
 
@@ -663,14 +663,14 @@ def ill_typed_steps(name: str):
         ill = st.one_of(
             st.builds(lang.Assign, st.just(var), b | l),
             st.builds(lang.AugAssign, st.just(var), st.sampled_from("+-*/"), b),
-            mixed.map(lambda alts: lang.Assign(var, mixed_site("expr", alts[0], alts[1:]))),
-            mixed.map(lambda alts: mixed_site("stmt", lang.Assign(var, alts[0]),
+            mixed.map(lambda alts: lang.Assign(var, mixed_site(alts[0], alts[1:]))),
+            mixed.map(lambda alts: mixed_site(lang.Assign(var, alts[0]),
                                               [lang.Assign(var, a) for a in alts[1:]])),
         )
         def reads(var):
             return st.one_of(
                 st.builds(lang.BinOp, st.just(var), st.sampled_from(("+", "-", "*")), i),
-                st.builds(lang.BinOp, mixed.map(lambda alts: mixed_site("expr", alts[0], alts[1:])),
+                st.builds(lang.BinOp, mixed.map(lambda alts: mixed_site(alts[0], alts[1:])),
                           st.sampled_from(("+", "-", "*")), st.just(var)),
                 st.builds(lang.Compare, st.just(var), st.sampled_from(lang.COMPARE_OPS), i),
                 st.builds(lang.Index, st.just(lang.Var("xs")), st.just(var)),
@@ -845,7 +845,7 @@ def with_operator_site(program, left, right, ops, at):
     entry's prelude, where the operator is a site over `ops`."""
     entry = program.functions[0]
     node = (lang.BinOp if ops is lang.ARITH_OPS else lang.Compare)(
-        left, mixed_site("op", ops[0], list(ops[1:])), right)
+        left, mixed_site(ops[0], list(ops[1:])), right)
     at += len(F_PRELUDE)
     body = entry.body[:at] + [lang.Assign(lang.Var(ANY_VAR), node)] + entry.body[at:]
     return lang.with_field(program, "functions",
@@ -1096,13 +1096,13 @@ def expression(text: str):
 def at_op_site(text: str, *ops):
     """The operation `text` with its operator at a site over it and `ops`."""
     node = expression(text)
-    return lang.with_field(node, "op", mixed_site("op", node.op, list(ops)))
+    return lang.with_field(node, "op", mixed_site(node.op, list(ops)))
 
 
 def expr_site(default, *others):
     """An expression site over `default` and `others`, texts or nodes."""
     default, *others = (expression(e) if type(e) is str else e for e in (default, *others))
-    return mixed_site("expr", default, others)
+    return mixed_site(default, others)
 
 
 TICKS = {
@@ -1230,9 +1230,9 @@ def test_the_survey_names_every_variable_the_entry_may_store_to():
     # inside every alternative of a choice site: a statement site, a target
     # site and a site at an indexed target's variable
     one = lang.IntLit(1)
-    assert entry_stores(mixed_site("stmt", lang.Pass(), [[lang.Assign(lang.Var("d"), one)]])) == {"d"}
-    assert entry_stores(lang.Assign(mixed_site("expr", lang.Var("e"), [lang.Var("f")]), one)) == {"e", "f"}
-    indexed = lang.Index(mixed_site("expr", lang.Var("g"), [lang.Var("h")]), lang.Var("i"))
+    assert entry_stores(mixed_site(lang.Pass(), [[lang.Assign(lang.Var("d"), one)]])) == {"d"}
+    assert entry_stores(lang.Assign(mixed_site(lang.Var("e"), [lang.Var("f")]), one)) == {"e", "f"}
+    indexed = lang.Index(mixed_site(lang.Var("g"), [lang.Var("h")]), lang.Var("i"))
     assert entry_stores(lang.AugAssign(indexed, "+", one)) == {"g", "h"}
 
 
@@ -1328,7 +1328,7 @@ def surveyed_programs(draw):
     in the entry and in a helper; the program may define `len` or `range`."""
     var = st.sampled_from(INT_VARS + LIST_VARS + ("c", "d", "e"))
     small = var.map(lang.Var) | st.integers(-9, 9).map(lang.IntLit)
-    either = st.builds(lambda d, o: mixed_site("expr", lang.Var(d), [lang.Var(o)]), var, var)
+    either = st.builds(lambda d, o: mixed_site(lang.Var(d), [lang.Var(o)]), var, var)
     target = st.one_of(var.map(lang.Var), either, st.builds(lang.Index, var.map(lang.Var) | either, small))
     length = st.one_of(var.map(lang.Var), var.map(lang.Var), either).map(lambda v: lang.Call("len", [v]))
     start = st.integers(-9, 9).map(lang.IntLit) | st.just(lang.BinOp(lang.IntLit(0), "-", lang.IntLit(1)))
@@ -1353,7 +1353,7 @@ def surveyed_programs(draw):
             st.builds(lang.ForIn, var, iterable, block),
             st.builds(lang.If, st.just(lang.BoolLit(True)), block, st.just([])),
             st.builds(lang.While, st.just(lang.BoolLit(False)), block),
-            st.builds(lambda d, o: mixed_site("stmt", d, o), inner,
+            st.builds(lambda d, o: mixed_site(d, o), inner,
                       st.lists(inner | block, min_size=1, max_size=2)),
         )
 
@@ -1537,7 +1537,7 @@ def store_in_one_alternative(store: str):
     def site(program):
         loop = next(s for s in program.functions[0].body if type(s) is lang.ForIn)
         other = parse_imp(f"def g(xs_list_int):\n    {store}\n    return 0\n").functions[0].body[0]
-        loop.body.insert(0, mixed_site("stmt", lang.Pass(), [other]))
+        loop.body.insert(0, mixed_site(lang.Pass(), [other]))
         TildeProgram(program)  # numbers the site
         return program
     return site
@@ -1689,11 +1689,11 @@ def length_loops(draw):
         ints.map(lambda x: lang.Assign(lang.Var(i), x)),
         ints.map(lambda x: lang.AugAssign(lang.Var(i), "-", x)),
         st.just(lang.ForIn(i, lang.Call("range", [lang.IntLit(2)]), [lang.Pass()])),
-        lists.map(lambda x: lang.Assign(mixed_site("expr", lang.Var(ANY_VAR), [lang.Var(v)]), x)),
+        lists.map(lambda x: lang.Assign(mixed_site(lang.Var(ANY_VAR), [lang.Var(v)]), x)),
     )
     placed = st.one_of(
         stores,
-        stores.map(lambda s: mixed_site("stmt", lang.Pass(), [s])),
+        stores.map(lambda s: mixed_site(lang.Pass(), [s])),
         st.builds(lambda c, s: lang.If(c, [s], []), exprs("bool", 1, False), stores),
     )
     body = draw(st.lists(reads | placed, max_size=3)) + [draw(reads)]
@@ -1738,7 +1738,7 @@ def long_lists(draw):
         lang.AugAssign(lang.Var(target), "+", lang.BinOp(xs, "+", ys)),
         lang.Assign(lang.Index(lang.Var(target), lang.IntLit(0)), n),
     ])
-    placed = st.one_of(grow, grow.map(lambda s: mixed_site("stmt", lang.Pass(), [s])))
+    placed = st.one_of(grow, grow.map(lambda s: mixed_site(lang.Pass(), [s])))
     lengths = st.sampled_from([
         lang.Assign(n, lang.Call("len", [xs])),
         lang.Assign(lang.Var("b"), lang.Call("len", [ys])),

@@ -205,3 +205,34 @@ def test_the_active_picks_are_those_a_resolution_visits(data):
     for each in [picks] + alone:
         got = [(site.site_id, index) for site, index in active_picks(tilde, each)]
         assert got == visited_picks(tilde, each)
+
+
+def test_a_site_made_inside_a_primed_template_lies_at_the_match():
+    # rule A rewrites the `a0 - 1` it builds, so rule B's site there lies in
+    # the student's line 3, not at the template's place in the rule text
+    reference = (
+        "def computeDeriv_list_int(poly_list_int):\n"
+        "    deriv = []\n"
+        "    if len(poly_list_int) == 0:\n"
+        "        return deriv\n"
+        "    for expo in range(1, len(poly_list_int)):\n"
+        "        deriv.append(poly_list_int[expo] * expo)\n"
+        "    return deriv\n"
+    )
+    student = parse_imp(reference.replace("== 0:", "== 0 + 1:").replace(
+        "return deriv\n    for", "return poly_list_int\n    for"))
+    msg = ' msg "In {orig} in line {line}, change {sub} to {new}."\n'
+    model = parse_eml("rule A: a0 == a1 + a2 -> {(a0 - 1)' == a1}" + msg
+                      + "rule B: a0 - a1 -> {a0 + a1, a0 * a1}" + msg)
+    tilde = rewrite(student, model)
+    assert [site.span.line for site in tilde.sites] == [3, 3]
+    result = cegis_min(tilde, ReferenceOracle(parse_imp(reference), Bounds(3, 2)), max_cost=5)
+    assert (result.status, result.cost) == ("fixed", 2)
+    corrections = diff_corrections(tilde, result.picks)
+    assert [(c.line, c.rule_id) for c in corrections] == [(3, "A"), (3, "B")]
+    assert [c.message for c in corrections] == [
+        "In if len(poly_list_int) == 0 + 1 in line 3, change len(poly_list_int) == 0 + 1"
+        " to len(poly_list_int) + 1 == 0.",
+        "In if len(poly_list_int) == 0 + 1 in line 3, change len(poly_list_int) - 1"
+        " to len(poly_list_int) + 1.",
+    ]

@@ -190,6 +190,18 @@ def test_rewrites_match_golden_digests():
     assert rewritten_digests() == expected
 
 
+def test_rewriting_leaves_every_rule_as_parsed():
+    # what a rule offers is fixed when it is parsed: `rewrite` sets nothing on it
+    models = [parse_eml(text) for _, text in grid_models()]
+    before = [[{name: id(value) for name, value in vars(rule).items()} for rule in model]
+              for model in models]
+    for _, _, program in bundled_programs():
+        for model in models:
+            rewrite(program, model)
+    assert [[{name: id(value) for name, value in vars(rule).items()} for rule in model]
+            for model in models] == before
+
+
 def run(args) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -83,6 +83,17 @@ def test_map_children_keeps_spans_and_equality_sees_them():
     assert lang.Compare(plus.left, "+", plus.right, plus.span, plus.op_span) != plus
 
 
+def test_map_children_at_a_span_copies_every_node_there():
+    plus = parse_imp("def f_int(x_int):\n    return x_int + 1\n").functions[0].body[0].value
+    at = lang.Span(9, 9, 90, 95)
+    placed = lang.map_children(plus, lambda child: child, at)
+    assert placed is not plus and placed.key() == plus.key()
+    assert (placed.span, placed.op_span) == (at, lang.NO_SPAN)  # other locators left out
+    assert placed.left is plus.left  # a child keeps its own span
+    assert lang.map_children(lang.Pass(lang.NO_SPAN), None, at) == lang.Pass(at)
+    assert lang.map_children("+", None, at) == "+"  # an operator is no node
+
+
 def test_spans_are_immutable_values():
     span = lang.Span(1, 2, 3, 4)
     assert span == lang.Span(1, 2, 3, 4) and hash(span) == hash(lang.Span(1, 2, 3, 4))

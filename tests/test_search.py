@@ -347,7 +347,7 @@ def entry(body) -> lang.Program:
 
 def site(default, others) -> ChoiceSite:
     alternatives = [Alternative(default)] + [Alternative(o, "Alt", 1) for o in others]
-    return ChoiceSite("expr", lang.NO_SPAN, lang.NO_SPAN, alternatives)
+    return ChoiceSite(lang.NO_SPAN, None, alternatives)
 
 
 def generated_search(reference, default, others, through_variable):

@@ -21,7 +21,6 @@ from autofix.tilde import (
     dump,
     enumerate_candidates,
     instantiate,
-    max_cost_bound,
 )
 
 from conftest import RULE_FORMS, SITE_KINDS_MODELS, SITE_KINDS_STUDENT, active_of, picks_for, read
@@ -157,6 +156,36 @@ def test_enumeration_is_every_canonical_pick_tuple_by_cost_then_active_picks(for
 @settings(max_examples=100, deadline=None)
 @given(
     forms=st.lists(st.sampled_from(ORDER_FORMS), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.sampled_from((1, 2, 7, 10 ** 6, 10 ** 20)), min_size=4, max_size=4),
+)
+def test_the_cost_walk_visits_only_the_costs_candidates_reach(forms, weights):
+    # weight gaps of any size: a cost level is walked only when a candidate
+    # has that cost, so `learn` is called once per cost above 0, and the
+    # sequence is the brute force's
+    model = parse_eml("".join(
+        f"rule R{i} weight {w}: {form}\n" for i, (form, w) in enumerate(zip(forms, weights))
+    ))
+    tilde = rewrite(parse_imp(ORDER_STUDENT), model)
+    ranked = []
+    for picks in canonical_pick_tuples(tilde):
+        cost = sum(tilde.sites[i].alternatives[idx].weight for i, idx in active_of(picks))
+        ranked.append((cost, sorted(active_of(picks)), picks))
+    want = [(picks, cost) for cost, _, picks in sorted(ranked)]
+    allowed = len({cost for _, cost in want}) + 1
+    calls = []
+
+    def learn():
+        calls.append(1)
+        if len(calls) > allowed:
+            raise AssertionError(f"learn called {len(calls)} times for {allowed - 1} costs")
+        return []
+
+    assert list(enumerate_candidates(tilde, learn=learn)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    forms=st.lists(st.sampled_from(ORDER_FORMS), min_size=1, max_size=4, unique=True),
     weights=st.lists(st.integers(1, 3), min_size=4, max_size=4),
     data=st.data(),
 )
@@ -172,16 +201,18 @@ def test_learned_facts_skip_exactly_the_candidates_that_agree_with_them(forms, w
     plain = list(enumerate_candidates(tilde))
     few = [picks for picks, _ in plain if len(active_of(picks)) <= 1]
     fact = st.tuples(st.sampled_from(few), st.integers(0, 2 ** len(tilde.sites) - 1))
-    given_at = []  # (cost level, picks, mask) per fact
-    levels = []
+    given_at = []  # (least cost level it can be given at, picks, mask) per fact
+    learned = []
 
     def learn():
-        levels.append(len(levels) + 1)
+        # the level starting lies above the last cost yielded, and a level
+        # left out between the two holds no candidate the facts let through
         facts = data.draw(st.lists(fact, max_size=2))
-        given_at.extend((levels[-1], picks, mask) for picks, mask in facts)
+        given_at.extend((learned[-1][1] + 1, picks, mask) for picks, mask in facts)
         return facts
 
-    learned = list(enumerate_candidates(tilde, learn=learn))
+    for candidate in enumerate_candidates(tilde, learn=learn):
+        learned.append(candidate)
 
     def agrees(picks, cost):
         return any(at <= cost and all(picks[k] == known[k] for k in range(len(picks))
@@ -256,13 +287,15 @@ def test_enumeration_agrees_with_direct_expansion():
         assert enumerated == expanded
 
 
-def test_max_cost_bound_caps_enumeration(deriv_student, deriv_model_simple):
+def test_a_cost_cap_past_the_dearest_candidate_changes_nothing(deriv_student, deriv_model_simple):
     tilde = rewrite(deriv_student, deriv_model_simple)
-    bound = max_cost_bound(tilde)
     all_candidates = list(enumerate_candidates(tilde))
-    assert all(cost <= bound for _, cost in all_candidates)
-    capped = list(enumerate_candidates(tilde, 1))
-    assert {cost for _, cost in capped} == {0, 1}
+    dearest = max(cost for _, cost in all_candidates)
+    levels = []
+    capped = list(enumerate_candidates(tilde, 10 ** 30, learn=lambda: levels.append(1) or []))
+    assert capped == all_candidates
+    assert len(levels) == dearest  # every model weight is 1: one walk per cost, then the end
+    assert {cost for _, cost in enumerate_candidates(tilde, 1)} == {0, 1}
 
 
 def test_dump_is_stable(deriv_student, deriv_model):
